@@ -61,9 +61,6 @@ def _emit(args, header, rows, out=None):
 
 
 def _threads(args) -> int:
-    env = os.environ.get("FREDHOLM_THREADS")
-    if env:
-        return max(1, int(env))
     if getattr(args, "threads", None):
         return max(1, args.threads)
     return os.cpu_count() or 1
@@ -316,6 +313,12 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "trunc-bound":
         if args.T is None and args.T_list is None:
             parser.error("trunc-bound needs --T or --T-list")
+    env = os.environ.get("FREDHOLM_THREADS")
+    if env:
+        try:
+            args.threads = max(1, int(env))
+        except ValueError:
+            parser.error(f"FREDHOLM_THREADS must be an integer, got {env!r}")
     try:
         return args.fn(args)
     except KeyError as exc:

@@ -370,27 +370,60 @@ class Airy1ProcessKernel(Kernel):
         c = t * (x + y) + 2.0 * t ** 3 / 3.0
         out = _airy_times_exp(u, c)
         if t > 0.0:
-            with np.errstate(under="ignore", over="ignore"):
-                gauss = np.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-            out = out - gauss
+            out = out - _heat(x, y, t)
         return out if np.ndim(out) else float(out)
 
+    def matrix_pair(self, xs, ys):
+        """``(K_t(xs[i], ys[j]), K_{-t}(ys[j], xs[i]))``, both indexed
+        [i, j].  The two kernels share the factor Ai(x+y+t^2) and differ
+        in the sign of the exponent, so the Airy points are evaluated once
+        for both."""
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        t = self.t
+        x, y = xs[:, None], ys[None, :]
+        ai, log_scale = _airy_log_split(x + y + t * t)
+        c = t * (x + y) + 2.0 * t ** 3 / 3.0
+        with np.errstate(under="ignore", over="ignore"):
+            fwd = ai * np.exp(c + log_scale)
+            bwd = ai * np.exp(-c + log_scale)
+        if t > 0.0:
+            fwd -= _heat(x, y, t)
+        elif t < 0.0:
+            bwd -= _heat(x, y, -t)
+        return fwd, bwd
 
-def _airy_times_exp(u, c):
-    """Ai(u) * exp(c), evaluated in log space where Ai would underflow."""
+
+def _heat(x, y, t):
+    """The heat-kernel term exp(-(x-y)^2 / (4t)) / sqrt(4 pi t), t > 0."""
+    with np.errstate(under="ignore", over="ignore"):
+        return np.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+
+
+def _airy_log_split(u):
+    """(a, g) with Ai(u) = a * exp(g): the scaled Airy function and
+    g = -(2/3) u^(3/2) for u > 0, Ai(u) itself and g = 0 otherwise."""
     u = np.asarray(u, dtype=float)
-    c = np.asarray(c, dtype=float)
-    u, c = np.broadcast_arrays(u, c)
     pos = u > 0.0
-    out = np.empty(u.shape)
+    a = np.empty(u.shape)
+    g = np.zeros(u.shape)
     with np.errstate(under="ignore", over="ignore"):
         if np.any(pos):
             up = u[pos]
-            out[pos] = airy_ai_scaled(up) * np.exp(c[pos] - (2.0 / 3.0) * up ** 1.5)
+            a[pos] = airy_ai_scaled(up)
+            g[pos] = -(2.0 / 3.0) * up ** 1.5
         if np.any(~pos):
-            # for u <= 0 the exponent c is bounded above, no overflow risk
-            out[~pos] = airy_ai(u[~pos]) * np.exp(c[~pos])
-    return out
+            a[~pos] = airy_ai(u[~pos])
+    return a, g
+
+
+def _airy_times_exp(u, c):
+    """Ai(u) * exp(c), evaluated in log space where Ai would underflow.
+    For u <= 0 the exponent c is bounded above, so nothing overflows."""
+    u, c = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(c, dtype=float))
+    a, g = _airy_log_split(u)
+    with np.errstate(under="ignore", over="ignore"):
+        return a * np.exp(c + g)
 
 
 class TransformedKernel(Kernel):

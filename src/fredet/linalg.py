@@ -2,9 +2,10 @@
 
 Matrices are plain numpy arrays (real or complex).  Everything here is
 written for the small, well-scaled systems produced by the quadrature
-discretization: LU with partial pivoting, Cholesky for the Hermitian
-positive definite case, and a one-sided Jacobi SVD for singular values
-and the trace norm (used in bounds and tests, never in the hot path).
+discretization: LU with partial pivoting (LAPACK, one matrix or a stack),
+Cholesky for the Hermitian positive definite case, and a one-sided Jacobi
+SVD for singular values and the trace norm (used in bounds and tests,
+never in the hot path).
 """
 
 from __future__ import annotations
@@ -63,29 +64,23 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def det_lu(a) -> complex | float:
-    """Determinant by Gaussian elimination with partial (row) pivoting.
+def det_lu(a):
+    """Determinant by LU with partial (row) pivoting (LAPACK ``getrf``).
 
-    Returns the product of pivots times the permutation sign; returns an
-    exact 0 as soon as a pivot column vanishes.
+    ``a`` is one square matrix or a ``(k, n, n)`` stack of them; a stack
+    gives the k determinants as an array from one call.  The determinant
+    is an exact 0 when a pivot column vanishes.  Real input gives real
+    values and complex input complex values.
     """
-    a = _as_square(a)
-    dtype = complex if np.iscomplexobj(a) else float
-    a = a.astype(dtype, copy=True)
-    m = a.shape[0]
-    det = dtype(1.0)
-    for k in range(m):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            return dtype(0.0)
-        if p != k:
-            a[[k, p], k:] = a[[p, k], k:]
-            det = -det
-        det *= a[k, k]
-        if k + 1 < m:
-            mult = a[k + 1:, k] / a[k, k]
-            a[k + 1:, k + 1:] -= np.outer(mult, a[k, k + 1:])
-    return det
+    arr = np.asarray(a)
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must be finite")
+    det = np.linalg.det(arr)
+    if arr.ndim == 3:
+        return det
+    return complex(det) if np.iscomplexobj(det) else float(det)
 
 
 def det_cholesky(a) -> float:

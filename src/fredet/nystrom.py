@@ -171,33 +171,44 @@ def _system_matrix(system: BlockSystem, balance: bool) -> np.ndarray:
     return out
 
 
-def _balance_blocks(blocks) -> None:
+def _balance_blocks(blocks) -> np.ndarray:
     """Rescale block rows/columns by powers of two (an exact similarity
     transform, so the determinant is unchanged) to even out block
     magnitudes; matters for process kernels whose off-diagonal blocks
-    carry opposite exponential factors."""
+    carry opposite exponential factors.
+
+    Each block may also be a stack ``(..., m_i, m_j)`` of blocks of
+    independent systems; every system then gets its own shifts, the same
+    ones it would get alone.  Only the off-diagonal blocks are read and
+    scaled, in place.  Returns the exponents, shape ``(N, ...)``: block
+    (i, j) is scaled by 2^(shift[i] - shift[j]).
+    """
     n = len(blocks)
-    mags = np.array([[float(np.max(np.abs(b))) for b in row] for row in blocks])
-    shift = np.zeros(n)
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    stack = np.broadcast_shapes(*(np.shape(blocks[i][j])[:-2] for i, j in off))
+    shift = np.zeros((n,) + stack)
+    if n < 2:
+        return shift
+    mags = np.zeros((n, n) + stack)
+    for i, j in off:
+        mags[i, j] = np.max(np.abs(blocks[i][j]), axis=(-2, -1))
     for _ in range(20):
         moved = False
         for i in range(n):
-            row = [mags[i, j] * 2.0 ** (shift[i] - shift[j])
-                   for j in range(n) if j != i and mags[i, j] > 0.0]
-            col = [mags[j, i] * 2.0 ** (shift[j] - shift[i])
-                   for j in range(n) if j != i and mags[j, i] > 0.0]
-            if not row or not col:
-                continue
-            delta = round(0.5 * math.log2(max(col) / max(row)))
-            if delta != 0:
-                shift[i] += delta
-                moved = True
+            others = [j for j in range(n) if j != i]
+            row = np.max([mags[i, j] * 2.0 ** (shift[i] - shift[j]) for j in others], axis=0)
+            col = np.max([mags[j, i] * 2.0 ** (shift[j] - shift[i]) for j in others], axis=0)
+            live = (row > 0.0) & (col > 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # np.rint rounds halves to even, like the builtin round
+                delta = np.where(live, np.rint(0.5 * np.log2(col / row)), 0.0)
+            shift[i] += delta
+            moved = moved or bool(np.any(delta != 0.0))
         if not moved:
             break
-    for i in range(n):
-        for j in range(n):
-            if i != j and shift[i] != shift[j]:
-                blocks[i][j] *= 2.0 ** (shift[i] - shift[j])
+    for i, j in off:
+        blocks[i][j] *= np.asarray(2.0 ** (shift[i] - shift[j]))[..., None, None]
+    return shift
 
 
 def fredholm_det_system(system: BlockSystem, z: complex | float,

@@ -261,35 +261,74 @@ def tw_moments(m: int = 48, box: tuple[float, float] = DEFAULT_BOX,
 # Two-point correlation functions
 # ---------------------------------------------------------------------------
 
+def _legendre_cumulative(rule) -> np.ndarray:
+    """Cumulative spectral-integration matrix C of a Gauss-Legendre rule on
+    (a, b): (C f)_j = int_a^{x_j} p(s) ds, with p the polynomial of degree
+    < n interpolating f at the n nodes x_j, so C integrates polynomials of
+    degree < n exactly.
+
+    With x the nodes mapped to (-1, 1), p = sum_k c_k P_k has Legendre
+    coefficients c_k = (2k+1)/2 sum_j w_j P_k(x_j) f_j (Gauss quadrature
+    is exact for these products), and each P_k integrates in closed form:
+    (2k+1) int_{-1}^x P_k = P_{k+1}(x) - P_{k-1}(x) for k >= 1, x + 1 for
+    k = 0.
+    """
+    n = rule.m
+    x = (2.0 * rule.nodes - (rule.a + rule.b)) / (rule.b - rule.a)
+    legendre = np.empty((n + 1, n))  # P_k(x_j), k = 0..n
+    legendre[0] = 1.0
+    legendre[1] = x
+    for k in range(1, n):
+        legendre[k + 1] = ((2 * k + 1) * x * legendre[k] - k * legendre[k - 1]) / (k + 1)
+    # (2k+1)/2 int_{-1}^{x_j} P_k; the rule's weights carry the (b - a)/2
+    integrals = np.empty((n, n))
+    integrals[0] = 0.5 * (x + 1.0)
+    integrals[1:] = 0.5 * (legendre[2:] - legendre[:-2])
+    return integrals.T @ (legendre[:n] * rule.weights)
+
+
 def _cov_zero(process: str, m: int, n_outer: int, box: tuple[float, float],
               scale: float) -> float:
-    """Variance via the covariance identity at t = 0: the joint reduces to
-    F(min(s1, s2)), so the box integral collapses to twice the triangle
-    integral of F(s1)(1 - F(s2)) over s1 < s2."""
+    """Variance via the covariance identity at t = 0.
+
+    The joint reduces to F(min(s1, s2)), so the box integral collapses to
+    twice the triangle integral of F(s1)(1 - F(s2)) over s1 < s2:
+
+        var = 2 int_L^U (1 - F(s2)) G(s2) ds2,   G(s2) = int_L^{s2} F(s1) ds1.
+
+    F is evaluated once per outer Gauss-Legendre node, and G at the same
+    nodes comes from the cumulative spectral-integration matrix of that
+    rule (``_legendre_cumulative``), so a level costs n_outer marginals.
+    """
     low, up = box
     outer = gauss_legendre(low, up, n_outer)
-    total = 0.0
-    for s2, w2 in zip(outer.nodes, outer.weights):
-        inner = gauss_legendre(low, s2, n_outer)
-        fin = np.array([_marginal(process, s, m, scale) for s in inner.nodes])
-        g = float(inner.weights @ fin)
-        total += w2 * (1.0 - _marginal(process, s2, m, scale)) * g
-    return 2.0 * total
+    f = np.array([_marginal(process, s, m, scale) for s in outer.nodes])
+    g = _legendre_cumulative(outer) @ f
+    return 2.0 * float(outer.weights @ ((1.0 - f) * g))
 
 
 class _JointTable:
-    """Fast evaluator of the joint determinant over a grid of thresholds.
+    """Joint determinants P(A(t) <= s_i, A(0) <= s_j) over a grid of
+    thresholds, a whole row of the grid at a time.
 
-    Per grid value s it caches the transformed nodes, the diagonal-block
-    matrix, and (for the Airy(2) process) the inner-rule Airy basis, so a
-    joint evaluation at a pair (s_i, s_j) costs only two small matrix
-    products and one LU factorization.  Produces the same values as
-    ``airy2_joint`` / ``airy1_joint`` (which assemble a fresh BlockSystem
-    per call); the unit tests pin the two paths against each other.
+    ``prepare`` caches per threshold s the transformed nodes, the diagonal
+    block I - A_0 and, for the Airy(2) process, the inner-rule Airy bases
+    of K_t and K_{-t}, each in one preallocated array.  ``row`` then forms
+    the off-diagonal blocks of a row against a range of columns with one
+    matrix product per kernel (Airy(2)) or one shared Airy evaluation
+    (Airy(1), ``Airy1ProcessKernel.matrix_pair``), balances each system as
+    ``_balance_blocks`` does, and takes the determinants in stacked LAPACK
+    calls of at most ``CHUNK`` systems, which bounds the memory of a row.
+    Produces the same values as ``airy2_joint`` / ``airy1_joint`` (which
+    assemble a fresh BlockSystem per call); the unit tests pin the two
+    paths against each other.
     """
 
+    #: Systems per stacked determinant call.
+    CHUNK = 16
+
     def __init__(self, process: str, t: float, m: int, scale: float,
-                 inner_tol: float):
+                 inner_tol: float = 1e-12, kernels=None):
         if t <= 0.0:
             raise ValueError("joint table expects t > 0")
         self.process = process
@@ -299,65 +338,82 @@ class _JointTable:
         xi = rule.nodes
         self._off = scale * np.tan(0.5 * np.pi * xi)
         dphi = scale * (0.5 * np.pi) / np.cos(0.5 * np.pi * xi) ** 2
-        self._r = np.sqrt(rule.weights * dphi)
-        self.k0, self.kt, self.kmt = _process_kernels(process, t, inner_tol)
-        self._grid_of = {}
-        self._diag = {}
-        self._bt = {}
-        self._bmt = {}
+        r = np.sqrt(rule.weights * dphi)
+        self._rr = np.outer(r, r)
+        self.k0, self.kt, self.kmt = kernels or _process_kernels(process, t, inner_tol)
 
     def prepare(self, svals) -> None:
-        rr = np.outer(self._r, self._r)
-        for s in svals:
-            key = float(s)
-            if key in self._diag:
-                continue
-            x = key + self._off
-            self._grid_of[key] = x
-            self._diag[key] = rr * self.k0.matrix(x, x)
+        """Cache the per-threshold data of the grid ``svals``, replacing
+        any earlier grid."""
+        svals = np.asarray(svals, dtype=float)
+        n, m = svals.size, self.m
+        self._x = svals[:, None] + self._off[None, :]
+        self._eye_minus_diag = np.empty((n, m, m))
+        if self.process == "airy2":
+            self._bt = np.empty((n, m, self.kt.inner_size))
+            self._bmt = np.empty((n, m, self.kmt.inner_size))
+        for k, x in enumerate(self._x):
+            self._eye_minus_diag[k] = np.eye(m) - self._rr * self.k0.matrix(x, x)
             if self.process == "airy2":
-                self._bt[key] = self.kt.basis(x)
-                self._bmt[key] = self.kmt.basis(x)
+                self._bt[k] = self.kt.basis(x)
+                self._bmt[k] = self.kmt.basis(x)
+
+    def row(self, i: int, lo: int, hi: int) -> np.ndarray:
+        """Joints at the prepared thresholds (s_i, s_j) for lo <= j < hi."""
+        return np.concatenate([self._row_chunk(i, a, min(a + self.CHUNK, hi))
+                               for a in range(lo, hi, self.CHUNK)])
+
+    def _row_chunk(self, i: int, lo: int, hi: int) -> np.ndarray:
+        m, c = self.m, hi - lo
+        x1 = self._x[i]
+        x2 = self._x[lo:hi]
+        if self.process == "airy2":
+            # b12[j, p, q] = K_t(x1_p, x2_jq), b21[j, q, p] = K_{-t}(x2_jq, x1_p)
+            bt2 = self._bt[lo:hi].reshape(c * m, -1)
+            b12 = ((self._bt[i] * self.kt.inner_weights) @ bt2.T).reshape(m, c, m)
+            b12 = b12.transpose(1, 0, 2) - self.kt.gaussian_part(
+                x1[None, :, None], x2[:, None, :])
+            bmt2 = self._bmt[lo:hi].reshape(c * m, -1)
+            b21 = (bmt2 @ (self._bmt[i] * self.kmt.inner_weights).T).reshape(c, m, m)
+            b21 = b21 - self.kmt.gaussian_part(x2[:, :, None], x1[None, None, :])
+        else:
+            fwd, bwd = self.kt.matrix_pair(x1, x2.ravel())
+            b12 = fwd.reshape(m, c, m).transpose(1, 0, 2)
+            b21 = bwd.reshape(m, c, m).transpose(1, 2, 0)
+        blocks = [[None, self._rr * b12], [self._rr * b21, None]]
+        _balance_blocks(blocks)
+        systems = np.empty((c, 2 * m, 2 * m))
+        systems[:, :m, :m] = self._eye_minus_diag[i]
+        systems[:, :m, m:] = -blocks[0][1]
+        systems[:, m:, :m] = -blocks[1][0]
+        systems[:, m:, m:] = self._eye_minus_diag[lo:hi]
+        return det_lu(systems)
 
     def joint(self, s1: float, s2: float) -> float:
-        s1, s2 = float(s1), float(s2)
+        """The joint at one pair; prepares (s1, s2) as the grid."""
         self.prepare([s1, s2])
-        x1 = self._grid_of[s1]
-        x2 = self._grid_of[s2]
-        rr = np.outer(self._r, self._r)
-        if self.process == "airy2":
-            b12 = (self._bt[s1] * self.kt.inner_weights) @ self._bt[s2].T
-            b12 -= self.kt.gaussian_part(x1[:, None], x2[None, :])
-            b21 = (self._bmt[s2] * self.kmt.inner_weights) @ self._bmt[s1].T
-            b21 -= self.kmt.gaussian_part(x2[:, None], x1[None, :])
-        else:
-            b12 = self.kt.matrix(x1, x2)
-            b21 = self.kmt.matrix(x2, x1)
-        blocks = [[self._diag[s1], rr * b12], [rr * b21, self._diag[s2]]]
-        _balance_blocks(blocks)
-        m = self.m
-        b_mat = np.eye(2 * m)
-        b_mat[:m, :m] -= blocks[0][0]
-        b_mat[:m, m:] -= blocks[0][1]
-        b_mat[m:, :m] -= blocks[1][0]
-        b_mat[m:, m:] -= blocks[1][1]
-        return float(np.real(det_lu(b_mat)))
+        return float(self.row(0, 1, 2)[0])
 
 
 def _cov_positive(process: str, t: float, m: int, n_outer: int,
-                  box: tuple[float, float], scale: float,
-                  inner_tol: float) -> float:
+                  box: tuple[float, float], scale: float, kernels) -> float:
+    """Covariance at t > 0 from the joint table on the outer grid.
+
+    Time reversal gives P(s1, s2) = P(s2, s1), so only the upper triangle
+    j >= i of the joint matrix is computed and then mirrored.
+    """
     low, up = box
     outer = gauss_legendre(low, up, n_outer)
     svals = outer.nodes
-    table = _JointTable(process, t, m, scale, inner_tol)
+    table = _JointTable(process, t, m, scale, kernels=kernels)
     table.prepare(svals)
     marg = np.array([_marginal(process, s, m, scale) for s in svals])
     n = svals.size
-    integrand = np.empty((n, n))
+    joint = np.zeros((n, n))
     for i in range(n):
-        for j in range(n):
-            integrand[i, j] = table.joint(svals[i], svals[j]) - marg[i] * marg[j]
+        joint[i, i:] = table.row(i, i, n)
+    joint += np.triu(joint, 1).T
+    integrand = joint - np.outer(marg, marg)
     return float(outer.weights @ integrand @ outer.weights)
 
 
@@ -368,17 +424,20 @@ _COV_LEVELS = ((30, 48), (38, 64), (48, 88))
 def _cov_process(process: str, t: float, accuracy: float,
                  box: tuple[float, float], scale: float,
                  full_output: bool):
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("t must be >= 0 (the covariance is stationary: "
                          "cov(-t) = cov(t))")
-    inner_tol = min(1e-12, accuracy * 1e-2)
+    # the process kernels depend on neither m nor the outer rule, so one
+    # build (and one inner-rule refinement for Airy(2)) serves every level
+    kernels = (_process_kernels(process, t, min(1e-12, accuracy * 1e-2))
+               if t > 0.0 else None)
     values = []
     est = math.inf
-    for level, (m, n_outer) in enumerate(_COV_LEVELS):
+    for m, n_outer in _COV_LEVELS:
         if t == 0.0:
             val = _cov_zero(process, m, n_outer, box, scale)
         else:
-            val = _cov_positive(process, t, m, n_outer, box, scale, inner_tol)
+            val = _cov_positive(process, t, m, n_outer, box, scale, kernels)
         values.append(val)
         if len(values) >= 2:
             est = abs(values[-1] - values[-2])

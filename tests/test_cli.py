@@ -117,3 +117,22 @@ class TestSweeps:
         assert code == 0
         assert out == ""
         assert target.read_text().splitlines()[0] == "node,weight"
+
+
+class TestThreadsEnvironment:
+    def test_non_integer_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("FREDHOLM_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["e2", "--s-min", "0", "--s-max", "1", "--step", "0.5", "--m", "10"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "FREDHOLM_THREADS" in err and "'abc'" in err
+        assert "numerical failure" not in err
+
+    def test_integer_is_used(self, monkeypatch):
+        argv = ["e2", "--s-min", "0", "--s-max", "1", "--step", "0.5", "--m", "10"]
+        monkeypatch.setenv("FREDHOLM_THREADS", "1")
+        code, out, _ = run(argv)
+        monkeypatch.delenv("FREDHOLM_THREADS")
+        assert code == 0
+        assert out == run(argv + ["--threads", "2"])[1]

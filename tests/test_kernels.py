@@ -205,6 +205,16 @@ class TestAiry1ProcessKernel:
                                   abs=1e-300)
 
 
+    @pytest.mark.parametrize("t", [0.5, -0.7, 2.5])
+    def test_matrix_pair_matches_both_kernels(self, t):
+        # one shared Airy evaluation gives K_t(x, y) and K_{-t}(y, x)
+        xs = np.linspace(-6.0, 40.0, 7)
+        ys = np.linspace(-5.0, 30.0, 5)
+        fwd, bwd = Airy1ProcessKernel(t).matrix_pair(xs, ys)
+        assert np.array_equal(fwd, Airy1ProcessKernel(t).matrix(xs, ys))
+        assert np.array_equal(bwd, Airy1ProcessKernel(-t).matrix(ys, xs).T)
+
+
 class TestTransformedKernel:
     def test_map_values(self):
         tk = transform_to_unit(AiryKernel(), s=-2.0)

@@ -55,6 +55,41 @@ class TestDetLU:
             det_lu(np.ones((2, 3)))
 
 
+    def test_stack_equals_per_matrix_loop(self):
+        rng = np.random.default_rng(3)
+        stack = rng.uniform(-1, 1, size=(9, 12, 12))
+        stack[4, :, 2] = 0.0  # singular member: exact 0 in the stack too
+        dets = det_lu(stack)
+        assert dets.shape == (9,)
+        assert dets[4] == 0.0
+        for a, d in zip(stack, dets):
+            assert d == pytest.approx(det_lu(a), rel=1e-13, abs=0)
+
+    def test_complex_stack(self):
+        rng = np.random.default_rng(4)
+        stack = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+        dets = det_lu(stack)
+        assert np.iscomplexobj(dets)
+        for a, d in zip(stack, dets):
+            assert d == pytest.approx(det_lu(a), rel=1e-13)
+
+    def test_scalar_types(self):
+        assert type(det_lu(np.eye(3))) is float
+        assert type(det_lu(np.eye(3, dtype=complex))) is complex
+        assert type(det_lu(np.array([[2, 1], [1, 2]]))) is float
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4), (2, 2, 3, 3)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ValueError):
+            det_lu(np.ones(shape))
+
+    def test_nonfinite_rejected(self):
+        stack = np.ones((2, 3, 3))
+        stack[1, 0, 0] = np.inf
+        with pytest.raises(ValueError):
+            det_lu(stack)
+
+
 class TestDetCholesky:
     def test_identity(self):
         assert det_cholesky(np.eye(4)) == pytest.approx(1.0, abs=0)

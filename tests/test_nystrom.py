@@ -8,7 +8,7 @@ import pytest
 from fredet.kernels import (AiryKernel, GreenKernel, SineKernel, make_kernel,
                             sine_kernel)
 from fredet.nystrom import (BlockSystem, KernelEvaluationError, NystromProblem,
-                            convergence_study, fredholm_det,
+                            _balance_blocks, convergence_study, fredholm_det,
                             fredholm_det_system, fredholm_series_oracle,
                             fredholm_series_oracle_system, nystrom_matrix,
                             von_koch_det)
@@ -164,6 +164,61 @@ class TestBlockSystems:
         a = fredholm_det_system(sys2, -1.0, balance=True).value
         b = fredholm_det_system(sys2, -1.0, balance=False).value
         assert a == pytest.approx(b, rel=1e-9)
+
+
+def reference_shifts(blocks):
+    """The per-system balancing sweep, one Python scalar at a time."""
+    n = len(blocks)
+    mags = np.array([[float(np.max(np.abs(b))) if i != j else 0.0
+                      for j, b in enumerate(row)] for i, row in enumerate(blocks)])
+    shift = np.zeros(n)
+    for _ in range(20):
+        moved = False
+        for i in range(n):
+            row = [mags[i, j] * 2.0 ** (shift[i] - shift[j])
+                   for j in range(n) if j != i and mags[i, j] > 0.0]
+            col = [mags[j, i] * 2.0 ** (shift[j] - shift[i])
+                   for j in range(n) if j != i and mags[j, i] > 0.0]
+            if not row or not col:
+                continue
+            delta = round(0.5 * math.log2(max(col) / max(row)))
+            if delta != 0:
+                shift[i] += delta
+                moved = True
+        if not moved:
+            break
+    return shift
+
+
+class TestBalancing:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_shifts_match_per_system_sweep(self, n):
+        rng = np.random.default_rng(n)
+        k, m = 40, 4
+        # block magnitudes over 60 decades, plus exact powers of two that
+        # put 0.5 * log2(ratio) on a half-integer (round half to even)
+        scales = 10.0 ** rng.uniform(-30, 30, size=(k, n, n))
+        scales[:8] = 2.0 ** rng.integers(-9, 10, size=(8, n, n))
+        scales[8, 0, 1] = 0.0  # a vanishing block leaves its row alone
+        base = rng.uniform(0.5, 1.0, size=(k, n, n, m, m))
+        base[:8, :, :, 0, 0] = 1.0
+        stacked = [[base[:, i, j] * scales[:, i, j, None, None] for j in range(n)]
+                   for i in range(n)]
+        originals = [[b.copy() for b in row] for row in stacked]
+        shifts = _balance_blocks(stacked)
+        assert shifts.shape == (n, k)
+        for q in range(k):
+            ref = reference_shifts([[b[q] for b in row] for row in originals])
+            assert np.array_equal(shifts[:, q], ref), q
+            for i in range(n):
+                for j in range(n):
+                    expect = originals[i][j][q] * (2.0 ** (ref[i] - ref[j]) if i != j else 1.0)
+                    assert np.array_equal(stacked[i][j][q], expect)
+
+    def test_single_block_untouched(self):
+        blocks = [[np.eye(3)]]
+        assert np.array_equal(_balance_blocks(blocks), np.zeros(1))
+        assert np.array_equal(blocks[0][0], np.eye(3))
 
 
 class TestConvergenceStudy:

@@ -7,8 +7,11 @@ here the individual ingredients are pinned at moderate sizes.
 import numpy as np
 import pytest
 
-from fredet.rmt import (airy1_joint, airy2_joint, cov_grid, e2_gap, f2_tw,
-                        truncation_bound, tw_moments, _JointTable, _marginal)
+from fredet import rmt
+from fredet.quadrature import gauss_legendre
+from fredet.rmt import (airy1_joint, airy2_joint, cov_airy1, cov_airy2, cov_grid,
+                        e2_gap, f2_tw, truncation_bound, tw_moments, _JointTable,
+                        _cov_zero, _legendre_cumulative, _marginal)
 
 
 class TestE2:
@@ -161,3 +164,84 @@ class TestCovGridSmall:
     def test_unknown_process(self):
         with pytest.raises(ValueError):
             cov_grid("bogus", [1.0])
+
+
+class TestJointTableRows:
+    """The batched, stacked-determinant rows of the covariance engine."""
+
+    @pytest.mark.parametrize("process", ["airy2", "airy1"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_symmetry_on_random_pairs(self, process, seed):
+        # time reversal: P(A(t) <= s1, A(0) <= s2) = P(A(t) <= s2, A(0) <= s1)
+        s = np.random.default_rng(seed).uniform(-4.0, 2.0, size=7)
+        tab = _JointTable(process, 0.8, 20, 10.0)
+        tab.prepare(s)
+        joint = np.array([tab.row(i, 0, s.size) for i in range(s.size)])
+        assert np.max(np.abs(joint - joint.T)) <= 1e-13
+
+    @pytest.mark.parametrize("process,box", [("airy2", rmt.DEFAULT_BOX),
+                                             ("airy1", rmt.AIRY1_BOX)])
+    def test_mirrored_triangle_equals_full_grid(self, process, box):
+        m, n = 12, 10
+        kernels = rmt._process_kernels(process, 1.0, 1e-12)
+        value = rmt._cov_positive(process, 1.0, m, n, box, 10.0, kernels)
+        outer = gauss_legendre(box[0], box[1], n)
+        tab = _JointTable(process, 1.0, m, 10.0, kernels=kernels)
+        tab.prepare(outer.nodes)
+        joint = np.array([tab.row(i, 0, n) for i in range(n)])
+        marg = np.array([_marginal(process, s, m) for s in outer.nodes])
+        ref = outer.weights @ (joint - np.outer(marg, marg)) @ outer.weights
+        assert abs(value - ref) <= 1e-13
+
+    @pytest.mark.parametrize("process,t", [
+        ("airy2", 1.0),   # K_t decay branch, K_{-t} oscillatory branch
+        ("airy2", 0.5),   # K_{-t} Laplace-identity branch
+        ("airy1", 1.0),
+    ])
+    def test_row_matches_per_pair_joint(self, process, t):
+        s = np.array([-3.0, -1.2, 0.0, 0.7, 2.5])
+        tab = _JointTable(process, t, 20, 10.0)
+        tab.prepare(s)
+        tab.CHUNK = 2  # the row spans three stacked calls
+        fn = airy2_joint if process == "airy2" else airy1_joint
+        for i in (0, 2):
+            row = tab.row(i, i, s.size)
+            ref = [fn(t, s[i], s2, 20).value for s2 in s[i:]]
+            assert np.max(np.abs(row - ref)) <= 1e-13
+
+
+class TestCovarianceZero:
+    @pytest.mark.parametrize("n", [1, 5, 48])
+    def test_cumulative_matrix_exact_for_polynomials(self, n):
+        a, b = -10.0, 6.0
+        rule = gauss_legendre(a, b, n)
+        coef = np.random.default_rng(n).normal(size=n)
+        x = (2.0 * rule.nodes - (a + b)) / (b - a)
+        p = np.polynomial.polynomial.polyval(x, coef)
+        anti = np.polynomial.polynomial.polyint(coef, lbnd=-1.0)
+        exact = 0.5 * (b - a) * np.polynomial.polynomial.polyval(x, anti)
+        assert np.max(np.abs(_legendre_cumulative(rule) @ p - exact)) <= 1e-12
+
+    def test_matches_per_node_triangle_formula(self):
+        # the route this replaced: a fresh n-point Gauss rule on (L, s2)
+        # and fresh marginals at its nodes, for every outer node s2
+        m, n_outer, box, scale = 20, 48, rmt.DEFAULT_BOX, 10.0
+        low, up = box
+        outer = gauss_legendre(low, up, n_outer)
+        total = 0.0
+        for s2, w2 in zip(outer.nodes, outer.weights):
+            inner = gauss_legendre(low, s2, n_outer)
+            fin = np.array([_marginal("airy2", s, m, scale) for s in inner.nodes])
+            total += w2 * (1.0 - _marginal("airy2", s2, m, scale)) * float(inner.weights @ fin)
+        assert abs(_cov_zero("airy2", m, n_outer, box, scale) - 2.0 * total) <= 1e-12
+
+
+class TestCovarianceTypes:
+    @pytest.mark.parametrize("cov", [cov_airy2, cov_airy1])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_plain_floats(self, cov, t, monkeypatch):
+        # small levels: only the types are under test here
+        monkeypatch.setattr(rmt, "_COV_LEVELS", ((10, 8), (12, 10)))
+        assert type(cov(t)) is float
+        value, est, levels = cov(t, full_output=True)
+        assert type(value) is float and type(est) is float and levels == 2
