@@ -174,7 +174,11 @@ class AiryKernel(Kernel):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         ax, apx = airy_ai(xs), airy_ai_prime(xs)
-        ay, apy = airy_ai(ys), airy_ai_prime(ys)
+        # diagonal blocks pass equal (not necessarily identical) node arrays
+        if np.array_equal(xs, ys):
+            ay, apy = ax, apx
+        else:
+            ay, apy = airy_ai(ys), airy_ai_prime(ys)
         d = xs[:, None] - ys[None, :]
         small = np.abs(d) < _DIAG_SPLIT
         d_safe = np.where(small, 1.0, d)
@@ -383,7 +387,40 @@ class Airy1ProcessKernel(Kernel):
         t = self.t
         x, y = xs[:, None], ys[None, :]
         ai, log_scale = _airy_log_split(x + y + t * t)
-        c = t * (x + y) + 2.0 * t ** 3 / 3.0
+        return self._pair_terms(x, y, ai, log_scale, x + y)
+
+    def shifted_pairs(self, s1: float, s2, offsets):
+        """``matrix_pair(s1 + offsets, s2[j] + offsets)`` for every j,
+        stacked as [j, p, q]: ``K_t(s1 + o_p, s2_j + o_q)`` and
+        ``K_{-t}(s2_j + o_q, s1 + o_p)``.
+
+        The sum x + y is rounded as (s1 + s2_j) + (o_p + o_q), which is
+        symmetric bit for bit in (p, q) and in (s1, s2_j), so the Airy
+        factor Ai(x + y + t^2) is evaluated for p <= q only and mirrored.
+        The exponent t (x + y) comes from the same sum, which keeps it
+        consistent with the Airy factor's log scale; the heat term is
+        evaluated in full.
+        """
+        offsets = np.asarray(offsets, dtype=float)
+        s2 = np.asarray(s2, dtype=float)
+        t = self.t
+        x = (s1 + offsets)[None, :, None]
+        y = (s2[:, None] + offsets[None, :])[:, None, :]
+        xy = (s1 + s2)[:, None, None] + (offsets[:, None] + offsets[None, :])
+        p, q = np.triu_indices(offsets.size)
+        a_tri, g_tri = _airy_log_split(xy[:, p, q] + t * t)
+        ai = np.empty(xy.shape)
+        log_scale = np.empty(xy.shape)
+        for full, tri in ((ai, a_tri), (log_scale, g_tri)):
+            full[:, p, q] = tri
+            full[:, q, p] = tri
+        return self._pair_terms(x, y, ai, log_scale, xy)
+
+    def _pair_terms(self, x, y, ai, log_scale, xy):
+        """(K_t(x, y), K_{-t}(y, x)) from the split Airy factor
+        Ai(xy + t^2) = ai * exp(log_scale), xy = x + y."""
+        t = self.t
+        c = t * xy + 2.0 * t ** 3 / 3.0
         with np.errstate(under="ignore", over="ignore"):
             fwd = ai * np.exp(c + log_scale)
             bwd = ai * np.exp(-c + log_scale)

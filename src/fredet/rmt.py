@@ -316,7 +316,7 @@ class _JointTable:
     of K_t and K_{-t}, each in one preallocated array.  ``row`` then forms
     the off-diagonal blocks of a row against a range of columns with one
     matrix product per kernel (Airy(2)) or one shared Airy evaluation
-    (Airy(1), ``Airy1ProcessKernel.matrix_pair``), balances each system as
+    (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), balances each system as
     ``_balance_blocks`` does, and takes the determinants in stacked LAPACK
     calls of at most ``CHUNK`` systems, which bounds the memory of a row.
     Produces the same values as ``airy2_joint`` / ``airy1_joint`` (which
@@ -347,6 +347,7 @@ class _JointTable:
         any earlier grid."""
         svals = np.asarray(svals, dtype=float)
         n, m = svals.size, self.m
+        self._s = svals
         self._x = svals[:, None] + self._off[None, :]
         self._eye_minus_diag = np.empty((n, m, m))
         if self.process == "airy2":
@@ -377,9 +378,9 @@ class _JointTable:
             b21 = (bmt2 @ (self._bmt[i] * self.kmt.inner_weights).T).reshape(c, m, m)
             b21 = b21 - self.kmt.gaussian_part(x2[:, :, None], x1[None, None, :])
         else:
-            fwd, bwd = self.kt.matrix_pair(x1, x2.ravel())
-            b12 = fwd.reshape(m, c, m).transpose(1, 0, 2)
-            b21 = bwd.reshape(m, c, m).transpose(1, 2, 0)
+            # same layout; the shared Airy factor is symmetric in (p, q)
+            b12, bwd = self.kt.shifted_pairs(self._s[i], self._s[lo:hi], self._off)
+            b21 = bwd.transpose(0, 2, 1)
         blocks = [[None, self._rr * b12], [self._rr * b21, None]]
         _balance_blocks(blocks)
         systems = np.empty((c, 2 * m, 2 * m))
@@ -387,6 +388,13 @@ class _JointTable:
         systems[:, :m, m:] = -blocks[0][1]
         systems[:, m:, :m] = -blocks[1][0]
         systems[:, m:, m:] = self._eye_minus_diag[lo:hi]
+        # time reversal: below the grid diagonal take the (s_j, s_i) system,
+        # which is the (s_i, s_j) one transposed with its block order
+        # swapped, so a full grid is as symmetric as the kernel blocks are
+        below = np.arange(lo, hi) < i
+        if np.any(below):
+            swap = np.r_[m:2 * m, :m]
+            systems[below] = systems[below].transpose(0, 2, 1)[:, swap][:, :, swap]
         return det_lu(systems)
 
     def joint(self, s1: float, s2: float) -> float:

@@ -10,6 +10,7 @@ from fredet.kernels import (Airy1ProcessKernel, Airy2ProcessKernel, AiryKernel,
                             GreenKernel, SineKernel, TransformedKernel,
                             airy2_process_kernel, make_kernel,
                             transform_to_unit)
+from fredet import kernels as kernels_module
 from fredet.specfun import airy_ai, airy_ai_prime
 
 
@@ -93,6 +94,26 @@ class TestAiryKernel:
         m = self.k.matrix(xs, xs)
         assert np.allclose(np.diag(m), self.k.diagonal(xs), rtol=1e-14)
         assert np.allclose(m, m.T, atol=1e-15)
+
+    def test_matrix_reuses_equal_nodes_bitwise(self, monkeypatch):
+        # equal but distinct node arrays (as TransformedKernel passes them)
+        # share one Ai and one Ai' evaluation; appending a node to ys
+        # forces the two-evaluation path, whose first columns are the same
+        # entries
+        xs = np.concatenate([np.linspace(-14.0, 30.0, 23), [2.0 + 1e-6]])
+        two = self.k.matrix(xs, np.append(xs, 5.0))[:, :xs.size]
+        points = []
+
+        def counting(x):
+            points.append(np.size(x))
+            return airy_ai(x)
+
+        monkeypatch.setattr(kernels_module, "airy_ai", counting)
+        one = self.k.matrix(xs, xs.copy())
+        assert np.array_equal(one, two)
+        # xs once, plus the centres of the near-diagonal pairs
+        assert points[0] == xs.size and sum(points[1:]) == np.sum(
+            np.abs(xs[:, None] - xs[None, :]) < 1e-4)
 
 
 class TestHermitianSymmetry:
@@ -213,6 +234,34 @@ class TestAiry1ProcessKernel:
         fwd, bwd = Airy1ProcessKernel(t).matrix_pair(xs, ys)
         assert np.array_equal(fwd, Airy1ProcessKernel(t).matrix(xs, ys))
         assert np.array_equal(bwd, Airy1ProcessKernel(-t).matrix(ys, xs).T)
+
+    @pytest.mark.parametrize("t", [0.5, -0.7, 2.5])
+    def test_shifted_pairs_match_matrix_pair(self, t):
+        # the mirrored Airy factor differs from full evaluation only by the
+        # rounding of its argument
+        k = Airy1ProcessKernel(t)
+        offsets = 10.0 * np.tan(0.5 * np.pi * np.linspace(0.02, 0.98, 13))
+        s2 = np.array([-5.5, -1.0, 0.3, 4.0])
+        fwd, bwd = k.shifted_pairs(-2.5, s2, offsets)
+        for j, sj in enumerate(s2):
+            ref_fwd, ref_bwd = k.matrix_pair(-2.5 + offsets, sj + offsets)
+            assert np.max(np.abs(fwd[j] - ref_fwd)) <= 1e-13 * np.max(np.abs(ref_fwd))
+            assert np.max(np.abs(bwd[j] - ref_bwd)) <= 1e-13 * np.max(np.abs(ref_bwd))
+
+    def test_shifted_pairs_evaluate_one_triangle(self, monkeypatch):
+        points = []
+
+        def counting(split):
+            def wrapped(u):
+                points.append(np.size(u))
+                return split(u)
+            return wrapped
+
+        monkeypatch.setattr(kernels_module, "_airy_log_split",
+                            counting(kernels_module._airy_log_split))
+        m, c = 9, 3
+        Airy1ProcessKernel(1.0).shifted_pairs(0.0, np.zeros(c), np.arange(m, dtype=float))
+        assert points == [c * m * (m + 1) // 2]
 
 
 class TestTransformedKernel:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fredet import rmt
+from fredet.kernels import Airy1ProcessKernel
 from fredet.quadrature import gauss_legendre
 from fredet.rmt import (airy1_joint, airy2_joint, cov_airy1, cov_airy2, cov_grid,
                         e2_gap, f2_tw, truncation_bound, tw_moments, _JointTable,
@@ -192,6 +193,41 @@ class TestJointTableRows:
         marg = np.array([_marginal(process, s, m) for s in outer.nodes])
         ref = outer.weights @ (joint - np.outer(marg, marg)) @ outer.weights
         assert abs(value - ref) <= 1e-13
+
+    @pytest.mark.parametrize("t,rel", [
+        (0.25, 1e-13),
+        (1.0, 1e-13),
+        # entries of order 1e3 cancel here: two full evaluations that only
+        # round x + y + t^2 differently already differ by 1.7e-12
+        (2.5, 1e-10),
+    ])
+    def test_airy1_rows_match_full_evaluation(self, t, rel, monkeypatch):
+        # rows with the mirrored Airy factor against rows whose blocks come
+        # from the full m x m evaluation of matrix_pair, relative to the
+        # largest joint of the grid (the smallest ones are roundoff-sized)
+        s = gauss_legendre(*rmt.AIRY1_BOX, 9).nodes
+        tab = _JointTable("airy1", t, 20, 10.0)
+        tab.prepare(s)
+        rows = [tab.row(i, 0, s.size) for i in range(s.size)]
+
+        def full(kernel, s1, s2, offsets):
+            m, c = offsets.size, s2.size
+            fwd, bwd = kernel.matrix_pair(s1 + offsets, (s2[:, None] + offsets).ravel())
+            return (fwd.reshape(m, c, m).transpose(1, 0, 2),
+                    bwd.reshape(m, c, m).transpose(1, 0, 2))
+
+        monkeypatch.setattr(Airy1ProcessKernel, "shifted_pairs", full)
+        ref = np.array([tab.row(i, 0, s.size) for i in range(s.size)])
+        assert np.max(np.abs(np.array(rows) - ref)) <= rel * np.max(np.abs(ref))
+
+    def test_airy1_grid_symmetric_bit_for_bit(self):
+        # the mirrored Airy factor is symmetric bit for bit, and rows take
+        # the (s_j, s_i) system below the grid diagonal
+        s = np.random.default_rng(3).uniform(-5.0, 3.0, size=9)
+        tab = _JointTable("airy1", 0.6, 16, 10.0)
+        tab.prepare(s)
+        joint = np.array([tab.row(i, 0, s.size) for i in range(s.size)])
+        assert np.array_equal(joint, joint.T)
 
     @pytest.mark.parametrize("process,t", [
         ("airy2", 1.0),   # K_t decay branch, K_{-t} oscillatory branch
