@@ -1,11 +1,12 @@
 """Dense small-matrix kernel: determinants, norms, and the roundoff bound.
 
-Matrices are plain numpy arrays (real or complex).  Everything here is
-written for the small, well-scaled systems produced by the quadrature
-discretization: LU with partial pivoting (LAPACK, one matrix or a stack),
-Cholesky for the Hermitian positive definite case, and a one-sided Jacobi
-SVD for singular values and the trace norm (used in bounds and tests,
-never in the hot path).
+Matrices are plain numpy arrays (real or complex), and every
+factorization is LAPACK through numpy: LU with partial pivoting for
+general matrices (``getrf``, one matrix or a stack), Cholesky for the
+Hermitian positive definite case (``potrf``), and the SVD for singular
+values and the trace norm (``gesdd``; used in bounds and tests, never in
+the hot path).  numpy rather than ``scipy.linalg``, whose import alone
+costs tens of milliseconds.
 """
 
 from __future__ import annotations
@@ -47,12 +48,16 @@ class DetResult:
 
     ``roundoff_bound`` is ``sqrt(m) * ||A||_F * eps`` for the perturbation
     matrix A actually factorized (scaled by z where applicable), with eps
-    the configured multiple of the unit roundoff.
+    the configured multiple of the unit roundoff.  ``method`` names the
+    factorization that produced the value: ``"cholesky"``, ``"lu"``, or
+    ``"cholesky->lu"`` when Cholesky found the matrix not positive
+    definite and LU took over.
     """
 
     value: complex | float
     m: int
     roundoff_bound: float
+    method: str = "lu"
 
 
 def _as_square(a) -> np.ndarray:
@@ -84,38 +89,26 @@ def det_lu(a):
 
 
 def det_cholesky(a) -> float:
-    """Determinant of a Hermitian positive definite matrix via Cholesky.
+    """Determinant of a Hermitian positive definite matrix via Cholesky
+    (LAPACK ``potrf``).
 
     Only the lower triangle is referenced.  Raises
-    ``NotPositiveDefiniteError`` on a non-positive pivot, so the
-    factorization itself certifies positive definiteness; callers fall
+    ``NotPositiveDefiniteError`` when the factorization breaks down, so
+    the factorization itself certifies positive definiteness; callers fall
     back to ``det_lu`` in that case.
     """
     a = _as_square(a)
-    m = a.shape[0]
-    dtype = complex if np.iscomplexobj(a) else float
-    low = np.zeros((m, m), dtype=dtype)
-    logdet = 0.0
-    for j in range(m):
-        d = a[j, j].real - np.sum(np.abs(low[j, :j]) ** 2)
-        if d <= 0.0 or not math.isfinite(d):
-            raise NotPositiveDefiniteError(
-                f"non-positive pivot {d!r} at step {j}")
-        ljj = math.sqrt(d)
-        low[j, j] = ljj
-        if j + 1 < m:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ np.conj(low[j, :j])) / ljj
-        logdet += 2.0 * math.log(ljj)
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
+    diag = np.diagonal(low).real
     # product form keeps full accuracy for determinants of moderate size;
     # fall back to the exp(logdet) only on under/overflow
-    prod = 1.0
-    ok = True
-    for j in range(m):
-        prod *= float(low[j, j].real) ** 2
-        if prod == 0.0 or math.isinf(prod):
-            ok = False
-            break
-    return prod if ok else math.exp(logdet)
+    prod = math.prod((diag * diag).tolist())
+    if 0.0 < prod < math.inf:
+        return prod
+    return math.exp(2.0 * float(np.sum(np.log(diag))))
 
 
 def frobenius_norm(a) -> float:
@@ -124,47 +117,14 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
-def singular_values(a, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """All singular values (descending) by one-sided Jacobi rotations.
-
-    Slow but simple and very accurate for the small dense matrices used
-    here; relative accuracy is far better than the 1e-10 needed by the
-    trace-norm consumers up to m = 100.
-    """
+def singular_values(a) -> np.ndarray:
+    """All singular values, descending (LAPACK ``gesdd``)."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    dtype = complex if np.iscomplexobj(a) else float
-    u = a.astype(dtype, copy=True)
-    n = u.shape[1]
-    for _sweep in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                up = u[:, p]
-                uq = u[:, q]
-                alpha = float(np.real(np.vdot(up, up)))
-                beta = float(np.real(np.vdot(uq, uq)))
-                gamma = np.vdot(up, uq)
-                gabs = abs(gamma)
-                if gabs <= tol * math.sqrt(alpha * beta) or gabs == 0.0:
-                    continue
-                rotated = True
-                phase = gamma / gabs
-                zeta = (beta - alpha) / (2.0 * gabs)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(zeta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = c * t
-                new_p = c * up - s * np.conj(phase) * uq
-                new_q = s * phase * up + c * uq
-                u[:, p] = new_p
-                u[:, q] = new_q
-        if not rotated:
-            break
-    sv = np.sqrt(np.sum(np.abs(u) ** 2, axis=0))
-    return np.sort(sv)[::-1]
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def trace_norm(a) -> float:

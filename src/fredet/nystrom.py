@@ -121,13 +121,14 @@ def nystrom_matrix(kernel: Kernel, rule: QuadRule) -> np.ndarray:
 
 def _det_auto(b_matrix, hermitian: bool):
     """Cholesky when the Hermitian positive definite fast path applies,
-    LU with partial pivoting otherwise."""
+    LU with partial pivoting otherwise.  Returns the value and the path
+    taken (the ``DetResult.method`` values)."""
     if hermitian and not np.iscomplexobj(b_matrix):
         try:
-            return det_cholesky(b_matrix)
+            return det_cholesky(b_matrix), "cholesky"
         except NotPositiveDefiniteError:
-            pass
-    return det_lu(b_matrix)
+            return det_lu(b_matrix), "cholesky->lu"
+    return det_lu(b_matrix), "lu"
 
 
 def fredholm_det(problem: NystromProblem,
@@ -136,16 +137,16 @@ def fredholm_det(problem: NystromProblem,
 
     Uses Cholesky on I + z A_Q when the kernel is Hermitian and z is real
     (falling back to LU if the factorization signals an indefinite
-    matrix).  The attached roundoff bound is
-    sqrt(m) * ||z A_Q||_F * (eps_multiple * unit roundoff).
+    matrix); ``DetResult.method`` records which path ran.  The attached
+    roundoff bound is sqrt(m) * ||z A_Q||_F * (eps_multiple * unit roundoff).
     """
     z = _normalize_z(problem.z)
     a_q = nystrom_matrix(problem.kernel, problem.rule)
     m = a_q.shape[0]
     b = np.eye(m) + z * a_q
-    value = _det_auto(b, problem.kernel.hermitian and not isinstance(z, complex))
+    value, method = _det_auto(b, problem.kernel.hermitian and not isinstance(z, complex))
     bound = math.sqrt(m) * abs(z) * frobenius_norm(a_q) * eps_multiple * UNIT_ROUNDOFF
-    return DetResult(value=value, m=m, roundoff_bound=bound)
+    return DetResult(value=value, m=m, roundoff_bound=bound, method=method)
 
 
 def _system_matrix(system: BlockSystem, balance: bool) -> np.ndarray:
@@ -226,9 +227,9 @@ def fredholm_det_system(system: BlockSystem, z: complex | float,
     b = np.eye(m) + z * a_q
     hermitian = (not isinstance(z, complex)) and bool(
         np.all(np.abs(a_q - a_q.T) <= 1e-13 * (1.0 + np.abs(a_q))))
-    value = _det_auto(b, hermitian)
+    value, method = _det_auto(b, hermitian)
     bound = math.sqrt(m) * abs(z) * frobenius_norm(a_q) * eps_multiple * UNIT_ROUNDOFF
-    return DetResult(value=value, m=m, roundoff_bound=bound)
+    return DetResult(value=value, m=m, roundoff_bound=bound, method=method)
 
 
 # ---------------------------------------------------------------------------

@@ -237,29 +237,9 @@ def gauss_legendre(a: float, b: float, m: int, method: str = "auto") -> QuadRule
 # Clenshaw-Curtis
 # ---------------------------------------------------------------------------
 
-def _cc_weights_direct(m: int):
-    """Clenshaw-Curtis weights on [-1, 1] by the direct cosine-sum formula.
-
-    O(m^2) flops, O(m) memory; dependency-free alternative to the FFT
-    evaluation, with which it agrees to ~1e-15.
-    """
-    n = m - 1
-    if n == 1:
-        return np.array([1.0, 1.0])
-    theta = np.pi * np.arange(1, n) / n
-    v = np.ones(n - 1)
-    half = n // 2
-    for j in range(1, half + 1):
-        factor = 1.0 if (n % 2 == 1 or j < half) else 0.5
-        v -= factor * 2.0 * np.cos(2.0 * j * theta) / (4.0 * j * j - 1.0)
-    w = np.empty(m)
-    w[0] = w[n] = 1.0 / (n * n - 1.0) if n % 2 == 0 else 1.0 / (n * n)
-    w[1:n] = 2.0 * v / n
-    return w
-
-
 def _cc_weights_fft(m: int):
-    """Clenshaw-Curtis weights on [-1, 1] via the inverse FFT (Waldvogel)."""
+    """Clenshaw-Curtis weights on [-1, 1] via the inverse FFT (Waldvogel,
+    BIT 46 (2006) 195-202), in descending node order."""
     n = m - 1
     if n == 1:
         return np.array([1.0, 1.0])
@@ -277,17 +257,11 @@ def _cc_weights_fft(m: int):
 
 
 @lru_cache(maxsize=128)
-def _clenshaw_curtis_unit(m: int, method: str):
+def _clenshaw_curtis_unit(m: int):
     n = m - 1
     # Chebyshev extreme points cos(k pi / (m-1)), returned ascending
     x = np.cos(np.pi * np.arange(n, -1.0, -1.0) / n)
-    if method == "direct":
-        w = _cc_weights_direct(m)
-    elif method == "fft":
-        w = _cc_weights_fft(m)
-    else:
-        raise ValueError(f"unknown clenshaw-curtis method {method!r}")
-    w = w[::-1].copy()  # match ascending node order
+    w = _cc_weights_fft(m)[::-1].copy()  # match ascending node order
     w *= 2.0 / w.sum()
     # pin the endpoints exactly
     x[0], x[-1] = -1.0, 1.0
@@ -296,13 +270,13 @@ def _clenshaw_curtis_unit(m: int, method: str):
     return x, w
 
 
-def clenshaw_curtis(a: float, b: float, m: int, method: str = "direct") -> QuadRule:
+def clenshaw_curtis(a: float, b: float, m: int) -> QuadRule:
     """m-point Clenshaw-Curtis rule on [a, b] (closed, endpoints included);
     order ``nu = m``.  Requires ``m >= 2``."""
     _check_interval(a, b)
     if m < 2:
         raise ValueError("clenshaw-curtis requires m >= 2")
-    x, w = _clenshaw_curtis_unit(int(m), method)
+    x, w = _clenshaw_curtis_unit(int(m))
     return _map_from_unit(a, b, x, w, order=m)
 
 

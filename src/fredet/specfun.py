@@ -3,11 +3,14 @@
 Every point goes to exactly one backend, chosen by its argument range
 (zeta = (2/3)|x|^{3/2}):
 
-* |x| <= 10: ``scipy.special.airy`` / ``airye`` (Cephes, resp. AMOS).
+* |x| <= 10: ``scipy.special.airy`` (Cephes); for the scaled Ai on
+  0 < x <= 1, ``scipy.special.airye`` (AMOS power series).
 * 10 < x <= 150: one modified Bessel function from AMOS (DLMF 9.6.1-2),
-  Ai(x) = sqrt(x/3)/pi K_{1/3}(zeta) and Ai'(x) = -x/(pi sqrt 3) K_{2/3}(zeta),
-  with ``kve`` for the scaled Ai.  Above x = 150, Ai and Ai' have
-  underflowed and are returned as 0 without evaluation.
+  Ai(x) = sqrt(x/3)/pi K_{1/3}(zeta) and Ai'(x) = -x/(pi sqrt 3) K_{2/3}(zeta).
+  Above x = 150, Ai and Ai' have underflowed and are returned as 0
+  without evaluation.
+* 1 < x <= 1e5, scaled Ai only: ``kve`` with the same formula, which is
+  how AMOS ZAIRY itself evaluates |z| > 1, so it equals ``airye``.
 * x < -10, y = -x: one Hankel function H = H^(1)_nu(zeta) from AMOS
   (DLMF 9.6.6-7), Ai(x) = (sqrt(y)/2)(Re H_{1/3} - Im H_{1/3}/sqrt 3) and
   Ai'(x) = (y/2)(Re H_{2/3} + Im H_{2/3}/sqrt 3).
@@ -71,9 +74,15 @@ _POS_ZERO_CUT = 150.0
 _BESSEL_CUT = 10.0
 
 #: 1/(pi sqrt 3) and the rounding of zeta as AMOS ZAIRY writes them, so that
-#: Ai, Ai' and scaled Ai on x > 10 equal scipy.special.airy bit for bit.
+#: Ai and Ai' on x > 10 equal scipy.special.airy, and scaled Ai on x > 1
+#: equals scipy.special.airye, bit for bit.
 _AMOS_COEF = 1.83776298473930683e-01
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
+
+#: Above this x the scaled Ai comes from one ``kve`` call; below it
+#: ``airye`` runs its power series, from which ``kve`` differs by up to
+#: ~5e-15 relative.
+_SCALED_BESSEL_CUT = 1.0
 
 #: Above this x the scaled Ai is its asymptotic expansion to two terms,
 #: x^(-1/4) / (2 sqrt pi) (1 - 5 / (72 zeta)), whose remainder
@@ -132,9 +141,9 @@ def airy_ai_scaled(x):
     products Ai(u)*exp(c) be evaluated in log space for large u.
     """
     arr = _checked(x)
-    mid = (arr > 0.0) & (arr <= _BESSEL_CUT)
+    mid = (arr > 0.0) & (arr <= _SCALED_BESSEL_CUT)
     huge = arr > _SCALED_ASYMPTOTIC_CUT
-    large = (arr > _BESSEL_CUT) & ~huge
+    large = (arr > _SCALED_BESSEL_CUT) & ~huge
     neg = arr <= 0.0
     out = np.empty_like(arr)
     with np.errstate(under="ignore"):

@@ -117,6 +117,37 @@ class TestDetCholesky:
         with pytest.raises(NotPositiveDefiniteError):
             det_cholesky(np.diag([1.0, -1.0]))
 
+    def test_indefinite_is_not_linalg_error(self):
+        # callers catch NotPositiveDefiniteError only; LAPACK's own
+        # exception type must not leak through
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            det_cholesky(a)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    def test_reads_lower_triangle_only(self):
+        rng = np.random.default_rng(12)
+        g = rng.normal(size=(9, 9))
+        a = g @ g.T + 9 * np.eye(9)
+        garbage = a.copy()
+        garbage[np.triu_indices(9, 1)] = rng.uniform(-1e3, 1e3, size=36)
+        assert det_cholesky(garbage) == det_cholesky(a)
+
+    def test_complex_hermitian_vs_lu(self):
+        rng = np.random.default_rng(13)
+        for m in (2, 6, 15):
+            g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            a = g @ g.conj().T + m * np.eye(m)
+            d = det_cholesky(a)
+            assert type(d) is float
+            assert d == pytest.approx(det_lu(a).real, rel=1e-12)
+
+    def test_log_fallback_on_overflow(self):
+        a = np.diag([1e200, 1e200, 1e-200, 1e-200])
+        # the running product of squared pivots overflows after two steps
+        assert 1e200 * 1e200 == np.inf
+        assert det_cholesky(a) == pytest.approx(1.0, rel=0, abs=1e-14)
+
 
 class TestNorms:
     def test_frobenius(self):

@@ -74,6 +74,24 @@ class TestFredholmDet:
         with pytest.raises(KernelEvaluationError, match=r"\[1, 2\]"):
             fredholm_det(problem(Bad(), 0.0, 1.0, -1.0, 5))
 
+    def test_method_cholesky_on_e2(self):
+        res = fredholm_det(problem(sine_kernel(), 0.0, 1.0, -1.0, 30))
+        assert res.method == "cholesky"
+
+    @pytest.mark.parametrize("s", [-9.5, -10.0, -12.0])
+    def test_method_reports_fallback_in_f2_tail(self, s):
+        # the F2 tail at m = 30: I - A_Q is positive definite in exact
+        # arithmetic, but roundoff leaves a non-positive pivot
+        from fredet.kernels import TransformedKernel
+        kernel = TransformedKernel(AiryKernel(), s, scale=10.0)
+        res = fredholm_det(NystromProblem(kernel, (0.0, 1.0), -1.0,
+                                          gauss_legendre(0.0, 1.0, 30)))
+        assert res.method == "cholesky->lu"
+
+    def test_method_lu_for_complex_z(self):
+        res = fredholm_det(problem(sine_kernel(), 0.0, 1.0, complex(-1.0, 0.5), 15))
+        assert res.method == "lu"
+
     def test_rule_interval_mismatch(self):
         with pytest.raises(ValueError):
             NystromProblem(sine_kernel(), (0.0, 1.0), -1.0, gauss_legendre(0.0, 2.0, 5))
@@ -113,7 +131,9 @@ class TestBlockSystems:
         rule = gauss_legendre(0.0, 1.2, 9)
         single = fredholm_det(NystromProblem(k, (0.0, 1.2), -1.0, rule)).value
         sys1 = BlockSystem(intervals=((0.0, 1.2),), kernels=((k,),), rules=(rule,))
-        assert fredholm_det_system(sys1, -1.0).value == single
+        res = fredholm_det_system(sys1, -1.0)
+        assert res.value == single
+        assert res.method == "cholesky"
 
     def test_block_diagonal_factorizes(self):
         class Zero(SineKernel):
@@ -140,7 +160,9 @@ class TestBlockSystems:
         sys2 = BlockSystem(intervals=((0.0, 2.0), (0.0, 2.0)),
                            kernels=((k0, kt), (kmt, k0)),
                            rules=(r, r))
-        direct = fredholm_det_system(sys2, -1.0).value
+        res = fredholm_det_system(sys2, -1.0)
+        assert res.method == "lu"  # K_t and K_{-t} blocks: not symmetric
+        direct = res.value
         oracle = fredholm_series_oracle_system(sys2, -1.0, n_max=6)
         assert oracle == pytest.approx(direct, abs=1e-12)
 

@@ -2,11 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from fredet.quadrature import (QuadRule, ResourceLimitError,
-                               _cc_weights_direct, _cc_weights_fft,
+from fredet.quadrature import (QuadRule, ResourceLimitError, _cc_weights_fft,
                                clenshaw_curtis, gauss_legendre, product_quad,
                                quad_apply)
 
@@ -81,9 +81,42 @@ class TestClenshawCurtis:
         r = clenshaw_curtis(-1.0, 1.0, m)
         assert float(np.sum(r.weights)) == pytest.approx(2.0, abs=10 * EPS * 2)
 
+    @staticmethod
+    def _cosine_sum_weights(m):
+        """Clenshaw-Curtis weights at x_k = cos(k pi / n), n = m - 1, from the
+        direct cosine sum in 30-digit arithmetic:
+        w_k = (c_k / n) (1 - sum_{j=1}^{n/2} b_j cos(2 j k pi / n) / (4 j^2 - 1)),
+        with c_k = 1 at the endpoints and 2 inside, b_j = 1 at j = n/2 and 2
+        otherwise."""
+        n = m - 1
+        with mpmath.workdps(30):
+            w = []
+            for k in range(m):
+                acc = mpmath.mpf(1)
+                for j in range(1, n // 2 + 1):
+                    b = 1 if 2 * j == n else 2
+                    acc -= b * mpmath.cospi(mpmath.mpf(2 * j * k) / n) / (4 * j * j - 1)
+                w.append(float((1 if k in (0, n) else 2) * acc / n))
+        return np.array(w)
+
     @pytest.mark.parametrize("m", list(range(2, 40)) + [64, 65, 128, 129, 200])
     def test_fft_matches_direct(self, m):
-        assert np.max(np.abs(_cc_weights_fft(m) - _cc_weights_direct(m))) < 1e-14
+        # the FFT weights against the direct cosine-sum formula
+        assert np.max(np.abs(_cc_weights_fft(m) - self._cosine_sum_weights(m))) < 1e-14
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 33, 64, 129, 200])
+    def test_exact_below_degree_m(self, m):
+        # Chebyshev polynomials T_k, k < m: int_{-1}^{1} T_k = 2 / (1 - k^2)
+        # for even k and 0 for odd k.  At the ascending node
+        # x_j = cos((n - j) pi / n), T_k(x_j) = cos(k (n - j) pi / n), with
+        # the angle reduced mod 2 pi in integers so it carries no roundoff.
+        r = clenshaw_curtis(-1.0, 1.0, m)
+        n = m - 1
+        steps = n - np.arange(m)
+        for k in range(m):
+            exact = 2.0 / (1.0 - k * k) if k % 2 == 0 else 0.0
+            tk = np.cos(np.pi * ((k * steps) % (2 * n)) / n)
+            assert abs(float(r.weights @ tk) - exact) <= 20 * EPS
 
     def test_m_lower_bound(self):
         with pytest.raises(ValueError):

@@ -144,6 +144,14 @@ class TestAiryOracle:
             for f in (airy_ai, airy_ai_prime, airy_ai_scaled):
                 assert f(outside) == pytest.approx(f(inside), rel=1e-13)
 
+    def test_scaled_equals_airye_above_one(self):
+        # AMOS ZAIRY takes |z| > 1 through K_{1/3} itself, so the kve
+        # backend must reproduce scipy's airye there bit for bit
+        x = np.concatenate([np.linspace(1.0, 10.0, 200001)[1:],
+                            [np.nextafter(1.0, 2.0), 1.0 + 1e-9, 40.0, 1e3, 1e5]])
+        assert np.array_equal(airy_ai_scaled(x), sp.airye(x)[0])
+        assert airy_ai_scaled(1.0) == sp.airye(1.0)[0]
+
     def test_dense_grid_against_scipy_airy(self):
         x = np.linspace(-700.0, 103.0, 80301)
         ref_ai, ref_aip, _, _ = sp.airy(x)
