@@ -23,6 +23,7 @@ on the diagonal are handled analytically.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -202,7 +203,8 @@ class Airy2ProcessKernel(Kernel):
     integral is evaluated by Gauss-Legendre after mapping the half-line to
     (0, 1); the rule size is doubled from ``inner_rule_size`` until two
     successive sizes agree to ``tol`` on a fixed probe set (the reached
-    agreement is stored in ``achieved_tol``).
+    agreement is stored in ``achieved_tol``).  If doubling reaches
+    ``max_inner_size`` with ``achieved_tol > tol``, a RuntimeWarning says so.
 
     For t < 0 the defining integral is oscillatory with slow algebraic
     decay; for moderately negative t it is integrated directly (the
@@ -253,6 +255,11 @@ class Airy2ProcessKernel(Kernel):
                     break
             self._xi, self._q = xi, q
             self.achieved_tol = diff
+            if not diff <= tol:
+                warnings.warn(
+                    f"Airy2ProcessKernel(t={self.t:g}): inner rule stopped at "
+                    f"max_inner_size={max_inner_size} with achieved_tol="
+                    f"{diff:.3g} > tol={tol:g}", RuntimeWarning, stacklevel=2)
         self.inner_size = self._xi.size
 
     def _inner_rule(self, n: int):

@@ -25,6 +25,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,11 @@ _PROB_SLACK = 1e-10
 class DistributionPoint:
     """A probability value at one parameter point.
 
-    ``suspect`` flags values outside [-1e-10, 1 + 1e-10] before clamping;
-    values are never silently clamped.
+    ``suspect`` flags values outside [-1e-10, 1 + 1e-10] before clamping
+    (values are never silently clamped), and values whose Hermitian
+    determinant fell back from Cholesky to LU (``DetResult.method ==
+    "cholesky->lu"``): roundoff has then swamped the positive definiteness
+    of I - A, and with it the relative accuracy of a tail value.
     """
 
     parameter: float
@@ -88,11 +92,18 @@ class CovGrid:
     accuracy_target: float
 
 
-def _point(parameter: float, value, m: int, est_error: float) -> DistributionPoint:
+def _point(parameter: float, value, m: int, est_error: float,
+           fallback: bool = False) -> DistributionPoint:
     v = float(np.real(value))
-    suspect = not (-_PROB_SLACK <= v <= 1.0 + _PROB_SLACK)
+    suspect = fallback or not (-_PROB_SLACK <= v <= 1.0 + _PROB_SLACK)
     return DistributionPoint(parameter=float(parameter), value=v, m=m,
                              est_error=float(est_error), suspect=suspect)
+
+
+def _det_point(parameter: float, res) -> DistributionPoint:
+    """The point of a z = -1 Hermitian determinant ``res`` (a DetResult)."""
+    return _point(parameter, res.value, res.m, res.roundoff_bound,
+                  fallback=res.method == "cholesky->lu")
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +118,7 @@ def e2_gap(s: float, m: int) -> DistributionPoint:
         return DistributionPoint(parameter=0.0, value=1.0, m=0, est_error=0.0)
     rule = gauss_legendre(0.0, s, m)
     res = fredholm_det(NystromProblem(SineKernel(), (0.0, s), -1.0, rule))
-    return _point(s, res.value, res.m, res.roundoff_bound)
+    return _det_point(s, res)
 
 
 def f2_tw(s: float, m: int, route: str = "transform", scale: float = 10.0,
@@ -133,7 +144,7 @@ def f2_tw(s: float, m: int, route: str = "transform", scale: float = 10.0,
         res = fredholm_det(NystromProblem(AiryKernel(), (s, T), -1.0, rule))
     else:
         raise ValueError(f"unknown route {route!r} (expected 'transform' or 'truncate')")
-    return _point(s, res.value, res.m, res.roundoff_bound)
+    return _det_point(s, res)
 
 
 def truncation_bound(s: float, T: float, m: int = 80) -> float:
@@ -425,8 +436,11 @@ def _cov_positive(process: str, t: float, m: int, n_outer: int,
     return float(outer.weights @ integrand @ outer.weights)
 
 
-#: (block dimension m, outer nodes) per refinement level.
-_COV_LEVELS = ((30, 48), (38, 64), (48, 88))
+#: (block dimension m, outer nodes) per refinement level.  The values
+#: converge exponentially in both, so at 1e-8 most t stop on the first
+#: two levels.  Small t (0.1 at 1e-8) needs the two finest, so neither may
+#: be dropped.
+_COV_LEVELS = ((20, 32), (24, 38), (30, 48), (38, 64), (48, 88))
 
 
 def _cov_process(process: str, t: float, accuracy: float,
@@ -451,6 +465,12 @@ def _cov_process(process: str, t: float, accuracy: float,
             est = abs(values[-1] - values[-2])
             if est <= accuracy:
                 break
+    if not est <= accuracy:
+        m, n_outer = _COV_LEVELS[-1]
+        warnings.warn(
+            f"{process} covariance at t={t:g} missed accuracy={accuracy:g}: "
+            f"the finest levels agree to est={est:.3g} at (m, n_outer) = "
+            f"({m}, {n_outer})", RuntimeWarning, stacklevel=3)
     value = values[-1]
     if full_output:
         return value, est, len(values)
@@ -462,9 +482,14 @@ def cov_airy2(t: float, accuracy: float = 1e-8,
               full_output: bool = False):
     """Two-point correlation cov(A_2(t), A_2(0)) of the Airy(2) process.
 
-    Refines (block dimension, outer rule) until two successive levels agree
-    to ``accuracy``; with ``full_output=True`` returns
-    (value, two-level agreement, levels used).
+    Refines (block dimension m, outer rule size n_outer) along
+    ``_COV_LEVELS``, from (20, 32) to (48, 88), until two successive levels
+    agree to ``accuracy``, and returns the finer of the two.  With
+    ``full_output=True`` returns (value, two-level agreement, levels used);
+    the agreement is sized to the request (about 1e-9 at accuracy 1e-8),
+    not to roundoff.  If even the two finest levels disagree by more than
+    ``accuracy``, the finest value is returned and a RuntimeWarning names
+    t, ``accuracy``, the agreement and the finest level.
     """
     return _cov_process("airy2", t, accuracy, box, scale, full_output)
 

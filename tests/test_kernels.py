@@ -187,9 +187,17 @@ class TestAiry2ProcessKernel:
             for j, y in enumerate(ys):
                 assert m[i, j] == pytest.approx(k.eval(x, y), rel=1e-13, abs=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_inner_rule_converged(self):
         k = airy2_process_kernel(1.0)
         assert k.achieved_tol < 1e-12
+
+    def test_inner_rule_cap_warns(self):
+        with pytest.warns(RuntimeWarning, match="max_inner_size=32") as record:
+            k = Airy2ProcessKernel(1.0, inner_rule_size=16, tol=1e-16,
+                                   max_inner_size=32)
+        assert k.inner_size == 32 and k.achieved_tol > 1e-16
+        assert f"achieved_tol={k.achieved_tol:.3g}" in str(record[0].message)
 
 
 class TestAiry1ProcessKernel:

@@ -47,6 +47,12 @@ class TestF2:
         assert all(-1e-10 <= v <= 1.0 + 1e-10 for v in vals)
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_cholesky_fallback_is_suspect(self):
+        # at m = 30 roundoff leaves I - A without a positive pivot for
+        # s <= -9.3 and LU takes over
+        assert f2_tw(-9.5, 30).suspect
+        assert not f2_tw(-2.0, 30).suspect
+
     def test_truncate_needs_valid_T(self):
         with pytest.raises(ValueError):
             f2_tw(-2.0, 30, route="truncate")
@@ -276,8 +282,44 @@ class TestCovarianceTypes:
     @pytest.mark.parametrize("cov", [cov_airy2, cov_airy1])
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_plain_floats(self, cov, t, monkeypatch):
-        # small levels: only the types are under test here
+        # small levels: only the types are under test here, and levels this
+        # coarse miss 1e-8, so each call also warns
         monkeypatch.setattr(rmt, "_COV_LEVELS", ((10, 8), (12, 10)))
-        assert type(cov(t)) is float
-        value, est, levels = cov(t, full_output=True)
+        with pytest.warns(RuntimeWarning, match="missed accuracy"):
+            assert type(cov(t)) is float
+        with pytest.warns(RuntimeWarning, match="missed accuracy"):
+            value, est, levels = cov(t, full_output=True)
         assert type(value) is float and type(est) is float and levels == 2
+
+
+class TestCovarianceLadder:
+    def test_levels_increase_to_finest(self):
+        levels = rmt._COV_LEVELS
+        assert all(m2 > m1 and n2 > n1
+                   for (m1, n1), (m2, n2) in zip(levels, levels[1:]))
+        assert levels[-1] == (48, 88)
+
+    @pytest.mark.parametrize("cov, t, accuracy, ref", [
+        # references: _cov_positive at (m, n_outer) = (38, 64)
+        (cov_airy2, 1.0, 1e-8, 0.30326251452740216),
+        (cov_airy1, 0.5, 1e-7, 0.08441917402936823),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stops_within_accuracy(self, cov, t, accuracy, ref):
+        value, est, _ = cov(t, accuracy, full_output=True)
+        assert est <= accuracy
+        assert abs(value - ref) <= 1e-10
+
+    @pytest.mark.parametrize("process, t", [("airy2", 0.0), ("airy2", 1.0),
+                                            ("airy1", 0.5)])
+    def test_exhausted_ladder_warns(self, process, t, monkeypatch):
+        monkeypatch.setattr(rmt, "_COV_LEVELS", ((10, 8), (12, 10)))
+        cov = cov_airy2 if process == "airy2" else cov_airy1
+        with pytest.warns(RuntimeWarning) as record:
+            value, est, levels = cov(t, 1e-12, full_output=True)
+        assert est > 1e-12 and levels == 2
+        message = str(record[0].message)
+        for part in (process, f"t={t:g}", "accuracy=1e-12", f"est={est:.3g}",
+                     "(12, 10)"):
+            assert part in message
+        assert record[0].filename == __file__
