@@ -225,7 +225,7 @@ class Airy2ProcessKernel(Kernel):
     _LAPLACE_SWITCH = 0.75
 
     def __init__(self, t: float, inner_rule_size: int = 200, tol: float = 1e-12,
-                 max_inner_size: int = 25600, adaptive: bool = True):
+                 max_inner_size: int = 25600):
         if inner_rule_size < 1:
             raise ValueError("inner_rule_size must be >= 1")
         self.t = float(t)
@@ -238,28 +238,24 @@ class Airy2ProcessKernel(Kernel):
         else:
             self._mode = "oscillatory"
         n = max(16, int(inner_rule_size))
-        if not adaptive:
-            self._xi, self._q = self._inner_rule(n)
-            self.achieved_tol = math.nan
-        else:
-            xi, q = self._inner_rule(n)
-            probe = self._probe(xi, q)
-            diff = math.inf
-            while n < max_inner_size:
-                n *= 2
-                xi2, q2 = self._inner_rule(n)
-                probe2 = self._probe(xi2, q2)
-                diff = float(np.max(np.abs(probe2 - probe)))
-                xi, q, probe = xi2, q2, probe2
-                if diff <= tol:
-                    break
-            self._xi, self._q = xi, q
-            self.achieved_tol = diff
-            if not diff <= tol:
-                warnings.warn(
-                    f"Airy2ProcessKernel(t={self.t:g}): inner rule stopped at "
-                    f"max_inner_size={max_inner_size} with achieved_tol="
-                    f"{diff:.3g} > tol={tol:g}", RuntimeWarning, stacklevel=2)
+        xi, q = self._inner_rule(n)
+        probe = self._probe(xi, q)
+        diff = math.inf
+        while n < max_inner_size:
+            n *= 2
+            xi2, q2 = self._inner_rule(n)
+            probe2 = self._probe(xi2, q2)
+            diff = float(np.max(np.abs(probe2 - probe)))
+            xi, q, probe = xi2, q2, probe2
+            if diff <= tol:
+                break
+        self._xi, self._q = xi, q
+        self.achieved_tol = diff
+        if not diff <= tol:
+            warnings.warn(
+                f"Airy2ProcessKernel(t={self.t:g}): inner rule stopped at "
+                f"max_inner_size={max_inner_size} with achieved_tol="
+                f"{diff:.3g} > tol={tol:g}", RuntimeWarning, stacklevel=2)
         self.inner_size = self._xi.size
 
     def _inner_rule(self, n: int):
@@ -474,30 +470,25 @@ class TransformedKernel(Kernel):
     """Kernel on (0, 1)^2 obtained from a kernel on a half-infinite domain
     by the substitution phi_s(xi) = s + scale * tan(pi xi / 2):
 
-        K~(xi, eta) = sqrt(phi'(xi) phi'(eta)) K(phi_l(xi), phi_r(eta)).
+        K~(xi, eta) = sqrt(phi'(xi) phi'(eta)) K(phi(xi), phi(eta)).
 
     The Fredholm determinant is invariant under this change of variables.
-    ``s_right`` lets the two arguments live on different half-lines
-    (needed for the off-diagonal blocks of process joint distributions);
-    by default both sides use ``s``.  Evaluation at xi = 1 or eta = 1
-    returns the analytic limit 0 (kernel decay beats the sec^2 growth).
+    Evaluation at xi = 1 or eta = 1 returns the analytic limit 0 (kernel
+    decay beats the sec^2 growth).
     """
 
-    def __init__(self, base: Kernel, s: float, scale: float = 10.0,
-                 s_right: float | None = None):
+    def __init__(self, base: Kernel, s: float, scale: float = 10.0):
         if scale <= 0.0:
             raise ValueError("scale must be positive")
         self.base = base
         self.s = float(s)
-        self.s_right = self.s if s_right is None else float(s_right)
         self.scale = float(scale)
-        self.hermitian = bool(base.hermitian) and self.s_right == self.s
+        self.hermitian = bool(base.hermitian)
         self.smoothness = "smooth"
 
-    def phi(self, xi, right: bool = False):
-        s = self.s_right if right else self.s
+    def phi(self, xi):
         xi = np.asarray(xi, dtype=float)
-        return s + self.scale * np.tan(0.5 * np.pi * xi)
+        return self.s + self.scale * np.tan(0.5 * np.pi * xi)
 
     def dphi(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -515,19 +506,8 @@ class TransformedKernel(Kernel):
             eta = y[inside]
             with np.errstate(under="ignore"):
                 val = (np.sqrt(self.dphi(xi) * self.dphi(eta))
-                       * np.asarray(self.base.eval(self.phi(xi), self.phi(eta, right=True))))
+                       * np.asarray(self.base.eval(self.phi(xi), self.phi(eta))))
             out[inside] = val
-        return out if out.shape else float(out)
-
-    def diagonal(self, x):
-        if self.s_right != self.s:
-            return self.eval(x, x)
-        x = np.asarray(x, dtype=float)
-        inside = x < 1.0
-        out = np.zeros(x.shape)
-        if np.any(inside):
-            xi = x[inside]
-            out[inside] = self.dphi(xi) * np.asarray(self.base.diagonal(self.phi(xi)))
         return out if out.shape else float(out)
 
     def matrix(self, xs, ys) -> np.ndarray:
@@ -542,7 +522,7 @@ class TransformedKernel(Kernel):
         # evaluate the base kernel on clipped arguments; masked rows/columns
         # are zeroed afterwards so huge mapped points never contribute
         xm = self.phi(np.where(goodx, xs, 0.0))
-        ym = self.phi(np.where(goody, ys, 0.0), right=True)
+        ym = self.phi(np.where(goody, ys, 0.0))
         with np.errstate(under="ignore"):
             core = np.asarray(self.base.matrix(xm, ym), dtype=float)
         out = rx[:, None] * core * ry[None, :]

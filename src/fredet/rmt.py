@@ -8,8 +8,8 @@
 * ``truncation_bound`` -- the computable Hilbert-Schmidt tail bound
   (int_T^inf int_T^inf K(x,y)^2)^(1/2) controlling the truncation route.
 * ``airy2_joint`` / ``airy1_joint`` -- joint distributions
-  P(A(t) <= s1, A(0) <= s2) of the Airy(2) / Airy(1) processes as 2x2
-  block-system determinants.
+  P(A(t) <= s1, A(0) <= s2) of the Airy(2) / Airy(1) processes as
+  determinants of 2x2 operator systems, all computed by ``_JointTable``.
 * ``cov_airy2`` / ``cov_airy1`` -- two-point correlation functions
   cov(A(t), A(0)), via the covariance identity
 
@@ -26,15 +26,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernels import (AiryKernel, Airy1ProcessKernel, Airy2ProcessKernel,
                       SineKernel, TransformedKernel)
-from .linalg import det_lu
-from .nystrom import (BlockSystem, NystromProblem, _balance_blocks,
-                      fredholm_det, fredholm_det_system)
+from .linalg import DEFAULT_EPS_MULTIPLE, UNIT_ROUNDOFF, det_lu, roundoff_bound
+# fredholm_det_system is unused here, but the benchmark's tracer
+# (perfbench/tracing.py) patches it in this module by name, as it does
+# _marginal and _JointTable.joint, so all three stay bound
+from .nystrom import (NystromProblem, _balance_blocks, _det_auto, fredholm_det,
+                      fredholm_det_system)
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -165,43 +168,58 @@ def truncation_bound(s: float, T: float, m: int = 80) -> float:
 # ---------------------------------------------------------------------------
 
 def _process_kernels(process: str, t: float, inner_tol: float):
-    """Diagonal kernel K_0 and off-diagonal kernels K_t, K_{-t}."""
+    """The off-diagonal kernels K_t and K_{-t} of a joint system."""
     if process == "airy2":
-        # K_0 of the Airy(2) family is the Airy kernel itself; use the
-        # closed factorized form rather than an inner quadrature
-        return (AiryKernel(),
-                Airy2ProcessKernel(t, tol=inner_tol),
+        return (Airy2ProcessKernel(t, tol=inner_tol),
                 Airy2ProcessKernel(-t, tol=inner_tol))
     if process == "airy1":
-        return (Airy1ProcessKernel(0.0),
-                Airy1ProcessKernel(t),
-                Airy1ProcessKernel(-t))
+        return Airy1ProcessKernel(t), Airy1ProcessKernel(-t)
     raise ValueError(f"unknown process {process!r} (expected 'airy2' or 'airy1')")
 
 
-def _joint_system(process: str, t: float, s1: float, s2: float, m: int,
-                  scale: float, inner_tol: float) -> BlockSystem:
-    k0, kt, kmt = _process_kernels(process, t, inner_tol)
-    unit = (0.0, 1.0)
+def _tan_map(m: int, scale: float):
+    """The map phi_s(xi) = s + scale*tan(pi xi/2) at the m-point
+    Gauss-Legendre nodes xi on (0, 1): the offsets phi_s(xi) - s, and the
+    outer product rr of r = sqrt(w phi'(xi)), so that
+    rr * K(s1 + offsets, s2 + offsets) is the Nystrom block of K on
+    (s1, inf) x (s2, inf)."""
     rule = gauss_legendre(0.0, 1.0, m)
-    kernels = (
-        (TransformedKernel(k0, s1, scale=scale),
-         TransformedKernel(kt, s1, scale=scale, s_right=s2)),
-        (TransformedKernel(kmt, s2, scale=scale, s_right=s1),
-         TransformedKernel(k0, s2, scale=scale)),
-    )
-    return BlockSystem(intervals=(unit, unit), kernels=kernels, rules=(rule, rule))
+    xi = rule.nodes
+    offsets = scale * np.tan(0.5 * np.pi * xi)
+    dphi = scale * (0.5 * np.pi) / np.cos(0.5 * np.pi * xi) ** 2
+    r = np.sqrt(rule.weights * dphi)
+    return offsets, np.outer(r, r)
+
+
+def _eye_minus_a0(process: str, svals, offsets, rr) -> np.ndarray:
+    """I - A_0 at each threshold s of ``svals``, stacked (n, m, m), with
+    ``offsets`` and ``rr`` from ``_tan_map``: the diagonal blocks of every
+    joint system and the matrices of the marginals.  A_0 is K_0 on
+    (s, inf); K_0 is the Airy kernel itself for Airy(2) (its closed
+    factorized form, no inner quadrature) and Ai(x + y) for Airy(1)."""
+    k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
+    m = offsets.size
+    out = np.empty((len(svals), m, m))
+    for k, s in enumerate(svals):
+        x = s + offsets
+        out[k] = np.eye(m) - rr * k0.matrix(x, x)
+    return out
+
+
+def _marginal_point(s: float, block) -> DistributionPoint:
+    """P(A(0) <= s) = det(I - A_0) from the block of ``_eye_minus_a0`` at s:
+    Cholesky, or LU flagged suspect where Cholesky fails, with the
+    roundoff bound sqrt(m) ||A_0||_F 8u of ``fredholm_det``."""
+    m = block.shape[0]
+    value, method = _det_auto(block, hermitian=True)
+    bound = roundoff_bound(np.eye(m) - block, DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF)
+    return _point(s, value, m, bound, fallback=method == "cholesky->lu")
 
 
 def _marginal(process: str, s: float, m: int, scale: float = 10.0) -> float:
     """P(A(t) <= s) for the stationary process: the one-operator determinant
     with the K_0 kernel on (s, inf)."""
-    if process == "airy2":
-        return f2_tw(s, m, scale=scale).value
-    kernel = TransformedKernel(Airy1ProcessKernel(0.0), s, scale=scale)
-    rule = gauss_legendre(0.0, 1.0, m)
-    res = fredholm_det(NystromProblem(kernel, (0.0, 1.0), -1.0, rule))
-    return float(np.real(res.value))
+    return _marginal_point(s, _eye_minus_a0(process, [s], *_tan_map(m, scale))[0]).value
 
 
 def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
@@ -210,15 +228,12 @@ def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
         # At coinciding times the joint degenerates to the marginal at
         # min(s1, s2); the t -> 0 limit of the block determinant reproduces
         # it only through a delta contribution in K_{-t}, so the block
-        # assembly is bypassed here.
-        value = _marginal(process, min(s1, s2), m, scale)
-        return _point(t, value, 2 * m, math.nan)
-    system = _joint_system(process, t, s1, s2, m, scale, inner_tol)
-    res = fredholm_det_system(system, -1.0)
-    return DistributionPoint(parameter=float(t), value=float(np.real(res.value)),
-                             m=res.m, est_error=res.roundoff_bound,
-                             suspect=not (-_PROB_SLACK <= float(np.real(res.value))
-                                          <= 1.0 + _PROB_SLACK))
+        # system is bypassed here.  The marginal's roundoff bound and
+        # Cholesky-to-LU flag carry over.
+        s = min(s1, s2)
+        point = _marginal_point(s, _eye_minus_a0(process, [s], *_tan_map(m, scale))[0])
+        return replace(point, parameter=0.0, m=2 * m)
+    return _JointTable(process, t, m, scale, inner_tol).joint(s1, s2)
 
 
 def airy2_joint(t: float, s1: float, s2: float, m: int, scale: float = 10.0,
@@ -313,26 +328,27 @@ def _cov_zero(process: str, m: int, n_outer: int, box: tuple[float, float],
     """
     low, up = box
     outer = gauss_legendre(low, up, n_outer)
-    f = np.array([_marginal(process, s, m, scale) for s in outer.nodes])
+    blocks = _eye_minus_a0(process, outer.nodes, *_tan_map(m, scale))
+    f = np.array([_marginal_point(s, b).value for s, b in zip(outer.nodes, blocks)])
     g = _legendre_cumulative(outer) @ f
     return 2.0 * float(outer.weights @ ((1.0 - f) * g))
 
 
 class _JointTable:
     """Joint determinants P(A(t) <= s_i, A(0) <= s_j) over a grid of
-    thresholds, a whole row of the grid at a time.
+    thresholds: the one joint-determinant path, for single pairs
+    (``airy2_joint`` / ``airy1_joint``) and covariance grids alike.
 
     ``prepare`` caches per threshold s the transformed nodes, the diagonal
-    block I - A_0 and, for the Airy(2) process, the inner-rule Airy bases
-    of K_t and K_{-t}, each in one preallocated array.  ``row`` then forms
-    the off-diagonal blocks of a row against a range of columns with one
-    matrix product per kernel (Airy(2)) or one shared Airy evaluation
-    (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), balances each system as
-    ``_balance_blocks`` does, and takes the determinants in stacked LAPACK
-    calls of at most ``CHUNK`` systems, which bounds the memory of a row.
-    Produces the same values as ``airy2_joint`` / ``airy1_joint`` (which
-    assemble a fresh BlockSystem per call); the unit tests pin the two
-    paths against each other.
+    block I - A_0 (``_eye_minus_a0``) and, for the Airy(2) process, the
+    inner-rule Airy bases of K_t and K_{-t}, each in one preallocated array.
+    ``row`` then forms the off-diagonal blocks of the pairs (s_i, s_j),
+    j >= i, with one matrix product per kernel (Airy(2)) or one shared Airy
+    evaluation (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), balances
+    each system as ``_balance_blocks`` does, and takes the determinants in
+    stacked LAPACK calls of at most ``CHUNK`` systems, which bounds the
+    memory of a row.  ``grid`` mirrors the rows by time reversal,
+    P(s_i, s_j) = P(s_j, s_i), so a grid is symmetric by construction.
     """
 
     #: Systems per stacked determinant call.
@@ -340,18 +356,13 @@ class _JointTable:
 
     def __init__(self, process: str, t: float, m: int, scale: float,
                  inner_tol: float = 1e-12, kernels=None):
-        if t <= 0.0:
-            raise ValueError("joint table expects t > 0")
+        if t == 0.0:
+            raise ValueError("joint table expects t != 0")
         self.process = process
         self.t = float(t)
         self.m = int(m)
-        rule = gauss_legendre(0.0, 1.0, m)
-        xi = rule.nodes
-        self._off = scale * np.tan(0.5 * np.pi * xi)
-        dphi = scale * (0.5 * np.pi) / np.cos(0.5 * np.pi * xi) ** 2
-        r = np.sqrt(rule.weights * dphi)
-        self._rr = np.outer(r, r)
-        self.k0, self.kt, self.kmt = kernels or _process_kernels(process, t, inner_tol)
+        self._off, self._rr = _tan_map(m, scale)
+        self.kt, self.kmt = kernels or _process_kernels(process, t, inner_tol)
 
     def prepare(self, svals) -> None:
         """Cache the per-threshold data of the grid ``svals``, replacing
@@ -360,22 +371,32 @@ class _JointTable:
         n, m = svals.size, self.m
         self._s = svals
         self._x = svals[:, None] + self._off[None, :]
-        self._eye_minus_diag = np.empty((n, m, m))
+        self.eye_minus_a0 = _eye_minus_a0(self.process, svals, self._off, self._rr)
         if self.process == "airy2":
             self._bt = np.empty((n, m, self.kt.inner_size))
             self._bmt = np.empty((n, m, self.kmt.inner_size))
-        for k, x in enumerate(self._x):
-            self._eye_minus_diag[k] = np.eye(m) - self._rr * self.k0.matrix(x, x)
-            if self.process == "airy2":
+            for k, x in enumerate(self._x):
                 self._bt[k] = self.kt.basis(x)
                 self._bmt[k] = self.kmt.basis(x)
 
-    def row(self, i: int, lo: int, hi: int) -> np.ndarray:
-        """Joints at the prepared thresholds (s_i, s_j) for lo <= j < hi."""
-        return np.concatenate([self._row_chunk(i, a, min(a + self.CHUNK, hi))
-                               for a in range(lo, hi, self.CHUNK)])
+    def row(self, i: int) -> np.ndarray:
+        """Joints at the prepared thresholds (s_i, s_j) for j >= i."""
+        n = self._s.size
+        return np.concatenate([det_lu(self._systems(i, a, min(a + self.CHUNK, n)))
+                               for a in range(i, n, self.CHUNK)])
 
-    def _row_chunk(self, i: int, lo: int, hi: int) -> np.ndarray:
+    def grid(self) -> np.ndarray:
+        """All joints of the prepared thresholds: the rows j >= i, mirrored
+        below the diagonal."""
+        n = self._s.size
+        joint = np.zeros((n, n))
+        for i in range(n):
+            joint[i, i:] = self.row(i)
+        return joint + np.triu(joint, 1).T
+
+    def _systems(self, i: int, lo: int, hi: int) -> np.ndarray:
+        """The balanced systems I - A of the pairs (s_i, s_j), lo <= j < hi,
+        stacked (hi - lo, 2m, 2m)."""
         m, c = self.m, hi - lo
         x1 = self._x[i]
         x2 = self._x[lo:hi]
@@ -395,52 +416,46 @@ class _JointTable:
         blocks = [[None, self._rr * b12], [self._rr * b21, None]]
         _balance_blocks(blocks)
         systems = np.empty((c, 2 * m, 2 * m))
-        systems[:, :m, :m] = self._eye_minus_diag[i]
+        systems[:, :m, :m] = self.eye_minus_a0[i]
         systems[:, :m, m:] = -blocks[0][1]
         systems[:, m:, :m] = -blocks[1][0]
-        systems[:, m:, m:] = self._eye_minus_diag[lo:hi]
-        # time reversal: below the grid diagonal take the (s_j, s_i) system,
-        # which is the (s_i, s_j) one transposed with its block order
-        # swapped, so a full grid is as symmetric as the kernel blocks are
-        below = np.arange(lo, hi) < i
-        if np.any(below):
-            swap = np.r_[m:2 * m, :m]
-            systems[below] = systems[below].transpose(0, 2, 1)[:, swap][:, :, swap]
-        return det_lu(systems)
+        systems[:, m:, m:] = self.eye_minus_a0[lo:hi]
+        return systems
 
-    def joint(self, s1: float, s2: float) -> float:
-        """The joint at one pair; prepares (s1, s2) as the grid."""
+    def joint(self, s1: float, s2: float) -> DistributionPoint:
+        """The joint at one pair, with the roundoff bound
+        sqrt(2m) ||A||_F 8u of its balanced system; prepares (s1, s2) as
+        the grid."""
         self.prepare([s1, s2])
-        return float(self.row(0, 1, 2)[0])
+        system = self._systems(0, 1, 2)[0]
+        bound = roundoff_bound(np.eye(2 * self.m) - system,
+                               DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF)
+        return _point(self.t, det_lu(system), 2 * self.m, bound)
 
 
 def _cov_positive(process: str, t: float, m: int, n_outer: int,
                   box: tuple[float, float], scale: float, kernels) -> float:
-    """Covariance at t > 0 from the joint table on the outer grid.
-
-    Time reversal gives P(s1, s2) = P(s2, s1), so only the upper triangle
-    j >= i of the joint matrix is computed and then mirrored.
-    """
+    """Covariance at t > 0 from the joint table on the outer grid, with
+    the marginals taken from the table's own I - A_0 blocks."""
     low, up = box
     outer = gauss_legendre(low, up, n_outer)
     svals = outer.nodes
     table = _JointTable(process, t, m, scale, kernels=kernels)
     table.prepare(svals)
-    marg = np.array([_marginal(process, s, m, scale) for s in svals])
-    n = svals.size
-    joint = np.zeros((n, n))
-    for i in range(n):
-        joint[i, i:] = table.row(i, i, n)
-    joint += np.triu(joint, 1).T
-    integrand = joint - np.outer(marg, marg)
+    marg = np.array([_marginal_point(s, b).value for s, b in zip(svals, table.eye_minus_a0)])
+    integrand = table.grid() - np.outer(marg, marg)
     return float(outer.weights @ integrand @ outer.weights)
 
 
-#: (block dimension m, outer nodes) per refinement level.  The values
-#: converge exponentially in both, so at 1e-8 most t stop on the first
-#: two levels.  Small t (0.1 at 1e-8) needs the two finest, so neither may
-#: be dropped.
-_COV_LEVELS = ((20, 32), (24, 38), (30, 48), (38, 64), (48, 88))
+#: (block dimension m, outer nodes) per refinement level, by process.  The
+#: values converge exponentially in both, so at 1e-8 most t stop on the
+#: first two levels.  Small t (0.1 at 1e-8) needs the two finest, so
+#: neither may be dropped.  Airy(1) starts one level later: at m = 20 its
+#: covariance is off by up to 6e-3, so that level never converges.
+_COV_LEVELS = {
+    "airy2": ((20, 32), (24, 38), (30, 48), (38, 64), (48, 88)),
+    "airy1": ((24, 38), (30, 48), (38, 64), (48, 88)),
+}
 
 
 def _cov_process(process: str, t: float, accuracy: float,
@@ -453,9 +468,10 @@ def _cov_process(process: str, t: float, accuracy: float,
     # build (and one inner-rule refinement for Airy(2)) serves every level
     kernels = (_process_kernels(process, t, min(1e-12, accuracy * 1e-2))
                if t > 0.0 else None)
+    levels = _COV_LEVELS[process]
     values = []
     est = math.inf
-    for m, n_outer in _COV_LEVELS:
+    for m, n_outer in levels:
         if t == 0.0:
             val = _cov_zero(process, m, n_outer, box, scale)
         else:
@@ -466,7 +482,7 @@ def _cov_process(process: str, t: float, accuracy: float,
             if est <= accuracy:
                 break
     if not est <= accuracy:
-        m, n_outer = _COV_LEVELS[-1]
+        m, n_outer = levels[-1]
         warnings.warn(
             f"{process} covariance at t={t:g} missed accuracy={accuracy:g}: "
             f"the finest levels agree to est={est:.3g} at (m, n_outer) = "
@@ -483,13 +499,14 @@ def cov_airy2(t: float, accuracy: float = 1e-8,
     """Two-point correlation cov(A_2(t), A_2(0)) of the Airy(2) process.
 
     Refines (block dimension m, outer rule size n_outer) along
-    ``_COV_LEVELS``, from (20, 32) to (48, 88), until two successive levels
-    agree to ``accuracy``, and returns the finer of the two.  With
-    ``full_output=True`` returns (value, two-level agreement, levels used);
-    the agreement is sized to the request (about 1e-9 at accuracy 1e-8),
-    not to roundoff.  If even the two finest levels disagree by more than
-    ``accuracy``, the finest value is returned and a RuntimeWarning names
-    t, ``accuracy``, the agreement and the finest level.
+    ``_COV_LEVELS["airy2"]``, from (20, 32) to (48, 88), until two
+    successive levels agree to ``accuracy``, and returns the finer of the
+    two.  With ``full_output=True`` returns (value, two-level agreement,
+    levels used); the agreement is sized to the request (about 1e-9 at
+    accuracy 1e-8), not to roundoff.  If even the two finest levels
+    disagree by more than ``accuracy``, the finest value is returned and a
+    RuntimeWarning names t, ``accuracy``, the agreement and the finest
+    level.
     """
     return _cov_process("airy2", t, accuracy, box, scale, full_output)
 
@@ -497,7 +514,9 @@ def cov_airy2(t: float, accuracy: float = 1e-8,
 def cov_airy1(t: float, accuracy: float = 1e-8,
               box: tuple[float, float] = AIRY1_BOX, scale: float = 10.0,
               full_output: bool = False):
-    """Two-point correlation cov(A_1(t), A_1(0)) of the Airy(1) process."""
+    """Two-point correlation cov(A_1(t), A_1(0)) of the Airy(1) process;
+    refined as ``cov_airy2`` is, along ``_COV_LEVELS["airy1"]``, from
+    (24, 38) to (48, 88)."""
     return _cov_process("airy1", t, accuracy, box, scale, full_output)
 
 

@@ -175,12 +175,13 @@ class TestBlockSystems:
 
     def test_balancing_invariance(self):
         from fredet.kernels import Airy1ProcessKernel, TransformedKernel
+        from test_rmt import ShiftedPairKernel
         k0 = Airy1ProcessKernel(0.0)
         kt = Airy1ProcessKernel(1.0)
         kmt = Airy1ProcessKernel(-1.0)
         rule = gauss_legendre(0.0, 1.0, 18)
-        kernels = ((TransformedKernel(k0, -2.0), TransformedKernel(kt, -2.0, s_right=-1.0)),
-                   (TransformedKernel(kmt, -1.0, s_right=-2.0), TransformedKernel(k0, -1.0)))
+        kernels = ((TransformedKernel(k0, -2.0), ShiftedPairKernel(kt, -2.0, -1.0)),
+                   (ShiftedPairKernel(kmt, -1.0, -2.0), TransformedKernel(k0, -1.0)))
         sys2 = BlockSystem(intervals=((0.0, 1.0), (0.0, 1.0)),
                            kernels=kernels, rules=(rule, rule))
         a = fredholm_det_system(sys2, -1.0, balance=True).value

@@ -43,12 +43,37 @@ class TestGaussLegendre:
         assert np.max(np.abs(r.nodes - x)) < 5e-15
         assert np.max(np.abs(r.weights - w)) < 5e-14
 
-    def test_methods_agree(self):
-        for m in (5, 50, 200, 350):
-            a = gauss_legendre(0.0, 2.0, m, method="golub-welsch")
-            b = gauss_legendre(0.0, 2.0, m, method="newton")
-            assert np.max(np.abs(a.nodes - b.nodes)) < 1e-14
-            assert np.max(np.abs(a.weights - b.weights)) < 1e-14
+    @staticmethod
+    def _legendre_mp(m, x):
+        """P_m(x) and P_m'(x) by the rule's own three-term recurrences."""
+        p0, p1, d0, d1 = mpmath.mpf(1), x, mpmath.mpf(0), mpmath.mpf(1)
+        for j in range(2, m + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            d0, d1 = d1, d0 + (2 * j - 1) * p0
+        return p1, d1
+
+    @pytest.mark.parametrize("m, node_tol, weight_tol", [
+        # each bound is at most the error of a Golub-Welsch (QL) rule
+        # against the same oracle
+        (5, 9e-17, 5.8e-16),
+        (20, 1.1e-16, 6.9e-15),
+        (50, 3.5e-16, 7e-14),
+        (120, 4.3e-16, 1.99e-13),
+    ])
+    def test_matches_mpmath_recurrence(self, m, node_tol, weight_tol):
+        # nodes x >= 0 refined by two Newton steps at 30 digits; the
+        # rule is symmetric about 0
+        r = gauss_legendre(-1.0, 1.0, m)
+        with mpmath.workdps(30):
+            for x, w in zip(r.nodes[m // 2:], r.weights[m // 2:]):
+                xr = mpmath.mpf(x)
+                for _ in range(2):
+                    p, dp = self._legendre_mp(m, xr)
+                    xr -= p / dp
+                _, dp = self._legendre_mp(m, xr)
+                wr = 2 / ((1 - xr * xr) * dp * dp)
+                assert abs(x - xr) <= node_tol
+                assert abs(w - wr) <= weight_tol * wr
 
     def test_weights_symmetric(self):
         r = gauss_legendre(2.0, 5.0, 17)
