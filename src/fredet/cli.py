@@ -7,7 +7,9 @@ Sweeps are dispatched to a thread pool (--threads, or FREDHOLM_THREADS);
 results are assembled in input order so output is byte-identical across
 thread counts.
 
-Exit codes: 0 success, 1 numerical failure, 2 usage error.
+Exit codes: 0 success, 1 numerical failure (overflow, a failed
+factorization), 2 usage error (bad arguments, or input the library
+rejects with ValueError).
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def _cmd_specfun(args):
 
 
 def _cmd_det(args):
-    kernel = make_kernel(args.kernel)
+    kernel = make_kernel(args.kernel, x_min=args.a)
     rule = (gauss_legendre if args.rule == "gauss" else clenshaw_curtis)(
         args.a, args.b, args.m)
     res = fredholm_det(NystromProblem(kernel, (args.a, args.b), _parse_z(args.z), rule))
@@ -126,7 +128,7 @@ def _cmd_det(args):
 
 
 def _cmd_study(args):
-    kernel = make_kernel(args.kernel)
+    kernel = make_kernel(args.kernel, x_min=args.a)
     rows = convergence_study(kernel, (args.a, args.b), _parse_z(args.z),
                              args.rule, _int_list(args.m_list))
     _emit(args, ["m", "value", "abs_error", "roundoff_bound"],
@@ -325,9 +327,16 @@ def main(argv=None) -> int:
         # unknown kernel: usage error, list the registry
         sys.stderr.write(f"error: {exc.args[0]}\n")
         return 2
-    except (ValueError, ArithmeticError, OverflowError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # OverflowError and the library's NotPositiveDefiniteError and
+        # KernelEvaluationError are ArithmeticErrors; LinAlgError is a
+        # ValueError, so it is caught first
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1
+    except ValueError as exc:
+        # bad input: a reversed interval, a threshold or t out of range
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

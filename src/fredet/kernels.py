@@ -199,23 +199,33 @@ class Airy2ProcessKernel(Kernel):
         K_t(x, y) =  int_0^inf  e^{-xi t} Ai(x+xi) Ai(y+xi) dxi    (t >= 0)
         K_t(x, y) = -int_-inf^0 e^{-xi t} Ai(x+xi) Ai(y+xi) dxi    (t < 0)
 
-    K_0 is the Airy kernel itself (the factorized form).  The inner
-    integral is evaluated by Gauss-Legendre after mapping the half-line to
-    (0, 1); the rule size is doubled from ``inner_rule_size`` until two
-    successive sizes agree to ``tol`` on a fixed probe set (the reached
-    agreement is stored in ``achieved_tol``).  If doubling reaches
-    ``max_inner_size`` with ``achieved_tol > tol``, a RuntimeWarning says so.
+    K_0 is the Airy kernel itself (the factorized form).  The kernel is
+    built for arguments x, y >= ``x_min`` (lowered to -10 if it is above):
+    ``basis``, ``eval`` and ``matrix`` raise ValueError below it, because
+    the inner rule is sized for that domain only.
 
-    For t < 0 the defining integral is oscillatory with slow algebraic
-    decay; for moderately negative t it is integrated directly (the
-    e^{-|t| |xi|} damping keeps the effective range short), while for
-    small |t| it is rewritten via the Laplace transform of the Airy
-    product,
+    The inner integral is a Gauss-Legendre rule on a finite xi interval
+    with weights +-w e^{-xi t}.  For t >= 0 the interval is
+    [0, 12 - x_min]: beyond it x + xi and y + xi exceed 12, so the
+    integrand is below Ai(12)^2 ~ 2e-26.  For t < 0 the defining integral
+    is oscillatory with slow algebraic decay.  For t <= -0.75 it is
+    integrated directly on [-40/|t|, 0], at whose far end the damping
+    e^{-|t| |xi|} has fallen to e^{-40} ~ 4e-18.  For -0.75 < t < 0 it is
+    rewritten via the Laplace transform of the Airy product,
 
         int_R e^{tau xi} Ai(x+xi) Ai(y+xi) dxi
             = exp(tau^3/12 - tau(x+y)/2 - (x-y)^2/(4 tau)) / (2 sqrt(pi tau)),
 
-    as a tame positive-axis integral minus that closed Gaussian term.
+    as a tame positive-axis integral on [0, 16 - x_min] minus that closed
+    Gaussian term; the integrand left out is below
+    Ai(16)^2 e^{0.75 (16 - x_min)}, 5e-31 at x_min = -10.
+
+    The rule size is doubled from ``inner_rule_size`` until two successive
+    sizes agree to ``tol`` on a fixed probe set, which includes the pair
+    (x_min, x_min), relative to each probe value above 1; the reached
+    agreement is stored in ``achieved_tol``.
+    If doubling reaches ``max_inner_size`` with ``achieved_tol > tol``, a
+    RuntimeWarning says so.
     """
 
     hermitian = True
@@ -223,20 +233,33 @@ class Airy2ProcessKernel(Kernel):
 
     #: |t| below which the t < 0 branch switches to the Laplace-identity form.
     _LAPLACE_SWITCH = 0.75
+    #: Largest argument x + xi the decay and Laplace branches integrate to.
+    _DECAY_END = 12.0
+    _LAPLACE_END = 16.0
+    #: |t xi| at the far end of the oscillatory branch's interval.
+    _OSC_DAMPING = 40.0
 
-    def __init__(self, t: float, inner_rule_size: int = 200, tol: float = 1e-12,
-                 max_inner_size: int = 25600):
+    def __init__(self, t: float, inner_rule_size: int = 30, tol: float = 1e-12,
+                 max_inner_size: int = 25600, x_min: float = -10.0):
         if inner_rule_size < 1:
             raise ValueError("inner_rule_size must be >= 1")
         self.t = float(t)
         if not math.isfinite(self.t):
             raise ValueError("t must be finite")
+        if not math.isfinite(x_min):
+            raise ValueError("x_min must be finite")
+        # the fixed probe pairs reach down to -10
+        self.x_min = min(float(x_min), -10.0)
         if self.t >= 0.0:
             self._mode = "decay"
+            self._interval = (0.0, self._DECAY_END - self.x_min)
         elif -self.t < self._LAPLACE_SWITCH:
             self._mode = "laplace"
+            self._interval = (0.0, self._LAPLACE_END - self.x_min)
         else:
             self._mode = "oscillatory"
+            self._interval = (self._OSC_DAMPING / self.t, 0.0)
+        self._probe_pairs = np.vstack([[(self.x_min, self.x_min)], self._PROBE_PAIRS])
         n = max(16, int(inner_rule_size))
         xi, q = self._inner_rule(n)
         probe = self._probe(xi, q)
@@ -245,7 +268,10 @@ class Airy2ProcessKernel(Kernel):
             n *= 2
             xi2, q2 = self._inner_rule(n)
             probe2 = self._probe(xi2, q2)
-            diff = float(np.max(np.abs(probe2 - probe)))
+            # relative where a probe exceeds 1: the Laplace branch's
+            # positive-axis integral grows like its Gaussian term as x_min
+            # falls, and rounds at that scale
+            diff = float(np.max(np.abs(probe2 - probe) / np.maximum(1.0, np.abs(probe))))
             xi, q, probe = xi2, q2, probe2
             if diff <= tol:
                 break
@@ -259,50 +285,32 @@ class Airy2ProcessKernel(Kernel):
         self.inner_size = self._xi.size
 
     def _inner_rule(self, n: int):
-        rule = gauss_legendre(0.0, 1.0, n)
-        u, w = rule.nodes, rule.weights
-        jac = 1.0 / (1.0 - u) ** 2
-        with np.errstate(over="ignore", under="ignore"):
-            if self._mode == "decay":
-                xi = u / (1.0 - u)
-                damp = np.exp(-self.t * xi)
-                q = w * jac * damp
-            elif self._mode == "laplace":
-                tau = -self.t
-                xi = u / (1.0 - u)
-                damp = np.exp(tau * xi)
-                q = w * jac * damp
-            else:
-                tau = -self.t
-                sigma = max(1.0, 13.0 / tau)
-                xi = -sigma * u / (1.0 - u)
-                damp = np.exp(tau * xi)
-                q = -w * sigma * jac * damp
-        # nodes whose damping factor has left double range contribute
-        # nothing (the Airy decay only helps); dropping them keeps the
-        # basis arguments inside the representable Airy domain
-        if self._mode == "oscillatory":
-            keep = damp > 1e-280
-        else:
-            keep = np.isfinite(q)
-        return xi[keep], q[keep]
+        rule = gauss_legendre(*self._interval, n)
+        sign = -1.0 if self._mode == "oscillatory" else 1.0
+        with np.errstate(under="ignore"):
+            return rule.nodes, sign * rule.weights * np.exp(-self.t * rule.nodes)
 
+    #: Probe pairs besides (x_min, x_min).
     _PROBE_PAIRS = np.array([
-        (-10.0, -10.0), (-10.0, 5.0), (-2.0, 3.0),
-        (0.0, 0.0), (5.0, 5.0), (2.0, -7.0),
+        (-10.0, 5.0), (-2.0, 3.0), (0.0, 0.0), (5.0, 5.0), (2.0, -7.0),
     ])
 
     def _probe(self, xi, q):
-        x = self._PROBE_PAIRS[:, 0]
-        y = self._PROBE_PAIRS[:, 1]
+        x = self._probe_pairs[:, 0]
+        y = self._probe_pairs[:, 1]
         ax = airy_ai(x[:, None] + xi[None, :])
         ay = airy_ai(y[:, None] + xi[None, :])
         return np.sum(ax * ay * q[None, :], axis=1)
 
     def basis(self, xs) -> np.ndarray:
         """Ai(xs[i] + xi_k) on the inner nodes; callers may cache this and
-        form cross matrices as ``(basis(x) * weights) @ basis(y).T``."""
+        form cross matrices as ``(basis(x) * weights) @ basis(y).T``.
+        Raises ValueError for arguments below ``x_min``."""
         xs = np.asarray(xs, dtype=float)
+        if xs.size and np.min(xs) < self.x_min:
+            raise ValueError(
+                f"Airy2ProcessKernel(t={self.t:g}) is built for arguments >= "
+                f"x_min={self.x_min:g}, got {np.min(xs):g}")
         return airy_ai(xs[:, None] + self._xi[None, :])
 
     @property
@@ -332,9 +340,7 @@ class Airy2ProcessKernel(Kernel):
         chunk = max(1, int(2e6 // max(self._xi.size, 1)))
         for lo in range(0, xf.size, chunk):
             hi = min(lo + chunk, xf.size)
-            ax = airy_ai(xf[lo:hi, None] + self._xi[None, :])
-            ay = airy_ai(yf[lo:hi, None] + self._xi[None, :])
-            out[lo:hi] = (ax * ay) @ self._q
+            out[lo:hi] = (self.basis(xf[lo:hi]) * self.basis(yf[lo:hi])) @ self._q
         if self._mode == "laplace":
             out -= self.gaussian_part(xf, yf)
         out = out.reshape(x.shape)
@@ -552,9 +558,9 @@ def green_kernel() -> GreenKernel:
     return GreenKernel()
 
 
-def airy2_process_kernel(t: float, inner_rule_size: int = 200, **kwargs) -> Airy2ProcessKernel:
+def airy2_process_kernel(t: float, **kwargs) -> Airy2ProcessKernel:
     """Airy(2)-process kernel K_t; see ``Airy2ProcessKernel``."""
-    return Airy2ProcessKernel(t, inner_rule_size=inner_rule_size, **kwargs)
+    return Airy2ProcessKernel(t, **kwargs)
 
 
 def airy1_process_kernel(t: float) -> Airy1ProcessKernel:
@@ -571,12 +577,13 @@ def transform_to_unit(base: Kernel, s: float, scale: float = 10.0) -> Transforme
 KERNEL_FAMILIES = ("sine", "airy", "green", "airy2:t", "airy1:t")
 
 
-def make_kernel(name: str) -> Kernel:
+def make_kernel(name: str, x_min: float = -10.0) -> Kernel:
     """Build a kernel from its registry name.
 
     Plain names: ``sine``, ``airy``, ``green``.  Parametrized families
     take the time argument after a colon, e.g. ``airy2:1.5`` or
-    ``airy1:-0.25``.
+    ``airy1:-0.25``.  ``x_min`` is the smallest argument the kernel will
+    see; the Airy(2) process kernel sizes its inner rule by it.
     """
     base = name.strip()
     if base == "sine":
@@ -592,7 +599,7 @@ def make_kernel(name: str) -> Kernel:
         except ValueError:
             raise KeyError(f"bad kernel parameter in {name!r}") from None
         if family == "airy2":
-            return airy2_process_kernel(t)
+            return airy2_process_kernel(t, x_min=x_min)
         if family == "airy1":
             return airy1_process_kernel(t)
     raise KeyError(

@@ -167,11 +167,13 @@ def truncation_bound(s: float, T: float, m: int = 80) -> float:
 # Airy process joint distributions
 # ---------------------------------------------------------------------------
 
-def _process_kernels(process: str, t: float, inner_tol: float):
-    """The off-diagonal kernels K_t and K_{-t} of a joint system."""
+def _process_kernels(process: str, t: float, inner_tol: float,
+                     x_min: float = DEFAULT_BOX[0]):
+    """The off-diagonal kernels K_t and K_{-t} of a joint system whose
+    thresholds are all >= ``x_min``."""
     if process == "airy2":
-        return (Airy2ProcessKernel(t, tol=inner_tol),
-                Airy2ProcessKernel(-t, tol=inner_tol))
+        return (Airy2ProcessKernel(t, tol=inner_tol, x_min=x_min),
+                Airy2ProcessKernel(-t, tol=inner_tol, x_min=x_min))
     if process == "airy1":
         return Airy1ProcessKernel(t), Airy1ProcessKernel(-t)
     raise ValueError(f"unknown process {process!r} (expected 'airy2' or 'airy1')")
@@ -233,7 +235,8 @@ def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
         s = min(s1, s2)
         point = _marginal_point(s, _eye_minus_a0(process, [s], *_tan_map(m, scale))[0])
         return replace(point, parameter=0.0, m=2 * m)
-    return _JointTable(process, t, m, scale, inner_tol).joint(s1, s2)
+    kernels = _process_kernels(process, t, inner_tol, min(s1, s2))
+    return _JointTable(process, t, m, scale, kernels=kernels).joint(s1, s2)
 
 
 def airy2_joint(t: float, s1: float, s2: float, m: int, scale: float = 10.0,
@@ -466,7 +469,7 @@ def _cov_process(process: str, t: float, accuracy: float,
                          "cov(-t) = cov(t))")
     # the process kernels depend on neither m nor the outer rule, so one
     # build (and one inner-rule refinement for Airy(2)) serves every level
-    kernels = (_process_kernels(process, t, min(1e-12, accuracy * 1e-2))
+    kernels = (_process_kernels(process, t, min(1e-12, accuracy * 1e-2), box[0])
                if t > 0.0 else None)
     levels = _COV_LEVELS[process]
     values = []

@@ -38,6 +38,14 @@ class TestDetCommand:
         assert code == 0
         assert "0.900027271798259" in out
 
+    def test_process_kernel_below_minus_ten(self):
+        # the Airy(2) kernel is built for the interval's left end
+        code, out, _ = run(["det", "--kernel", "airy2:0.3", "--a", "-20", "--b", "0",
+                            "--m", "20"])
+        assert code == 0
+        assert float(out.splitlines()[1].split(",")[0]) == pytest.approx(
+            4.76369350328419e-05, abs=1e-15)
+
     def test_unknown_kernel_exit_2(self):
         code, _, err = run(["det", "--kernel", "nope", "--a", "0", "--b", "1",
                             "--z", "-1", "--m", "5"])
@@ -45,10 +53,24 @@ class TestDetCommand:
         assert "sine" in err  # registry listed
 
     def test_numerical_failure_exit_1(self):
-        code, _, err = run(["det", "--kernel", "sine", "--a", "1", "--b", "0",
-                            "--z", "-1", "--m", "5"])
+        # z = 1e308 overflows the determinant
+        code, _, err = run(["det", "--kernel", "green", "--a", "0", "--b", "1",
+                            "--z", "1e308", "--m", "5"])
         assert code == 1
-        assert err
+        assert err.startswith("numerical failure:")
+
+    @pytest.mark.parametrize("argv", [
+        ["det", "--kernel", "sine", "--a", "1", "--b", "0", "--z", "-1", "--m", "5"],
+        ["quad", "--rule", "gauss", "--a", "1", "--b", "0", "--m", "3"],
+        ["e2", "--s-min", "-1", "--s-max", "0", "--step", "1"],
+        ["cov", "--process", "airy2", "--t-min", "-1", "--t-max", "-1", "--step", "1"],
+    ])
+    def test_bad_input_exit_2(self, argv):
+        code, out, err = run(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "numerical failure" not in err
 
     def test_json_format(self):
         code, out, _ = run(["det", "--kernel", "green", "--a", "0", "--b", "1",

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -198,6 +199,102 @@ class TestAiry2ProcessKernel:
                                    max_inner_size=32)
         assert k.inner_size == 32 and k.achieved_tol > 1e-16
         assert f"achieved_tol={k.achieved_tol:.3g}" in str(record[0].message)
+
+    def test_inner_sizes_of_a_joint_pair(self):
+        # K_1 (decay branch) and K_{-1} (oscillatory branch), as one
+        # covariance at t = 1 builds them
+        assert Airy2ProcessKernel(1.0).inner_size + Airy2ProcessKernel(-1.0).inner_size <= 400
+
+    @pytest.mark.parametrize("t", [-0.5, -0.7])
+    def test_laplace_branch_converges_at_low_x_min(self, t):
+        # the Laplace branch's probe at (-18, -18) is 3e3-1e5 and rounds at
+        # that scale, so its agreement is measured relative to it; an
+        # absolute 1e-12 would double the rule to the cap and warn
+        k = Airy2ProcessKernel(t, x_min=-18.0)
+        assert k.achieved_tol <= 1e-12 and k.inner_size <= 240
+
+    @pytest.mark.parametrize("t", [1.0, -0.3, -1.0])
+    def test_arguments_below_x_min_raise(self, t):
+        k = Airy2ProcessKernel(t, x_min=-12.0)
+        assert k.x_min == -12.0
+        k.matrix([-12.0, 0.0], [-12.0])
+        with pytest.raises(ValueError, match="x_min=-12"):
+            k.basis([0.0, -12.5])
+        with pytest.raises(ValueError):
+            k.matrix([0.0], [-13.0])
+        with pytest.raises(ValueError):
+            k.eval(-12.5, 0.0)
+        # the domain always reaches down to -10
+        assert Airy2ProcessKernel(t, x_min=-3.0).x_min == -10.0
+
+
+def _mp_airy2_oracle(cases):
+    """K_t(x, y) for integer x, y by the defining integral in 20-digit
+    mpmath: composite 24-point Gauss-Legendre on the unit pieces [k, k+1]
+    of xi, far past where the integrand drops below 1e-20.  Integer
+    arguments put x + xi on the same shifted nodes j + c_i for every
+    pair, so each Ai(j + c_i) is evaluated once.  For -0.75 < t < 0 the
+    positive-axis integral minus the closed Gaussian term is used (the
+    Laplace identity of ``Airy2ProcessKernel``; the brute-force test
+    above checks the identity itself)."""
+    from mpmath.calculus.quadrature import GaussLegendre
+    with mpmath.workdps(20):
+        rule = GaussLegendre(mpmath.mp).calc_nodes(4, mpmath.mp.prec)
+        c = [(u + 1) / 2 for u, _ in rule]
+        w = [v / 2 for _, v in rule]
+        cache = {}
+
+        def ai(j):
+            if j not in cache:
+                cache[j] = [mpmath.airyai(j + ci) for ci in c]
+            return cache[j]
+
+        values = []
+        for t, x, y in cases:
+            if t > -0.75:
+                pieces = range(0, 22 - min(x, y))
+            else:
+                pieces = range(-math.ceil(45 / abs(t)), 0)
+            total = mpmath.mpf(0)
+            for k in pieces:
+                for ci, wi, ax, ay in zip(c, w, ai(x + k), ai(y + k)):
+                    total += wi * mpmath.exp(-t * (k + ci)) * ax * ay
+            if t <= -0.75:
+                total = -total
+            elif t < 0:
+                tau = mpmath.mpf(-t)
+                total -= (mpmath.exp(tau ** 3 / 12 - tau * (x + y) / 2
+                                     - mpmath.mpf(x - y) ** 2 / (4 * tau))
+                          / (2 * mpmath.sqrt(mpmath.pi * tau)))
+            values.append(float(total))
+        return values
+
+
+#: (t, x_min): the decay, Laplace and oscillatory branches at the default
+#: domain, and the decay branch on a domain lowered to -18
+_ORACLE_KERNELS = [(0.3, -10), (1.0, -10), (-0.3, -10), (-1.0, -10), (-2.5, -10),
+                   (0.3, -18)]
+
+
+def _oracle_pairs(x_min):
+    xs = (x_min, -3, 0, 4)
+    return [(x, y) for i, x in enumerate(xs) for y in xs[i:]]
+
+
+@pytest.fixture(scope="module")
+def airy2_oracle():
+    cases = [(t, x, y) for t, x_min in _ORACLE_KERNELS for x, y in _oracle_pairs(x_min)]
+    return dict(zip(cases, _mp_airy2_oracle(cases)))
+
+
+@pytest.mark.parametrize("t,x_min", _ORACLE_KERNELS)
+def test_airy2_kernel_vs_mpmath(airy2_oracle, t, x_min):
+    k = Airy2ProcessKernel(t, x_min=x_min)
+    for x, y in _oracle_pairs(x_min):
+        # the Laplace branch subtracts a Gaussian term of up to ~10 here,
+        # so its rounding scales with that term
+        tol = 2e-15 * max(1.0, float(k.gaussian_part(x, y)))
+        assert abs(k.eval(x, y) - airy2_oracle[t, x, y]) <= tol, (x, y)
 
 
 class TestAiry1ProcessKernel:

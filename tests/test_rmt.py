@@ -38,7 +38,9 @@ def block_system_joint(process, t, s1, s2, m, scale=10.0):
     """P(A(t) <= s1, A(0) <= s2) as a fresh BlockSystem determinant,
     assembled kernel by kernel: the reference for the joint table."""
     if process == "airy2":
-        k0, kt, kmt = AiryKernel(), Airy2ProcessKernel(t), Airy2ProcessKernel(-t)
+        x_min = min(s1, s2)
+        k0, kt, kmt = (AiryKernel(), Airy2ProcessKernel(t, x_min=x_min),
+                       Airy2ProcessKernel(-t, x_min=x_min))
     else:
         k0, kt, kmt = (Airy1ProcessKernel(0.0), Airy1ProcessKernel(t),
                        Airy1ProcessKernel(-t))
@@ -171,6 +173,18 @@ class TestAiry2Joint:
         assert p.value == pytest.approx(ref.value, abs=1e-13)
         assert p.m == ref.m
         assert p.est_error == pytest.approx(ref.roundoff_bound, rel=1e-12)
+
+    def test_thresholds_below_minus_ten(self):
+        # the inner rules follow the lowest threshold; the table path
+        # against the system path, which builds its own kernels, checks
+        # the off-diagonal blocks through ||A||_F in est_error
+        p = airy2_joint(0.3, -18.0, -16.0, 30)
+        ref = block_system_joint("airy2", 0.3, -18.0, -16.0, 30)
+        assert p.value == pytest.approx(ref.value, abs=1e-13)
+        assert p.est_error == pytest.approx(ref.roundoff_bound, rel=1e-12)
+        tab = _JointTable("airy2", 0.3, 30, 10.0)
+        with pytest.raises(ValueError, match="x_min"):
+            tab.prepare([-16.0])
 
     def test_t_zero_carries_marginal_fallback(self):
         # at t = 0 the joint is the marginal F2(min(s1, s2)); at s = -9.5
