@@ -206,12 +206,13 @@ class Airy2ProcessKernel(Kernel):
 
     The inner integral is a Gauss-Legendre rule on a finite xi interval
     with weights +-w e^{-xi t}.  For t >= 0 the interval is
-    [0, 12 - x_min]: beyond it x + xi and y + xi exceed 12, so the
-    integrand is below Ai(12)^2 ~ 2e-26.  For t < 0 the defining integral
-    is oscillatory with slow algebraic decay.  For t <= -0.75 it is
-    integrated directly on [-40/|t|, 0], at whose far end the damping
-    e^{-|t| |xi|} has fallen to e^{-40} ~ 4e-18.  For -0.75 < t < 0 it is
-    rewritten via the Laplace transform of the Airy product,
+    [0, min(12 - x_min, 40/t)]: beyond 12 - x_min, x + xi and y + xi
+    exceed 12, so the integrand is below Ai(12)^2 ~ 2e-26, and beyond 40/t
+    the damping e^{-t xi} is below e^{-40} ~ 4e-18.  For t < 0 the
+    defining integral is oscillatory with slow algebraic decay.  For
+    t <= -0.75 it is integrated directly on [-40/|t|, 0], at whose far end
+    the damping e^{-|t| |xi|} has fallen to e^{-40}.  For -0.75 < t < 0 it
+    is rewritten via the Laplace transform of the Airy product,
 
         int_R e^{tau xi} Ai(x+xi) Ai(y+xi) dxi
             = exp(tau^3/12 - tau(x+y)/2 - (x-y)^2/(4 tau)) / (2 sqrt(pi tau)),
@@ -220,12 +221,25 @@ class Airy2ProcessKernel(Kernel):
     Gaussian term; the integrand left out is below
     Ai(16)^2 e^{0.75 (16 - x_min)}, 5e-31 at x_min = -10.
 
-    The rule size is doubled from ``inner_rule_size`` until two successive
-    sizes agree to ``tol`` on a fixed probe set, which includes the pair
+    The rule size n is doubled from ``inner_rule_size`` until n/2 and n
+    agree to ``tol`` on a fixed probe set, which includes the pair
     (x_min, x_min), relative to each probe value above 1; the reached
-    agreement is stored in ``achieved_tol``.
+    agreement is stored in ``achieved_tol``.  The quadrature error falls
+    exponentially in the size, so the rule kept is the smallest of n/2,
+    5n/8, 3n/4 and 7n/8 points whose probes match the n-point rule's to
+    roundoff (``_ROUNDOFF``, or ``tol`` if smaller); n itself if none does.
     If doubling reaches ``max_inner_size`` with ``achieved_tol > tol``, a
     RuntimeWarning says so.
+
+    ``basis`` leaves Ai(x + xi_k) at 0 where x + xi_k exceeds a cut X
+    (``skip_cut``).  A term of the inner sum so dropped has a factor
+    Ai(u) with u > X >= 0, where 0 < Ai(u) < e^{-(2/3) u^{3/2}}, and its
+    other factor is below max |Ai| < 0.54.  So an entry of ``eval`` or
+    ``matrix`` moves by at most 0.54 e^{-(2/3) X^{3/2}} sum_k |q_k|, with
+    q the inner weights, and X is the smallest cut that puts this below
+    the branch's truncation bound above: Ai(12)^2 for t >= 0 and
+    t <= -0.75, Ai(16)^2 e^{0.75 (16 - x_min)} in the Laplace branch.  At
+    x_min = -10 that is X ~ 20 for K_1 and K_{-1}, X ~ 25 for K_{-0.5}.
     """
 
     hermitian = True
@@ -236,8 +250,16 @@ class Airy2ProcessKernel(Kernel):
     #: Largest argument x + xi the decay and Laplace branches integrate to.
     _DECAY_END = 12.0
     _LAPLACE_END = 16.0
-    #: |t xi| at the far end of the oscillatory branch's interval.
-    _OSC_DAMPING = 40.0
+    #: |t xi| at the far end of the decay and oscillatory intervals.
+    _DAMPING = 40.0
+    #: Probe agreement, as in the doubling test, at which a smaller rule
+    #: matches the verified one to roundoff (7.2e-16).  At x_min = -10 the
+    #: n/2 rule of K_t for 0 < |t| < 1.5, ~1e-15 off in the kernel's
+    #: blocks, differs from the n-point rule by 3.9-6.4 eps, the 5n/8 rule
+    #: by 1.4-3.1 eps.
+    _ROUNDOFF = 3.25 * np.finfo(float).eps
+    #: An upper bound on |Ai| over the real line (0.5357 at x = -1.0188).
+    _AI_MAX = 0.54
 
     def __init__(self, t: float, inner_rule_size: int = 30, tol: float = 1e-12,
                  max_inner_size: int = 25600, x_min: float = -10.0):
@@ -252,30 +274,32 @@ class Airy2ProcessKernel(Kernel):
         self.x_min = min(float(x_min), -10.0)
         if self.t >= 0.0:
             self._mode = "decay"
-            self._interval = (0.0, self._DECAY_END - self.x_min)
+            end = self._DECAY_END - self.x_min
+            if self.t > 0.0:
+                end = min(end, self._DAMPING / self.t)
+            self._interval = (0.0, end)
         elif -self.t < self._LAPLACE_SWITCH:
             self._mode = "laplace"
             self._interval = (0.0, self._LAPLACE_END - self.x_min)
         else:
             self._mode = "oscillatory"
-            self._interval = (self._OSC_DAMPING / self.t, 0.0)
+            self._interval = (self._DAMPING / self.t, 0.0)
         self._probe_pairs = np.vstack([[(self.x_min, self.x_min)], self._PROBE_PAIRS])
         n = max(16, int(inner_rule_size))
-        xi, q = self._inner_rule(n)
-        probe = self._probe(xi, q)
+        rule = self._inner_rule(n)
+        probe = self._probe(*rule)
         diff = math.inf
         while n < max_inner_size:
             n *= 2
-            xi2, q2 = self._inner_rule(n)
-            probe2 = self._probe(xi2, q2)
-            # relative where a probe exceeds 1: the Laplace branch's
-            # positive-axis integral grows like its Gaussian term as x_min
-            # falls, and rounds at that scale
-            diff = float(np.max(np.abs(probe2 - probe) / np.maximum(1.0, np.abs(probe))))
-            xi, q, probe = xi2, q2, probe2
+            half, half_probe = rule, probe
+            rule = self._inner_rule(n)
+            probe = self._probe(*rule)
+            diff = _probe_diff(probe, half_probe)
             if diff <= tol:
+                rule = self._smallest_verified(n, rule, probe, half, half_probe,
+                                               min(tol, self._ROUNDOFF))
                 break
-        self._xi, self._q = xi, q
+        self._xi, self._q = rule
         self.achieved_tol = diff
         if not diff <= tol:
             warnings.warn(
@@ -283,6 +307,30 @@ class Airy2ProcessKernel(Kernel):
                 f"max_inner_size={max_inner_size} with achieved_tol="
                 f"{diff:.3g} > tol={tol:g}", RuntimeWarning, stacklevel=2)
         self.inner_size = self._xi.size
+        self.skip_cut = self._skip_cut()
+
+    def _smallest_verified(self, n, rule, probe, half, half_probe, level):
+        """The smallest rule of n/2, 5n/8, 3n/4 or 7n/8 points whose probes
+        agree with the verified n-point ``rule``'s ``probe`` to ``level``;
+        ``rule`` itself if none does.  The n/2 rule and its probes come
+        from the doubling."""
+        for k in range(4, 8):
+            cand = half if k == 4 else self._inner_rule(k * n // 8)
+            cand_probe = half_probe if k == 4 else self._probe(*cand)
+            if _probe_diff(cand_probe, probe) <= level:
+                return cand
+        return rule
+
+    def _skip_cut(self) -> float:
+        """The smallest X >= 0 with 0.54 e^{-(2/3) X^{3/2}} sum_k |q_k|
+        below the branch's truncation bound (see the class docstring)."""
+        if self._mode == "laplace":
+            log_bound = (2.0 * math.log(airy_ai(self._LAPLACE_END))
+                         + self._LAPLACE_SWITCH * (self._LAPLACE_END - self.x_min))
+        else:
+            log_bound = 2.0 * math.log(airy_ai(self._DECAY_END))
+        excess = math.log(self._AI_MAX * float(np.sum(np.abs(self._q)))) - log_bound
+        return (1.5 * max(excess, 0.0)) ** (2.0 / 3.0)
 
     def _inner_rule(self, n: int):
         rule = gauss_legendre(*self._interval, n)
@@ -303,15 +351,20 @@ class Airy2ProcessKernel(Kernel):
         return np.sum(ax * ay * q[None, :], axis=1)
 
     def basis(self, xs) -> np.ndarray:
-        """Ai(xs[i] + xi_k) on the inner nodes; callers may cache this and
-        form cross matrices as ``(basis(x) * weights) @ basis(y).T``.
-        Raises ValueError for arguments below ``x_min``."""
+        """Ai(xs[i] + xi_k) on the inner nodes, 0 where xs[i] + xi_k is
+        above ``skip_cut``; callers may cache this and form cross matrices
+        as ``(basis(x) * weights) @ basis(y).T``.  Raises ValueError for
+        arguments below ``x_min``."""
         xs = np.asarray(xs, dtype=float)
         if xs.size and np.min(xs) < self.x_min:
             raise ValueError(
                 f"Airy2ProcessKernel(t={self.t:g}) is built for arguments >= "
                 f"x_min={self.x_min:g}, got {np.min(xs):g}")
-        return airy_ai(xs[:, None] + self._xi[None, :])
+        arg = xs[:, None] + self._xi[None, :]
+        keep = arg <= self.skip_cut
+        out = np.zeros(arg.shape)
+        out[keep] = airy_ai(arg[keep])
+        return out
 
     @property
     def inner_weights(self) -> np.ndarray:
@@ -353,6 +406,13 @@ class Airy2ProcessKernel(Kernel):
         if self._mode == "laplace":
             out -= self.gaussian_part(xs[:, None], ys[None, :])
         return out
+
+
+def _probe_diff(probe, ref):
+    """Largest probe difference, relative where a reference probe exceeds 1:
+    the Laplace branch's positive-axis integral grows like its Gaussian
+    term as x_min falls, and rounds at that scale."""
+    return float(np.max(np.abs(probe - ref) / np.maximum(1.0, np.abs(ref))))
 
 
 class Airy1ProcessKernel(Kernel):

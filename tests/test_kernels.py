@@ -12,6 +12,8 @@ from fredet.kernels import (Airy1ProcessKernel, Airy2ProcessKernel, AiryKernel,
                             airy2_process_kernel, make_kernel,
                             transform_to_unit)
 from fredet import kernels as kernels_module
+from fredet.quadrature import gauss_legendre
+from fredet.rmt import _COV_LEVELS, DEFAULT_BOX, _tan_map
 from fredet.specfun import airy_ai, airy_ai_prime
 
 
@@ -202,8 +204,10 @@ class TestAiry2ProcessKernel:
 
     def test_inner_sizes_of_a_joint_pair(self):
         # K_1 (decay branch) and K_{-1} (oscillatory branch), as one
-        # covariance at t = 1 builds them
-        assert Airy2ProcessKernel(1.0).inner_size + Airy2ProcessKernel(-1.0).inner_size <= 400
+        # covariance at t = 1 builds them: doubling verifies 120 and 240
+        # nodes, and 75 and 150 already match those to roundoff
+        assert Airy2ProcessKernel(1.0).inner_size <= 80
+        assert Airy2ProcessKernel(-1.0).inner_size <= 160
 
     @pytest.mark.parametrize("t", [-0.5, -0.7])
     def test_laplace_branch_converges_at_low_x_min(self, t):
@@ -226,6 +230,54 @@ class TestAiry2ProcessKernel:
             k.eval(-12.5, 0.0)
         # the domain always reaches down to -10
         assert Airy2ProcessKernel(t, x_min=-3.0).x_min == -10.0
+
+    #: inner sizes at x_min = -10 when the finer rule of the agreeing pair
+    #: was kept; the smallest verified rule is never larger
+    _DOUBLING_SIZES = {0.05: 120, 0.1: 120, 0.3: 120, 0.5: 120, 1.0: 120, 2.5: 120,
+                       10.0: 120, 50.0: 240, -0.05: 120, -0.1: 120, -0.3: 120,
+                       -0.5: 120, -0.75: 480, -1.0: 240, -2.5: 120, -10.0: 60,
+                       -50.0: 60}
+
+    @pytest.mark.parametrize("t", sorted(_DOUBLING_SIZES))
+    def test_sizes_not_above_doubling(self, t):
+        k = Airy2ProcessKernel(t)
+        assert k.inner_size <= self._DOUBLING_SIZES[t]
+        assert k.achieved_tol <= 1e-12
+
+    @pytest.mark.parametrize("t", [100.0, 1000.0])
+    def test_large_t_interval_ends_at_damping(self, t):
+        # past xi = 40/t the damping e^{-t xi} is below e^{-40}; the
+        # interval [0, 22] took 240 and 960 nodes here
+        k = Airy2ProcessKernel(t)
+        assert k.inner_size <= 60
+        for x, y in [(-10.0, -10.0), (-10.0, 5.0), (-3.0, 0.0), (0.0, 0.0), (4.0, 4.0)]:
+            ref, _ = quad(lambda xi: math.exp(-t * xi) * airy_ai(x + xi) * airy_ai(y + xi),
+                          0.0, 60.0 / t, epsabs=1e-22, epsrel=1e-13, limit=200)
+            assert k.eval(x, y) == pytest.approx(ref, rel=1e-13, abs=1e-300), (x, y)
+
+    @pytest.mark.parametrize("t,x_min", [(1.0, -10.0), (-1.0, -10.0), (-0.5, -10.0),
+                                         (-0.5, -18.0)])
+    def test_basis_skip_within_bound(self, t, x_min):
+        # decay, oscillatory and Laplace branches, and the Laplace branch
+        # at a lowered domain, where its weights reach e^{0.5 * 34}
+        k = Airy2ProcessKernel(t, x_min=x_min)
+        xs = np.concatenate([np.linspace(x_min, 40.0, 181), [200.0]])
+        arg = xs[:, None] + k._xi[None, :]
+        full = airy_ai(arg)
+        basis = k.basis(xs)
+        skipped = arg > k.skip_cut
+        assert 15.0 < k.skip_cut < 30.0 and np.any(skipped & (full != 0.0))
+        assert np.array_equal(basis[~skipped], full[~skipped])
+        assert not np.any(basis[skipped])
+        q = k.inner_weights
+        unskipped = (full * q) @ full.T - k.gaussian_part(xs[:, None], xs[None, :])
+        bound = 0.54 * math.exp(-2.0 / 3.0 * k.skip_cut ** 1.5) * np.sum(np.abs(q))
+        trunc = (airy_ai(16.0) ** 2 * math.exp(0.75 * (16.0 - x_min)) if -0.75 < t < 0
+                 else airy_ai(12.0) ** 2)
+        assert bound <= trunc * (1 + 1e-12)
+        # in exact arithmetic each entry moves by at most the bound; terms
+        # that small do not change the rounding of any larger entry
+        assert np.max(np.abs(k.matrix(xs, xs) - unskipped)) <= bound
 
 
 def _mp_airy2_oracle(cases):
@@ -295,6 +347,53 @@ def test_airy2_kernel_vs_mpmath(airy2_oracle, t, x_min):
         # so its rounding scales with that term
         tol = 2e-15 * max(1.0, float(k.gaussian_part(x, y)))
         assert abs(k.eval(x, y) - airy2_oracle[t, x, y]) <= tol, (x, y)
+
+
+def _fine_rule_matrix(k, xs, panels=100):
+    """K_t of ``k`` on xs x xs from a composite rule of ``panels`` 32-point
+    Gauss-Legendre panels on the branch's full interval, [0, 12 - x_min],
+    [0, 16 - x_min] (Laplace identity) or [-40/|t|, 0], with every
+    Ai(x + xi) evaluated.  Short panels keep the weights accurate: the
+    rule is ~5e-17 from 30-digit mpmath on K_1(x, x) at x ~ -1, where a
+    3200-point rule in one piece is 9e-16 off."""
+    t = k.t
+    if t >= 0.0:
+        a, b, sign = 0.0, 12.0 - k.x_min, 1.0
+    elif t > -0.75:
+        a, b, sign = 0.0, 16.0 - k.x_min, 1.0
+    else:
+        a, b, sign = 40.0 / t, 0.0, -1.0
+    unit = gauss_legendre(0.0, 1.0, 32)
+    h = (b - a) / panels
+    nodes = (a + h * (np.arange(panels)[:, None] + unit.nodes[None, :])).ravel()
+    weights = sign * h * np.tile(unit.weights, panels) * np.exp(-t * nodes)
+    basis = airy_ai(xs[:, None] + nodes[None, :])
+    return (basis * weights) @ basis.T - k.gaussian_part(xs[:, None], xs[None, :])
+
+
+#: (t, x_min, bound): the decay and oscillatory kernels of a covariance at
+#: t = 1, and the Laplace branch, whose blocks carry the rounding of its
+#: Gaussian term: 1.5x the error of the doubling's finer rule, 1.97e-14 at
+#: x_min = -10 and 2.35e-12 at -18
+_BLOCK_CASES = [(1.0, -10.0, 3e-15), (-1.0, -10.0, 3e-15), (-0.5, -10.0, 2.95e-14),
+                (-0.5, -18.0, 3.5e-12)]
+
+
+@pytest.mark.parametrize("t,x_min,bound", _BLOCK_CASES)
+def test_ladder_blocks_vs_fine_rule(t, x_min, bound):
+    # the Nystrom blocks r_i r_j K(x_i, x_j) of every covariance level,
+    # between the lowest, the middle and the highest outer threshold
+    k = Airy2ProcessKernel(t, x_min=x_min)
+    worst = 0.0
+    for m, n_outer in _COV_LEVELS["airy2"]:
+        svals = gauss_legendre(x_min, DEFAULT_BOX[1], n_outer).nodes
+        svals = svals[[0, n_outer // 2, n_outer - 1]]
+        offsets, rr = _tan_map(m, 10.0)
+        xs = (svals[:, None] + offsets[None, :]).ravel()
+        r = np.tile(np.sqrt(np.diag(rr)), svals.size)
+        err = np.abs(k.matrix(xs, xs) - _fine_rule_matrix(k, xs))
+        worst = max(worst, float(np.max(r[:, None] * r[None, :] * err)))
+    assert worst <= bound
 
 
 class TestAiry1ProcessKernel:
