@@ -76,10 +76,11 @@ class Kernel:
         return self.eval(x, x)
 
     def matrix(self, xs, ys) -> np.ndarray:
-        """Cross matrix ``K(xs[i], ys[j])``."""
+        """Cross matrix ``K(xs[..., i], ys[..., j])``, stacked over the
+        leading axes of xs and ys."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        return np.asarray(self.eval(xs[:, None], ys[None, :]), dtype=float)
+        return np.asarray(self.eval(xs[..., :, None], ys[..., None, :]), dtype=float)
 
 
 class SineKernel(Kernel):
@@ -172,6 +173,10 @@ class AiryKernel(Kernel):
         return aip * aip - x * ai * ai
 
     def matrix(self, xs, ys) -> np.ndarray:
+        """Cross matrix, stacked as ``Kernel.matrix`` is.  Entries with
+        x == y are the diagonal value D(x), from the Ai and Ai' values
+        already held (the expansion gives the same bits there); only the
+        other pairs closer than the split are expanded about their centre."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         ax, apx = airy_ai(xs), airy_ai_prime(xs)
@@ -180,16 +185,23 @@ class AiryKernel(Kernel):
             ay, apy = ax, apx
         else:
             ay, apy = airy_ai(ys), airy_ai_prime(ys)
-        d = xs[:, None] - ys[None, :]
+        x, y = xs[..., :, None], ys[..., None, :]
+        d = x - y
         small = np.abs(d) < _DIAG_SPLIT
         d_safe = np.where(small, 1.0, d)
-        out = (ax[:, None] * apy[None, :] - ay[None, :] * apx[:, None]) / d_safe
+        out = (ax[..., :, None] * apy[..., None, :]
+               - ay[..., None, :] * apx[..., :, None]) / d_safe
         if np.any(small):
-            ii, jj = np.nonzero(small)
-            c = 0.5 * (xs[ii] + ys[jj])
-            h = 0.5 * d[ii, jj]
-            dval, eval_ = self._diag_pair(c)
-            out[ii, jj] = dval - h * h * eval_
+            exact = d == 0.0
+            diag = (apx * apx - xs * ax * ax)[..., :, None]
+            out[exact] = np.broadcast_to(diag, d.shape)[exact]
+            near = small & ~exact
+            if np.any(near):
+                c = 0.5 * (np.broadcast_to(x, d.shape)[near]
+                           + np.broadcast_to(y, d.shape)[near])
+                h = 0.5 * d[near]
+                dval, eval_ = self._diag_pair(c)
+                out[near] = dval - h * h * eval_
         return out
 
 

@@ -17,7 +17,9 @@
             ds1 ds2
 
   over a truncated box, with all probabilities evaluated by determinants
-  at outer Gauss-Legendre nodes and refinement until two levels agree.
+  at outer Gauss-Legendre nodes and refinement until two levels agree;
+  thresholds whose joints a Frechet bound puts below a level's roundoff
+  floor are left out of it (``_tail_drop``).
 * ``tw_moments`` -- mean and variance of F2 by partially-integrated moment
   formulas (no numerical differentiation of F2).
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,6 +116,13 @@ def _det_point(parameter: float, res) -> DistributionPoint:
 # E2 and F2
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _unit_rule(m: int):
+    """The m-point Gauss-Legendre rule on (0, 1), built and validated once
+    per m: every tan-mapped determinant uses it, whatever its threshold."""
+    return gauss_legendre(0.0, 1.0, m)
+
+
 def e2_gap(s: float, m: int) -> DistributionPoint:
     """Gap probability E2(0; s): sine-kernel determinant at z = -1 on (0, s)."""
     if s < 0.0:
@@ -136,8 +146,7 @@ def f2_tw(s: float, m: int, route: str = "transform", scale: float = 10.0,
     """
     if route == "transform":
         kernel = TransformedKernel(AiryKernel(), s, scale=scale)
-        rule = gauss_legendre(0.0, 1.0, m)
-        res = fredholm_det(NystromProblem(kernel, (0.0, 1.0), -1.0, rule))
+        res = fredholm_det(NystromProblem(kernel, (0.0, 1.0), -1.0, _unit_rule(m)))
     elif route == "truncate":
         if T is None:
             raise ValueError("route='truncate' requires a truncation point T")
@@ -156,7 +165,7 @@ def truncation_bound(s: float, T: float, m: int = 80) -> float:
     if T <= s:
         raise ValueError(f"need T > s, got T={T}, s={s}")
     kernel = TransformedKernel(AiryKernel(), T)
-    rule = gauss_legendre(0.0, 1.0, m)
+    rule = _unit_rule(m)
     km = kernel.matrix(rule.nodes, rule.nodes)
     w = rule.weights
     val = float(w @ (km * km) @ w)
@@ -179,18 +188,32 @@ def _process_kernels(process: str, t: float, inner_tol: float,
     raise ValueError(f"unknown process {process!r} (expected 'airy2' or 'airy1')")
 
 
+#: Kernel entries or Ai points per evaluation call when a level builds its
+#: per-threshold data (``_eye_minus_a0``, ``_JointTable.prepare``).  One
+#: call per threshold pays per-call overhead, one per grid raises peak
+#: memory: on cov-airy2, 16k points put peak RSS ~0.3 MB above
+#: per-threshold calls and 8k ~0.1 MB below; whole-grid I - A_0 for
+#: Airy(1) took cov-airy1 1.7 MB above.
+_EVAL_CHUNK = 1 << 13
+
+
+@lru_cache(maxsize=64)
 def _tan_map(m: int, scale: float):
     """The map phi_s(xi) = s + scale*tan(pi xi/2) at the m-point
     Gauss-Legendre nodes xi on (0, 1): the offsets phi_s(xi) - s, and the
     outer product rr of r = sqrt(w phi'(xi)), so that
     rr * K(s1 + offsets, s2 + offsets) is the Nystrom block of K on
-    (s1, inf) x (s2, inf)."""
-    rule = gauss_legendre(0.0, 1.0, m)
+    (s1, inf) x (s2, inf).  Built once per (m, scale), never per s; the
+    arrays are read-only."""
+    rule = _unit_rule(m)
     xi = rule.nodes
     offsets = scale * np.tan(0.5 * np.pi * xi)
     dphi = scale * (0.5 * np.pi) / np.cos(0.5 * np.pi * xi) ** 2
     r = np.sqrt(rule.weights * dphi)
-    return offsets, np.outer(r, r)
+    rr = np.outer(r, r)
+    offsets.setflags(write=False)
+    rr.setflags(write=False)
+    return offsets, rr
 
 
 def _eye_minus_a0(process: str, svals, offsets, rr) -> np.ndarray:
@@ -198,30 +221,37 @@ def _eye_minus_a0(process: str, svals, offsets, rr) -> np.ndarray:
     ``offsets`` and ``rr`` from ``_tan_map``: the diagonal blocks of every
     joint system and the matrices of the marginals.  A_0 is K_0 on
     (s, inf); K_0 is the Airy kernel itself for Airy(2) (its closed
-    factorized form, no inner quadrature) and Ai(x + y) for Airy(1)."""
+    factorized form, no inner quadrature) and Ai(x + y) for Airy(1).  Each
+    stacked kernel-matrix call covers as many thresholds as fit in
+    ``_EVAL_CHUNK`` entries."""
     k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
+    x = np.asarray(svals, dtype=float)[:, None] + offsets
     m = offsets.size
-    out = np.empty((len(svals), m, m))
-    for k, s in enumerate(svals):
-        x = s + offsets
-        out[k] = np.eye(m) - rr * k0.matrix(x, x)
+    out = np.empty((x.shape[0], m, m))
+    step = max(1, _EVAL_CHUNK // (m * m))
+    for lo in range(0, x.shape[0], step):
+        xc = x[lo:lo + step]
+        out[lo:lo + step] = np.eye(m) - rr * k0.matrix(xc, xc)
     return out
 
 
-def _marginal_point(s: float, block) -> DistributionPoint:
-    """P(A(0) <= s) = det(I - A_0) from the block of ``_eye_minus_a0`` at s:
-    Cholesky, or LU flagged suspect where Cholesky fails, with the
-    roundoff bound sqrt(m) ||A_0||_F 8u of ``fredholm_det``."""
-    m = block.shape[0]
-    value, method = _det_auto(block, hermitian=True)
-    bound = roundoff_bound(np.eye(m) - block, DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF)
-    return _point(s, value, m, bound, fallback=method == "cholesky->lu")
+def _marginal_points(process: str, svals, m: int, scale: float) -> list:
+    """P(A(0) <= s) = det(I - A_0) at each threshold s of ``svals``, from
+    the stacked blocks of ``_eye_minus_a0``: Cholesky, or LU flagged suspect where
+    Cholesky fails, with the roundoff bound sqrt(m) ||A_0||_F 8u of
+    ``fredholm_det``."""
+    points = []
+    for s, block in zip(svals, _eye_minus_a0(process, svals, *_tan_map(m, scale))):
+        value, method = _det_auto(block, hermitian=True)
+        bound = roundoff_bound(np.eye(m) - block, DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF)
+        points.append(_point(s, value, m, bound, fallback=method == "cholesky->lu"))
+    return points
 
 
 def _marginal(process: str, s: float, m: int, scale: float = 10.0) -> float:
     """P(A(t) <= s) for the stationary process: the one-operator determinant
     with the K_0 kernel on (s, inf)."""
-    return _marginal_point(s, _eye_minus_a0(process, [s], *_tan_map(m, scale))[0]).value
+    return _marginal_points(process, [s], m, scale)[0].value
 
 
 def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
@@ -233,7 +263,7 @@ def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
         # system is bypassed here.  The marginal's roundoff bound and
         # Cholesky-to-LU flag carry over.
         s = min(s1, s2)
-        point = _marginal_point(s, _eye_minus_a0(process, [s], *_tan_map(m, scale))[0])
+        point = _marginal_points(process, [s], m, scale)[0]
         return replace(point, parameter=0.0, m=2 * m)
     kernels = _process_kernels(process, t, inner_tol, min(s1, s2))
     return _JointTable(process, t, m, scale, kernels=kernels).joint(s1, s2)
@@ -331,8 +361,7 @@ def _cov_zero(process: str, m: int, n_outer: int, box: tuple[float, float],
     """
     low, up = box
     outer = gauss_legendre(low, up, n_outer)
-    blocks = _eye_minus_a0(process, outer.nodes, *_tan_map(m, scale))
-    f = np.array([_marginal_point(s, b).value for s, b in zip(outer.nodes, blocks)])
+    f = np.array([p.value for p in _marginal_points(process, outer.nodes, m, scale)])
     g = _legendre_cumulative(outer) @ f
     return 2.0 * float(outer.weights @ ((1.0 - f) * g))
 
@@ -344,10 +373,13 @@ class _JointTable:
 
     ``prepare`` caches per threshold s the transformed nodes, the diagonal
     block I - A_0 (``_eye_minus_a0``) and, for the Airy(2) process, the
-    inner-rule Airy bases of K_t and K_{-t}, each in one preallocated array.
-    ``row`` then forms the off-diagonal blocks of the pairs (s_i, s_j),
-    j >= i, with one matrix product per kernel (Airy(2)) or one shared Airy
-    evaluation (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), balances
+    inner-rule Airy bases of K_t and K_{-t}, each in one array filled by
+    ``basis`` calls of at most ``_EVAL_CHUNK`` points.  A covariance level
+    prepares only the thresholds ``_tail_drop`` keeps.  ``row`` then forms
+    the off-diagonal
+    blocks of the pairs (s_i, s_j), j >= i, with one matrix product per
+    kernel (Airy(2)) or one shared Airy evaluation (Airy(1),
+    ``Airy1ProcessKernel.shifted_pairs``), balances
     each system as ``_balance_blocks`` does, and takes the determinants in
     stacked LAPACK calls of at most ``CHUNK`` systems, which bounds the
     memory of a row.  ``grid`` mirrors the rows by time reversal,
@@ -371,16 +403,22 @@ class _JointTable:
         """Cache the per-threshold data of the grid ``svals``, replacing
         any earlier grid."""
         svals = np.asarray(svals, dtype=float)
-        n, m = svals.size, self.m
         self._s = svals
         self._x = svals[:, None] + self._off[None, :]
         self.eye_minus_a0 = _eye_minus_a0(self.process, svals, self._off, self._rr)
         if self.process == "airy2":
-            self._bt = np.empty((n, m, self.kt.inner_size))
-            self._bmt = np.empty((n, m, self.kmt.inner_size))
-            for k, x in enumerate(self._x):
-                self._bt[k] = self.kt.basis(x)
-                self._bmt[k] = self.kmt.basis(x)
+            self._bt = self._bases(self.kt)
+            self._bmt = self._bases(self.kmt)
+
+    def _bases(self, kernel) -> np.ndarray:
+        """``kernel.basis`` at every prepared node, stacked
+        (n, m, inner size), in calls of at most ``_EVAL_CHUNK`` points."""
+        x = self._x.ravel()
+        rows = max(1, _EVAL_CHUNK // kernel.inner_size)
+        out = np.empty((x.size, kernel.inner_size))
+        for lo in range(0, x.size, rows):
+            out[lo:lo + rows] = kernel.basis(x[lo:lo + rows])
+        return out.reshape(*self._x.shape, kernel.inner_size)
 
     def row(self, i: int) -> np.ndarray:
         """Joints at the prepared thresholds (s_i, s_j) for j >= i."""
@@ -436,18 +474,48 @@ class _JointTable:
         return _point(self.t, det_lu(system), 2 * self.m, bound)
 
 
+def _tail_drop(marg, bounds, weights):
+    """The outer thresholds a covariance level integrates over, and the
+    bound B on what leaving out the others moves the level by.
+
+    For any joint law the Frechet bounds max(0, F_i + F_j - 1) <= P_ij <=
+    min(F_i, F_j) give |P_ij - F_i F_j| <= min(g_i, g_j), with
+    g_i = min(|F_i|, |1 - F_i|) + e_i covering the roundoff bound e_i of
+    the computed marginal F_i.  A threshold set D left out of the box sum
+    sum_ij w_i w_j (P_ij - F_i F_j) therefore moves it by at most
+    B = 2 (sum_j w_j) sum_{i in D} w_i g_i.  The thresholds with the
+    smallest g_i go as long as B stays at most the level's own roundoff
+    floor (sum_j w_j)^2 max_i e_i.  Returns (keep mask, B).
+
+    The bound holds for the exact joints; a level too coarse to resolve
+    the dropped ones also loses their discretization error (see
+    ``cov_airy2``)."""
+    g = np.minimum(np.abs(marg), np.abs(1.0 - marg)) + bounds
+    total = float(np.sum(weights))
+    order = np.argsort(g, kind="stable")
+    cost = 2.0 * total * np.cumsum(weights[order] * g[order])
+    floor = total * total * float(np.max(bounds))
+    n_drop = int(np.searchsorted(cost, floor, side="right"))
+    keep = np.ones(marg.size, dtype=bool)
+    keep[order[:n_drop]] = False
+    return keep, float(cost[n_drop - 1]) if n_drop else 0.0
+
+
 def _cov_positive(process: str, t: float, m: int, n_outer: int,
                   box: tuple[float, float], scale: float, kernels) -> float:
-    """Covariance at t > 0 from the joint table on the outer grid, with
-    the marginals taken from the table's own I - A_0 blocks."""
+    """Covariance at t > 0 from the joint table on the outer grid.  The
+    marginals come first, from stacked I - A_0 blocks; the thresholds whose
+    exact joints a Frechet bound puts below the level's roundoff floor are
+    left out (``_tail_drop``), and the table is prepared on the others."""
     low, up = box
     outer = gauss_legendre(low, up, n_outer)
-    svals = outer.nodes
+    points = _marginal_points(process, outer.nodes, m, scale)
+    marg = np.array([p.value for p in points])
+    keep, _ = _tail_drop(marg, np.array([p.est_error for p in points]), outer.weights)
     table = _JointTable(process, t, m, scale, kernels=kernels)
-    table.prepare(svals)
-    marg = np.array([_marginal_point(s, b).value for s, b in zip(svals, table.eye_minus_a0)])
-    integrand = table.grid() - np.outer(marg, marg)
-    return float(outer.weights @ integrand @ outer.weights)
+    table.prepare(outer.nodes[keep])
+    w, f = outer.weights[keep], marg[keep]
+    return float(w @ (table.grid() - np.outer(f, f)) @ w)
 
 
 #: (block dimension m, outer nodes) per refinement level, by process.  The
@@ -504,12 +572,19 @@ def cov_airy2(t: float, accuracy: float = 1e-8,
     Refines (block dimension m, outer rule size n_outer) along
     ``_COV_LEVELS["airy2"]``, from (20, 32) to (48, 88), until two
     successive levels agree to ``accuracy``, and returns the finer of the
-    two.  With ``full_output=True`` returns (value, two-level agreement,
-    levels used); the agreement is sized to the request (about 1e-9 at
-    accuracy 1e-8), not to roundoff.  If even the two finest levels
-    disagree by more than ``accuracy``, the finest value is returned and a
-    RuntimeWarning names t, ``accuracy``, the agreement and the finest
-    level.
+    two.  At t > 0 a level leaves out the outer thresholds with the
+    smallest g_i = min(F_i, 1 - F_i) + e_i (marginal F_i, roundoff bound
+    e_i) while B = 2 (sum w) sum_dropped w_i g_i stays at most the level's
+    roundoff floor (sum w)^2 max e_i (``_tail_drop``).  B bounds the exact
+    joints left out, so a level that resolves them moves by at most B; a
+    coarser level (small t, first rungs) moves by their discretization
+    error, which in the cases measured stayed below its own distance to
+    the converged value.  With ``full_output=True`` returns (value,
+    two-level agreement, levels used); the agreement is sized to the
+    request (about 1e-9 at accuracy 1e-8), not to roundoff.  If even the
+    two finest levels disagree by more than ``accuracy``, the finest value
+    is returned and a RuntimeWarning names t, ``accuracy``, the agreement
+    and the finest level.
     """
     return _cov_process("airy2", t, accuracy, box, scale, full_output)
 
@@ -519,7 +594,7 @@ def cov_airy1(t: float, accuracy: float = 1e-8,
               full_output: bool = False):
     """Two-point correlation cov(A_1(t), A_1(0)) of the Airy(1) process;
     refined as ``cov_airy2`` is, along ``_COV_LEVELS["airy1"]``, from
-    (24, 38) to (48, 88)."""
+    (24, 38) to (48, 88), with the same tail-threshold drop and bound B."""
     return _cov_process("airy1", t, accuracy, box, scale, full_output)
 
 

@@ -114,9 +114,23 @@ class TestAiryKernel:
         monkeypatch.setattr(kernels_module, "airy_ai", counting)
         one = self.k.matrix(xs, xs.copy())
         assert np.array_equal(one, two)
-        # xs once, plus the centres of the near-diagonal pairs
-        assert points[0] == xs.size and sum(points[1:]) == np.sum(
-            np.abs(xs[:, None] - xs[None, :]) < 1e-4)
+        # xs once, plus the centres of the off-diagonal pairs closer than
+        # the split (2 and 2 + 1e-6, both ways): the exact diagonal takes
+        # the values already held
+        d = np.abs(xs[:, None] - xs[None, :])
+        assert points[0] == xs.size and sum(points[1:]) == np.sum((d < 1e-4) & (d > 0)) == 2
+
+    def test_exact_diagonal_equals_expansion_bitwise(self):
+        # the exact-diagonal entries are the expansion's value at h = 0
+        xs = np.linspace(-14.0, 30.0, 45)
+        dval, e = AiryKernel._diag_pair(xs)
+        assert np.array_equal(np.diag(self.k.matrix(xs, xs)), dval - 0.0 * e)
+
+    def test_stacked_matrix_equals_per_slice_bitwise(self):
+        xs = np.random.default_rng(5).uniform(-10.0, 8.0, size=(4, 9))
+        xs[1, 3] = xs[1, 4] + 3e-5  # one near-diagonal pair in one slice
+        stacked = self.k.matrix(xs, xs)
+        assert np.array_equal(stacked, np.array([self.k.matrix(x, x) for x in xs]))
 
 
 class TestHermitianSymmetry:

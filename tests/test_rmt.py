@@ -123,6 +123,23 @@ class TestF2:
             assert d1 <= d0 / 2.0
 
 
+class TestUnitRuleCache:
+    def test_rule_and_tan_map_built_once(self, monkeypatch):
+        # the (0, 1) rule and the tan map depend on (m, scale) only, so
+        # further thresholds build and validate no rule
+        m = 37
+        f2_tw(-2.0, m)
+        offsets, rr = rmt._tan_map(m, 10.0)
+        built = []
+        monkeypatch.setattr(rmt, "gauss_legendre",
+                            lambda *args: built.append(args) or gauss_legendre(*args))
+        for s in (-3.0, 0.5):
+            f2_tw(s, m)
+            truncation_bound(s, s + 4.0, m=m)
+        assert rmt._tan_map(m, 10.0)[0] is offsets and not built
+        assert not offsets.flags.writeable and not rr.flags.writeable
+
+
 class TestTruncationBound:
     def test_monotone_in_T(self):
         b1 = truncation_bound(-2.0, 6.0)
@@ -330,6 +347,137 @@ class TestJointTableRows:
             row = tab.row(i)
             ref = [block_system_joint(process, t, s[i], s2, 20).value for s2 in s[i:]]
             assert np.max(np.abs(row - ref)) <= 1e-13
+
+
+    @pytest.mark.parametrize("process", ["airy2", "airy1"])
+    def test_batched_blocks_equal_per_threshold(self, process, monkeypatch):
+        # stacked kernel-matrix calls for I - A_0 and chunked bases give
+        # the bits of the per-threshold evaluations
+        m = 16
+        s = gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes
+        tab = _JointTable(process, 0.7, m, 10.0)
+        # 2 of the 11 thresholds a matrix call, 9 of the 176 rows a basis
+        # call (K_t and K_{-t} take 75 nodes), the last call of each ragged
+        monkeypatch.setattr(rmt, "_EVAL_CHUNK", 700)
+        tab.prepare(s)
+        k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
+        offsets, rr = rmt._tan_map(m, 10.0)
+        for k, sk in enumerate(s):
+            x = sk + offsets
+            assert np.array_equal(tab.eye_minus_a0[k], np.eye(m) - rr * k0.matrix(x, x))
+            if process == "airy2":
+                assert np.array_equal(tab._bt[k], tab.kt.basis(x))
+                assert np.array_equal(tab._bmt[k], tab.kmt.basis(x))
+
+    def test_prepare_calls_basis_in_chunks(self, monkeypatch):
+        # O(n m n_inner / chunk) calls of at most one chunk of 8k points:
+        # not one call per threshold (slow) nor one per grid (peak memory)
+        tab = _JointTable("airy2", 1.0, 24, 10.0)
+        sizes = []
+        basis = Airy2ProcessKernel.basis
+
+        def counting(kernel, xs):
+            sizes.append(np.size(xs) * kernel.inner_size)
+            return basis(kernel, xs)
+
+        monkeypatch.setattr(Airy2ProcessKernel, "basis", counting)
+        n, m = 38, 24
+        tab.prepare(gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
+        points = n * m * (tab.kt.inner_size + tab.kmt.inner_size)
+        assert rmt._EVAL_CHUNK <= 1 << 13 and max(sizes) <= rmt._EVAL_CHUNK
+        assert len(sizes) <= points / rmt._EVAL_CHUNK + 4 < n
+
+
+def full_level(process, t, m, n_outer, box, kernels):
+    """Every joint of a covariance level's outer grid, its roundoff bound
+    sqrt(2m) ||A||_F 8u, and the marginals with theirs."""
+    outer = gauss_legendre(*box, n_outer)
+    tab = _JointTable(process, t, m, 10.0, kernels=kernels)
+    tab.prepare(outer.nodes)
+    points = rmt._marginal_points(process, outer.nodes, m, 10.0)
+    n = n_outer
+    joint, est = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        systems = tab._systems(i, i, n)
+        joint[i, i:] = rmt.det_lu(systems)
+        est[i, i:] = (np.sqrt(2 * m) * 8 * rmt.UNIT_ROUNDOFF
+                      * np.linalg.norm(np.eye(2 * m) - systems, axis=(1, 2)))
+    return (outer, joint + np.triu(joint, 1).T, est + np.triu(est, 1).T,
+            np.array([p.value for p in points]), np.array([p.est_error for p in points]))
+
+
+@pytest.fixture(scope="module")
+def cov_kernels():
+    cache = {}
+
+    def get(process, t):
+        if (process, t) not in cache:
+            box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
+            cache[process, t] = rmt._process_kernels(process, t, 1e-12, box[0])
+        return cache[process, t]
+    return get
+
+
+class TestTailDrop:
+    """``_tail_drop``: thresholds whose joints the Frechet bounds put below
+    the roundoff floor of a covariance level are left out of it."""
+
+    def test_drops_smallest_bounds_first(self):
+        marg = np.array([0.0, 0.3, 0.5, 1.0, 5e-16, 0.9])
+        bounds = np.full(6, 1e-15)
+        weights = np.ones(6)
+        keep, b = rmt._tail_drop(marg, bounds, weights)
+        # g = 1e-15 at both ends: B = 2 * 6 * 2e-15 is under the floor
+        # 6^2 * 1e-15, and the next smallest g, 1.5e-15, would take B over
+        assert keep.tolist() == [False, True, True, False, True, True]
+        assert b == pytest.approx(2.4e-14, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("process,t,level", [
+        ("airy2", 1.0, 1), ("airy2", 2.5, 0), ("airy2", 2.5, 1),
+        ("airy1", 2.5, 0), ("airy1", 2.5, 1),
+    ])
+    def test_bound_holds_on_full_grids(self, process, t, level, cov_kernels):
+        # on grids that resolve their joints, every computed pair obeys the
+        # Frechet bound up to its roundoff bound, and leaving out the
+        # dropped thresholds moves the level by at most B
+        m, n = rmt._COV_LEVELS[process][level]
+        box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
+        kernels = cov_kernels(process, t)
+        outer, joint, est, f, e = full_level(process, t, m, n, box, kernels)
+        g = np.minimum(np.abs(f), np.abs(1.0 - f)) + e
+        assert np.all(np.abs(joint - np.outer(f, f)) <= np.minimum.outer(g, g) + est)
+        keep, b = rmt._tail_drop(f, e, outer.weights)
+        assert 0 < np.sum(~keep) < n // 2
+        assert b <= (box[1] - box[0]) ** 2 * np.max(e)
+        w = outer.weights
+        full = float(w @ (joint - np.outer(f, f)) @ w)
+        assert abs(rmt._cov_positive(process, t, m, n, box, 10.0, kernels) - full) <= b
+
+    @pytest.mark.parametrize("process,t,level,ref", [
+        # ref: _cov_positive at (m, n_outer) = (38, 64) without the drop
+        ("airy2", 0.25, 0, 0.6120732876703573),
+        ("airy2", 0.25, 1, 0.6120732876703573),
+        ("airy2", 1.0, 0, 0.30326251452740216),
+        ("airy1", 0.5, 0, 0.08441917402936823),
+        ("airy1", 0.5, 1, 0.08441917402936823),
+    ])
+    def test_coarse_levels_move_within_their_error(self, process, t, level, ref,
+                                                   cov_kernels):
+        # a level too coarse for the joints at the dropped thresholds
+        # (small t, first levels: the Frechet bound fails there by up to
+        # 7.6e-7) loses their discretization error with them, so it moves
+        # by more than B, but by less than its own distance to a converged
+        # value
+        m, n = rmt._COV_LEVELS[process][level]
+        box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
+        kernels = cov_kernels(process, t)
+        outer, joint, _, f, e = full_level(process, t, m, n, box, kernels)
+        keep, b = rmt._tail_drop(f, e, outer.weights)
+        assert np.any(~keep) and b <= (box[1] - box[0]) ** 2 * np.max(e)
+        w = outer.weights
+        full = float(w @ (joint - np.outer(f, f)) @ w)
+        value = rmt._cov_positive(process, t, m, n, box, 10.0, kernels)
+        assert abs(value - full) <= b + abs(full - ref)
 
 
 class TestCovarianceZero:
