@@ -235,13 +235,16 @@ def _eye_minus_a0(process: str, svals, offsets, rr) -> np.ndarray:
     return out
 
 
-def _marginal_points(process: str, svals, m: int, scale: float) -> list:
+def _marginal_points(process: str, svals, m: int, scale: float,
+                     eye_minus_a0=None) -> list:
     """P(A(0) <= s) = det(I - A_0) at each threshold s of ``svals``, from
-    the stacked blocks of ``_eye_minus_a0``: Cholesky, or LU flagged suspect where
-    Cholesky fails, with the roundoff bound sqrt(m) ||A_0||_F 8u of
-    ``fredholm_det``."""
+    the stacked blocks of ``_eye_minus_a0`` (or the given ones): Cholesky,
+    or LU flagged suspect where Cholesky fails, with the roundoff bound
+    sqrt(m) ||A_0||_F 8u of ``fredholm_det``."""
+    if eye_minus_a0 is None:
+        eye_minus_a0 = _eye_minus_a0(process, svals, *_tan_map(m, scale))
     points = []
-    for s, block in zip(svals, _eye_minus_a0(process, svals, *_tan_map(m, scale))):
+    for s, block in zip(svals, eye_minus_a0):
         value, method = _det_auto(block, hermitian=True)
         bound = roundoff_bound(np.eye(m) - block, DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF)
         points.append(_point(s, value, m, bound, fallback=method == "cholesky->lu"))
@@ -375,12 +378,12 @@ class _JointTable:
     block I - A_0 (``_eye_minus_a0``) and, for the Airy(2) process, the
     inner-rule Airy bases of K_t and K_{-t}, each in one array filled by
     ``basis`` calls of at most ``_EVAL_CHUNK`` points.  A covariance level
-    prepares only the thresholds ``_tail_drop`` keeps.  ``row`` then forms
-    the off-diagonal
-    blocks of the pairs (s_i, s_j), j >= i, with one matrix product per
-    kernel (Airy(2)) or one shared Airy evaluation (Airy(1),
-    ``Airy1ProcessKernel.shifted_pairs``), balances
-    each system as ``_balance_blocks`` does, and takes the determinants in
+    prepares only the thresholds ``_tail_drop`` keeps, and passes in the
+    I - A_0 blocks its marginals were taken from.  ``row`` then forms the
+    off-diagonal blocks of the pairs (s_i, s_j), j >= i, with one matrix
+    product per kernel (Airy(2)) or one shared Airy evaluation (Airy(1),
+    ``Airy1ProcessKernel.shifted_pairs``), balances each system as
+    ``_balance_blocks`` does, and takes the determinants in
     stacked LAPACK calls of at most ``CHUNK`` systems, which bounds the
     memory of a row.  ``grid`` mirrors the rows by time reversal,
     P(s_i, s_j) = P(s_j, s_i), so a grid is symmetric by construction.
@@ -399,13 +402,16 @@ class _JointTable:
         self._off, self._rr = _tan_map(m, scale)
         self.kt, self.kmt = kernels or _process_kernels(process, t, inner_tol)
 
-    def prepare(self, svals) -> None:
+    def prepare(self, svals, eye_minus_a0=None) -> None:
         """Cache the per-threshold data of the grid ``svals``, replacing
-        any earlier grid."""
+        any earlier grid; ``eye_minus_a0`` takes its I - A_0 blocks where
+        the caller has them already."""
         svals = np.asarray(svals, dtype=float)
         self._s = svals
         self._x = svals[:, None] + self._off[None, :]
-        self.eye_minus_a0 = _eye_minus_a0(self.process, svals, self._off, self._rr)
+        if eye_minus_a0 is None:
+            eye_minus_a0 = _eye_minus_a0(self.process, svals, self._off, self._rr)
+        self.eye_minus_a0 = eye_minus_a0
         if self.process == "airy2":
             self._bt = self._bases(self.kt)
             self._bmt = self._bases(self.kmt)
@@ -506,14 +512,18 @@ def _cov_positive(process: str, t: float, m: int, n_outer: int,
     """Covariance at t > 0 from the joint table on the outer grid.  The
     marginals come first, from stacked I - A_0 blocks; the thresholds whose
     exact joints a Frechet bound puts below the level's roundoff floor are
-    left out (``_tail_drop``), and the table is prepared on the others."""
+    left out (``_tail_drop``), and the table is prepared on the others,
+    with their blocks."""
     low, up = box
     outer = gauss_legendre(low, up, n_outer)
-    points = _marginal_points(process, outer.nodes, m, scale)
+    blocks = _eye_minus_a0(process, outer.nodes, *_tan_map(m, scale))
+    points = _marginal_points(process, outer.nodes, m, scale, eye_minus_a0=blocks)
     marg = np.array([p.value for p in points])
     keep, _ = _tail_drop(marg, np.array([p.est_error for p in points]), outer.weights)
     table = _JointTable(process, t, m, scale, kernels=kernels)
-    table.prepare(outer.nodes[keep])
+    table.prepare(outer.nodes[keep], eye_minus_a0=blocks[keep])
+    # the dropped thresholds' blocks are not held while the grid is formed
+    del blocks
     w, f = outer.weights[keep], marg[keep]
     return float(w @ (table.grid() - np.outer(f, f)) @ w)
 

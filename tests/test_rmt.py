@@ -7,6 +7,7 @@ here the individual ingredients are pinned at moderate sizes.
 import numpy as np
 import pytest
 
+from fredet import kernels as kernels_module
 from fredet import rmt
 from fredet.kernels import (AiryKernel, Airy1ProcessKernel, Airy2ProcessKernel,
                             Kernel, TransformedKernel)
@@ -386,6 +387,52 @@ class TestJointTableRows:
         points = n * m * (tab.kt.inner_size + tab.kmt.inner_size)
         assert rmt._EVAL_CHUNK <= 1 << 13 and max(sizes) <= rmt._EVAL_CHUNK
         assert len(sizes) <= points / rmt._EVAL_CHUNK + 4 < n
+
+    def test_prepare_evaluates_no_basis_point_with_airy_ai(self, monkeypatch):
+        # the bases come from each kernel's Taylor table of Ai, so prepare
+        # takes Ai points only for I - A_0 (n m of them, plus the centres
+        # of near-diagonal pairs): not the n m n_inner of the bases
+        tab = _JointTable("airy2", 1.0, 24, 10.0)
+        points = []
+        airy_ai = kernels_module.airy_ai
+
+        def counting(x):
+            points.append(np.size(x))
+            return airy_ai(x)
+
+        monkeypatch.setattr(kernels_module, "airy_ai", counting)
+        n, m = 38, 24
+        tab.prepare(gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
+        # one Taylor panel per Ai and Ai' point a table build takes
+        panels = tab.kt._ai._coef.shape[1] + tab.kmt._ai._coef.shape[1]
+        assert sum(points) <= panels < n * m * tab.kt.inner_size
+
+    def test_prepare_takes_given_blocks_bitwise(self):
+        # a covariance level hands prepare the I - A_0 blocks of its kept
+        # thresholds, sliced from the marginals' blocks: the bits prepare
+        # would build itself
+        m = 16
+        s = gauss_legendre(*rmt.DEFAULT_BOX, 23).nodes
+        keep = np.arange(s.size) % 3 != 0
+        blocks = rmt._eye_minus_a0("airy2", s, *rmt._tan_map(m, 10.0))
+        tab = _JointTable("airy2", 0.7, m, 10.0)
+        tab.prepare(s[keep])
+        assert np.array_equal(tab.eye_minus_a0, blocks[keep])
+        tab.prepare(s[keep], eye_minus_a0=blocks[keep])
+        assert np.array_equal(tab.eye_minus_a0, blocks[keep])
+
+    def test_level_builds_eye_minus_a0_once(self, monkeypatch):
+        calls = []
+        build = rmt._eye_minus_a0
+
+        def counting(process, svals, *args):
+            calls.append(len(svals))
+            return build(process, svals, *args)
+
+        monkeypatch.setattr(rmt, "_eye_minus_a0", counting)
+        kernels = rmt._process_kernels("airy2", 1.0, 1e-12)
+        rmt._cov_positive("airy2", 1.0, 20, 32, rmt.DEFAULT_BOX, 10.0, kernels)
+        assert calls == [32]
 
 
 def full_level(process, t, m, n_outer, box, kernels):
