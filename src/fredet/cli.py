@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .kernels import make_kernel
-from .nystrom import NystromProblem, convergence_study, fredholm_det
+from .nystrom import (NystromProblem, convergence_study, fredholm_det,
+                      rule_for_family)
 from .projection import galerkin_legendre_green, ritz_galerkin_green
-from .quadrature import clenshaw_curtis, gauss_legendre
 from .rmt import (airy1_joint, airy2_joint, cov_airy1, cov_airy2, e2_gap,
                   f2_tw, truncation_bound)
 from .specfun import airy_value
@@ -100,8 +100,7 @@ def _float_list(text: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_quad(args):
-    rule = (gauss_legendre if args.rule == "gauss" else clenshaw_curtis)(
-        args.a, args.b, args.m)
+    rule = rule_for_family(args.rule, args.a, args.b, args.m)
     args._digits17 = True
     _emit(args, ["node", "weight"],
           [(float(x), float(w)) for x, w in zip(rule.nodes, rule.weights)])
@@ -119,8 +118,7 @@ def _cmd_specfun(args):
 
 def _cmd_det(args):
     kernel = make_kernel(args.kernel, x_min=args.a)
-    rule = (gauss_legendre if args.rule == "gauss" else clenshaw_curtis)(
-        args.a, args.b, args.m)
+    rule = rule_for_family(args.rule, args.a, args.b, args.m)
     res = fredholm_det(NystromProblem(kernel, (args.a, args.b), _parse_z(args.z), rule))
     _emit(args, ["value", "roundoff_bound"],
           [(float(np.real(res.value)), res.roundoff_bound)])
@@ -145,8 +143,7 @@ def _cmd_green_bench(args):
         elif args.method == "galerkin":
             v = galerkin_legendre_green(m, -1.0)
         else:
-            family = "gauss" if args.method == "nystrom-gauss" else "cc"
-            rule = (gauss_legendre if family == "gauss" else clenshaw_curtis)(0.0, 1.0, m)
+            rule = rule_for_family(args.method.removeprefix("nystrom-"), 0.0, 1.0, m)
             v = float(np.real(fredholm_det(
                 NystromProblem(make_kernel("green"), (0.0, 1.0), -1.0, rule)).value))
         return (m, v, abs(v - SIN1))

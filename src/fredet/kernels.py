@@ -631,8 +631,8 @@ class TransformedKernel(Kernel):
     """
 
     def __init__(self, base: Kernel, s: float, scale: float = 10.0):
-        if scale <= 0.0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ValueError(f"scale must be finite and > 0, got {scale}")
         self.base = base
         self.s = float(s)
         self.scale = float(scale)

@@ -46,9 +46,9 @@ class NotPositiveDefiniteError(ArithmeticError):
 class DetResult:
     """Determinant value with an a posteriori roundoff bound.
 
-    ``roundoff_bound`` is ``sqrt(m) * ||A||_F * eps`` for the perturbation
-    matrix A actually factorized (scaled by z where applicable), with eps
-    the configured multiple of the unit roundoff.  ``method`` names the
+    ``roundoff_bound`` is ``sqrt(m) * ||zA||_F * 8u`` for the perturbation
+    zA of the matrix I + zA actually factorized, with u the unit roundoff
+    and 8 the fixed multiple ``DEFAULT_EPS_MULTIPLE``.  ``method`` names the
     factorization that produced the value: ``"cholesky"``, ``"lu"``, or
     ``"cholesky->lu"`` when Cholesky found the matrix not positive
     definite and LU took over.

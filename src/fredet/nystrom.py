@@ -7,7 +7,9 @@ The determinant ``det(I + z A)`` of the integral operator with kernel K on
 
 built from a quadrature rule with positive weights.  The same construction
 extends to N x N systems of operators by assembling the block matrix with
-(A_ij)_pq = w_ip^(1/2) K_ij(x_ip, x_jq) w_jq^(1/2).
+(A_ij)_pq = w_ip^(1/2) K_ij(x_ip, x_jq) w_jq^(1/2), and a single operator
+is the N = 1 system: one assembly on the extended node set (node p of
+interval i) and one factorization step (``_det_result``) serve both.
 
 A brute-force oracle evaluates the truncated determinant power series
 
@@ -55,6 +57,13 @@ class KernelEvaluationError(ArithmeticError):
     """Kernel returned a non-finite value at some node pair."""
 
 
+def _check_rule(rule: QuadRule, interval: tuple[float, float]) -> None:
+    a, b = interval
+    if not (math.isclose(rule.a, a, rel_tol=1e-12, abs_tol=1e-12)
+            and math.isclose(rule.b, b, rel_tol=1e-12, abs_tol=1e-12)):
+        raise ValueError(f"rule on [{rule.a}, {rule.b}] does not match interval [{a}, {b}]")
+
+
 @dataclass(frozen=True)
 class NystromProblem:
     """A single-operator determinant problem det(I + z A) on (a, b)."""
@@ -65,11 +74,7 @@ class NystromProblem:
     rule: QuadRule
 
     def __post_init__(self):
-        a, b = self.interval
-        if not (math.isclose(self.rule.a, a, rel_tol=1e-12, abs_tol=1e-12)
-                and math.isclose(self.rule.b, b, rel_tol=1e-12, abs_tol=1e-12)):
-            raise ValueError(
-                f"rule on [{self.rule.a}, {self.rule.b}] does not match interval [{a}, {b}]")
+        _check_rule(self.rule, self.interval)
 
 
 @dataclass(frozen=True)
@@ -87,10 +92,8 @@ class BlockSystem:
         if len(self.rules) != n or len(self.kernels) != n or any(
                 len(row) != n for row in self.kernels):
             raise ValueError("kernel grid / rule list shapes do not match N intervals")
-        for (a, b), rule in zip(self.intervals, self.rules):
-            if not (math.isclose(rule.a, a, rel_tol=1e-12, abs_tol=1e-12)
-                    and math.isclose(rule.b, b, rel_tol=1e-12, abs_tol=1e-12)):
-                raise ValueError(f"rule on [{rule.a}, {rule.b}] does not match interval [{a}, {b}]")
+        for interval, rule in zip(self.intervals, self.rules):
+            _check_rule(rule, interval)
 
     @property
     def n_blocks(self) -> int:
@@ -111,65 +114,88 @@ def _check_finite_kernel(k_matrix):
             + (" ..." if bad.shape[0] > 8 else ""))
 
 
+def _block_views(a, rules) -> list:
+    """The N x N blocks of a matrix on the extended node set (node p of
+    interval i), as views: block (i, j) at the rows of interval i and the
+    columns of interval j."""
+    e = list(itertools.accumulate((rule.m for rule in rules), initial=0))
+    n = len(rules)
+    return [[a[e[i]:e[i + 1], e[j]:e[j + 1]] for j in range(n)] for i in range(n)]
+
+
+def _kernel_matrix(kernels, rules) -> np.ndarray:
+    """K_ij(x_ip, x_jq) of an N x N system on its extended node set; for
+    N = 1 the kernel's own matrix."""
+    if len(rules) == 1:
+        k = kernels[0][0].matrix(rules[0].nodes, rules[0].nodes)
+    else:
+        m = sum(rule.m for rule in rules)
+        k = np.empty((m, m))
+        for i, row in enumerate(_block_views(k, rules)):
+            for j, block in enumerate(row):
+                block[...] = kernels[i][j].matrix(rules[i].nodes, rules[j].nodes)
+    _check_finite_kernel(k)
+    return k
+
+
+def _system_matrix(kernels, rules) -> np.ndarray:
+    """diag(sqrt w) K diag(sqrt w) on the extended node set; for N > 1 its
+    blocks are balanced in place (``_balance_blocks``)."""
+    single = len(rules) == 1
+    sw = np.sqrt(rules[0].weights if single else
+                 np.concatenate([rule.weights for rule in rules]))
+    a_q = sw[:, None] * _kernel_matrix(kernels, rules) * sw[None, :]
+    if not single:
+        _balance_blocks(_block_views(a_q, rules))
+    return a_q
+
+
 def nystrom_matrix(kernel: Kernel, rule: QuadRule) -> np.ndarray:
     """The symmetric discretization A_Q = diag(sqrt w) K diag(sqrt w)."""
-    sw = np.sqrt(rule.weights)
-    k = kernel.matrix(rule.nodes, rule.nodes)
-    _check_finite_kernel(k)
-    return sw[:, None] * k * sw[None, :]
+    return _system_matrix(((kernel,),), (rule,))
 
 
-def _det_auto(b_matrix, hermitian: bool):
-    """Cholesky when the Hermitian positive definite fast path applies,
-    LU with partial pivoting otherwise.  Returns the value and the path
-    taken (the ``DetResult.method`` values)."""
+def _det_result(b_matrix, za_norm: float, hermitian: bool) -> DetResult:
+    """det(B) of B = I + zA, ||zA||_F = ``za_norm``, with the roundoff bound
+    sqrt(m) ||zA||_F 8u: the step of every determinant the library returns.
+    Cholesky for a real ``hermitian`` B, LU when that fails (method
+    "cholesky->lu") or otherwise."""
     if hermitian and not np.iscomplexobj(b_matrix):
         try:
-            return det_cholesky(b_matrix), "cholesky"
+            value, method = det_cholesky(b_matrix), "cholesky"
         except NotPositiveDefiniteError:
-            return det_lu(b_matrix), "cholesky->lu"
-    return det_lu(b_matrix), "lu"
-
-
-def fredholm_det(problem: NystromProblem,
-                 eps_multiple: float = DEFAULT_EPS_MULTIPLE) -> DetResult:
-    """Nystrom-type value of det(I + z A) for a single operator.
-
-    Uses Cholesky on I + z A_Q when the kernel is Hermitian and z is real
-    (falling back to LU if the factorization signals an indefinite
-    matrix); ``DetResult.method`` records which path ran.  The attached
-    roundoff bound is sqrt(m) * ||z A_Q||_F * (eps_multiple * unit roundoff).
-    """
-    z = _normalize_z(problem.z)
-    a_q = nystrom_matrix(problem.kernel, problem.rule)
-    m = a_q.shape[0]
-    b = np.eye(m) + z * a_q
-    value, method = _det_auto(b, problem.kernel.hermitian and not isinstance(z, complex))
-    bound = math.sqrt(m) * abs(z) * frobenius_norm(a_q) * eps_multiple * UNIT_ROUNDOFF
+            value, method = det_lu(b_matrix), "cholesky->lu"
+    else:
+        value, method = det_lu(b_matrix), "lu"
+    m = b_matrix.shape[0]
+    bound = math.sqrt(m) * za_norm * DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF
     return DetResult(value=value, m=m, roundoff_bound=bound, method=method)
 
 
-def _system_matrix(system: BlockSystem, balance: bool) -> np.ndarray:
-    n = system.n_blocks
-    sizes = [rule.m for rule in system.rules]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    blocks = [[None] * n for _ in range(n)]
-    for i in range(n):
-        swi = np.sqrt(system.rules[i].weights)
-        for j in range(n):
-            swj = np.sqrt(system.rules[j].weights)
-            kij = system.kernels[i][j].matrix(system.rules[i].nodes,
-                                              system.rules[j].nodes)
-            _check_finite_kernel(kij)
-            blocks[i][j] = swi[:, None] * np.asarray(kij, dtype=float) * swj[None, :]
-    if balance and n > 1:
-        _balance_blocks(blocks)
-    out = np.empty((total, total))
-    for i in range(n):
-        for j in range(n):
-            out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = blocks[i][j]
-    return out
+def _system_det(kernels, rules, z) -> DetResult:
+    """det(I + z A) of an N x N system; Hermitian means the kernel's declared
+    flag for N = 1 and a symmetric assembled matrix for N > 1."""
+    z = _normalize_z(z)
+    a_q = _system_matrix(kernels, rules)
+    b = z * a_q
+    b.flat[::b.shape[0] + 1] += 1.0  # b = I + z A_Q
+    if len(rules) == 1:
+        hermitian = kernels[0][0].hermitian
+    else:
+        hermitian = not isinstance(z, complex) and bool(
+            np.all(np.abs(a_q - a_q.T) <= 1e-13 * (1.0 + np.abs(a_q))))
+    return _det_result(b, abs(z) * frobenius_norm(a_q), hermitian)
+
+
+def fredholm_det(problem: NystromProblem) -> DetResult:
+    """Nystrom-type value of det(I + z A) for a single operator: the N = 1
+    case of ``fredholm_det_system``.
+
+    Uses Cholesky on I + z A_Q when the kernel is declared Hermitian and z
+    is real (falling back to LU if the factorization signals an indefinite
+    matrix); ``DetResult.method`` records which path ran.
+    """
+    return _system_det(((problem.kernel,),), (problem.rule,), problem.z)
 
 
 def _balance_blocks(blocks) -> np.ndarray:
@@ -212,24 +238,17 @@ def _balance_blocks(blocks) -> np.ndarray:
     return shift
 
 
-def fredholm_det_system(system: BlockSystem, z: complex | float,
-                        eps_multiple: float = DEFAULT_EPS_MULTIPLE,
-                        balance: bool = True) -> DetResult:
+def fredholm_det_system(system: BlockSystem, z: complex | float) -> DetResult:
     """Nystrom-type value of det(I + z A) for an N x N block system.
 
-    ``balance`` applies an exact power-of-two block rescaling before
-    factorization; it never changes the determinant in exact arithmetic
-    and greatly reduces roundoff for badly scaled off-diagonal blocks.
+    For N > 1 the blocks get an exact power-of-two rescaling before
+    factorization (``_balance_blocks``); it never changes the determinant
+    in exact arithmetic and greatly reduces roundoff for badly scaled
+    off-diagonal blocks.  Cholesky is tried for a real z when the
+    assembled matrix is symmetric; an N = 1 system is ``fredholm_det``
+    exactly, with the kernel's declared Hermitian flag.
     """
-    z = _normalize_z(z)
-    a_q = _system_matrix(system, balance=balance)
-    m = a_q.shape[0]
-    b = np.eye(m) + z * a_q
-    hermitian = (not isinstance(z, complex)) and bool(
-        np.all(np.abs(a_q - a_q.T) <= 1e-13 * (1.0 + np.abs(a_q))))
-    value, method = _det_auto(b, hermitian)
-    bound = math.sqrt(m) * abs(z) * frobenius_norm(a_q) * eps_multiple * UNIT_ROUNDOFF
-    return DetResult(value=value, m=m, roundoff_bound=bound, method=method)
+    return _system_det(system.kernels, system.rules, z)
 
 
 # ---------------------------------------------------------------------------
@@ -267,28 +286,17 @@ def fredholm_series_oracle(problem: NystromProblem, n_max: int,
                            cap: int = PRODUCT_RULE_CAP) -> complex | float:
     """Brute-force series value for a single operator; with ``n_max >= m``
     this equals ``fredholm_det`` up to roundoff (the series terminates)."""
-    rule = problem.rule
-    k = problem.kernel.matrix(rule.nodes, rule.nodes)
-    _check_finite_kernel(k)
-    return _series_from_matrix(k, rule.weights, _normalize_z(problem.z), n_max, cap)
+    system = BlockSystem((problem.interval,), ((problem.kernel,),), (problem.rule,))
+    return fredholm_series_oracle_system(system, problem.z, n_max, cap)
 
 
 def fredholm_series_oracle_system(system: BlockSystem, z: complex | float,
                                   n_max: int, cap: int = PRODUCT_RULE_CAP) -> complex | float:
     """Brute-force series value for an N x N system, via the flattened
     extended node set (node p of interval i pairs with kernel K_ij)."""
-    sizes = [rule.m for rule in system.rules]
-    total_m = sum(sizes)
-    w_ext = np.concatenate([rule.weights for rule in system.rules])
-    k_ext = np.empty((total_m, total_m))
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for i in range(system.n_blocks):
-        for j in range(system.n_blocks):
-            kij = system.kernels[i][j].matrix(system.rules[i].nodes,
-                                              system.rules[j].nodes)
-            _check_finite_kernel(kij)
-            k_ext[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = kij
-    return _series_from_matrix(k_ext, w_ext, _normalize_z(z), n_max, cap)
+    weights = np.concatenate([rule.weights for rule in system.rules])
+    return _series_from_matrix(_kernel_matrix(system.kernels, system.rules), weights,
+                               _normalize_z(z), n_max, cap)
 
 
 def von_koch_det(a, z, n_max: int | None = None) -> complex | float:

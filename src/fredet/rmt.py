@@ -35,11 +35,10 @@ import numpy as np
 
 from .kernels import (AiryKernel, Airy1ProcessKernel, Airy2ProcessKernel,
                       SineKernel, TransformedKernel)
-from .linalg import DEFAULT_EPS_MULTIPLE, UNIT_ROUNDOFF, det_lu, roundoff_bound
-# fredholm_det_system is unused here, but the benchmark's tracer
-# (perfbench/tracing.py) patches it in this module by name, as it does
-# _marginal and _JointTable.joint, so all three stay bound
-from .nystrom import (NystromProblem, _balance_blocks, _det_auto, fredholm_det,
+from .linalg import det_lu, frobenius_norm
+# fredholm_det_system is not called here: it stays bound only because the
+# benchmark's tracer (perfbench/tracing.py) patches it in this module by name
+from .nystrom import (NystromProblem, _balance_blocks, _det_result, fredholm_det,
                       fredholm_det_system)
 from .quadrature import gauss_legendre
 
@@ -98,18 +97,13 @@ class CovGrid:
     accuracy_target: float
 
 
-def _point(parameter: float, value, m: int, est_error: float,
-           fallback: bool = False) -> DistributionPoint:
-    v = float(np.real(value))
-    suspect = fallback or not (-_PROB_SLACK <= v <= 1.0 + _PROB_SLACK)
-    return DistributionPoint(parameter=float(parameter), value=v, m=m,
-                             est_error=float(est_error), suspect=suspect)
-
-
 def _det_point(parameter: float, res) -> DistributionPoint:
-    """The point of a z = -1 Hermitian determinant ``res`` (a DetResult)."""
-    return _point(parameter, res.value, res.m, res.roundoff_bound,
-                  fallback=res.method == "cholesky->lu")
+    """The point of a z = -1 determinant ``res`` (a DetResult)."""
+    v = float(np.real(res.value))
+    suspect = (res.method == "cholesky->lu"
+               or not (-_PROB_SLACK <= v <= 1.0 + _PROB_SLACK))
+    return DistributionPoint(parameter=float(parameter), value=v, m=res.m,
+                             est_error=float(res.roundoff_bound), suspect=suspect)
 
 
 # ---------------------------------------------------------------------------
@@ -139,24 +133,22 @@ def f2_tw(s: float, m: int, route: str = "transform", scale: float = 10.0,
     """Tracy-Widom distribution F2(s): Airy-kernel determinant at z = -1
     on (s, inf).
 
-    route="transform" maps (s, inf) to (0, 1) with
-    phi(xi) = s + scale*tan(pi xi/2); route="truncate" works on the finite
-    interval (s, T) and needs T > s (the committed error is bounded by
-    ``truncation_bound``).
+    route="transform" maps (s, inf) to (0, 1) by the tan map of
+    ``TransformedKernel``, as the Airy(2) marginal (``_marginal_points``);
+    route="truncate" works on the finite interval (s, T) and needs T > s
+    (the committed error is bounded by ``truncation_bound``).
     """
     if route == "transform":
-        kernel = TransformedKernel(AiryKernel(), s, scale=scale)
-        res = fredholm_det(NystromProblem(kernel, (0.0, 1.0), -1.0, _unit_rule(m)))
-    elif route == "truncate":
+        return _marginal_points("airy2", [s], m, scale)[0]
+    if route == "truncate":
         if T is None:
             raise ValueError("route='truncate' requires a truncation point T")
         if T <= s:
             raise ValueError(f"need T > s, got T={T}, s={s}")
         rule = gauss_legendre(s, T, m)
         res = fredholm_det(NystromProblem(AiryKernel(), (s, T), -1.0, rule))
-    else:
-        raise ValueError(f"unknown route {route!r} (expected 'transform' or 'truncate')")
-    return _det_point(s, res)
+        return _det_point(s, res)
+    raise ValueError(f"unknown route {route!r} (expected 'transform' or 'truncate')")
 
 
 def truncation_bound(s: float, T: float, m: int = 80) -> float:
@@ -199,17 +191,16 @@ _EVAL_CHUNK = 1 << 13
 
 @lru_cache(maxsize=64)
 def _tan_map(m: int, scale: float):
-    """The map phi_s(xi) = s + scale*tan(pi xi/2) at the m-point
-    Gauss-Legendre nodes xi on (0, 1): the offsets phi_s(xi) - s, and the
+    """The ``TransformedKernel`` map phi_s at the m-point Gauss-Legendre
+    nodes xi on (0, 1), taken at s = 0: the offsets phi_s(xi) - s, and the
     outer product rr of r = sqrt(w phi'(xi)), so that
     rr * K(s1 + offsets, s2 + offsets) is the Nystrom block of K on
     (s1, inf) x (s2, inf).  Built once per (m, scale), never per s; the
     arrays are read-only."""
     rule = _unit_rule(m)
-    xi = rule.nodes
-    offsets = scale * np.tan(0.5 * np.pi * xi)
-    dphi = scale * (0.5 * np.pi) / np.cos(0.5 * np.pi * xi) ** 2
-    r = np.sqrt(rule.weights * dphi)
+    tan_map = TransformedKernel(AiryKernel(), 0.0, scale=scale)
+    offsets = tan_map.phi(rule.nodes)
+    r = np.sqrt(rule.weights * tan_map.dphi(rule.nodes))
     rr = np.outer(r, r)
     offsets.setflags(write=False)
     rr.setflags(write=False)
@@ -238,17 +229,20 @@ def _eye_minus_a0(process: str, svals, offsets, rr) -> np.ndarray:
 def _marginal_points(process: str, svals, m: int, scale: float,
                      eye_minus_a0=None) -> list:
     """P(A(0) <= s) = det(I - A_0) at each threshold s of ``svals``, from
-    the stacked blocks of ``_eye_minus_a0`` (or the given ones): Cholesky,
-    or LU flagged suspect where Cholesky fails, with the roundoff bound
-    sqrt(m) ||A_0||_F 8u of ``fredholm_det``."""
+    the given I - A_0 blocks, or else from ``_eye_minus_a0`` blocks built
+    one kernel-matrix call at a time (so that a long ``svals`` holds only
+    one call's blocks), by the determinant step of ``fredholm_det``
+    (``_det_result``): Cholesky, or LU flagged suspect where Cholesky
+    fails, with the roundoff bound sqrt(m) ||A_0||_F 8u."""
     if eye_minus_a0 is None:
-        eye_minus_a0 = _eye_minus_a0(process, svals, *_tan_map(m, scale))
-    points = []
-    for s, block in zip(svals, eye_minus_a0):
-        value, method = _det_auto(block, hermitian=True)
-        bound = roundoff_bound(np.eye(m) - block, DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF)
-        points.append(_point(s, value, m, bound, fallback=method == "cholesky->lu"))
-    return points
+        tan_map = _tan_map(m, scale)
+        step = max(1, _EVAL_CHUNK // (m * m))
+        chunks = (svals[lo:lo + step] for lo in range(0, len(svals), step))
+        return [point for chunk in chunks for point in _marginal_points(
+            process, chunk, m, scale, _eye_minus_a0(process, chunk, *tan_map))]
+    eye = np.eye(m)
+    return [_det_point(s, _det_result(block, frobenius_norm(block - eye), hermitian=True))
+            for s, block in zip(svals, eye_minus_a0)]
 
 
 def _marginal(process: str, s: float, m: int, scale: float = 10.0) -> float:
@@ -305,14 +299,14 @@ def tw_moments(m: int = 48, box: tuple[float, float] = DEFAULT_BOX,
     under 1e-9.)
     """
     low, up = box
-    f_low = f2_tw(low, m).value
-    f_up = f2_tw(up, m).value
+    rule = gauss_legendre(low, up, n_outer)
+    points = _marginal_points("airy2", [low, up, *rule.nodes], m, 10.0)
+    f_low, f_up = points[0].value, points[1].value
     if f_low > 1e-11 or 1.0 - f_up > 1e-11:
         raise ValueError(
             f"moment box {box} too narrow: F2(L) = {f_low:.3e}, "
             f"1 - F2(U) = {1.0 - f_up:.3e}")
-    rule = gauss_legendre(low, up, n_outer)
-    fvals = np.array([f2_tw(s, m).value for s in rule.nodes])
+    fvals = np.array([p.value for p in points[2:]])
     mean = up * f_up - low * f_low - float(rule.weights @ fvals)
     second = (up * up * f_up - low * low * f_low
               - 2.0 * float(rule.weights @ (rule.nodes * fvals)))
@@ -470,14 +464,14 @@ class _JointTable:
         return systems
 
     def joint(self, s1: float, s2: float) -> DistributionPoint:
-        """The joint at one pair, with the roundoff bound
-        sqrt(2m) ||A||_F 8u of its balanced system; prepares (s1, s2) as
-        the grid."""
+        """The joint at one pair by LU (``_det_result``), with the roundoff
+        bound sqrt(2m) ||A||_F 8u of its balanced system; prepares
+        (s1, s2) as the grid."""
         self.prepare([s1, s2])
         system = self._systems(0, 1, 2)[0]
-        bound = roundoff_bound(np.eye(2 * self.m) - system,
-                               DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF)
-        return _point(self.t, det_lu(system), 2 * self.m, bound)
+        res = _det_result(system, frobenius_norm(system - np.eye(2 * self.m)),
+                          hermitian=False)
+        return _det_point(self.t, res)
 
 
 def _tail_drop(marg, bounds, weights):

@@ -184,8 +184,15 @@ class TestBlockSystems:
                    (ShiftedPairKernel(kmt, -1.0, -2.0), TransformedKernel(k0, -1.0)))
         sys2 = BlockSystem(intervals=((0.0, 1.0), (0.0, 1.0)),
                            kernels=kernels, rules=(rule, rule))
-        a = fredholm_det_system(sys2, -1.0, balance=True).value
-        b = fredholm_det_system(sys2, -1.0, balance=False).value
+        a = fredholm_det_system(sys2, -1.0).value
+        # the same system unbalanced, assembled block by block
+        sw = np.sqrt(rule.weights)
+        blocks = [[sw[:, None] * k.matrix(rule.nodes, rule.nodes) * sw[None, :]
+                   for k in row] for row in kernels]
+        unbalanced = np.block(blocks)
+        # the off-diagonal blocks are scaled far apart, so balancing moves them
+        assert np.any(_balance_blocks(blocks) != 0.0)
+        b = det_lu(np.eye(36) - unbalanced)
         assert a == pytest.approx(b, rel=1e-9)
 
 

@@ -4,6 +4,10 @@ The expensive end-to-end covariance checks live in test_acceptance.py;
 here the individual ingredients are pinned at moderate sizes.
 """
 
+import io
+import math
+from contextlib import redirect_stderr
+
 import numpy as np
 import pytest
 
@@ -11,7 +15,10 @@ from fredet import kernels as kernels_module
 from fredet import rmt
 from fredet.kernels import (AiryKernel, Airy1ProcessKernel, Airy2ProcessKernel,
                             Kernel, TransformedKernel)
-from fredet.nystrom import BlockSystem, fredholm_det_system
+from fredet.linalg import UNIT_ROUNDOFF
+from fredet.cli import main
+from fredet.nystrom import (BlockSystem, NystromProblem, fredholm_det,
+                            fredholm_det_system)
 from fredet.quadrature import gauss_legendre
 from fredet.rmt import (airy1_joint, airy2_joint, cov_airy1, cov_airy2, cov_grid,
                         e2_gap, f2_tw, truncation_bound, tw_moments, _JointTable,
@@ -107,6 +114,25 @@ class TestF2:
         assert f2_tw(-9.5, 30).suspect
         assert not f2_tw(-2.0, 30).suspect
 
+    @pytest.mark.parametrize("m,grid", [
+        (30, [-9.5, -9.3, -9.25, -2.0, 0.0, 2.0]),
+        # the benchmark's dist-table grid, -8 to 2 by 0.05
+        (80, [(k - 160) / 20 for k in range(201)]),
+    ])
+    def test_matches_reference_route(self, m, grid):
+        # f2_tw is the Airy(2) marginal; the reference is the tan-mapped
+        # Airy kernel as one operator through fredholm_det.  At m = 30 the
+        # grid straddles the Cholesky-to-LU edge between -9.3 and -9.25.
+        for s in grid:
+            kernel = TransformedKernel(AiryKernel(), s, scale=10.0)
+            ref = fredholm_det(NystromProblem(kernel, (0.0, 1.0), -1.0,
+                                              gauss_legendre(0.0, 1.0, m)))
+            ref_suspect = (ref.method == "cholesky->lu"
+                           or not -1e-10 <= ref.value <= 1.0 + 1e-10)
+            point = f2_tw(s, m)
+            assert abs(point.value - ref.value) <= 1e-15, s
+            assert point.suspect == ref_suspect, s
+
     def test_truncate_needs_valid_T(self):
         with pytest.raises(ValueError):
             f2_tw(-2.0, 30, route="truncate")
@@ -122,6 +148,27 @@ class TestF2:
             if d0 < 1e-13:
                 break
             assert d1 <= d0 / 2.0
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_bad_scale_rejected(scale):
+    # every tan-mapped entry point names the bad scale instead of returning
+    # a value (scale 0 made every marginal 1) or failing further down
+    calls = [lambda: f2_tw(-2.0, 30, scale=scale),
+             lambda: airy2_joint(1.0, -1.0, 0.0, 20, scale=scale),
+             lambda: airy1_joint(1.0, -1.0, 0.0, 20, scale=scale),
+             lambda: airy2_joint(0.0, -1.0, 0.0, 20, scale=scale),
+             lambda: cov_airy2(0.0, scale=scale),
+             lambda: cov_airy2(1.0, scale=scale),
+             lambda: cov_airy1(0.0, scale=scale)]
+    for call in calls:
+        with pytest.raises(ValueError, match="scale"):
+            call()
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["f2", "--s-min", "-2", "--s-max", "-2", "--step", "1",
+                     f"--scale={scale}"])
+    assert code == 2 and "scale" in err.getvalue()
 
 
 class TestUnitRuleCache:
@@ -447,7 +494,7 @@ def full_level(process, t, m, n_outer, box, kernels):
     for i in range(n):
         systems = tab._systems(i, i, n)
         joint[i, i:] = rmt.det_lu(systems)
-        est[i, i:] = (np.sqrt(2 * m) * 8 * rmt.UNIT_ROUNDOFF
+        est[i, i:] = (np.sqrt(2 * m) * 8 * UNIT_ROUNDOFF
                       * np.linalg.norm(np.eye(2 * m) - systems, axis=(1, 2)))
     return (outer, joint + np.triu(joint, 1).T, est + np.triu(est, 1).T,
             np.array([p.value for p in points]), np.array([p.est_error for p in points]))
