@@ -17,11 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .kernels import Kernel
 from .linalg import det_lu
-from .specfun import erf
 
 __all__ = [
     "BoundReport",
@@ -96,7 +94,7 @@ def log_phi_series(x: float, tol: float = 1e-16) -> float:
     block = 4096
     while start < 4_000_000:
         n = np.arange(start, start + block, dtype=float)
-        lt = 0.5 * (n + 2.0) * np.log(n) + n * logx - gammaln(n + 1.0)
+        lt = 0.5 * (n + 2.0) * np.log(n) + n * logx - np.vectorize(math.lgamma)(n + 1.0)
         chunks.append(lt)
         best = max(best, float(np.max(lt)))
         # terms decay superexponentially once n >> e x^2; stop when the
@@ -116,7 +114,7 @@ def psi_closed(x: float) -> float:
     ``OverflowError`` if e^(x^2/4) leaves double range (x above ~53)."""
     if x * x / 4.0 > math.log(np.finfo(float).max):
         raise OverflowError(f"Psi({x}) overflows double precision")
-    return 1.0 + 0.5 * math.sqrt(math.pi) * x * math.exp(x * x / 4.0) * (1.0 + float(erf(x / 2.0)))
+    return 1.0 + 0.5 * math.sqrt(math.pi) * x * math.exp(x * x / 4.0) * (1.0 + math.erf(x / 2.0))
 
 
 def log_psi_closed(x: float) -> float:
@@ -126,7 +124,7 @@ def log_psi_closed(x: float) -> float:
     if x == 0.0:
         return 0.0
     # log of the dominating term; the constant 1 is folded in via log1p
-    main = math.log(0.5 * math.sqrt(math.pi) * x * (1.0 + float(erf(x / 2.0)))) + x * x / 4.0
+    main = math.log(0.5 * math.sqrt(math.pi) * x * (1.0 + math.erf(x / 2.0))) + x * x / 4.0
     if main > 30.0:
         return main + math.log1p(math.exp(-main))
     return math.log1p(math.exp(main))

@@ -253,20 +253,10 @@ class Airy2ProcessKernel(Kernel):
     t <= -0.75, Ai(16)^2 e^{0.75 (16 - x_min)} in the Laplace branch.  At
     x_min = -10 that is X ~ 20 for K_1 and K_{-1}, X ~ 25 for K_{-0.5}.
 
-    The Ai values of ``basis`` come from a table the kernel builds once
-    (``_AiTaylorTable``) on [x_min + min xi_k, X], exactly the arguments
-    ``basis`` evaluates: degree-13 Taylor polynomials about the grid points
-    j/16, with coefficients from Ai and Ai' at each centre by the Airy
-    equation w'' = u w, each used within 1/32 of its centre.  On
-    [-95, 25] the omitted terms are below 1.2e-19 absolute for u <= 0 and
-    4.2e-23 relative for u > 0, and against 40-digit mpmath the table is
-    as accurate as ``airy_ai``: 1.7e-14 absolute on [-95, -10] and 9.4e-16
-    on [-10, 0], 1.4e-14 and 1.8e-14 relative on [0, 10] and [10, 25]
-    (``airy_ai``: 2.0e-14, 1.1e-15, 1.4e-14, 1.8e-14).  The table reaches
-    down to u ~ -195, so the build raises ValueError for x_min below that,
-    or below -195 + 40/|t| for t <= -0.75 (-142 at t = -0.75); F2 is 0 in
-    double precision there.  The inner rule, its probes and the cut X use
-    ``airy_ai``.
+    ``basis``, the inner rule, its probes and the cut take Ai from
+    ``airy_ai``: every X (< 26.2) is inside its Taylor table on [-195, 108],
+    and arguments below -195 (x_min - 40/|t| for t <= -0.75) take its
+    expansion.
     """
 
     hermitian = True
@@ -335,7 +325,6 @@ class Airy2ProcessKernel(Kernel):
                 f"{diff:.3g} > tol={tol:g}", RuntimeWarning, stacklevel=2)
         self.inner_size = self._xi.size
         self.skip_cut = self._skip_cut()
-        self._ai = _AiTaylorTable(self.x_min + float(np.min(self._xi)), self.skip_cut)
 
     def _smallest_verified(self, n, rule, probe, half, half_probe, level):
         """The smallest rule of n/2, 5n/8, 3n/4 or 7n/8 points whose probes
@@ -391,7 +380,7 @@ class Airy2ProcessKernel(Kernel):
         arg = xs[:, None] + self._xi[None, :]
         keep = arg <= self.skip_cut
         out = np.zeros(arg.shape)
-        out[keep] = self._ai(arg[keep])
+        out[keep] = airy_ai(arg[keep])
         return out
 
     @property
@@ -434,65 +423,6 @@ class Airy2ProcessKernel(Kernel):
         if self._mode == "laplace":
             out -= self.gaussian_part(xs[:, None], ys[None, :])
         return out
-
-
-class _AiTaylorTable:
-    """Ai on [lo, hi] from Taylor polynomials of degree ``DEGREE`` about
-    the grid points c_j = j/16, each used within 1/32 of its centre.
-
-    Ai solves w'' = u w (DLMF 9.2.1), so its Taylor coefficients about c
-    follow from a_0 = Ai(c) and a_1 = Ai'(c) by the recurrence
-    (k+2)(k+1) a_{k+2} = c a_k + a_{k-1}: the ODE-Taylor method of Gil,
-    Segura & Temme, *Numerical Methods for Special Functions* (SIAM, 2007).
-    The centres lie on one global grid, so a value depends on u alone, not
-    on the range a table was built for.  The build raises ValueError if on
-    some panel the next two terms, |a_14| h^14 + |a_15| h^15 with h = 1/32,
-    are not below u max(|a_0|, h |a_1|), u the unit roundoff: that happens
-    below u ~ -195, where Ai oscillates too fast for the grid.
-    Evaluation raises ValueError outside [lo, hi]; the table never
-    extrapolates.
-    """
-
-    DEGREE = 13
-    _PER_UNIT = 16
-
-    def __init__(self, lo: float, hi: float):
-        self.lo, self.hi = float(lo), float(hi)
-        self._j0 = int(np.rint(self.lo * self._PER_UNIT))
-        c = np.arange(self._j0, int(np.rint(self.hi * self._PER_UNIT)) + 1) / self._PER_UNIT
-        a = np.zeros((self.DEGREE + 3, c.size))
-        a[0] = airy_ai(c)
-        a[1] = airy_ai_prime(c)
-        for k in range(self.DEGREE + 1):
-            a[k + 2] = (c * a[k] + (a[k - 1] if k else 0.0)) / ((k + 2) * (k + 1))
-        h = 0.5 / self._PER_UNIT
-        tail = (np.abs(a[self.DEGREE + 1]) * h ** (self.DEGREE + 1)
-                + np.abs(a[self.DEGREE + 2]) * h ** (self.DEGREE + 2))
-        bad = tail >= 0.5 * np.finfo(float).eps * np.maximum(np.abs(a[0]), h * np.abs(a[1]))
-        if np.any(bad):
-            raise ValueError(
-                f"Ai table: degree-{self.DEGREE} Taylor panels of width "
-                f"1/{self._PER_UNIT} miss roundoff at u <= {c[bad][-1]:g}, "
-                f"where Ai oscillates too fast for them; the arguments "
-                f"x + xi must stay above it")
-        self._coef = a[:self.DEGREE + 1]
-
-    def __call__(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.size and not (self.lo <= np.min(u) and np.max(u) <= self.hi):
-            raise ValueError(
-                f"Ai table built for [{self.lo:g}, {self.hi:g}], got "
-                f"[{np.min(u):g}, {np.max(u):g}]")
-        v = u * self._PER_UNIT
-        j = np.rint(v)
-        d = (v - j) / self._PER_UNIT
-        idx = j.astype(np.intp) - self._j0
-        coef = self._coef
-        p = coef[self.DEGREE].take(idx)
-        for k in range(self.DEGREE - 1, -1, -1):
-            p *= d
-            p += coef[k].take(idx)
-        return p
 
 
 def _probe_diff(probe, ref):
@@ -597,17 +527,8 @@ def _airy_log_split(u):
     """(a, g) with Ai(u) = a * exp(g): the scaled Airy function and
     g = -(2/3) u^(3/2) for u > 0, Ai(u) itself and g = 0 otherwise."""
     u = np.asarray(u, dtype=float)
-    pos = u > 0.0
-    a = np.empty(u.shape)
-    g = np.zeros(u.shape)
     with np.errstate(under="ignore", over="ignore"):
-        if np.any(pos):
-            up = u[pos]
-            a[pos] = airy_ai_scaled(up)
-            g[pos] = -(2.0 / 3.0) * up ** 1.5
-        if np.any(~pos):
-            a[~pos] = airy_ai(u[~pos])
-    return a, g
+        return airy_ai_scaled(u), -(2.0 / 3.0) * np.maximum(u, 0.0) ** 1.5
 
 
 def _airy_times_exp(u, c):

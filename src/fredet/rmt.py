@@ -539,6 +539,8 @@ def _cov_process(process: str, t: float, accuracy: float,
     if not t >= 0.0:
         raise ValueError("t must be >= 0 (the covariance is stationary: "
                          "cov(-t) = cov(t))")
+    if not (math.isfinite(accuracy) and accuracy > 0.0):
+        raise ValueError(f"accuracy must be finite and > 0, got {accuracy}")
     # the process kernels depend on neither m nor the outer rule, so one
     # build (and one inner-rule refinement for Airy(2)) serves every level
     kernels = (_process_kernels(process, t, min(1e-12, accuracy * 1e-2), box[0])

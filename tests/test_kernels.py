@@ -282,13 +282,8 @@ class TestAiry2ProcessKernel:
         skipped = arg > k.skip_cut
         assert 15.0 < k.skip_cut < 30.0 and np.any(skipped & (full != 0.0))
         assert not np.any(basis[skipped])
-        # the kept entries come from the Taylor table, about as close to Ai
-        # as airy_ai is on a sample of them
-        sample = np.flatnonzero(~skipped.ravel())[::97]
-        u = arg.ravel()[sample]
-        ref = _mp_ai(u)
-        assert (_ai_errors(basis.ravel()[sample], u, ref)
-                <= _ai_bound(_ai_errors(airy_ai(u), u, ref)))
+        # the kept entries are airy_ai's values, bit for bit
+        assert np.array_equal(basis[~skipped], full[~skipped])
         q = k.inner_weights
         tabled = np.where(skipped, full, basis)
         unskipped = (tabled * q) @ tabled.T - k.gaussian_part(xs[:, None], xs[None, :])
@@ -300,8 +295,7 @@ class TestAiry2ProcessKernel:
         # that small do not change the rounding of any larger entry
         assert np.max(np.abs(k.matrix(xs, xs) - unskipped)) <= bound
 
-    #: (inner_size, skip_cut, achieved_tol) at x_min = -10: the inner rule,
-    #: its probes and the cut are evaluated with airy_ai, not the table
+    #: (inner_size, skip_cut, achieved_tol) at x_min = -10
     _RULES = {1.0: (75, 19.766624211932186, 9.020562075079397e-16),
               -1.0: (150, 19.766624211994927, 9.22234510980502e-13),
               -0.5: (75, 24.899397790696774, 1.3322676295501878e-15),
@@ -315,6 +309,33 @@ class TestAiry2ProcessKernel:
         assert k.skip_cut == pytest.approx(cut, rel=1e-12)
         assert k.achieved_tol == pytest.approx(achieved, rel=1e-6)
 
+    #: Largest Ai error of the scipy backends before the Ai table, per range
+    #: of u (absolute for u <= 0, relative above): no basis entry is worse.
+    _BACKEND_AI_ERRORS = [(-95.0, -10.0, 2.0e-14), (-10.0, 0.0, 1.1e-15),
+                          (0.0, 10.0, 1.4e-14), (10.0, 27.0, 1.8e-14)]
+
+    @pytest.mark.parametrize("t,x_min", [(1.0, -10.0), (-0.5, -10.0), (-1.0, -10.0),
+                                         (-0.75, -10.0), (-0.75, -18.0), (-0.75, -30.0)])
+    def test_basis_vs_mpmath(self, t, x_min):
+        # the decay, Laplace and oscillatory branches, and the oscillatory
+        # one at t = -0.75 on lowered domains, whose arguments x + xi reach
+        # down to -83: a sample of the entries basis evaluates, all below
+        # the cut, against 40-digit mpmath
+        k = Airy2ProcessKernel(t, x_min=x_min)
+        xs = np.linspace(x_min, 30.0, 37)
+        arg = (xs[:, None] + k._xi[None, :]).ravel()
+        sample = np.flatnonzero(arg <= k.skip_cut)[::23]
+        u = arg[sample]
+        ref = _mp_ai(u)
+        err = np.abs(k.basis(xs).ravel()[sample] - ref) / np.where(u > 0.0, np.abs(ref), 1.0)
+        assert np.max(u) > k.skip_cut - 1.0 and (x_min > -30.0 or np.min(u) < -80.0)
+        checked = 0
+        for lo, hi, bound in self._BACKEND_AI_ERRORS:
+            sel = (u >= lo) & (u <= hi)
+            checked += int(np.any(sel))
+            assert np.all(err[sel] <= bound), (lo, hi)
+        assert checked == (3 if t > -0.75 else 4)
+
 
 def _mp_ai(u):
     """Ai at each point of u in 40-digit mpmath."""
@@ -322,101 +343,20 @@ def _mp_ai(u):
         return np.array([float(mpmath.airyai(mpmath.mpf(float(x)))) for x in u])
 
 
-def _ai_errors(values, u, ref):
-    """The largest error of ``values`` at u against the Ai values ``ref``:
-    absolute for u <= 0, relative for u > 0, where Ai decays."""
-    scale = np.where(u > 0.0, np.abs(ref), 1.0)
-    return float(np.max(np.abs(values - ref) / scale))
-
-
-#: Ranges of the Ai table oracle: absolute error where Ai oscillates or is
-#: O(1), relative error where it decays
-_TABLE_RANGES = [(-95.0, -10.0), (-10.0, 0.0), (0.0, 10.0), (10.0, 25.0)]
-
-
-@pytest.fixture(scope="module")
-def ai_oracle():
-    """Per range of ``_TABLE_RANGES``: 600 seeded points, their 40-digit
-    Ai, and airy_ai's largest error on them."""
-    rng = np.random.default_rng(7)
-    cases = []
-    for lo, hi in _TABLE_RANGES:
-        u = np.sort(rng.uniform(lo, hi, 600))
-        ref = _mp_ai(u)
-        cases.append((u, ref, _ai_errors(airy_ai(u), u, ref)))
-    return cases
-
-
-def _ai_bound(ai_err):
-    """How far the table may be from Ai: 1.25 times airy_ai's error, or
-    4 eps where that is smaller."""
-    return max(1.25 * ai_err, 4.0 * np.finfo(float).eps)
-
-
-class TestAiTaylorTable:
-    #: (t, x_min): the decay, Laplace and oscillatory branches, and the
-    #: oscillatory one at t = -0.75 on lowered domains, down to u ~ -83
-    _CASES = [(1.0, -10.0), (-0.5, -10.0), (-1.0, -10.0), (-0.75, -10.0),
-              (-0.75, -18.0), (-0.75, -30.0)]
-
-    @pytest.mark.parametrize("t,x_min", _CASES)
-    def test_vs_mpmath(self, ai_oracle, t, x_min):
-        # each range's bound is airy_ai's error over all of its points,
-        # also where the table reaches only part of it
-        k = Airy2ProcessKernel(t, x_min=x_min)
-        table = k._ai
-        assert table.lo <= x_min + np.min(k._xi) and table.hi == k.skip_cut
-        checked = 0
-        for u, ref, ai_err in ai_oracle:
-            sel = (u >= table.lo) & (u <= table.hi)
-            if np.any(sel):
-                assert _ai_errors(table(u[sel]), u[sel], ref[sel]) <= _ai_bound(ai_err), u[0]
-                checked += 1
-        # the decay and Laplace kernels start at x_min; the oscillatory
-        # ones reach 40/|t| below it
-        assert checked == (3 if t > -0.75 else 4)
-        if x_min == -30.0:
-            assert table.lo < -83.0
-
-    def test_full_range_vs_mpmath(self, ai_oracle):
-        table = kernels_module._AiTaylorTable(-190.0, 25.0)
-        for u, ref, ai_err in ai_oracle:
-            assert _ai_errors(table(u), u, ref) <= _ai_bound(ai_err), u[0]
-        # near the build guard's limit only panels used within 1/32 of
-        # their centre stay this close (within 1/16: 1.4e-13 off)
-        u = np.sort(np.random.default_rng(8).uniform(-190.0, -95.0, 300))
-        ref = _mp_ai(u)
-        assert _ai_errors(table(u), u, ref) <= _ai_bound(_ai_errors(airy_ai(u), u, ref))
-
-    def test_values_depend_on_u_alone(self):
-        # panel centres sit on one global grid, whatever the range
-        u = np.linspace(-9.0, 9.0, 301)
-        a = kernels_module._AiTaylorTable(-50.0, 20.0)(u)
-        b = kernels_module._AiTaylorTable(-9.3, 9.9)(u)
-        assert np.array_equal(a, b)
-
-    def test_raises_outside_range(self):
-        k = Airy2ProcessKernel(-1.0)
-        table = k._ai
-        table([table.lo, table.hi])
-        for bad in ([np.nextafter(table.lo, -np.inf)], [0.0, np.nextafter(table.hi, np.inf)]):
-            with pytest.raises(ValueError, match="Ai table built for"):
-                table(bad)
-        # basis reaches both ends and never past them
-        k.basis([k.x_min, k.skip_cut - np.min(k._xi)])
-
-    def test_build_checks_the_remainder(self, monkeypatch):
-        # the next two Taylor terms reach roundoff near u = -196: Ai
-        # oscillates too fast there for degree 13 on panels of width 1/16
-        kernels_module._AiTaylorTable(-190.0, 25.0)
-        with pytest.raises(ValueError, match=r"u <= -195\.625,"):
-            kernels_module._AiTaylorTable(-200.0, 25.0)
-        with pytest.raises(ValueError, match="oscillates too fast"):
-            Airy2ProcessKernel(-1.0, x_min=-160.0)
-        # a degree too low for the default range is caught at build
-        monkeypatch.setattr(kernels_module._AiTaylorTable, "DEGREE", 9)
-        with pytest.raises(ValueError, match="degree-9"):
-            kernels_module._AiTaylorTable(-95.0, 25.0)
+def test_basis_below_table_vs_mpmath():
+    # at x_min = -160 the oscillatory K_{-1} takes Ai at x + xi down to
+    # -200, below the -195 of the Ai table: those points come from the
+    # expansion, as close to Ai as the conditioning of the argument allows
+    k = Airy2ProcessKernel(-1.0, x_min=-160.0)
+    xs = np.array([-160.0, -159.3, -150.0])
+    arg = xs[:, None] + k._xi[None, :]
+    assert np.min(arg) < -195.0
+    sample = np.concatenate([np.flatnonzero(arg.ravel() < -195.0)[::7],
+                             np.flatnonzero(arg.ravel() >= -195.0)[::41]])
+    u = arg.ravel()[sample]
+    envelope = np.abs(u) ** -0.25 / math.sqrt(math.pi)
+    bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(u) ** 1.5) * envelope
+    assert np.all(np.abs(k.basis(xs).ravel()[sample] - _mp_ai(u)) <= bound)
 
 
 def _mp_airy2_oracle(cases):

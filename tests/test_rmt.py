@@ -171,6 +171,29 @@ def test_bad_scale_rejected(scale):
     assert code == 2 and "scale" in err.getvalue()
 
 
+@pytest.mark.parametrize("accuracy", [0.0, -1e-8, math.nan, math.inf])
+def test_bad_accuracy_rejected(accuracy, monkeypatch):
+    # a usage error before any level runs, not every level followed by a
+    # "missed accuracy" warning (nan and 0 can never be met)
+    def no_level(*args):
+        raise AssertionError("a refinement level ran")
+
+    monkeypatch.setattr(rmt, "_cov_zero", no_level)
+    monkeypatch.setattr(rmt, "_cov_positive", no_level)
+    calls = [lambda: cov_airy2(0.0, accuracy=accuracy),
+             lambda: cov_airy2(1.0, accuracy=accuracy),
+             lambda: cov_airy1(0.5, accuracy=accuracy),
+             lambda: cov_grid("airy2", [0.0, 1.0], accuracy=accuracy)]
+    for call in calls:
+        with pytest.raises(ValueError, match="accuracy must be finite and > 0"):
+            call()
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["cov", "--process", "airy2", "--t-min", "0", "--t-max", "0",
+                     "--step", "1", f"--accuracy={accuracy}"])
+    assert code == 2 and "accuracy" in err.getvalue()
+
+
 class TestUnitRuleCache:
     def test_rule_and_tan_map_built_once(self, monkeypatch):
         # the (0, 1) rule and the tan map depend on (m, scale) only, so
@@ -435,10 +458,11 @@ class TestJointTableRows:
         assert rmt._EVAL_CHUNK <= 1 << 13 and max(sizes) <= rmt._EVAL_CHUNK
         assert len(sizes) <= points / rmt._EVAL_CHUNK + 4 < n
 
-    def test_prepare_evaluates_no_basis_point_with_airy_ai(self, monkeypatch):
-        # the bases come from each kernel's Taylor table of Ai, so prepare
-        # takes Ai points only for I - A_0 (n m of them, plus the centres
-        # of near-diagonal pairs): not the n m n_inner of the bases
+    def test_prepare_takes_ai_points_for_a0_and_kept_basis_entries(self, monkeypatch):
+        # every Ai point of prepare goes through kernels.airy_ai, where the
+        # benchmark's tracer counts it: n m for I - A_0 (its near-diagonal
+        # pairs are exact diagonals here) and the basis entries at or below
+        # each kernel's skip cut; the entries above it are never evaluated
         tab = _JointTable("airy2", 1.0, 24, 10.0)
         points = []
         airy_ai = kernels_module.airy_ai
@@ -450,9 +474,11 @@ class TestJointTableRows:
         monkeypatch.setattr(kernels_module, "airy_ai", counting)
         n, m = 38, 24
         tab.prepare(gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
-        # one Taylor panel per Ai and Ai' point a table build takes
-        panels = tab.kt._ai._coef.shape[1] + tab.kmt._ai._coef.shape[1]
-        assert sum(points) <= panels < n * m * tab.kt.inner_size
+        x = tab._x.ravel()
+        kept = [int(np.sum(x[:, None] + k._xi[None, :] <= k.skip_cut))
+                for k in (tab.kt, tab.kmt)]
+        assert sum(points) == n * m + sum(kept)
+        assert 0 < kept[0] < x.size * tab.kt.inner_size
 
     def test_prepare_takes_given_blocks_bitwise(self):
         # a covariance level hands prepare the I - A_0 blocks of its kept

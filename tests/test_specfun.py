@@ -1,13 +1,20 @@
-"""Airy function and erf wrappers against high-precision frozen values
-and an mpmath oracle."""
+"""Airy functions and erf against high-precision frozen values and an
+mpmath oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from scipy import special as sp
 
+import fredet
+from fredet import specfun
 from fredet.specfun import (airy_ai, airy_ai_prime, airy_ai_scaled,
                             airy_value, erf)
 
@@ -100,8 +107,8 @@ def _mp_airy(x, derivative=0, scaled=False):
 
 
 _RNG = np.random.default_rng(20)
-#: (10, 103]: the modified-Bessel backend; [-700, -10): the Hankel backend;
-#: and both sides of the +-10 backend switches.
+#: (10, 103]: the table; [-700, -10): the table and, below -195, the
+#: expansion; and both sides of +-10 (10 is the cut of the scaled Ai).
 POS_POINTS = np.concatenate([_RNG.uniform(10.0, 103.0, 40), [103.0]])
 NEG_POINTS = np.concatenate([_RNG.uniform(-700.0, -10.0, 40), [-700.0]])
 SWITCH_POINTS = np.array([s * v for s in (1.0, -1.0)
@@ -139,18 +146,20 @@ class TestAiryOracle:
         assert abs(airy_ai_scaled(x) / _mp_airy(x, scaled=True) - 1.0) <= 1e-15
 
     def test_continuous_across_backend_switches(self):
+        # the scaled-Ai cut at 10 (and -10, no cut); the top of the table at
+        # 108, past which Ai and Ai' round to 0; and its bottom at -195,
+        # where the oscillatory expansion rounds its phase zeta = 1815 to
+        # ~2e-13
         for sign in (1.0, -1.0):
             inside, outside = sign * 10.0, sign * np.nextafter(10.0, 20.0)
             for f in (airy_ai, airy_ai_prime, airy_ai_scaled):
                 assert f(outside) == pytest.approx(f(inside), rel=1e-13)
-
-    def test_scaled_equals_airye_above_one(self):
-        # AMOS ZAIRY takes |z| > 1 through K_{1/3} itself, so the kve
-        # backend must reproduce scipy's airye there bit for bit
-        x = np.concatenate([np.linspace(1.0, 10.0, 200001)[1:],
-                            [np.nextafter(1.0, 2.0), 1.0 + 1e-9, 40.0, 1e3, 1e5]])
-        assert np.array_equal(airy_ai_scaled(x), sp.airye(x)[0])
-        assert airy_ai_scaled(1.0) == sp.airye(1.0)[0]
+        for f in (airy_ai, airy_ai_prime):
+            assert f(108.0) == f(np.nextafter(108.0, 109.0)) == 0.0 != f(107.0)
+        low, below = -195.0, np.nextafter(-195.0, -196.0)
+        env = {airy_ai: 195.0 ** -0.25, airy_ai_prime: 195.0 ** 0.25}
+        for f in (airy_ai, airy_ai_prime):
+            assert abs(f(below) - f(low)) <= _conditioning_bound(low) * env[f]
 
     def test_dense_grid_against_scipy_airy(self):
         x = np.linspace(-700.0, 103.0, 80301)
@@ -162,6 +171,116 @@ class TestAiryOracle:
                              np.abs(ref_aip))
         assert np.all(np.abs(airy_ai(x) - ref_ai) <= 1e-12 * env)
         assert np.all(np.abs(airy_ai_prime(x) - ref_aip) <= 1e-12 * env_prime)
+
+
+#: The oracle's ranges: [-700, -195] is the oscillatory expansion, the
+#: rest the table.
+_RANGES = [(-700.0, -195.0), (-195.0, -10.0), (-10.0, 0.0), (0.0, 10.0),
+           (10.0, 25.0), (25.0, 103.0)]
+
+#: The largest Ai error of the scipy backends that the table replaced, on
+#: 600 seeded points of each range against 40-digit mpmath: absolute on
+#: [-95, -10] (here the ceiling for all of [-195, -10]) and [-10, 0],
+#: relative on [0, 10] and [10, 25].
+_BACKEND_AI_ERRORS = {(-195.0, -10.0): 2.0e-14, (-10.0, 0.0): 1.1e-15,
+                      (0.0, 10.0): 1.4e-14, (10.0, 25.0): 1.8e-14}
+
+
+@pytest.fixture(scope="module")
+def range_oracle():
+    """Per range of ``_RANGES``: 150 seeded points and their 50-digit Ai
+    and Ai'."""
+    rng = np.random.default_rng(12)
+    cases = {}
+    for lo, hi in _RANGES:
+        x = np.sort(rng.uniform(lo, hi, 150))
+        cases[lo, hi] = (x, np.array([_mp_airy(v) for v in x]),
+                         np.array([_mp_airy(v, 1) for v in x]))
+    return cases
+
+
+class TestOneEvaluator:
+    """The table and the expansions per range, against 50-digit mpmath."""
+
+    @pytest.mark.parametrize("lo,hi", _RANGES)
+    def test_range_vs_mpmath(self, range_oracle, lo, hi):
+        x, ai, aip = range_oracle[lo, hi]
+        bound = _conditioning_bound(x)
+        if hi <= 0.0:
+            # errors against the envelopes, as in test_negative_envelope
+            y = -x
+            err = np.abs(airy_ai(x) - ai) / (y ** -0.25 / math.sqrt(math.pi))
+            err_prime = np.abs(airy_ai_prime(x) - aip) / (y ** 0.25 / math.sqrt(math.pi))
+            ai_err = np.max(np.abs(airy_ai(x) - ai))
+        else:
+            err = np.abs(airy_ai(x) / ai - 1.0)
+            err_prime = np.abs(airy_ai_prime(x) / aip - 1.0)
+            ai_err = np.max(err)
+        assert np.all(err <= bound) and np.all(err_prime <= bound)
+        assert ai_err <= _BACKEND_AI_ERRORS.get((lo, hi), math.inf)
+
+    def test_scaled_vs_mpmath(self):
+        # table times e^zeta up to 10, the expansion above, to 1e12
+        rng = np.random.default_rng(13)
+        x = np.concatenate([rng.uniform(0.0, 10.0, 100), rng.uniform(10.0, 103.0, 60),
+                            10.0 ** rng.uniform(2.0, 12.0, 40)])
+        ref = np.array([_mp_airy(v, scaled=True) for v in x])
+        assert np.max(np.abs(airy_ai_scaled(x) / ref - 1.0)) <= 1e-14
+
+    def test_neighbouring_panels_agree_at_their_seam(self):
+        # the panels about c and c + 1/16 meet at c + 1/32, where both are
+        # used: agreement there checks the seeds of both walks, down from
+        # Ai(0) and down from the top, and the seam at 0 where they meet.
+        # Above 104 Ai is subnormal, with the representation's accuracy.
+        table = specfun._TABLE
+        h = 0.5 / table.PER_UNIT
+        c = (table._j0 + np.arange(table._coef[0].shape[1])) / table.PER_UNIT
+        mid = c[:-1] + h
+        normal = mid < 104.0
+        mid = mid[normal]
+        for deriv, power in ((0, -0.25), (1, 0.25)):
+            coef = table._coef[deriv]
+            left = polyval(h, coef[:, :-1])[normal]
+            right = polyval(-h, coef[:, 1:])[normal]
+            scale = np.where(mid < 0.0, np.abs(mid) ** power / math.sqrt(math.pi),
+                             np.abs(left))
+            assert np.max(np.abs(left - right) / scale) <= 4.0 * EPS
+
+    def test_build_checks_the_remainder(self, monkeypatch):
+        # the next two Taylor terms reach roundoff near u = -196: Ai
+        # oscillates too fast there for degree 13 on panels of width 1/16
+        table = specfun._AiTable(-195.0, 108.0)
+        assert all(np.array_equal(a, b) for a, b in zip(table._coef, specfun._TABLE._coef))
+        with pytest.raises(ValueError, match=r"u <= -195\.625,"):
+            specfun._AiTable(-200.0, 108.0)
+        # a degree too low for the range is caught at build
+        monkeypatch.setattr(specfun._AiTable, "DEGREE", 9)
+        with pytest.raises(ValueError, match="degree-9"):
+            specfun._AiTable(-95.0, 108.0)
+
+
+def test_library_calls_load_no_scipy():
+    # scipy.special is imported only by airy_value(validate=True), for Bi
+    code = "\n".join([
+        "import sys",
+        "import fredet",
+        "fredet.e2_gap(1.0, 20)",
+        "fredet.f2_tw(-2.0, 30)",
+        "fredet.tw_moments()",
+        "fredet.airy2_joint(1.0, -1.0, 0.0, 12)",
+        "fredet.airy1_joint(1.0, -1.0, 0.0, 12)",
+        "fredet.cov_airy2(0.0)",
+        "fredet.airy_value(1.0)",
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'",
+        "fredet.airy_value(1.0, validate=True)",
+        "assert 'scipy.special' in sys.modules",
+    ])
+    src = str(Path(fredet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
