@@ -81,8 +81,12 @@ def _parse_z(text: str):
 
 
 def _grid(lo, hi, step):
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+        raise ValueError(f"sweep range must be finite, got {lo}, {hi}, step {step}")
     if step <= 0:
         raise ValueError("step must be positive")
+    if lo > hi:
+        raise ValueError(f"empty sweep range: {lo} > {hi}")
     n = int(round((hi - lo) / step))
     return [lo + k * step for k in range(n + 1) if lo + k * step <= hi + 1e-12]
 
@@ -108,8 +112,6 @@ def _cmd_quad(args):
 
 
 def _cmd_specfun(args):
-    if args.function != "ai":
-        raise SystemExit(2)
     val = airy_value(args.x)
     args._digits17 = True
     _emit(args, ["ai", "ai_prime"], [(val.ai, val.ai_prime)])

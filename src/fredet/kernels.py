@@ -17,7 +17,9 @@ Implemented kernels:
   Fredholm determinant.
 
 All kernels evaluate vectorized over numpy arrays; removable singularities
-on the diagonal are handled analytically.
+on the diagonal are handled analytically.  Each kernel implements exactly
+one of ``eval`` (pointwise values) and ``matrix`` (stacked cross
+matrices); ``Kernel`` derives the other from it.
 """
 
 from __future__ import annotations
@@ -53,31 +55,36 @@ __all__ = [
 _DIAG_SPLIT = 1e-4
 
 
+def _float_if_scalar(out):
+    """A Python float for a 0-d result, the array otherwise."""
+    return out if np.ndim(out) else float(out)
+
+
 class Kernel:
     """A two-variable kernel K(x, y) with vectorized evaluation.
+
+    A subclass implements exactly one of ``eval`` and ``matrix``; each
+    default here is derived from the other, so a kernel has one evaluation
+    routine.
 
     Attributes
     ----------
     hermitian : bool
         K(x, y) == conj(K(y, x)).
-    smoothness : str
-        Qualitative smoothness tag ("entire", "C^{0,1}", "continuous", ...).
     """
 
     hermitian: bool = False
-    smoothness: str = "continuous"
 
     def eval(self, x, y):
-        """Evaluate K at broadcast-compatible arrays of points."""
-        raise NotImplementedError
-
-    def diagonal(self, x):
-        """K(x, x), using the analytic limit where the quotient is 0/0."""
-        return self.eval(x, x)
+        """Evaluate K at broadcast-compatible arrays of points; a float for
+        scalars.  Derived from ``matrix`` as 1 x 1 cross matrices."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
+        return _float_if_scalar(self.matrix(x[..., None], y[..., None])[..., 0, 0])
 
     def matrix(self, xs, ys) -> np.ndarray:
         """Cross matrix ``K(xs[..., i], ys[..., j])``, stacked over the
-        leading axes of xs and ys."""
+        leading axes of xs and ys.  Derived from ``eval``."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         return np.asarray(self.eval(xs[..., :, None], ys[..., None, :]), dtype=float)
@@ -87,7 +94,6 @@ class SineKernel(Kernel):
     """sin(pi(x-y)) / (pi(x-y)); entire, Hermitian, diagonal value 1."""
 
     hermitian = True
-    smoothness = "entire"
 
     def eval(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -99,10 +105,7 @@ class SineKernel(Kernel):
         far = np.sin(u_safe) / u_safe
         u2 = u * u
         near = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0)
-        return np.where(small, near, far)
-
-    def diagonal(self, x):
-        return np.ones_like(np.asarray(x, dtype=float))
+        return _float_if_scalar(np.where(small, near, far))
 
 
 class GreenKernel(Kernel):
@@ -111,16 +114,11 @@ class GreenKernel(Kernel):
     positive definite."""
 
     hermitian = True
-    smoothness = "C^{0,1}"
 
     def eval(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return np.where(x <= y, x * (1.0 - y), y * (1.0 - x))
-
-    def diagonal(self, x):
-        x = np.asarray(x, dtype=float)
-        return x * (1.0 - x)
+        return _float_if_scalar(np.where(x <= y, x * (1.0 - y), y * (1.0 - x)))
 
 
 class AiryKernel(Kernel):
@@ -139,7 +137,6 @@ class AiryKernel(Kernel):
     """
 
     hermitian = True
-    smoothness = "entire"
 
     @staticmethod
     def _diag_pair(c):
@@ -148,29 +145,6 @@ class AiryKernel(Kernel):
         d = aip * aip - c * ai * ai
         e = (2.0 * c * c * ai * ai - 2.0 * c * aip * aip - ai * aip) / 3.0
         return d, e
-
-    def eval(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                   np.asarray(y, dtype=float))
-        d = x - y
-        small = np.abs(d) < _DIAG_SPLIT
-        out = np.empty(x.shape, dtype=float)
-        if np.any(~small):
-            xf, yf, df = x[~small], y[~small], d[~small]
-            num = airy_ai(xf) * airy_ai_prime(yf) - airy_ai(yf) * airy_ai_prime(xf)
-            out[~small] = num / df
-        if np.any(small):
-            c = 0.5 * (x[small] + y[small])
-            h = 0.5 * d[small]
-            dval, eval_ = self._diag_pair(c)
-            out[small] = dval - h * h * eval_
-        return out if out.shape else float(out)
-
-    def diagonal(self, x):
-        x = np.asarray(x, dtype=float)
-        ai = airy_ai(x)
-        aip = airy_ai_prime(x)
-        return aip * aip - x * ai * ai
 
     def matrix(self, xs, ys) -> np.ndarray:
         """Cross matrix, stacked as ``Kernel.matrix`` is.  Entries with
@@ -260,7 +234,6 @@ class Airy2ProcessKernel(Kernel):
     """
 
     hermitian = True
-    smoothness = "entire"
 
     #: |t| below which the t < 0 branch switches to the Laplace-identity form.
     _LAPLACE_SWITCH = 0.75
@@ -368,16 +341,16 @@ class Airy2ProcessKernel(Kernel):
         return np.sum(ax * ay * q[None, :], axis=1)
 
     def basis(self, xs) -> np.ndarray:
-        """Ai(xs[i] + xi_k) on the inner nodes, 0 where xs[i] + xi_k is
-        above ``skip_cut``; callers may cache this and form cross matrices
-        as ``(basis(x) * weights) @ basis(y).T``.  Raises ValueError for
-        arguments below ``x_min``."""
+        """Ai(xs[..., i] + xi_k) on the inner nodes, 0 where xs[..., i] + xi_k
+        is above ``skip_cut``; callers may cache this and form cross
+        matrices as ``(basis(x) * weights) @ basis(y).T``.  Raises
+        ValueError for arguments below ``x_min``."""
         xs = np.asarray(xs, dtype=float)
         if xs.size and np.min(xs) < self.x_min:
             raise ValueError(
                 f"Airy2ProcessKernel(t={self.t:g}) is built for arguments >= "
                 f"x_min={self.x_min:g}, got {np.min(xs):g}")
-        arg = xs[:, None] + self._xi[None, :]
+        arg = xs[..., None] + self._xi
         keep = arg <= self.skip_cut
         out = np.zeros(arg.shape)
         out[keep] = airy_ai(arg[keep])
@@ -401,27 +374,12 @@ class Airy2ProcessKernel(Kernel):
                     - (xs - ys) ** 2 / (4.0 * tau))
             return np.exp(expo) / (2.0 * math.sqrt(math.pi * tau))
 
-    def eval(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                   np.asarray(y, dtype=float))
-        xf = x.ravel()
-        yf = y.ravel()
-        out = np.empty(xf.shape)
-        chunk = max(1, int(2e6 // max(self._xi.size, 1)))
-        for lo in range(0, xf.size, chunk):
-            hi = min(lo + chunk, xf.size)
-            out[lo:hi] = (self.basis(xf[lo:hi]) * self.basis(yf[lo:hi])) @ self._q
-        if self._mode == "laplace":
-            out -= self.gaussian_part(xf, yf)
-        out = out.reshape(x.shape)
-        return out if out.shape else float(out)
-
     def matrix(self, xs, ys) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        out = (self.basis(xs) * self._q[None, :]) @ self.basis(ys).T
+        out = (self.basis(xs) * self._q) @ np.swapaxes(self.basis(ys), -1, -2)
         if self._mode == "laplace":
-            out -= self.gaussian_part(xs[:, None], ys[None, :])
+            out -= self.gaussian_part(xs[..., :, None], ys[..., None, :])
         return out
 
 
@@ -445,7 +403,6 @@ class Airy1ProcessKernel(Kernel):
     """
 
     hermitian = True
-    smoothness = "entire"
 
     def __init__(self, t: float):
         self.t = float(t)
@@ -455,37 +412,21 @@ class Airy1ProcessKernel(Kernel):
     def eval(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        t = self.t
-        u = x + y + t * t
-        c = t * (x + y) + 2.0 * t ** 3 / 3.0
-        out = _airy_times_exp(u, c)
-        if t > 0.0:
-            out = out - _heat(x, y, t)
-        return out if np.ndim(out) else float(out)
-
-    def matrix_pair(self, xs, ys):
-        """``(K_t(xs[i], ys[j]), K_{-t}(ys[j], xs[i]))``, both indexed
-        [i, j].  The two kernels share the factor Ai(x+y+t^2) and differ
-        in the sign of the exponent, so the Airy points are evaluated once
-        for both."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        t = self.t
-        x, y = xs[:, None], ys[None, :]
-        ai, log_scale = _airy_log_split(x + y + t * t)
-        return self._pair_terms(x, y, ai, log_scale, x + y)
+        xy = x + y
+        return _float_if_scalar(
+            self._term(x, y, *_airy_log_split(xy + self.t * self.t), xy, self.t))
 
     def shifted_pairs(self, s1: float, s2, offsets):
-        """``matrix_pair(s1 + offsets, s2[j] + offsets)`` for every j,
-        stacked as [j, p, q]: ``K_t(s1 + o_p, s2_j + o_q)`` and
-        ``K_{-t}(s2_j + o_q, s1 + o_p)``.
+        """``K_t(s1 + o_p, s2_j + o_q)`` and ``K_{-t}(s2_j + o_q, s1 + o_p)``
+        for every j, both stacked as [j, p, q].  The two kernels share the
+        factor Ai(x + y + t^2) and differ in the sign of the exponent, so
+        the Airy points are evaluated once for both.
 
         The sum x + y is rounded as (s1 + s2_j) + (o_p + o_q), which is
         symmetric bit for bit in (p, q) and in (s1, s2_j), so the Airy
-        factor Ai(x + y + t^2) is evaluated for p <= q only and mirrored.
-        The exponent t (x + y) comes from the same sum, which keeps it
-        consistent with the Airy factor's log scale; the heat term is
-        evaluated in full.
+        factor is evaluated for p <= q only and mirrored.  The exponent
+        t (x + y) comes from the same sum, which keeps it consistent with
+        the Airy factor's log scale; the heat term is evaluated in full.
         """
         offsets = np.asarray(offsets, dtype=float)
         s2 = np.asarray(s2, dtype=float)
@@ -500,21 +441,23 @@ class Airy1ProcessKernel(Kernel):
         for full, tri in ((ai, a_tri), (log_scale, g_tri)):
             full[:, p, q] = tri
             full[:, q, p] = tri
-        return self._pair_terms(x, y, ai, log_scale, xy)
+        return (self._term(x, y, ai, log_scale, xy, t),
+                self._term(x, y, ai, log_scale, xy, -t))
 
-    def _pair_terms(self, x, y, ai, log_scale, xy):
-        """(K_t(x, y), K_{-t}(y, x)) from the split Airy factor
-        Ai(xy + t^2) = ai * exp(log_scale), xy = x + y."""
-        t = self.t
+    @staticmethod
+    def _term(x, y, ai, log_scale, xy, t):
+        """K_t(x, y) from the split Airy factor Ai(xy + t^2) =
+        ai * exp(log_scale), xy = x + y: Ai times e^{t xy + 2t^3/3} in log
+        space, so that it underflows cleanly instead of giving inf * 0
+        (for xy + t^2 <= 0 the exponent is bounded above).  The exponent
+        of K_{-t} is the exact negative of K_t's, and the heat term is
+        even in x - y, so the term at -t is also K_{-t}(y, x)."""
         c = t * xy + 2.0 * t ** 3 / 3.0
         with np.errstate(under="ignore", over="ignore"):
-            fwd = ai * np.exp(c + log_scale)
-            bwd = ai * np.exp(-c + log_scale)
+            out = ai * np.exp(c + log_scale)
         if t > 0.0:
-            fwd -= _heat(x, y, t)
-        elif t < 0.0:
-            bwd -= _heat(x, y, -t)
-        return fwd, bwd
+            out = out - _heat(x, y, t)
+        return out
 
 
 def _heat(x, y, t):
@@ -529,15 +472,6 @@ def _airy_log_split(u):
     u = np.asarray(u, dtype=float)
     with np.errstate(under="ignore", over="ignore"):
         return airy_ai_scaled(u), -(2.0 / 3.0) * np.maximum(u, 0.0) ** 1.5
-
-
-def _airy_times_exp(u, c):
-    """Ai(u) * exp(c), evaluated in log space where Ai would underflow.
-    For u <= 0 the exponent c is bounded above, so nothing overflows."""
-    u, c = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(c, dtype=float))
-    a, g = _airy_log_split(u)
-    with np.errstate(under="ignore", over="ignore"):
-        return a * np.exp(c + g)
 
 
 class TransformedKernel(Kernel):
@@ -558,7 +492,6 @@ class TransformedKernel(Kernel):
         self.s = float(s)
         self.scale = float(scale)
         self.hermitian = bool(base.hermitian)
-        self.smoothness = "smooth"
 
     def phi(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -570,41 +503,21 @@ class TransformedKernel(Kernel):
         with np.errstate(divide="ignore", over="ignore"):
             return self.scale * (0.5 * np.pi) / (cos * cos)
 
-    def eval(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                   np.asarray(y, dtype=float))
-        inside = (x < 1.0) & (y < 1.0)
-        out = np.zeros(x.shape)
-        if np.any(inside):
-            xi = x[inside]
-            eta = y[inside]
-            with np.errstate(under="ignore"):
-                val = (np.sqrt(self.dphi(xi) * self.dphi(eta))
-                       * np.asarray(self.base.eval(self.phi(xi), self.phi(eta))))
-            out[inside] = val
-        return out if out.shape else float(out)
-
     def matrix(self, xs, ys) -> np.ndarray:
+        """Cross matrix, stacked as ``Kernel.matrix`` is.  Arguments at or
+        past 1 are clipped to 0, where the base kernel is finite, and carry
+        the factor 0 in place of sqrt(phi')."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         goodx = xs < 1.0
         goody = ys < 1.0
-        rx = np.zeros(xs.shape)
-        ry = np.zeros(ys.shape)
-        rx[goodx] = np.sqrt(self.dphi(xs[goodx]))
-        ry[goody] = np.sqrt(self.dphi(ys[goody]))
-        # evaluate the base kernel on clipped arguments; masked rows/columns
-        # are zeroed afterwards so huge mapped points never contribute
-        xm = self.phi(np.where(goodx, xs, 0.0))
-        ym = self.phi(np.where(goody, ys, 0.0))
+        xc = np.where(goodx, xs, 0.0)
+        yc = np.where(goody, ys, 0.0)
+        rx = np.where(goodx, np.sqrt(self.dphi(xc)), 0.0)
+        ry = np.where(goody, np.sqrt(self.dphi(yc)), 0.0)
         with np.errstate(under="ignore"):
-            core = np.asarray(self.base.matrix(xm, ym), dtype=float)
-        out = rx[:, None] * core * ry[None, :]
-        if not np.all(goodx):
-            out[~goodx, :] = 0.0
-        if not np.all(goody):
-            out[:, ~goody] = 0.0
-        return out
+            core = np.asarray(self.base.matrix(self.phi(xc), self.phi(yc)), dtype=float)
+        return rx[..., :, None] * core * ry[..., None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -124,16 +124,12 @@ def _block_views(a, rules) -> list:
 
 
 def _kernel_matrix(kernels, rules) -> np.ndarray:
-    """K_ij(x_ip, x_jq) of an N x N system on its extended node set; for
-    N = 1 the kernel's own matrix."""
-    if len(rules) == 1:
-        k = kernels[0][0].matrix(rules[0].nodes, rules[0].nodes)
-    else:
-        m = sum(rule.m for rule in rules)
-        k = np.empty((m, m))
-        for i, row in enumerate(_block_views(k, rules)):
-            for j, block in enumerate(row):
-                block[...] = kernels[i][j].matrix(rules[i].nodes, rules[j].nodes)
+    """K_ij(x_ip, x_jq) of an N x N system on its extended node set."""
+    m = sum(rule.m for rule in rules)
+    k = np.empty((m, m))
+    for i, row in enumerate(_block_views(k, rules)):
+        for j, block in enumerate(row):
+            block[...] = kernels[i][j].matrix(rules[i].nodes, rules[j].nodes)
     _check_finite_kernel(k)
     return k
 
@@ -141,11 +137,9 @@ def _kernel_matrix(kernels, rules) -> np.ndarray:
 def _system_matrix(kernels, rules) -> np.ndarray:
     """diag(sqrt w) K diag(sqrt w) on the extended node set; for N > 1 its
     blocks are balanced in place (``_balance_blocks``)."""
-    single = len(rules) == 1
-    sw = np.sqrt(rules[0].weights if single else
-                 np.concatenate([rule.weights for rule in rules]))
+    sw = np.sqrt(np.concatenate([rule.weights for rule in rules]))
     a_q = sw[:, None] * _kernel_matrix(kernels, rules) * sw[None, :]
-    if not single:
+    if len(rules) > 1:
         _balance_blocks(_block_views(a_q, rules))
     return a_q
 

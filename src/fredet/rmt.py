@@ -136,9 +136,12 @@ def f2_tw(s: float, m: int, route: str = "transform", scale: float = 10.0,
     route="transform" maps (s, inf) to (0, 1) by the tan map of
     ``TransformedKernel``, as the Airy(2) marginal (``_marginal_points``);
     route="truncate" works on the finite interval (s, T) and needs T > s
-    (the committed error is bounded by ``truncation_bound``).
+    (the committed error is bounded by ``truncation_bound``); T is
+    rejected on the transform route.
     """
     if route == "transform":
+        if T is not None:
+            raise ValueError("T applies only to route='truncate'")
         return _marginal_points("airy2", [s], m, scale)[0]
     if route == "truncate":
         if T is None:

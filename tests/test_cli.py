@@ -64,6 +64,11 @@ class TestDetCommand:
         ["quad", "--rule", "gauss", "--a", "1", "--b", "0", "--m", "3"],
         ["e2", "--s-min", "-1", "--s-max", "0", "--step", "1"],
         ["cov", "--process", "airy2", "--t-min", "-1", "--t-max", "-1", "--step", "1"],
+        ["e2", "--s-min", "5", "--s-max", "0", "--step", "0.1"],
+        ["cov", "--process", "airy2", "--t-min", "1", "--t-max", "0.5", "--step", "0.1"],
+        ["e2", "--s-min", "0", "--s-max", "1", "--step", "inf"],
+        ["e2", "--s-min", "0", "--s-max", "nan", "--step", "0.1"],
+        ["f2", "--s-min", "-1", "--s-max", "0", "--step", "0.5", "--T", "3"],
     ])
     def test_bad_input_exit_2(self, argv):
         code, out, err = run(argv)

@@ -1,4 +1,5 @@
-"""Kernel evaluation: diagonals, symmetry, process kernels, transformation."""
+"""Kernel evaluation: the eval/matrix contract, diagonals, symmetry,
+process kernels, transformation."""
 
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from fredet.kernels import (Airy1ProcessKernel, Airy2ProcessKernel, AiryKernel,
-                            GreenKernel, SineKernel, TransformedKernel,
+                            GreenKernel, Kernel, SineKernel, TransformedKernel,
                             airy2_process_kernel, make_kernel,
                             transform_to_unit)
 from fredet import kernels as kernels_module
@@ -17,13 +18,62 @@ from fredet.rmt import _COV_LEVELS, DEFAULT_BOX, _tan_map
 from fredet.specfun import airy_ai, airy_ai_prime
 
 
+def test_each_kernel_class_defines_eval_or_matrix():
+    # both would be two evaluators of one kernel; neither would recurse
+    # between the defaults of Kernel
+    classes = [cls for cls in vars(kernels_module).values()
+               if isinstance(cls, type) and issubclass(cls, Kernel) and cls is not Kernel]
+    assert len(classes) == 6
+    for cls in classes:
+        assert ("eval" in vars(cls)) != ("matrix" in vars(cls)), cls.__name__
+
+
+#: name -> (kernel, sampling interval): every registry family, the decay,
+#: Laplace and oscillatory branches of the Airy(2) inner rule, and a
+#: tan-mapped kernel, whose samples include the endpoint 1
+_CONTRACT_KERNELS = {
+    "sine": (lambda: make_kernel("sine"), (-4.0, 4.0)),
+    "airy": (lambda: make_kernel("airy"), (-10.0, 8.0)),
+    "green": (lambda: make_kernel("green"), (0.0, 1.0)),
+    "airy1:0.5": (lambda: make_kernel("airy1:0.5"), (-6.0, 6.0)),
+    "airy1:-0.5": (lambda: make_kernel("airy1:-0.5"), (-6.0, 6.0)),
+    "airy2:1": (lambda: Airy2ProcessKernel(1.0), (-10.0, 8.0)),
+    "airy2:-0.5": (lambda: Airy2ProcessKernel(-0.5), (-10.0, 8.0)),
+    "airy2:-1": (lambda: Airy2ProcessKernel(-1.0), (-10.0, 8.0)),
+    "transformed": (lambda: TransformedKernel(AiryKernel(), -1.0), (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_KERNELS))
+def test_kernel_contract(name):
+    make, (lo, hi) = _CONTRACT_KERNELS[name]
+    k = make()
+    xs = np.random.default_rng(5).uniform(lo, hi - 1e-4, size=(3, 9))
+    xs[1, 3] = xs[1, 4] + 3e-5  # one near-diagonal pair in one slice
+    xs[2, 0] = hi
+    assert type(k.eval(xs[0, 0], xs[0, 1])) is float
+    # pointwise values are the matrix entries; the Airy(2) inner sums may
+    # be added up in another order
+    x, y = xs[1], np.append(xs[1], xs[2])
+    matrix = k.matrix(x, y)
+    values = k.eval(x[:, None], y[None, :])
+    if isinstance(k, Airy2ProcessKernel):
+        assert np.allclose(values, matrix, rtol=0.0, atol=1e-14)
+    else:
+        assert np.array_equal(values, matrix)
+    # a stacked matrix is its slices, bit for bit
+    stacked = k.matrix(xs, xs)
+    assert np.array_equal(stacked, np.array([k.matrix(x, x) for x in xs]))
+
+
 class TestSineKernel:
     def setup_method(self):
         self.k = SineKernel()
 
     def test_diagonal(self):
         assert self.k.eval(0.3, 0.3) == 1.0
-        assert np.all(self.k.diagonal(np.linspace(0, 5, 7)) == 1.0)
+        x = np.linspace(0, 5, 7)
+        assert np.all(self.k.eval(x, x) == 1.0)
 
     def test_values(self):
         assert self.k.eval(0.0, 0.5) == pytest.approx(2.0 / math.pi, abs=1e-16)
@@ -47,7 +97,7 @@ class TestGreenKernel:
 
     def test_diagonal(self):
         x = np.linspace(0, 1, 11)
-        assert np.allclose(self.k.diagonal(x), x * (1 - x), atol=1e-16)
+        assert np.array_equal(self.k.eval(x, x), x * (1 - x))
 
     def test_positive_semidefinite_quadratic_form(self):
         rng = np.random.default_rng(5)
@@ -65,14 +115,15 @@ class TestAiryKernel:
         self.k = AiryKernel()
 
     def test_diagonal_formula(self):
+        # the L'Hopital limit Ai'(x)^2 - x Ai(x)^2, bit for bit
         for x in (-4.0, -1.0, 0.0, 2.5):
-            ref = airy_ai_prime(x) ** 2 - x * airy_ai(x) ** 2
-            assert self.k.diagonal(x) == pytest.approx(ref, rel=1e-15)
+            ai, aip = airy_ai(x), airy_ai_prime(x)
+            assert self.k.eval(x, x) == aip * aip - x * ai * ai
 
     def test_diagonal_vs_nearby_eval(self):
         for x in (-3.0, 0.0, 1.5):
             near = self.k.eval(x + 1e-6, x - 1e-6)
-            assert self.k.diagonal(x) == pytest.approx(near, abs=2e-12)
+            assert self.k.eval(x, x) == pytest.approx(near, abs=2e-12)
 
     def test_off_diagonal_composition(self):
         ref = (airy_ai(0.0) * airy_ai_prime(1.0)
@@ -95,7 +146,8 @@ class TestAiryKernel:
     def test_matrix_handles_diagonal(self):
         xs = np.array([-2.0, 0.0, 1.0])
         m = self.k.matrix(xs, xs)
-        assert np.allclose(np.diag(m), self.k.diagonal(xs), rtol=1e-14)
+        ai, aip = airy_ai(xs), airy_ai_prime(xs)
+        assert np.array_equal(np.diag(m), aip * aip - xs * ai * ai)
         assert np.allclose(m, m.T, atol=1e-15)
 
     def test_matrix_reuses_equal_nodes_bitwise(self, monkeypatch):
@@ -125,12 +177,6 @@ class TestAiryKernel:
         xs = np.linspace(-14.0, 30.0, 45)
         dval, e = AiryKernel._diag_pair(xs)
         assert np.array_equal(np.diag(self.k.matrix(xs, xs)), dval - 0.0 * e)
-
-    def test_stacked_matrix_equals_per_slice_bitwise(self):
-        xs = np.random.default_rng(5).uniform(-10.0, 8.0, size=(4, 9))
-        xs[1, 3] = xs[1, 4] + 3e-5  # one near-diagonal pair in one slice
-        stacked = self.k.matrix(xs, xs)
-        assert np.array_equal(stacked, np.array([self.k.matrix(x, x) for x in xs]))
 
 
 class TestHermitianSymmetry:
@@ -194,15 +240,6 @@ class TestAiry2ProcessKernel:
         vals = [airy2_process_kernel(t).eval(2.0, 2.0) for t in (0.5, 1.0, 2.0)]
         assert all(v > 0 for v in vals)
         assert vals[0] > vals[1] > vals[2]
-
-    def test_matrix_consistent_with_eval(self):
-        k = airy2_process_kernel(-0.3)
-        xs = np.array([-4.0, -1.0, 0.5])
-        ys = np.array([-2.0, 3.0])
-        m = k.matrix(xs, ys)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                assert m[i, j] == pytest.approx(k.eval(x, y), rel=1e-13, abs=1e-15)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_inner_rule_converged(self):
@@ -511,12 +548,12 @@ class TestAiry1ProcessKernel:
 
     @pytest.mark.parametrize("t", [0.5, -0.7, 2.5])
     def test_matrix_pair_matches_both_kernels(self, t):
-        # one shared Airy evaluation gives K_t(x, y) and K_{-t}(y, x)
-        xs = np.linspace(-6.0, 40.0, 7)
-        ys = np.linspace(-5.0, 30.0, 5)
-        fwd, bwd = Airy1ProcessKernel(t).matrix_pair(xs, ys)
-        assert np.array_equal(fwd, Airy1ProcessKernel(t).matrix(xs, ys))
-        assert np.array_equal(bwd, Airy1ProcessKernel(-t).matrix(ys, xs).T)
+        # one shared Airy evaluation gives K_t(x, y) and K_{-t}(y, x); at
+        # s1 = s2 = 0 the sums x + y round as in the full evaluation
+        offsets = np.linspace(-6.0, 40.0, 7)
+        fwd, bwd = Airy1ProcessKernel(t).shifted_pairs(0.0, np.zeros(1), offsets)
+        assert np.array_equal(fwd[0], Airy1ProcessKernel(t).matrix(offsets, offsets))
+        assert np.array_equal(bwd[0], Airy1ProcessKernel(-t).matrix(offsets, offsets).T)
 
     @pytest.mark.parametrize("t", [0.5, -0.7, 2.5])
     def test_shifted_pairs_match_matrix_pair(self, t):
@@ -527,7 +564,8 @@ class TestAiry1ProcessKernel:
         s2 = np.array([-5.5, -1.0, 0.3, 4.0])
         fwd, bwd = k.shifted_pairs(-2.5, s2, offsets)
         for j, sj in enumerate(s2):
-            ref_fwd, ref_bwd = k.matrix_pair(-2.5 + offsets, sj + offsets)
+            ref_fwd = k.matrix(-2.5 + offsets, sj + offsets)
+            ref_bwd = Airy1ProcessKernel(-t).matrix(sj + offsets, -2.5 + offsets).T
             assert np.max(np.abs(fwd[j] - ref_fwd)) <= 1e-13 * np.max(np.abs(ref_fwd))
             assert np.max(np.abs(bwd[j] - ref_bwd)) <= 1e-13 * np.max(np.abs(ref_bwd))
 

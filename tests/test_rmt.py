@@ -138,6 +138,9 @@ class TestF2:
             f2_tw(-2.0, 30, route="truncate")
         with pytest.raises(ValueError):
             f2_tw(-2.0, 30, route="truncate", T=-3.0)
+        # the tan map needs no truncation point: T there is a usage error
+        with pytest.raises(ValueError, match="route='truncate'"):
+            f2_tw(-2.0, 30, T=3.0)
 
     def test_geometric_convergence_regime(self):
         # successive-m differences shrink at least 2x per +5 in m until
@@ -376,7 +379,7 @@ class TestJointTableRows:
     ])
     def test_airy1_rows_match_full_evaluation(self, t, rel, monkeypatch):
         # rows with the mirrored Airy factor against rows whose blocks come
-        # from the full m x m evaluation of matrix_pair, relative to the
+        # from full m x m kernel matrices of K_t and K_{-t}, relative to the
         # largest joint of the grid (the smallest ones are roundoff-sized)
         s = gauss_legendre(*rmt.AIRY1_BOX, 9).nodes
         tab = _JointTable("airy1", t, 20, 10.0)
@@ -384,10 +387,9 @@ class TestJointTableRows:
         rows = tab.grid()
 
         def full(kernel, s1, s2, offsets):
-            m, c = offsets.size, s2.size
-            fwd, bwd = kernel.matrix_pair(s1 + offsets, (s2[:, None] + offsets).ravel())
-            return (fwd.reshape(m, c, m).transpose(1, 0, 2),
-                    bwd.reshape(m, c, m).transpose(1, 0, 2))
+            x, y = s1 + offsets, s2[:, None] + offsets
+            return (Airy1ProcessKernel(kernel.t).matrix(x, y),
+                    np.swapaxes(Airy1ProcessKernel(-kernel.t).matrix(y, x), -1, -2))
 
         monkeypatch.setattr(Airy1ProcessKernel, "shifted_pairs", full)
         ref = tab.grid()
