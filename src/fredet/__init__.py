@@ -13,7 +13,7 @@ from .quadrature import (QuadRule, ResourceLimitError, clenshaw_curtis,
 from .linalg import (DetResult, NotPositiveDefiniteError, det_cholesky,
                      det_lu, frobenius_norm, roundoff_bound, singular_values,
                      trace_norm)
-from .specfun import AiryValue, airy_ai, airy_ai_prime, airy_value, erf
+from .specfun import AiryValue, airy_ai, airy_ai_prime, airy_value
 from .kernels import (AiryKernel, Airy1ProcessKernel, Airy2ProcessKernel,
                       GreenKernel, Kernel, SineKernel, TransformedKernel,
                       airy_kernel, airy1_process_kernel, airy2_process_kernel,

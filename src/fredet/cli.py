@@ -2,10 +2,8 @@
 
 Subcommands: quad, specfun, det, study, green-bench, e2, f2, trunc-bound,
 joint, cov.  All emit CSV with a fixed header row (or mirrored JSON with
---format json), values at 15 significant digits (17 for quadrature rules).
-Sweeps are dispatched to a thread pool (--threads, or FREDHOLM_THREADS);
-results are assembled in input order so output is byte-identical across
-thread counts.
+--format json, NaN written as null), values at 15 significant digits (17
+for quadrature rules).  Sweeps run one point after another, in input order.
 
 Exit codes: 0 success, 1 numerical failure (overflow, a failed
 factorization), 2 usage error (bad arguments, or input the library
@@ -17,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,8 +24,7 @@ from .kernels import make_kernel
 from .nystrom import (NystromProblem, convergence_study, fredholm_det,
                       rule_for_family)
 from .projection import galerkin_legendre_green, ritz_galerkin_green
-from .rmt import (airy1_joint, airy2_joint, cov_airy1, cov_airy2, e2_gap,
-                  f2_tw, truncation_bound)
+from .rmt import airy1_joint, airy2_joint, cov_grid, e2_gap, f2_tw, truncation_bound
 from .specfun import airy_value
 
 SIN1 = math.sin(1.0)
@@ -42,17 +37,16 @@ def _fmt(x, digits=15):
         else f"{x:.{digits}g}"
 
 
-def _emit(args, header, rows, out=None):
-    if out is None:
-        out = sys.stdout
+def _emit(args, header, rows, digits=15):
     path = getattr(args, "output", None)
-    handle = open(path, "w") if path else out
+    handle = open(path, "w") if path else sys.stdout
     try:
         if getattr(args, "format", "csv") == "json":
-            payload = [dict(zip(header, row)) for row in rows]
+            # NaN is not JSON: write null
+            payload = [{k: None if isinstance(v, float) and math.isnan(v) else v
+                        for k, v in zip(header, row)} for row in rows]
             handle.write(json.dumps({"rows": payload}, indent=None) + "\n")
         else:
-            digits = 17 if getattr(args, "_digits17", False) else 15
             handle.write(",".join(header) + "\n")
             for row in rows:
                 handle.write(",".join(_fmt(v, digits) if isinstance(v, float) else str(v)
@@ -60,17 +54,6 @@ def _emit(args, header, rows, out=None):
     finally:
         if path:
             handle.close()
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    return os.cpu_count() or 1
-
-
-def _sweep(args, values, fn):
-    with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
-        return list(pool.map(fn, values))
 
 
 def _parse_z(text: str):
@@ -91,12 +74,11 @@ def _grid(lo, hi, step):
     return [lo + k * step for k in range(n + 1) if lo + k * step <= hi + 1e-12]
 
 
-def _int_list(text: str):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text: str):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _list(text: str, kind):
+    values = [kind(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +87,14 @@ def _float_list(text: str):
 
 def _cmd_quad(args):
     rule = rule_for_family(args.rule, args.a, args.b, args.m)
-    args._digits17 = True
     _emit(args, ["node", "weight"],
-          [(float(x), float(w)) for x, w in zip(rule.nodes, rule.weights)])
+          [(float(x), float(w)) for x, w in zip(rule.nodes, rule.weights)], digits=17)
     return 0
 
 
 def _cmd_specfun(args):
     val = airy_value(args.x)
-    args._digits17 = True
-    _emit(args, ["ai", "ai_prime"], [(val.ai, val.ai_prime)])
+    _emit(args, ["ai", "ai_prime"], [(val.ai, val.ai_prime)], digits=17)
     return 0
 
 
@@ -130,15 +110,13 @@ def _cmd_det(args):
 def _cmd_study(args):
     kernel = make_kernel(args.kernel, x_min=args.a)
     rows = convergence_study(kernel, (args.a, args.b), _parse_z(args.z),
-                             args.rule, _int_list(args.m_list))
+                             args.rule, _list(args.m_list, int))
     _emit(args, ["m", "value", "abs_error", "roundoff_bound"],
           [(r.m, r.value, r.error, r.roundoff_bound) for r in rows])
     return 0
 
 
 def _cmd_green_bench(args):
-    ms = _int_list(args.m_list)
-
     def run(m):
         if args.method == "ritz":
             v = ritz_galerkin_green(m, -1.0)
@@ -150,14 +128,13 @@ def _cmd_green_bench(args):
                 NystromProblem(make_kernel("green"), (0.0, 1.0), -1.0, rule)).value))
         return (m, v, abs(v - SIN1))
 
-    _emit(args, ["m", "value", "abs_error"], _sweep(args, ms, run))
+    _emit(args, ["m", "value", "abs_error"], [run(m) for m in _list(args.m_list, int)])
     return 0
 
 
 def _cmd_e2(args):
     grid = _grid(args.s_min, args.s_max, args.step)
-    rows = _sweep(args, grid,
-                  lambda s: (s, (p := e2_gap(s, args.m)).value, p.est_error))
+    rows = [(s, (p := e2_gap(s, args.m)).value, p.est_error) for s in grid]
     _emit(args, ["param", "value", "est_error"], rows)
     return 0
 
@@ -169,14 +146,13 @@ def _cmd_f2(args):
         p = f2_tw(s, args.m, route=args.route, scale=args.scale, T=args.T)
         return (s, p.value, p.est_error)
 
-    _emit(args, ["param", "value", "est_error"], _sweep(args, grid, run))
+    _emit(args, ["param", "value", "est_error"], [run(s) for s in grid])
     return 0
 
 
 def _cmd_trunc_bound(args):
-    ts = _float_list(args.T_list) if args.T_list else [args.T]
-    rows = _sweep(args, ts, lambda T: (T, truncation_bound(args.s, T)))
-    _emit(args, ["T", "bound"], rows)
+    _emit(args, ["T", "bound"],
+          [(T, truncation_bound(args.s, T)) for T in _list(args.T_list, float)])
     return 0
 
 
@@ -189,13 +165,10 @@ def _cmd_joint(args):
 
 def _cmd_cov(args):
     grid = _grid(args.t_min, args.t_max, args.step)
-    fn = cov_airy2 if args.process == "airy2" else cov_airy1
-
-    def run(t):
-        v, e, _ = fn(t, accuracy=args.accuracy, full_output=True)
-        return (t, v, e)
-
-    _emit(args, ["param", "value", "est_error"], _sweep(args, grid, run))
+    res = cov_grid(args.process, grid, args.accuracy)
+    _emit(args, ["param", "value", "est_error"],
+          list(zip(res.t_values.tolist(), res.cov_values.tolist(),
+                   res.est_errors.tolist())))
     return 0
 
 
@@ -214,9 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
         sp.add_argument("--output", default=None, metavar="PATH",
                         help="write the table to a file instead of stdout")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads for sweeps (default: cpu count; "
-                             "env FREDHOLM_THREADS overrides)")
 
     sp = sub.add_parser("quad", help="print nodes and weights of a rule")
     sp.add_argument("--rule", choices=["gauss", "cc"], required=True)
@@ -282,8 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("trunc-bound", help="truncation tail bound")
     sp.add_argument("--s", type=float, required=True)
-    sp.add_argument("--T", type=float, default=None)
-    sp.add_argument("--T-list", default=None)
+    sp.add_argument("--T-list", required=True)
     common(sp)
     sp.set_defaults(fn=_cmd_trunc_bound)
 
@@ -309,17 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "trunc-bound":
-        if args.T is None and args.T_list is None:
-            parser.error("trunc-bound needs --T or --T-list")
-    env = os.environ.get("FREDHOLM_THREADS")
-    if env:
-        try:
-            args.threads = max(1, int(env))
-        except ValueError:
-            parser.error(f"FREDHOLM_THREADS must be an integer, got {env!r}")
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except KeyError as exc:

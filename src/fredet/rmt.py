@@ -68,6 +68,10 @@ AIRY1_BOX = (-6.0, 5.5)
 
 _PROB_SLACK = 1e-10
 
+#: Inner-rule tolerance of the Airy(2) process kernels in joint
+#: distributions; covariances tighten it for accuracies below 1e-10.
+_INNER_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DistributionPoint:
@@ -255,7 +259,7 @@ def _marginal(process: str, s: float, m: int, scale: float = 10.0) -> float:
 
 
 def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
-                 scale: float, inner_tol: float) -> DistributionPoint:
+                 scale: float) -> DistributionPoint:
     if t == 0.0:
         # At coinciding times the joint degenerates to the marginal at
         # min(s1, s2); the t -> 0 limit of the block determinant reproduces
@@ -265,21 +269,20 @@ def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
         s = min(s1, s2)
         point = _marginal_points(process, [s], m, scale)[0]
         return replace(point, parameter=0.0, m=2 * m)
-    kernels = _process_kernels(process, t, inner_tol, min(s1, s2))
+    kernels = _process_kernels(process, t, _INNER_TOL, min(s1, s2))
     return _JointTable(process, t, m, scale, kernels=kernels).joint(s1, s2)
 
 
-def airy2_joint(t: float, s1: float, s2: float, m: int, scale: float = 10.0,
-                inner_tol: float = 1e-12) -> DistributionPoint:
+def airy2_joint(t: float, s1: float, s2: float, m: int, scale: float = 10.0) -> DistributionPoint:
     """P(A_2(t) <= s1, A_2(0) <= s2) as the 2x2 block determinant with
     blocks [[A_0, A_t], [A_{-t}, A_0]] on L2(s1, inf) + L2(s2, inf)."""
-    return _joint_point("airy2", t, s1, s2, m, scale, inner_tol)
+    return _joint_point("airy2", t, s1, s2, m, scale)
 
 
 def airy1_joint(t: float, s1: float, s2: float, m: int, scale: float = 10.0) -> DistributionPoint:
     """P(A_1(t) <= s1, A_1(0) <= s2); same block structure with the
     closed-form Airy(1) kernels."""
-    return _joint_point("airy1", t, s1, s2, m, scale, inner_tol=1e-12)
+    return _joint_point("airy1", t, s1, s2, m, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +392,14 @@ class _JointTable:
     #: Systems per stacked determinant call.
     CHUNK = 16
 
-    def __init__(self, process: str, t: float, m: int, scale: float,
-                 inner_tol: float = 1e-12, kernels=None):
+    def __init__(self, process: str, t: float, m: int, scale: float, kernels=None):
         if t == 0.0:
             raise ValueError("joint table expects t != 0")
         self.process = process
         self.t = float(t)
         self.m = int(m)
         self._off, self._rr = _tan_map(m, scale)
-        self.kt, self.kmt = kernels or _process_kernels(process, t, inner_tol)
+        self.kt, self.kmt = kernels or _process_kernels(process, t, _INNER_TOL)
 
     def prepare(self, svals, eye_minus_a0=None) -> None:
         """Cache the per-threshold data of the grid ``svals``, replacing
@@ -546,7 +548,7 @@ def _cov_process(process: str, t: float, accuracy: float,
         raise ValueError(f"accuracy must be finite and > 0, got {accuracy}")
     # the process kernels depend on neither m nor the outer rule, so one
     # build (and one inner-rule refinement for Airy(2)) serves every level
-    kernels = (_process_kernels(process, t, min(1e-12, accuracy * 1e-2), box[0])
+    kernels = (_process_kernels(process, t, min(_INNER_TOL, accuracy * 1e-2), box[0])
                if t > 0.0 else None)
     levels = _COV_LEVELS[process]
     values = []

@@ -1,4 +1,4 @@
-"""Airy functions and erf, with domain guards and a validation mode.
+"""Airy functions with domain guards.
 
 Ai and Ai' have one evaluator, chosen per point x (zeta = (2/3)|x|^{3/2}):
 
@@ -14,8 +14,7 @@ Ai and Ai' have one evaluator, chosen per point x (zeta = (2/3)|x|^{3/2}):
 Against 50-digit mpmath (``tests/test_specfun.py``) the table is good to a
 few eps, absolute where Ai oscillates and relative where it decays; the
 expansions stay within 4 eps (1 + |x|^{3/2}), the conditioning of Ai in x,
-and the scaled Ai within 1e-14 relative.  scipy is imported only by
-``airy_value(validate=True)``, which needs Bi for its Wronskian check.
+and the scaled Ai within 1e-14 relative.  numpy is the only dependency.
 
 All functions accept scalars or ndarrays and are pure and reentrant.
 """
@@ -33,7 +32,6 @@ __all__ = [
     "airy_ai_prime",
     "airy_ai_scaled",
     "airy_value",
-    "erf",
 ]
 
 
@@ -49,7 +47,7 @@ class AiryValue:
 def _checked(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ValueError("airy/erf argument must be finite")
+        raise ValueError("airy argument must be finite")
     return arr
 
 
@@ -243,30 +241,7 @@ def airy_ai_scaled(x):
     return _airy(x, 0, scaled=True)
 
 
-def airy_value(x: float, validate: bool = False) -> AiryValue:
-    """Ai and Ai' at a scalar point.
-
-    With ``validate=True`` the Wronskian identity
-    Ai(x) Bi'(x) - Ai'(x) Bi(x) = 1/pi is checked, with Bi and Bi' from
-    ``scipy.special.airye`` and all four scaled for x > 0 so the test
-    stays overflow-free; an ``ArithmeticError`` is raised if it fails to
-    hold to 1e-10 relative.
-    """
+def airy_value(x: float) -> AiryValue:
+    """Ai and Ai' at a scalar point."""
     xf = float(x)
-    if not math.isfinite(xf):
-        raise ValueError("airy argument must be finite")
-    if validate:
-        from scipy import special
-
-        _, _, bi, bip = special.airye(xf)
-        wronskian = _airy(xf, 0, scaled=True) * bip - _airy(xf, 1, scaled=True) * bi
-        if abs(wronskian - 1.0 / math.pi) > 1e-10 / math.pi:
-            raise ArithmeticError(
-                f"Airy Wronskian check failed at x={xf}: {wronskian}")
     return AiryValue(ai=airy_ai(xf), ai_prime=airy_ai_prime(xf), argument=xf)
-
-
-def erf(x):
-    """Error function, ``math.erf`` at each point."""
-    arr = _checked(x)
-    return _match(x, np.vectorize(math.erf, otypes=[float])(arr))
