@@ -13,6 +13,7 @@ rejects with ValueError).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -178,17 +179,18 @@ def _cmd_cov(args):
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="fredet",
+        prog="fredet", allow_abbrev=False,
         description="Fredholm determinants by Nystrom-type quadrature")
     p.add_argument("--version", action="version", version=f"fredet {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(sp):
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
         sp.add_argument("--output", default=None, metavar="PATH",
                         help="write the table to a file instead of stdout")
 
-    sp = sub.add_parser("quad", help="print nodes and weights of a rule")
+    sp = add_parser("quad", help="print nodes and weights of a rule")
     sp.add_argument("--rule", choices=["gauss", "cc"], required=True)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
@@ -196,13 +198,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_quad)
 
-    sp = sub.add_parser("specfun", help="evaluate special functions")
+    sp = add_parser("specfun", help="evaluate special functions")
     sp.add_argument("function", choices=["ai"])
     sp.add_argument("--x", type=float, required=True)
     common(sp)
     sp.set_defaults(fn=_cmd_specfun)
 
-    sp = sub.add_parser("det", help="single Fredholm determinant")
+    sp = add_parser("det", help="single Fredholm determinant")
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
@@ -212,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_det)
 
-    sp = sub.add_parser("study", help="convergence study over an m list")
+    sp = add_parser("study", help="convergence study over an m list")
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
@@ -222,8 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_study)
 
-    sp = sub.add_parser("green-bench",
-                        help="Poisson/Green benchmark: projection vs quadrature")
+    sp = add_parser("green-bench",
+                    help="Poisson/Green benchmark: projection vs quadrature")
     sp.add_argument("--m-list", required=True)
     sp.add_argument("--method",
                     choices=["ritz", "galerkin", "nystrom-gauss", "nystrom-cc"],
@@ -231,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_green_bench)
 
-    sp = sub.add_parser("e2", help="bulk gap probability sweep")
+    sp = add_parser("e2", help="bulk gap probability sweep")
     sp.add_argument("--s-min", type=float, required=True)
     sp.add_argument("--s-max", type=float, required=True)
     sp.add_argument("--step", type=float, required=True)
@@ -239,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_e2)
 
-    sp = sub.add_parser("f2", help="Tracy-Widom distribution sweep")
+    sp = add_parser("f2", help="Tracy-Widom distribution sweep")
     sp.add_argument("--s-min", type=float, required=True)
     sp.add_argument("--s-max", type=float, required=True)
     sp.add_argument("--step", type=float, required=True)
@@ -250,13 +252,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_f2)
 
-    sp = sub.add_parser("trunc-bound", help="truncation tail bound")
+    sp = add_parser("trunc-bound", help="truncation tail bound")
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--T-list", required=True)
     common(sp)
     sp.set_defaults(fn=_cmd_trunc_bound)
 
-    sp = sub.add_parser("joint", help="process joint distribution at one point")
+    sp = add_parser("joint", help="process joint distribution at one point")
     sp.add_argument("--process", choices=["airy2", "airy1"], required=True)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--s1", type=float, required=True)
@@ -265,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_joint)
 
-    sp = sub.add_parser("cov", help="two-point correlation sweep")
+    sp = add_parser("cov", help="two-point correlation sweep")
     sp.add_argument("--process", choices=["airy2", "airy1"], required=True)
     sp.add_argument("--t-min", type=float, required=True)
     sp.add_argument("--t-max", type=float, required=True)

@@ -196,7 +196,8 @@ def _balance_blocks(blocks) -> np.ndarray:
     """Rescale block rows/columns by powers of two (an exact similarity
     transform, so the determinant is unchanged) to even out block
     magnitudes; matters for process kernels whose off-diagonal blocks
-    carry opposite exponential factors.
+    carry opposite exponential factors.  Serves ``BlockSystem`` and the
+    roundoff bound of ``rmt._JointTable.joint`` (Schur complements need none).
 
     Each block may also be a stack ``(..., m_i, m_j)`` of blocks of
     independent systems; every system then gets its own shifts, the same

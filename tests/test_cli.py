@@ -80,6 +80,24 @@ class TestDetCommand:
         assert err.startswith("error:")
         assert "numerical failure" not in err
 
+    @pytest.mark.parametrize("argv,message", [
+        # trunc-bound --T is gone; without prefix matching it cannot parse
+        # as --T-list, so the required --T-list is reported missing
+        (["trunc-bound", "--s", "-2", "--T", "5"],
+         "the following arguments are required: --T-list"),
+        (["trunc-bound", "--s", "-2", "--T-list", "5", "--T", "5"],
+         "unrecognized arguments: --T 5"),
+        (["f2", "--s-min", "-1", "--s-max", "0", "--step", "0.5", "--rou", "truncate"],
+         "unrecognized arguments: --rou truncate"),
+    ])
+    def test_option_prefix_is_not_matched(self, argv, message):
+        # argparse exits 2 itself, with its own "prog: error:" prefix
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in err.getvalue()
+
     def test_json_format(self):
         code, out, _ = run(["det", "--kernel", "green", "--a", "0", "--b", "1",
                             "--z", "-1", "--m", "10", "--format", "json"])

@@ -8,6 +8,7 @@ import io
 import math
 from contextlib import redirect_stderr
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ from fredet.kernels import (AiryKernel, Airy1ProcessKernel, Airy2ProcessKernel,
                             Kernel, TransformedKernel)
 from fredet.linalg import UNIT_ROUNDOFF
 from fredet.cli import main
-from fredet.nystrom import (BlockSystem, NystromProblem, fredholm_det,
+from fredet.nystrom import (BlockSystem, NystromProblem, _balance_blocks, fredholm_det,
                             fredholm_det_system)
 from fredet.quadrature import gauss_legendre
 from fredet.rmt import (airy1_joint, airy2_joint, cov_airy1, cov_airy2, cov_grid,
@@ -74,6 +75,22 @@ def two_sided_grid(tab, s):
         joint[n - 1 - i, :n - i] = lower[i][::-1]
         joint[i, i:] = upper[i]
     return joint
+
+
+def balanced_systems(tab, i, lo, hi):
+    """The full systems I - A of the prepared pairs (s_i, s_j), lo <= j < hi,
+    stacked (hi - lo, 2m, 2m): the table's diagonal and off-diagonal blocks,
+    balanced by ``_balance_blocks``.  The joint table takes Schur
+    complements instead; this is the order-2m reference."""
+    m = tab.m
+    a12, a21 = tab._blocks(i, lo, hi)
+    _balance_blocks([[None, a12], [a21, None]])
+    systems = np.empty((hi - lo, 2 * m, 2 * m))
+    systems[:, :m, :m] = tab.eye_minus_a0[i]
+    systems[:, :m, m:] = -a12
+    systems[:, m:, :m] = -a21
+    systems[:, m:, m:] = tab.eye_minus_a0[lo:hi]
+    return systems
 
 
 class TestE2:
@@ -316,6 +333,17 @@ class TestAiry1Joint:
         assert p.value == pytest.approx(ref.value, abs=1e-12)
         assert p.est_error == pytest.approx(ref.roundoff_bound, rel=1e-12)
 
+    def test_pivot_block_past_a_cholesky_fallback(self):
+        # the marginal at s = -5 falls back from Cholesky to LU and reads
+        # -1.1e-18; the Schur complement pivots on the block at s = 2
+        low = rmt._marginal_points("airy1", [-5.0], 30, 10.0)[0]
+        assert low.suspect and -1e-17 < low.value < 0.0
+        p = airy1_joint(2.5, -5.0, 2.0, 30)
+        ref = block_system_joint("airy1", 2.5, -5.0, 2.0, 30)
+        assert p.value == pytest.approx(ref.value, abs=1e-13)
+        assert p.est_error == pytest.approx(ref.roundoff_bound, rel=1e-12)
+        assert not p.suspect
+
 
 class TestTWMoments:
     def test_values(self):
@@ -404,23 +432,76 @@ class TestJointTableRows:
         joint = tab.grid()
         assert np.array_equal(joint, joint.T)
 
-    @pytest.mark.parametrize("process,t", [
-        ("airy2", 1.0),   # K_t decay branch, K_{-t} oscillatory branch
-        ("airy2", 0.5),   # K_{-t} Laplace-identity branch
-        ("airy2", -0.5),  # K_t Laplace-identity branch
-        ("airy1", 1.0),
-        ("airy1", -1.0),
+    @pytest.mark.parametrize("process,t,level", [
+        pytest.param("airy2", 1.0, None, id="airy2-1.0"),  # K_t decay, K_{-t} oscillatory
+        pytest.param("airy2", 0.5, None, id="airy2-0.5"),  # K_{-t} Laplace identity
+        pytest.param("airy2", -0.5, None, id="airy2--0.5"),  # K_t Laplace identity
+        pytest.param("airy1", 1.0, None, id="airy1-1.0"),
+        pytest.param("airy1", -1.0, None, id="airy1--1.0"),
+        # full, undropped outer grids of ladder levels, every row
+        pytest.param("airy2", 1.0, 1, id="airy2-1.0-level1"),
+        pytest.param("airy1", 0.5, 0, id="airy1-0.5-level0"),
     ])
-    def test_row_matches_per_pair_joint(self, process, t):
-        s = np.array([-3.0, -1.2, 0.0, 0.7, 2.5])
-        tab = _JointTable(process, t, 20, 10.0)
+    def test_row_matches_per_pair_joint(self, process, t, level, cov_kernels):
+        # rows against the per-pair system path, or on a level's grid
+        # against the balanced systems of order 2m, each by LU
+        if level is None:
+            s, m, kernels = np.array([-3.0, -1.2, 0.0, 0.7, 2.5]), 20, None
+        else:
+            m, n = rmt._COV_LEVELS[process][level]
+            box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
+            s, kernels = gauss_legendre(*box, n).nodes, cov_kernels(process, t)
+        tab = _JointTable(process, t, m, 10.0, kernels=kernels)
         tab.prepare(s)
-        tab.CHUNK = 2  # the row spans three stacked calls
-        for i in (0, 2):
+        tab.CHUNK = 2  # a row spans several stacked calls
+        for i in ((0, 2) if level is None else range(s.size)):
             row = tab.row(i)
-            ref = [block_system_joint(process, t, s[i], s2, 20).value for s2 in s[i:]]
+            if level is None:
+                ref = [block_system_joint(process, t, s[i], s2, m).value for s2 in s[i:]]
+            else:
+                ref = rmt.det_lu(balanced_systems(tab, i, i, s.size))
             assert np.max(np.abs(row - ref)) <= 1e-13
 
+    @pytest.mark.parametrize("process", ["airy2", "airy1"])
+    @pytest.mark.parametrize("k", [-40, 7, 40])
+    def test_rows_need_no_balancing(self, process, k, monkeypatch):
+        # the Schur complement is invariant under the exact similarity
+        # A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, which balancing applies; the
+        # thresholds are unsorted, so rows pivot on s_i and s_j both
+        s = np.random.default_rng(5).permutation(gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes)
+        tab = _JointTable(process, 0.7, 16, 10.0)
+        tab.prepare(s)
+        rows = [tab.row(i) for i in range(s.size)]
+        blocks = tab._blocks
+
+        def scaled(i, lo, hi):
+            a12, a21 = blocks(i, lo, hi)
+            return a12 * 2.0 ** k, a21 * 2.0 ** -k
+
+        monkeypatch.setattr(tab, "_blocks", scaled)
+        for i in range(s.size):
+            assert np.array_equal(tab.row(i), rows[i])
+
+    @pytest.mark.parametrize("process,t,s1,s2,m", [
+        ("airy2", 1.0, -1.0, 0.5, 16),
+        ("airy2", 0.3, -18.0, -16.0, 16),
+        ("airy1", 2.5, -5.0, 2.0, 16),
+        # below the Airy(1) ladder both marginals read about -2e-6 and the
+        # blocks are near singular: pivoting on the smaller threshold
+        # errs by 14 times the bound on the first pair
+        ("airy1", 2.5, -5.99, -5.94, 20),
+        ("airy1", 2.5, -5.94, -5.99, 20),
+    ])
+    def test_joint_matches_extended_precision_determinant(self, process, t, s1, s2, m):
+        # the same Nystrom matrix oracle: the balanced float system of
+        # order 2m, its determinant in 50-digit arithmetic
+        kernels = rmt._process_kernels(process, t, rmt._INNER_TOL, min(s1, s2))
+        tab = _JointTable(process, t, m, 10.0, kernels=kernels)
+        p = tab.joint(s1, s2)
+        system = balanced_systems(tab, 0, 1, 2)[0]
+        with mpmath.workdps(50):
+            exact = float(mpmath.det(mpmath.matrix(system.tolist())))
+        assert abs(p.value - exact) <= p.est_error + 8 * np.finfo(float).eps * abs(p.value)
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_batched_blocks_equal_per_threshold(self, process, monkeypatch):
@@ -511,8 +592,9 @@ class TestJointTableRows:
 
 
 def full_level(process, t, m, n_outer, box, kernels):
-    """Every joint of a covariance level's outer grid, its roundoff bound
-    sqrt(2m) ||A||_F 8u, and the marginals with theirs."""
+    """Every joint of a covariance level's outer grid by LU of its balanced
+    system of order 2m, its roundoff bound sqrt(2m) ||A||_F 8u, and the
+    marginals with theirs."""
     outer = gauss_legendre(*box, n_outer)
     tab = _JointTable(process, t, m, 10.0, kernels=kernels)
     tab.prepare(outer.nodes)
@@ -520,7 +602,7 @@ def full_level(process, t, m, n_outer, box, kernels):
     n = n_outer
     joint, est = np.zeros((n, n)), np.zeros((n, n))
     for i in range(n):
-        systems = tab._systems(i, i, n)
+        systems = balanced_systems(tab, i, i, n)
         joint[i, i:] = rmt.det_lu(systems)
         est[i, i:] = (np.sqrt(2 * m) * 8 * UNIT_ROUNDOFF
                       * np.linalg.norm(np.eye(2 * m) - systems, axis=(1, 2)))
