@@ -149,11 +149,13 @@ def nystrom_matrix(kernel: Kernel, rule: QuadRule) -> np.ndarray:
     return _system_matrix(((kernel,),), (rule,))
 
 
-def _det_result(b_matrix, za_norm: float, hermitian: bool) -> DetResult:
+def _det_result(b_matrix, za_norm: float, hermitian: bool, m: int | None = None) -> DetResult:
     """det(B) of B = I + zA, ||zA||_F = ``za_norm``, with the roundoff bound
     sqrt(m) ||zA||_F 8u: the step of every determinant the library returns.
-    Cholesky for a real ``hermitian`` B, LU when that fails (method
-    "cholesky->lu") or otherwise."""
+    m is B's order unless given: an operator whose vanishing rows and
+    columns were left out of B keeps its rule size.  Cholesky for a real
+    ``hermitian`` B, LU when that fails (method "cholesky->lu") or
+    otherwise."""
     if hermitian and not np.iscomplexobj(b_matrix):
         try:
             value, method = det_cholesky(b_matrix), "cholesky"
@@ -161,7 +163,7 @@ def _det_result(b_matrix, za_norm: float, hermitian: bool) -> DetResult:
             value, method = det_lu(b_matrix), "cholesky->lu"
     else:
         value, method = det_lu(b_matrix), "lu"
-    m = b_matrix.shape[0]
+    m = b_matrix.shape[0] if m is None else m
     bound = math.sqrt(m) * za_norm * DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF
     return DetResult(value=value, m=m, roundoff_bound=bound, method=method)
 

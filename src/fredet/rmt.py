@@ -22,6 +22,14 @@
   floor are left out of it (``_tail_drop``).
 * ``tw_moments`` -- mean and variance of F2 by partially-integrated moment
   formulas (no numerical differentiation of F2).
+
+Every Airy(2) matrix -- the marginals behind F2, ``tw_moments`` and the
+covariances, and the joint systems -- is built on the *head* of the tan
+map only: the nodes x = s + scale tan(pi xi / 2) <= X = 20 for the
+smallest threshold s of the call (``_head``).  Past X the Airy kernel
+and K_t, t > 0, have underflowed, so the other nodes would add unit rows
+and columns that cost O(m^3) and change no determinant beyond entries
+below 3e-22 (``_HEAD_CUT``).  Airy(1) keeps every node.
 """
 
 from __future__ import annotations
@@ -81,7 +89,9 @@ class DistributionPoint:
     (values are never silently clamped), and values whose Hermitian
     determinant fell back from Cholesky to LU (``DetResult.method ==
     "cholesky->lu"``): roundoff has then swamped the positive definiteness
-    of I - A, and with it the relative accuracy of a tail value.
+    of I - A, and with it the relative accuracy of a tail value.  A single
+    joint at t != 0 is also flagged where it breaks a Frechet bound by
+    more than its error bounds allow (``_JointTable.joint``).
     """
 
     parameter: float
@@ -202,8 +212,9 @@ def _tan_map(m: int, scale: float):
     nodes xi on (0, 1), taken at s = 0: the offsets phi_s(xi) - s, and the
     outer product rr of r = sqrt(w phi'(xi)), so that
     rr * K(s1 + offsets, s2 + offsets) is the Nystrom block of K on
-    (s1, inf) x (s2, inf).  Built once per (m, scale), never per s; the
-    arrays are read-only."""
+    (s1, inf) x (s2, inf).  The offsets ascend, so the head of a call
+    (``_head``) is a leading slice of both arrays.  Built once per
+    (m, scale), never per s; the arrays are read-only."""
     rule = _unit_rule(m)
     tan_map = TransformedKernel(AiryKernel(), 0.0, scale=scale)
     offsets = tan_map.phi(rule.nodes)
@@ -214,22 +225,55 @@ def _tan_map(m: int, scale: float):
     return offsets, rr
 
 
+#: The cut X of the Airy(2) head (``_head``).  A dropped node has
+#: x = s_min + offset > X for the smallest threshold s_min of its call.  The
+#: Airy kernel K_0 and K_t, t > 0, are positive semidefinite (K_t is
+#: int_0^inf e^{-xi t} Ai(x+xi) Ai(y+xi) dxi), so by Cauchy-Schwarz
+#: |K_t(x, y)| <= sqrt(K_0(x, x) K_0(y, y)), and K_0(x, x) falls with x
+#: (its derivative is -Ai(x)^2).  Every dropped entry r_p r_q K_t(x_p, y_q)
+#: of A_0 or of the K_{|t|} block is therefore at most
+#: r_max^2 sqrt(K_0(X, X) K_0(s_min, s_min)), r = sqrt(w phi'), with
+#: K_0(20, 20) = 3.2e-55: below 3e-22 for m <= 200 at scale 10 and
+#: s_min >= -12, where the measured entries stay below 4e-28.
+_HEAD_CUT = 20.0
+
+
+def _head(process: str, svals, offsets) -> int:
+    """The number of leading tan-map nodes a call with thresholds ``svals``
+    keeps: those with min(svals) + offset <= ``_HEAD_CUT`` for Airy(2),
+    every node for Airy(1), whose K_0 = Ai(x + y) would need a cut that
+    depends on the pair.
+
+    The head of the smallest threshold holds the head of every other, so
+    one size serves the whole stack.  Leaving the other nodes out is
+    exact up to the dropped entries: in I - A_0 they are unit rows and
+    columns; in a joint at t > 0 the time-t threshold's give unit rows
+    (their K_0 and K_t entries vanish) and the time-0 threshold's unit
+    columns, and at t < 0 the roles swap, so expanding along them removes
+    the nodes although the ridge block K_{-|t|} does not vanish there."""
+    if process != "airy2":
+        return offsets.size
+    # at least one node, so that no matrix is empty
+    return max(1, int(np.searchsorted(offsets, _HEAD_CUT - np.min(svals), side="right")))
+
+
 def _eye_minus_a0(process: str, svals, offsets, rr) -> np.ndarray:
-    """I - A_0 at each threshold s of ``svals``, stacked (n, m, m), with
-    ``offsets`` and ``rr`` from ``_tan_map``: the diagonal blocks of every
-    joint system and the matrices of the marginals.  A_0 is K_0 on
-    (s, inf); K_0 is the Airy kernel itself for Airy(2) (its closed
-    factorized form, no inner quadrature) and Ai(x + y) for Airy(1).  Each
-    stacked kernel-matrix call covers as many thresholds as fit in
-    ``_EVAL_CHUNK`` entries."""
+    """I - A_0 at each threshold s of ``svals``, stacked (n, h, h) on the
+    head of the call (``_head``), with ``offsets`` and ``rr`` from
+    ``_tan_map``: the diagonal blocks of every joint system and the
+    matrices of the marginals.  A_0 is K_0 on (s, inf); K_0 is the Airy
+    kernel itself for Airy(2) (its closed factorized form, no inner
+    quadrature) and Ai(x + y) for Airy(1).  Each stacked kernel-matrix
+    call covers as many thresholds as fit in ``_EVAL_CHUNK`` entries."""
     k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
-    x = np.asarray(svals, dtype=float)[:, None] + offsets
-    m = offsets.size
-    out = np.empty((x.shape[0], m, m))
-    step = max(1, _EVAL_CHUNK // (m * m))
+    h = _head(process, svals, offsets)
+    x = np.asarray(svals, dtype=float)[:, None] + offsets[:h]
+    rr = rr[:h, :h]
+    out = np.empty((x.shape[0], h, h))
+    step = max(1, _EVAL_CHUNK // (h * h))
     for lo in range(0, x.shape[0], step):
         xc = x[lo:lo + step]
-        out[lo:lo + step] = np.eye(m) - rr * k0.matrix(xc, xc)
+        out[lo:lo + step] = np.eye(h) - rr * k0.matrix(xc, xc)
     return out
 
 
@@ -238,17 +282,18 @@ def _marginal_points(process: str, svals, m: int, scale: float,
     """P(A(0) <= s) = det(I - A_0) at each threshold s of ``svals``, from
     the given I - A_0 blocks, or else from ``_eye_minus_a0`` blocks built
     one kernel-matrix call at a time (so that a long ``svals`` holds only
-    one call's blocks), by the determinant step of ``fredholm_det``
-    (``_det_result``): Cholesky, or LU flagged suspect where Cholesky
-    fails, with the roundoff bound sqrt(m) ||A_0||_F 8u."""
+    one call's blocks, on that call's head), by the determinant step of
+    ``fredholm_det`` (``_det_result``): Cholesky, or LU flagged suspect
+    where Cholesky fails, with the roundoff bound sqrt(m) ||A_0||_F 8u at
+    the rule size m."""
     if eye_minus_a0 is None:
         tan_map = _tan_map(m, scale)
         step = max(1, _EVAL_CHUNK // (m * m))
         chunks = (svals[lo:lo + step] for lo in range(0, len(svals), step))
         return [point for chunk in chunks for point in _marginal_points(
             process, chunk, m, scale, _eye_minus_a0(process, chunk, *tan_map))]
-    eye = np.eye(m)
-    return [_det_point(s, _det_result(block, frobenius_norm(block - eye), hermitian=True))
+    eye = np.eye(eye_minus_a0.shape[-1])
+    return [_det_point(s, _det_result(block, frobenius_norm(block - eye), hermitian=True, m=m))
             for s, block in zip(svals, eye_minus_a0)]
 
 
@@ -374,18 +419,21 @@ class _JointTable:
     thresholds: the one joint-determinant path, for single pairs
     (``airy2_joint`` / ``airy1_joint``) and covariance grids alike.
 
-    ``prepare`` caches per threshold s the transformed nodes, M = I - A_0
-    (``_eye_minus_a0``), M^-1, det(M) and, for the Airy(2) process, the
+    ``prepare`` caches per threshold s the transformed nodes of the head of
+    the grid (``_head``: for Airy(2) the nodes left of the cut X for the
+    smallest threshold, the same h nodes at every threshold), M = I - A_0
+    (``_eye_minus_a0``), det(M) and, for the Airy(2) process, the
     inner-rule Airy bases of K_t and K_{-t}, each filled by ``basis`` calls
-    of at most ``_EVAL_CHUNK`` points.  A covariance level prepares only
-    the thresholds ``_tail_drop`` keeps, with the I - A_0 blocks and
-    marginals it has.  ``row`` forms the off-diagonal blocks of the pairs
-    (s_i, s_j), j >= i, with one matrix product per kernel (Airy(2)) or one
-    shared Airy evaluation (Airy(1), ``Airy1ProcessKernel.shifted_pairs``),
-    and takes each joint as det(M_p) det(M_q - A_qp M_p^-1 A_pq), p the
-    larger threshold of the pair (the better-conditioned block), with
-    stacked products and LAPACK LU calls of at most ``CHUNK`` pairs.  The
-    Schur complement is unchanged by the exact similarity A_pq -> 2^k A_pq,
+    of at most ``_EVAL_CHUNK`` points.  M^-1 is formed once per threshold,
+    when it first pivots.  A covariance level prepares only the thresholds
+    ``_tail_drop`` keeps, with the I - A_0 blocks and marginals it has.
+    ``row`` forms the off-diagonal blocks of the pairs (s_i, s_j), j >= i,
+    with one matrix product per kernel (Airy(2)) or one shared Airy
+    evaluation (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), and takes
+    each joint as det(M_p) det(M_q - A_qp M_p^-1 A_pq), p the larger
+    threshold of the pair (the better-conditioned block), with stacked
+    products and LAPACK LU calls of at most ``CHUNK`` pairs.  The Schur
+    complement is unchanged by the exact similarity A_pq -> 2^k A_pq,
     A_qp -> 2^-k A_qp, so rows need no balancing.  ``grid`` mirrors the
     rows by time reversal, P(s_i, s_j) = P(s_j, s_i).
     """
@@ -399,36 +447,55 @@ class _JointTable:
         self.process = process
         self.t = float(t)
         self.m = int(m)
-        self._off, self._rr = _tan_map(m, scale)
+        self.scale = scale
+        self._tan = _tan_map(m, scale)
         self.kt, self.kmt = kernels or _process_kernels(process, t, _INNER_TOL)
 
     def prepare(self, svals, eye_minus_a0=None, marginals=None) -> None:
         """Cache the per-threshold data of the grid ``svals``, replacing
         any earlier grid; ``eye_minus_a0`` and ``marginals`` take the I - A_0
-        blocks and their determinants where the caller has them already."""
+        blocks and their determinants where the caller has them already,
+        its blocks on a head that holds the grid's."""
         svals = np.asarray(svals, dtype=float)
+        h = _head(self.process, svals, self._tan[0])
+        self._off, self._rr = self._tan[0][:h], self._tan[1][:h, :h]
         self._s = svals
         self._x = svals[:, None] + self._off[None, :]
         if eye_minus_a0 is None:
-            eye_minus_a0 = _eye_minus_a0(self.process, svals, self._off, self._rr)
+            eye_minus_a0 = _eye_minus_a0(self.process, svals, *self._tan)
+        eye_minus_a0 = eye_minus_a0[:, :h, :h]
         if marginals is None:
-            marginals = [_det_result(b, frobenius_norm(b - np.eye(self.m)), hermitian=True).value
-                         for b in eye_minus_a0]
+            marginals = [p.value for p in _marginal_points(
+                self.process, svals, self.m, self.scale, eye_minus_a0)]
         self.eye_minus_a0 = eye_minus_a0
-        self._inv, self._det = np.linalg.inv(eye_minus_a0), np.asarray(marginals, dtype=float)
+        self._det = np.asarray(marginals, dtype=float)
+        self._inv = np.empty_like(eye_minus_a0)
+        self._inverted = np.zeros(svals.size, dtype=bool)
         if self.process == "airy2":
             self._bt = self._bases(self.kt)
             self._bmt = self._bases(self.kmt)
 
     def _bases(self, kernel) -> np.ndarray:
         """``kernel.basis`` at every prepared node, stacked
-        (n, m, inner size), in calls of at most ``_EVAL_CHUNK`` points."""
+        (n, h, inner size), in calls of at most ``_EVAL_CHUNK`` points."""
         x = self._x.ravel()
         rows = max(1, _EVAL_CHUNK // kernel.inner_size)
         out = np.empty((x.size, kernel.inner_size))
         for lo in range(0, x.size, rows):
             out[lo:lo + rows] = kernel.basis(x[lo:lo + rows])
         return out.reshape(*self._x.shape, kernel.inner_size)
+
+    def _inverse(self, p) -> np.ndarray:
+        """M^-1 at the prepared thresholds ``p``, each inverted when it
+        first pivots: a grid inverts every threshold, a single joint only
+        the larger one."""
+        new = np.zeros_like(self._inverted)
+        new[p] = True
+        new &= ~self._inverted
+        if new.any():
+            self._inv[new] = np.linalg.inv(self.eye_minus_a0[new])
+            self._inverted |= new
+        return self._inv[p]
 
     def row(self, i: int) -> np.ndarray:
         """Joints at the prepared thresholds (s_i, s_j) for j >= i."""
@@ -447,17 +514,17 @@ class _JointTable:
 
     def _blocks(self, i: int, lo: int, hi: int):
         """The off-diagonal blocks A_ij and A_ji of the systems I - A of the
-        pairs (s_i, s_j), lo <= j < hi, each stacked (hi - lo, m, m)."""
-        m, c = self.m, hi - lo
+        pairs (s_i, s_j), lo <= j < hi, each stacked (hi - lo, h, h)."""
+        h, c = self._off.size, hi - lo
         x1, x2 = self._x[i], self._x[lo:hi]
         if self.process == "airy2":
             # b12[j, p, q] = K_t(x1_p, x2_jq), b21[j, q, p] = K_{-t}(x2_jq, x1_p)
-            bt2 = self._bt[lo:hi].reshape(c * m, -1)
-            b12 = ((self._bt[i] * self.kt.inner_weights) @ bt2.T).reshape(m, c, m)
+            bt2 = self._bt[lo:hi].reshape(c * h, self.kt.inner_size)
+            b12 = ((self._bt[i] * self.kt.inner_weights) @ bt2.T).reshape(h, c, h)
             b12 = b12.transpose(1, 0, 2) - self.kt.gaussian_part(
                 x1[None, :, None], x2[:, None, :])
-            bmt2 = self._bmt[lo:hi].reshape(c * m, -1)
-            b21 = (bmt2 @ (self._bmt[i] * self.kmt.inner_weights).T).reshape(c, m, m)
+            bmt2 = self._bmt[lo:hi].reshape(c * h, self.kmt.inner_size)
+            b21 = (bmt2 @ (self._bmt[i] * self.kmt.inner_weights).T).reshape(c, h, h)
             b21 = b21 - self.kmt.gaussian_part(x2[:, :, None], x1[None, None, :])
         else:
             # same layout; the shared Airy factor is symmetric in (p, q)
@@ -475,20 +542,33 @@ class _JointTable:
             on_j = on_j[:, None, None]
             a_qp, a_pq = np.where(on_j, a_qp, a_pq), np.where(on_j, a_pq, a_qp)
         # A_qp M_p^-1 first: the other order erred 200x more at Airy(1), t = 2.5, m = 20
-        schur = self.eye_minus_a0[q] - a_qp @ self._inv[p] @ a_pq
+        schur = self.eye_minus_a0[q] - a_qp @ self._inverse(p) @ a_pq
         return self._det[p] * det_lu(schur)
 
     def joint(self, s1: float, s2: float) -> DistributionPoint:
         """The joint at one pair, with the roundoff bound sqrt(2m) ||A||_F 8u
         of its balanced system (``_balance_blocks``); prepares (s1, s2) as
-        the grid."""
-        self.prepare([s1, s2])
+        the grid.  Flagged ``suspect`` also where it breaks a Frechet
+        bound, F1 + F2 - 1 <= P <= min(F1, F2), by more than the sum of
+        its own and both marginals' roundoff bounds and 8u |value|."""
+        blocks = _eye_minus_a0(self.process, [s1, s2], *self._tan)
+        f1, f2 = _marginal_points(self.process, [s1, s2], self.m, self.scale, blocks)
+        self.prepare([s1, s2], eye_minus_a0=blocks, marginals=[f1.value, f2.value])
         a12, a21 = self._blocks(0, 1, 2)
         _balance_blocks([[None, a12], [a21, None]])
-        norm = math.hypot(*map(frobenius_norm, (a12, a21, np.eye(self.m) - self.eye_minus_a0)))
+        eye = np.eye(self._off.size)
+        norm = math.hypot(*map(frobenius_norm, (a12, a21, eye - self.eye_minus_a0)))
         bound = math.sqrt(2 * self.m) * norm * DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF
-        return _det_point(self.t, DetResult(float(self._dets(0, 1, 2, (a12, a21))[0]),
-                                            2 * self.m, bound))
+        point = _det_point(self.t, DetResult(float(self._dets(0, 1, 2, (a12, a21))[0]),
+                                             2 * self.m, bound))
+        # each value also rounds by ~u |value|, which its roundoff bound (a
+        # backward error of the matrix) leaves out: near 1 that dominates
+        slack = sum(p.est_error + DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF * abs(p.value)
+                    for p in (point, f1, f2))
+        if not (f1.value + f2.value - 1.0 - slack <= point.value
+                <= min(f1.value, f2.value) + slack):
+            point = replace(point, suspect=True)
+        return point
 
 
 def _tail_drop(marg, bounds, weights):

@@ -23,7 +23,7 @@ from fredet.nystrom import (BlockSystem, NystromProblem, _balance_blocks, fredho
 from fredet.quadrature import gauss_legendre
 from fredet.rmt import (airy1_joint, airy2_joint, cov_airy1, cov_airy2, cov_grid,
                         e2_gap, f2_tw, truncation_bound, tw_moments, _JointTable,
-                        _cov_zero, _legendre_cumulative, _marginal)
+                        _cov_zero, _legendre_cumulative, _marginal, _unit_rule)
 
 
 class ShiftedPairKernel(Kernel):
@@ -79,17 +79,17 @@ def two_sided_grid(tab, s):
 
 def balanced_systems(tab, i, lo, hi):
     """The full systems I - A of the prepared pairs (s_i, s_j), lo <= j < hi,
-    stacked (hi - lo, 2m, 2m): the table's diagonal and off-diagonal blocks,
-    balanced by ``_balance_blocks``.  The joint table takes Schur
-    complements instead; this is the order-2m reference."""
-    m = tab.m
+    stacked (hi - lo, 2h, 2h) on the table's head of h nodes: its diagonal
+    and off-diagonal blocks, balanced by ``_balance_blocks``.  The joint
+    table takes Schur complements instead; this is the order-2h reference."""
+    h = tab._off.size
     a12, a21 = tab._blocks(i, lo, hi)
     _balance_blocks([[None, a12], [a21, None]])
-    systems = np.empty((hi - lo, 2 * m, 2 * m))
-    systems[:, :m, :m] = tab.eye_minus_a0[i]
-    systems[:, :m, m:] = -a12
-    systems[:, m:, :m] = -a21
-    systems[:, m:, m:] = tab.eye_minus_a0[lo:hi]
+    systems = np.empty((hi - lo, 2 * h, 2 * h))
+    systems[:, :h, :h] = tab.eye_minus_a0[i]
+    systems[:, :h, h:] = -a12
+    systems[:, h:, :h] = -a21
+    systems[:, h:, h:] = tab.eye_minus_a0[lo:hi]
     return systems
 
 
@@ -321,11 +321,31 @@ class TestAiry1Joint:
         assert airy1_joint(0.0, 0.3, -0.5, 30).value == pytest.approx(marg, abs=0)
 
     def test_probability_range_scan(self):
+        # every value lies in [0, 1], but m = 24 does not resolve s1 = -4:
+        # F(-4) reads 6.2e-12 (1.8e-12 at m = 48), and three joints exceed
+        # it by more than their roundoff bounds, so the Frechet bound
+        # P <= min(F1, F2) flags them.  At t = 0.5, P(-4, -3) reads 2.0e-10
+        # and P(-4, 0) 2.1e-10 (2.4e-15 and 1.8e-12 at m = 48); at t = 1.5,
+        # P(-4, 0) reads 7.0e-12 (1.5e-12).
+        breached = {(0.5, -4.0, -3.0), (0.5, -4.0, 0.0), (1.5, -4.0, 0.0)}
         for t in (0.5, 1.5, 2.5):
             for s1 in (-4.0, -1.0, 2.0):
                 for s2 in (-3.0, 0.0):
                     p = airy1_joint(t, s1, s2, 24)
-                    assert not p.suspect
+                    assert -1e-10 <= p.value <= 1.0 + 1e-10
+                    assert p.suspect == ((t, s1, s2) in breached)
+
+    def test_frechet_breach_is_suspect(self):
+        # below the ladder both marginals read about -2e-6 and the joint
+        # 0.529, inside [0, 1]: only the Frechet bound P <= min(F1, F2)
+        # catches it
+        p = airy1_joint(2.5, -5.99, -5.94, 20)
+        f1, f2 = rmt._marginal_points("airy1", [-5.99, -5.94], 20, 10.0)
+        assert -4e-6 < f1.value < 0.0 and -2e-6 < f2.value < 0.0
+        assert 0.5 < p.value < 0.55
+        assert p.suspect
+        slack = p.est_error + f1.est_error + f2.est_error
+        assert p.value > min(f1.value, f2.value) + slack
 
     def test_table_path_matches_system_path(self):
         p = airy1_joint(1.5, -1.0, 0.5, 30)
@@ -516,12 +536,25 @@ class TestJointTableRows:
         tab.prepare(s)
         k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
         offsets, rr = rmt._tan_map(m, 10.0)
+        # the head of the grid: every node for Airy(1)
+        h = rmt._head(process, s, offsets)
+        assert (h < m) == (process == "airy2")
+        offsets, rr = offsets[:h], rr[:h, :h]
         for k, sk in enumerate(s):
             x = sk + offsets
-            assert np.array_equal(tab.eye_minus_a0[k], np.eye(m) - rr * k0.matrix(x, x))
+            assert np.array_equal(tab.eye_minus_a0[k], np.eye(h) - rr * k0.matrix(x, x))
             if process == "airy2":
                 assert np.array_equal(tab._bt[k], tab.kt.basis(x))
                 assert np.array_equal(tab._bmt[k], tab.kmt.basis(x))
+
+    @pytest.mark.parametrize("process", ["airy2", "airy1"])
+    def test_joint_inverts_only_the_pivot_block(self, process):
+        # the Schur complement pivots on the larger threshold; the other
+        # block is never inverted
+        tab = _JointTable(process, 0.7, 16, 10.0)
+        for s1, s2, pivot in ((-1.0, 0.5, 1), (0.5, -1.0, 0)):
+            tab.joint(s1, s2)
+            assert tab._inverted.tolist() == [k == pivot for k in range(2)]
 
     def test_prepare_calls_basis_in_chunks(self, monkeypatch):
         # O(n m n_inner / chunk) calls of at most one chunk of 8k points:
@@ -543,9 +576,10 @@ class TestJointTableRows:
 
     def test_prepare_takes_ai_points_for_a0_and_kept_basis_entries(self, monkeypatch):
         # every Ai point of prepare goes through kernels.airy_ai, where the
-        # benchmark's tracer counts it: n m for I - A_0 (its near-diagonal
-        # pairs are exact diagonals here) and the basis entries at or below
-        # each kernel's skip cut; the entries above it are never evaluated
+        # benchmark's tracer counts it: n h for I - A_0 on the head of h
+        # nodes (its near-diagonal pairs are exact diagonals here) and the
+        # basis entries at or below each kernel's skip cut; the entries
+        # above it are never evaluated
         tab = _JointTable("airy2", 1.0, 24, 10.0)
         points = []
         airy_ai = kernels_module.airy_ai
@@ -558,24 +592,29 @@ class TestJointTableRows:
         n, m = 38, 24
         tab.prepare(gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
         x = tab._x.ravel()
+        h = tab._off.size
+        assert x.size == n * h and h < m
         kept = [int(np.sum(x[:, None] + k._xi[None, :] <= k.skip_cut))
                 for k in (tab.kt, tab.kmt)]
-        assert sum(points) == n * m + sum(kept)
+        assert sum(points) == n * h + sum(kept)
         assert 0 < kept[0] < x.size * tab.kt.inner_size
 
     def test_prepare_takes_given_blocks_bitwise(self):
         # a covariance level hands prepare the I - A_0 blocks of its kept
         # thresholds, sliced from the marginals' blocks: the bits prepare
-        # would build itself
+        # would build itself.  The kept thresholds start higher, so their
+        # head is a leading slice of the blocks' head.
         m = 16
         s = gauss_legendre(*rmt.DEFAULT_BOX, 23).nodes
-        keep = np.arange(s.size) % 3 != 0
+        keep = (np.arange(s.size) % 3 != 0) & (s > -2.0)
         blocks = rmt._eye_minus_a0("airy2", s, *rmt._tan_map(m, 10.0))
         tab = _JointTable("airy2", 0.7, m, 10.0)
         tab.prepare(s[keep])
-        assert np.array_equal(tab.eye_minus_a0, blocks[keep])
+        h = tab._off.size
+        assert h < blocks.shape[-1]
+        assert np.array_equal(tab.eye_minus_a0, blocks[keep][:, :h, :h])
         tab.prepare(s[keep], eye_minus_a0=blocks[keep])
-        assert np.array_equal(tab.eye_minus_a0, blocks[keep])
+        assert np.array_equal(tab.eye_minus_a0, blocks[keep][:, :h, :h])
 
     def test_level_builds_eye_minus_a0_once(self, monkeypatch):
         calls = []
@@ -593,19 +632,19 @@ class TestJointTableRows:
 
 def full_level(process, t, m, n_outer, box, kernels):
     """Every joint of a covariance level's outer grid by LU of its balanced
-    system of order 2m, its roundoff bound sqrt(2m) ||A||_F 8u, and the
-    marginals with theirs."""
+    system of order 2h, on the head of h nodes of the whole grid, its
+    roundoff bound sqrt(2m) ||A||_F 8u, and the marginals with theirs."""
     outer = gauss_legendre(*box, n_outer)
     tab = _JointTable(process, t, m, 10.0, kernels=kernels)
     tab.prepare(outer.nodes)
     points = rmt._marginal_points(process, outer.nodes, m, 10.0)
-    n = n_outer
+    n, h = n_outer, tab._off.size
     joint, est = np.zeros((n, n)), np.zeros((n, n))
     for i in range(n):
         systems = balanced_systems(tab, i, i, n)
         joint[i, i:] = rmt.det_lu(systems)
         est[i, i:] = (np.sqrt(2 * m) * 8 * UNIT_ROUNDOFF
-                      * np.linalg.norm(np.eye(2 * m) - systems, axis=(1, 2)))
+                      * np.linalg.norm(np.eye(2 * h) - systems, axis=(1, 2)))
     return (outer, joint + np.triu(joint, 1).T, est + np.triu(est, 1).T,
             np.array([p.value for p in points]), np.array([p.est_error for p in points]))
 
@@ -682,6 +721,108 @@ class TestTailDrop:
         full = float(w @ (joint - np.outer(f, f)) @ w)
         value = rmt._cov_positive(process, t, m, n, box, 10.0, kernels)
         assert abs(value - full) <= b + abs(full - ref)
+
+
+def all_node_level(t, m, n_outer, kernels):
+    """An Airy(2) covariance level on every tan-map node, with its roundoff
+    bound: marginals by ``fredholm_det`` of the tan-mapped Airy kernel,
+    joints by LU of balanced systems of order 2m assembled from the process
+    kernels' own ``matrix``, over the thresholds ``_tail_drop`` keeps.  The
+    reference for the head; returns (value, bound, keep)."""
+    outer = gauss_legendre(*rmt.DEFAULT_BOX, n_outer)
+    rule = gauss_legendre(0.0, 1.0, m)
+    marg = [fredholm_det(NystromProblem(TransformedKernel(AiryKernel(), s), (0.0, 1.0),
+                                        -1.0, rule)) for s in outer.nodes]
+    f = np.array([r.value for r in marg])
+    e = np.array([r.roundoff_bound for r in marg])
+    keep, _ = rmt._tail_drop(f, e, outer.weights)
+    offsets, rr = rmt._tan_map(m, 10.0)
+    x = outer.nodes[keep][:, None] + offsets
+    a0 = rr * AiryKernel().matrix(x, x)
+    n = x.shape[0]
+    joint, est = np.empty((n, n)), np.empty((n, n))
+    for i in range(n):
+        a12, a21 = rr * kernels[0].matrix(x[i], x), rr * kernels[1].matrix(x, x[i])
+        _balance_blocks([[None, a12], [a21, None]])
+        systems = np.block([[np.broadcast_to(a0[i], a12.shape), a12], [a21, a0]])
+        joint[i] = rmt.det_lu(np.eye(2 * m) - systems)
+        est[i] = np.sqrt(2 * m) * 8 * UNIT_ROUNDOFF * np.linalg.norm(systems, axis=(1, 2))
+    w, f, e = outer.weights[keep], f[keep], e[keep]
+    value = float(w @ (joint - np.outer(f, f)) @ w)
+    return value, float(w @ est @ w + 2.0 * np.sum(w) * (w @ e)), keep
+
+
+#: The rounding of a determinant's value, which its roundoff bound (a
+#: backward error of the matrix) leaves out: values near 1 differ by ulps.
+EPS8 = 8 * np.finfo(float).eps
+
+
+class TestHead:
+    """Airy(2) matrices on the head of the tan map: the nodes left of the
+    cut X for the smallest threshold of a call (``rmt._head``)."""
+
+    @pytest.mark.parametrize("m", sorted({m for m, _ in rmt._COV_LEVELS["airy2"]}
+                                         | {50, 80, 200}))
+    def test_dropped_entries_within_bound(self, m):
+        # r_max^2 sqrt(K_0(X, X) K_0(s_min, s_min)) bounds every entry of
+        # A_0 and of K_t, t > 0, in a dropped row or column
+        offsets, rr = rmt._tan_map(m, 10.0)
+        r_max2 = float(np.max(np.diag(rr)))
+        k0 = AiryKernel()
+
+        def diag(x):
+            return float(k0.matrix(np.array([x]), np.array([x]))[0, 0])
+
+        kts = [Airy2ProcessKernel(t, x_min=-12.0) for t in (0.3, 1.0)]
+        for s_min in np.linspace(-12.0, 6.0, 19):
+            # the head of the smallest threshold of the call: exactly its
+            # nodes left of the cut
+            h = rmt._head("airy2", [s_min + 1.5, s_min], offsets)
+            x = s_min + offsets
+            assert 0 < h < m and x[h - 1] <= rmt._HEAD_CUT < x[h]
+            bound = r_max2 * math.sqrt(diag(rmt._HEAD_CUT) * diag(s_min))
+            assert bound < 3e-22
+            blocks = [rr * k0.matrix(x, x)]
+            blocks += [rr * kt.matrix(x, s2 + offsets)
+                       for kt in kts for s2 in (s_min, s_min + 1.5)]
+            for block in blocks:
+                dropped = np.concatenate([block[h:].ravel(), block[:h, h:].ravel()])
+                assert np.max(np.abs(dropped)) <= bound, s_min
+
+    @pytest.mark.parametrize("m", [50, 80, 200])
+    def test_f2_equals_all_node_value(self, m):
+        for s in np.linspace(-12.0, 6.0, 13):
+            kernel = TransformedKernel(AiryKernel(), s, scale=10.0)
+            ref = fredholm_det(NystromProblem(kernel, (0.0, 1.0), -1.0, _unit_rule(m)))
+            point = f2_tw(s, m)
+            assert rmt._head("airy2", [s], rmt._tan_map(m, 10.0)[0]) < m
+            assert abs(point.value - ref.value) <= point.est_error + EPS8 * abs(ref.value), s
+            assert point.m == m and point.est_error == pytest.approx(ref.roundoff_bound,
+                                                                     rel=1e-12)
+            assert point.suspect == (ref.method == "cholesky->lu"
+                                     or not -1e-10 <= ref.value <= 1.0 + 1e-10)
+
+    @pytest.mark.parametrize("t", [0.3, -0.3, 1.0, -1.0, 2.5])
+    def test_airy2_joint_equals_all_node_value(self, t):
+        for s1, s2 in ((-3.0, 1.0), (1.5, -2.0), (-9.0, -8.5), (4.0, 5.0)):
+            p = airy2_joint(t, s1, s2, 30)
+            ref = block_system_joint("airy2", t, s1, s2, 30)
+            assert abs(p.value - ref.value) <= p.est_error + EPS8 * abs(ref.value), (s1, s2)
+            assert p.m == ref.m
+            assert p.est_error == pytest.approx(ref.roundoff_bound, rel=1e-12)
+
+    @pytest.mark.parametrize("t,level", [(1.0, 1), (0.25, 0)])
+    def test_cov_level_equals_all_node_level(self, t, level, cov_kernels):
+        m, n = rmt._COV_LEVELS["airy2"][level]
+        kernels = cov_kernels("airy2", t)
+        ref, bound, keep = all_node_level(t, m, n, kernels)
+        outer = gauss_legendre(*rmt.DEFAULT_BOX, n)
+        points = rmt._marginal_points("airy2", outer.nodes, m, 10.0)
+        head_keep, _ = rmt._tail_drop(np.array([p.value for p in points]),
+                                      np.array([p.est_error for p in points]), outer.weights)
+        assert np.array_equal(head_keep, keep)
+        value = rmt._cov_positive("airy2", t, m, n, rmt.DEFAULT_BOX, 10.0, kernels)
+        assert abs(value - ref) <= bound
 
 
 class TestCovarianceZero:
