@@ -248,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=50)
     sp.add_argument("--route", choices=["transform", "truncate"], default="transform")
     sp.add_argument("--T", type=float, default=None)
-    sp.add_argument("--scale", type=float, default=10.0)
+    sp.add_argument("--scale", type=float, default=None,
+                    help="tan-map scale (route transform only; default 10)")
     common(sp)
     sp.set_defaults(fn=_cmd_f2)
 

@@ -207,30 +207,26 @@ class Airy2ProcessKernel(Kernel):
     Gaussian term; the integrand left out is below
     Ai(16)^2 e^{0.75 (16 - x_min)}, 5e-31 at x_min = -10.
 
-    The rule size n is doubled from ``inner_rule_size`` until n/2 and n
+    The rule size n is doubled from ``_FIRST_RULE_SIZE`` until n/2 and n
     agree to ``tol`` on a fixed probe set, which includes the pair
-    (x_min, x_min), relative to each probe value above 1; the reached
-    agreement is stored in ``achieved_tol``.  The quadrature error falls
-    exponentially in the size, so the rule kept is the smallest of n/2,
-    5n/8, 3n/4 and 7n/8 points whose probes match the n-point rule's to
-    roundoff (``_ROUNDOFF``, or ``tol`` if smaller); n itself if none does.
-    If doubling reaches ``max_inner_size`` with ``achieved_tol > tol``, a
-    RuntimeWarning says so.
+    (x_min, x_min), relative to each probe value above 1.  The quadrature
+    error falls exponentially in the size, so the rule kept is the
+    smallest of n/2, 5n/8, 3n/4 and 7n/8 points whose probes match the
+    n-point rule's to roundoff (``_ROUNDOFF``, or ``tol`` if smaller); n
+    itself if none does.
 
-    ``basis`` leaves Ai(x + xi_k) at 0 where x + xi_k exceeds a cut X
-    (``skip_cut``).  A term of the inner sum so dropped has a factor
-    Ai(u) with u > X >= 0, where 0 < Ai(u) < e^{-(2/3) u^{3/2}}, and its
-    other factor is below max |Ai| < 0.54.  So an entry of ``eval`` or
-    ``matrix`` moves by at most 0.54 e^{-(2/3) X^{3/2}} sum_k |q_k|, with
-    q the inner weights, and X is the smallest cut that puts this below
-    the branch's truncation bound above: Ai(12)^2 for t >= 0 and
-    t <= -0.75, Ai(16)^2 e^{0.75 (16 - x_min)} in the Laplace branch.  At
-    x_min = -10 that is X ~ 20 for K_1 and K_{-1}, X ~ 25 for K_{-0.5}.
+    ``achieved_tol`` is that agreement.  In the Laplace branch the
+    subtraction of the Gaussian term G loses ~eps G(x, y) absolute, most
+    at (x_min, x_min), so ``achieved_tol`` also holds
+    8 eps G(x_min, x_min) / max(1, |K_t(x_min, x_min)|): 1.1e-13 at
+    x_min = -10 for t = -0.5, 5.8e-12 at x_min = -18.  If ``achieved_tol``
+    exceeds ``tol`` (doubling reached ``_MAX_RULE_SIZE`` first, or the
+    cancellation is larger), a RuntimeWarning says so.
 
-    ``basis``, the inner rule, its probes and the cut take Ai from
-    ``airy_ai``: every X (< 26.2) is inside its Taylor table on [-195, 108],
-    and arguments below -195 (x_min - 40/|t| for t <= -0.75) take its
-    expansion.
+    ``basis``, the inner rule and its probes take Ai from ``airy_ai`` at
+    every argument: below -195 (x_min - 40/|t| for t <= -0.75) from its
+    expansion, above 108 as its underflowed 0.  ``rmt`` builds its
+    matrices on the head of the tan map (x <= 20) only.
     """
 
     hermitian = True
@@ -248,13 +244,11 @@ class Airy2ProcessKernel(Kernel):
     #: blocks, differs from the n-point rule by 3.9-6.4 eps, the 5n/8 rule
     #: by 1.4-3.1 eps.
     _ROUNDOFF = 3.25 * np.finfo(float).eps
-    #: An upper bound on |Ai| over the real line (0.5357 at x = -1.0188).
-    _AI_MAX = 0.54
+    #: Size of the first rule of the doubling, and the size it stops at.
+    _FIRST_RULE_SIZE = 30
+    _MAX_RULE_SIZE = 25600
 
-    def __init__(self, t: float, inner_rule_size: int = 30, tol: float = 1e-12,
-                 max_inner_size: int = 25600, x_min: float = -10.0):
-        if inner_rule_size < 1:
-            raise ValueError("inner_rule_size must be >= 1")
+    def __init__(self, t: float, tol: float = 1e-12, x_min: float = -10.0):
         self.t = float(t)
         if not math.isfinite(self.t):
             raise ValueError("t must be finite")
@@ -275,11 +269,11 @@ class Airy2ProcessKernel(Kernel):
             self._mode = "oscillatory"
             self._interval = (self._DAMPING / self.t, 0.0)
         self._probe_pairs = np.vstack([[(self.x_min, self.x_min)], self._PROBE_PAIRS])
-        n = max(16, int(inner_rule_size))
+        n = self._FIRST_RULE_SIZE
         rule = self._inner_rule(n)
         probe = self._probe(*rule)
         diff = math.inf
-        while n < max_inner_size:
+        while n < self._MAX_RULE_SIZE:
             n *= 2
             half, half_probe = rule, probe
             rule = self._inner_rule(n)
@@ -290,14 +284,19 @@ class Airy2ProcessKernel(Kernel):
                                                min(tol, self._ROUNDOFF))
                 break
         self._xi, self._q = rule
-        self.achieved_tol = diff
-        if not diff <= tol:
-            warnings.warn(
-                f"Airy2ProcessKernel(t={self.t:g}): inner rule stopped at "
-                f"max_inner_size={max_inner_size} with achieved_tol="
-                f"{diff:.3g} > tol={tol:g}", RuntimeWarning, stacklevel=2)
         self.inner_size = self._xi.size
-        self.skip_cut = self._skip_cut()
+        cancel = 0.0
+        if self._mode == "laplace":
+            corner = float(self.gaussian_part(self.x_min, self.x_min))
+            value = self.eval(self.x_min, self.x_min)
+            cancel = 8.0 * np.finfo(float).eps * corner / max(1.0, abs(value))
+        self.achieved_tol = max(diff, cancel)
+        if not self.achieved_tol <= tol:
+            warnings.warn(
+                f"Airy2ProcessKernel(t={self.t:g}, x_min={self.x_min:g}): achieved_tol="
+                f"{self.achieved_tol:.3g} > tol={tol:g} (rule agreement {diff:.3g} at "
+                f"{self.inner_size} nodes, Gaussian-term cancellation {cancel:.3g})",
+                RuntimeWarning, stacklevel=2)
 
     def _smallest_verified(self, n, rule, probe, half, half_probe, level):
         """The smallest rule of n/2, 5n/8, 3n/4 or 7n/8 points whose probes
@@ -310,17 +309,6 @@ class Airy2ProcessKernel(Kernel):
             if _probe_diff(cand_probe, probe) <= level:
                 return cand
         return rule
-
-    def _skip_cut(self) -> float:
-        """The smallest X >= 0 with 0.54 e^{-(2/3) X^{3/2}} sum_k |q_k|
-        below the branch's truncation bound (see the class docstring)."""
-        if self._mode == "laplace":
-            log_bound = (2.0 * math.log(airy_ai(self._LAPLACE_END))
-                         + self._LAPLACE_SWITCH * (self._LAPLACE_END - self.x_min))
-        else:
-            log_bound = 2.0 * math.log(airy_ai(self._DECAY_END))
-        excess = math.log(self._AI_MAX * float(np.sum(np.abs(self._q)))) - log_bound
-        return (1.5 * max(excess, 0.0)) ** (2.0 / 3.0)
 
     def _inner_rule(self, n: int):
         rule = gauss_legendre(*self._interval, n)
@@ -341,20 +329,15 @@ class Airy2ProcessKernel(Kernel):
         return np.sum(ax * ay * q[None, :], axis=1)
 
     def basis(self, xs) -> np.ndarray:
-        """Ai(xs[..., i] + xi_k) on the inner nodes, 0 where xs[..., i] + xi_k
-        is above ``skip_cut``; callers may cache this and form cross
-        matrices as ``(basis(x) * weights) @ basis(y).T``.  Raises
-        ValueError for arguments below ``x_min``."""
+        """Ai(xs[..., i] + xi_k) on the inner nodes; callers may cache this
+        and form cross matrices as ``(basis(x) * weights) @ basis(y).T``.
+        Raises ValueError for arguments below ``x_min``."""
         xs = np.asarray(xs, dtype=float)
         if xs.size and np.min(xs) < self.x_min:
             raise ValueError(
                 f"Airy2ProcessKernel(t={self.t:g}) is built for arguments >= "
                 f"x_min={self.x_min:g}, got {np.min(xs):g}")
-        arg = xs[..., None] + self._xi
-        keep = arg <= self.skip_cut
-        out = np.zeros(arg.shape)
-        out[keep] = airy_ai(arg[keep])
-        return out
+        return airy_ai(xs[..., None] + self._xi)
 
     @property
     def inner_weights(self) -> np.ndarray:

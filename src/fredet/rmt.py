@@ -142,22 +142,24 @@ def e2_gap(s: float, m: int) -> DistributionPoint:
     return _det_point(s, res)
 
 
-def f2_tw(s: float, m: int, route: str = "transform", scale: float = 10.0,
+def f2_tw(s: float, m: int, route: str = "transform", scale: float | None = None,
           T: float | None = None) -> DistributionPoint:
     """Tracy-Widom distribution F2(s): Airy-kernel determinant at z = -1
     on (s, inf).
 
     route="transform" maps (s, inf) to (0, 1) by the tan map of
-    ``TransformedKernel``, as the Airy(2) marginal (``_marginal_points``);
-    route="truncate" works on the finite interval (s, T) and needs T > s
-    (the committed error is bounded by ``truncation_bound``); T is
-    rejected on the transform route.
+    ``TransformedKernel`` with ``scale`` (None means 10), as the Airy(2)
+    marginal (``_marginal_points``); route="truncate" works on the finite
+    interval (s, T) and needs T > s (the committed error is bounded by
+    ``truncation_bound``).  Each route rejects the other's parameter.
     """
     if route == "transform":
         if T is not None:
             raise ValueError("T applies only to route='truncate'")
-        return _marginal_points("airy2", [s], m, scale)[0]
+        return _marginal_points("airy2", [s], m, 10.0 if scale is None else scale)[0]
     if route == "truncate":
+        if scale is not None:
+            raise ValueError("scale applies only to route='transform'")
         if T is None:
             raise ValueError("route='truncate' requires a truncation point T")
         if T <= s:

@@ -72,6 +72,8 @@ class TestDetCommand:
         ["trunc-bound", "--s", "-2", "--T-list", ""],
         ["trunc-bound", "--s", "-2", "--T-list", ","],
         ["green-bench", "--method", "ritz", "--m-list", ""],
+        ["f2", "--s-min", "-2", "--s-max", "-2", "--step", "1", "--route", "truncate",
+         "--T", "12", "--scale", "1e4"],
     ])
     def test_bad_input_exit_2(self, argv):
         code, out, err = run(argv)

@@ -2,6 +2,7 @@
 process kernels, transformation."""
 
 import math
+from contextlib import nullcontext
 
 import mpmath
 import numpy as np
@@ -246,10 +247,11 @@ class TestAiry2ProcessKernel:
         k = airy2_process_kernel(1.0)
         assert k.achieved_tol < 1e-12
 
-    def test_inner_rule_cap_warns(self):
-        with pytest.warns(RuntimeWarning, match="max_inner_size=32") as record:
-            k = Airy2ProcessKernel(1.0, inner_rule_size=16, tol=1e-16,
-                                   max_inner_size=32)
+    def test_inner_rule_cap_warns(self, monkeypatch):
+        monkeypatch.setattr(Airy2ProcessKernel, "_FIRST_RULE_SIZE", 16)
+        monkeypatch.setattr(Airy2ProcessKernel, "_MAX_RULE_SIZE", 32)
+        with pytest.warns(RuntimeWarning, match="at 32 nodes") as record:
+            k = Airy2ProcessKernel(1.0, tol=1e-16)
         assert k.inner_size == 32 and k.achieved_tol > 1e-16
         assert f"achieved_tol={k.achieved_tol:.3g}" in str(record[0].message)
 
@@ -264,9 +266,16 @@ class TestAiry2ProcessKernel:
     def test_laplace_branch_converges_at_low_x_min(self, t):
         # the Laplace branch's probe at (-18, -18) is 3e3-1e5 and rounds at
         # that scale, so its agreement is measured relative to it; an
-        # absolute 1e-12 would double the rule to the cap and warn
-        k = Airy2ProcessKernel(t, x_min=-18.0)
-        assert k.achieved_tol <= 1e-12 and k.inner_size <= 240
+        # absolute 1e-12 would double the rule to the cap.  The rule
+        # converges, but subtracting a Gaussian term of that size leaves
+        # K_t(-18, -18) off by more than tol: achieved_tol states it, and
+        # the kernel warns.
+        with pytest.warns(RuntimeWarning, match="cancellation") as record:
+            k = Airy2ProcessKernel(t, x_min=-18.0)
+        assert "rule agreement" in str(record[0].message) and k.inner_size <= 240
+        ref, = _mp_airy2_oracle([(t, -18, -18)])
+        err = abs(k.eval(-18.0, -18.0) - ref)
+        assert 1e-12 < err <= k.achieved_tol
 
     @pytest.mark.parametrize("t", [1.0, -0.3, -1.0])
     def test_arguments_below_x_min_raise(self, t):
@@ -306,45 +315,39 @@ class TestAiry2ProcessKernel:
                           0.0, 60.0 / t, epsabs=1e-22, epsrel=1e-13, limit=200)
             assert k.eval(x, y) == pytest.approx(ref, rel=1e-13, abs=1e-300), (x, y)
 
-    @pytest.mark.parametrize("t,x_min", [(1.0, -10.0), (-1.0, -10.0), (-0.5, -10.0),
-                                         (-0.5, -18.0)])
-    def test_basis_skip_within_bound(self, t, x_min):
-        # decay, oscillatory and Laplace branches, and the Laplace branch
-        # at a lowered domain, where its weights reach e^{0.5 * 34}
-        k = Airy2ProcessKernel(t, x_min=x_min)
-        xs = np.concatenate([np.linspace(x_min, 40.0, 181), [200.0]])
-        arg = xs[:, None] + k._xi[None, :]
-        full = airy_ai(arg)
-        basis = k.basis(xs)
-        skipped = arg > k.skip_cut
-        assert 15.0 < k.skip_cut < 30.0 and np.any(skipped & (full != 0.0))
-        assert not np.any(basis[skipped])
-        # the kept entries are airy_ai's values, bit for bit
-        assert np.array_equal(basis[~skipped], full[~skipped])
-        q = k.inner_weights
-        tabled = np.where(skipped, full, basis)
-        unskipped = (tabled * q) @ tabled.T - k.gaussian_part(xs[:, None], xs[None, :])
-        bound = 0.54 * math.exp(-2.0 / 3.0 * k.skip_cut ** 1.5) * np.sum(np.abs(q))
-        trunc = (airy_ai(16.0) ** 2 * math.exp(0.75 * (16.0 - x_min)) if -0.75 < t < 0
-                 else airy_ai(12.0) ** 2)
-        assert bound <= trunc * (1 + 1e-12)
-        # in exact arithmetic each entry moves by at most the bound; terms
-        # that small do not change the rounding of any larger entry
-        assert np.max(np.abs(k.matrix(xs, xs) - unskipped)) <= bound
+    @pytest.mark.parametrize("t", [1.0, -0.5, -1.0])
+    def test_basis_is_airy_at_every_argument(self, t):
+        # decay, Laplace and oscillatory branches: no argument x + xi is
+        # left out, up to where Ai underflows
+        k = Airy2ProcessKernel(t)
+        xs = np.linspace(k.x_min, 200.0, 106)
+        assert np.array_equal(k.basis(xs), airy_ai(xs[:, None] + k._xi[None, :]))
 
-    #: (inner_size, skip_cut, achieved_tol) at x_min = -10
-    _RULES = {1.0: (75, 19.766624211932186, 9.020562075079397e-16),
-              -1.0: (150, 19.766624211994927, 9.22234510980502e-13),
-              -0.5: (75, 24.899397790696774, 1.3322676295501878e-15),
-              0.25: (75, 20.07630275545032, 9.645062526431047e-16)}
+    @pytest.mark.parametrize("t", [1.0, 0.25])
+    def test_entries_past_twenty_vs_mpmath(self, t):
+        # arguments whose inner terms are all below 1e-55: their entries
+        # are small but not 0, to the rule's relative accuracy
+        k = Airy2ProcessKernel(t)
+        with mpmath.workdps(30):
+            for x, y in [(21, 21), (24, 26), (30, 30), (18, 36)]:
+                ref = mpmath.quad(lambda xi: mpmath.exp(-t * xi) * mpmath.airyai(x + xi)
+                                  * mpmath.airyai(y + xi), [0, 0.5, 1, 2, 4, 8, mpmath.inf])
+                assert k.eval(x, y) == pytest.approx(float(ref), rel=1e-4, abs=0.0), \
+                    (x, y)
+
+    #: (inner_size, achieved_tol) at x_min = -10; at t = -0.5 the
+    #: Laplace branch's Gaussian-term cancellation sets achieved_tol
+    _RULES = {1.0: (75, 9.020562075079397e-16),
+              -1.0: (150, 9.222483887683097e-13),
+              -0.5: (75, 1.0627633978447859e-13),
+              0.25: (75, 9.645062526431047e-16)}
 
     @pytest.mark.parametrize("t", sorted(_RULES))
     def test_rule_and_cut_unchanged(self, t):
         k = Airy2ProcessKernel(t)
-        size, cut, achieved = self._RULES[t]
+        size, achieved = self._RULES[t]
         assert k.inner_size == size
-        assert k.skip_cut == pytest.approx(cut, rel=1e-12)
-        assert k.achieved_tol == pytest.approx(achieved, rel=1e-6)
+        assert k.achieved_tol == pytest.approx(achieved, rel=1e-6, abs=0.0)
 
     #: Largest Ai error of the scipy backends before the Ai table, per range
     #: of u (absolute for u <= 0, relative above): no basis entry is worse.
@@ -356,16 +359,16 @@ class TestAiry2ProcessKernel:
     def test_basis_vs_mpmath(self, t, x_min):
         # the decay, Laplace and oscillatory branches, and the oscillatory
         # one at t = -0.75 on lowered domains, whose arguments x + xi reach
-        # down to -83: a sample of the entries basis evaluates, all below
-        # the cut, against 40-digit mpmath
+        # down to -83: a sample of the entries basis evaluates, up to the
+        # top of the error table, against 40-digit mpmath
         k = Airy2ProcessKernel(t, x_min=x_min)
         xs = np.linspace(x_min, 30.0, 37)
         arg = (xs[:, None] + k._xi[None, :]).ravel()
-        sample = np.flatnonzero(arg <= k.skip_cut)[::23]
+        sample = np.flatnonzero(arg <= 27.0)[::23]
         u = arg[sample]
         ref = _mp_ai(u)
         err = np.abs(k.basis(xs).ravel()[sample] - ref) / np.where(u > 0.0, np.abs(ref), 1.0)
-        assert np.max(u) > k.skip_cut - 1.0 and (x_min > -30.0 or np.min(u) < -80.0)
+        assert np.max(u) > 25.0 and (x_min > -30.0 or np.min(u) < -80.0)
         checked = 0
         for lo, hi, bound in self._BACKEND_AI_ERRORS:
             sel = (u >= lo) & (u <= hi)
@@ -498,8 +501,12 @@ _BLOCK_CASES = [(1.0, -10.0, 3e-15), (-1.0, -10.0, 3e-15), (-0.5, -10.0, 2.95e-1
 @pytest.mark.parametrize("t,x_min,bound", _BLOCK_CASES)
 def test_ladder_blocks_vs_fine_rule(t, x_min, bound):
     # the Nystrom blocks r_i r_j K(x_i, x_j) of every covariance level,
-    # between the lowest, the middle and the highest outer threshold
-    k = Airy2ProcessKernel(t, x_min=x_min)
+    # between the lowest, the middle and the highest outer threshold; the
+    # Laplace kernel on the lowered domain states its Gaussian-term
+    # cancellation, which the bound carries, and warns of it
+    cancels = x_min < -10.0
+    with pytest.warns(RuntimeWarning, match="cancellation") if cancels else nullcontext():
+        k = Airy2ProcessKernel(t, x_min=x_min)
     worst = 0.0
     for m, n_outer in _COV_LEVELS["airy2"]:
         svals = gauss_legendre(x_min, DEFAULT_BOX[1], n_outer).nodes

@@ -155,9 +155,12 @@ class TestF2:
             f2_tw(-2.0, 30, route="truncate")
         with pytest.raises(ValueError):
             f2_tw(-2.0, 30, route="truncate", T=-3.0)
-        # the tan map needs no truncation point: T there is a usage error
+        # the tan map needs no truncation point, the finite interval no
+        # map scale: each is a usage error on the other route
         with pytest.raises(ValueError, match="route='truncate'"):
             f2_tw(-2.0, 30, T=3.0)
+        with pytest.raises(ValueError, match="route='transform'"):
+            f2_tw(-2.0, 60, route="truncate", T=12.0, scale=1e4)
 
     def test_geometric_convergence_regime(self):
         # successive-m differences shrink at least 2x per +5 in m until
@@ -577,9 +580,8 @@ class TestJointTableRows:
     def test_prepare_takes_ai_points_for_a0_and_kept_basis_entries(self, monkeypatch):
         # every Ai point of prepare goes through kernels.airy_ai, where the
         # benchmark's tracer counts it: n h for I - A_0 on the head of h
-        # nodes (its near-diagonal pairs are exact diagonals here) and the
-        # basis entries at or below each kernel's skip cut; the entries
-        # above it are never evaluated
+        # nodes (its near-diagonal pairs are exact diagonals here) and
+        # n h K basis points for each kernel of K inner nodes
         tab = _JointTable("airy2", 1.0, 24, 10.0)
         points = []
         airy_ai = kernels_module.airy_ai
@@ -594,10 +596,7 @@ class TestJointTableRows:
         x = tab._x.ravel()
         h = tab._off.size
         assert x.size == n * h and h < m
-        kept = [int(np.sum(x[:, None] + k._xi[None, :] <= k.skip_cut))
-                for k in (tab.kt, tab.kmt)]
-        assert sum(points) == n * h + sum(kept)
-        assert 0 < kept[0] < x.size * tab.kt.inner_size
+        assert sum(points) == n * h * (1 + tab.kt.inner_size + tab.kmt.inner_size)
 
     def test_prepare_takes_given_blocks_bitwise(self):
         # a covariance level hands prepare the I - A_0 blocks of its kept
