@@ -71,7 +71,10 @@ def _grid(lo, hi, step):
         raise ValueError("step must be positive")
     if lo > hi:
         raise ValueError(f"empty sweep range: {lo} > {hi}")
-    n = int(round((hi - lo) / step))
+    steps = (hi - lo) / step  # inf for a subnormal step
+    if not steps <= 1e6:
+        raise ValueError(f"sweep of {steps:.3g} steps exceeds the cap of 1e6: raise --step")
+    n = int(round(steps))
     return [lo + k * step for k in range(n + 1) if lo + k * step <= hi + 1e-12]
 
 

@@ -44,8 +44,9 @@ import numpy as np
 from .kernels import (AiryKernel, Airy1ProcessKernel, Airy2ProcessKernel,
                       SineKernel, TransformedKernel)
 from .linalg import DEFAULT_EPS_MULTIPLE, UNIT_ROUNDOFF, DetResult, det_lu, frobenius_norm
-# fredholm_det_system is not called here: it stays bound only because the
-# benchmark's tracer (perfbench/tracing.py) patches it in this module by name
+# fredholm_det_system and _balance_blocks are not called here: they stay
+# bound only because the benchmark's tracer (perfbench/tracing.py) patches
+# them in this module by name
 from .nystrom import (NystromProblem, _balance_blocks, _det_result, fredholm_det,
                       fredholm_det_system)
 from .quadrature import gauss_legendre
@@ -187,8 +188,7 @@ def truncation_bound(s: float, T: float, m: int = 80) -> float:
 # Airy process joint distributions
 # ---------------------------------------------------------------------------
 
-def _process_kernels(process: str, t: float, inner_tol: float,
-                     x_min: float = DEFAULT_BOX[0]):
+def _process_kernels(process: str, t: float, inner_tol: float, x_min: float):
     """The off-diagonal kernels K_t and K_{-t} of a joint system whose
     thresholds are all >= ``x_min``."""
     if process == "airy2":
@@ -317,7 +317,7 @@ def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
         point = _marginal_points(process, [s], m, scale)[0]
         return replace(point, parameter=0.0, m=2 * m)
     kernels = _process_kernels(process, t, _INNER_TOL, min(s1, s2))
-    return _JointTable(process, t, m, scale, kernels=kernels).joint(s1, s2)
+    return _JointTable(process, t, m, scale, kernels).joint(s1, s2)
 
 
 def airy2_joint(t: float, s1: float, s2: float, m: int, scale: float = 10.0) -> DistributionPoint:
@@ -417,33 +417,32 @@ def _cov_zero(process: str, m: int, n_outer: int, box: tuple[float, float],
 
 
 class _JointTable:
-    """Joint determinants P(A(t) <= s_i, A(0) <= s_j) over a grid of
-    thresholds: the one joint-determinant path, for single pairs
+    """Joint determinants P(A(t) <= s_i, A(0) <= s_j) over an ascending
+    grid of thresholds, with the kernels (K_t, K_{-t}) of
+    ``_process_kernels``: the one joint-determinant path, for single pairs
     (``airy2_joint`` / ``airy1_joint``) and covariance grids alike.
 
-    ``prepare`` caches per threshold s the transformed nodes of the head of
-    the grid (``_head``: for Airy(2) the nodes left of the cut X for the
-    smallest threshold, the same h nodes at every threshold), M = I - A_0
-    (``_eye_minus_a0``), det(M) and, for the Airy(2) process, the
-    inner-rule Airy bases of K_t and K_{-t}, each filled by ``basis`` calls
-    of at most ``_EVAL_CHUNK`` points.  M^-1 is formed once per threshold,
-    when it first pivots.  A covariance level prepares only the thresholds
-    ``_tail_drop`` keeps, with the I - A_0 blocks and marginals it has.
-    ``row`` forms the off-diagonal blocks of the pairs (s_i, s_j), j >= i,
-    with one matrix product per kernel (Airy(2)) or one shared Airy
-    evaluation (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), and takes
-    each joint as det(M_p) det(M_q - A_qp M_p^-1 A_pq), p the larger
-    threshold of the pair (the better-conditioned block), with stacked
-    products and LAPACK LU calls of at most ``CHUNK`` pairs.  The Schur
-    complement is unchanged by the exact similarity A_pq -> 2^k A_pq,
-    A_qp -> 2^-k A_qp, so rows need no balancing.  ``grid`` mirrors the
-    rows by time reversal, P(s_i, s_j) = P(s_j, s_i).
+    ``prepare`` caches per threshold s the nodes of the head of the grid
+    (``_head``: the same h nodes at every threshold), the given M = I - A_0
+    and det(M), and, for Airy(2), the inner-rule Airy bases of K_t and
+    K_{-t}, filled by ``basis`` calls of at most ``_EVAL_CHUNK`` points.
+    M^-1 is formed once per threshold, when it first pivots.  ``row``
+    forms the off-diagonal blocks of the pairs (s_i, s_j), j >= i, with one
+    matrix product per kernel (Airy(2)) or one shared Airy evaluation
+    (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), and takes each joint
+    as det(M_j) det(M_i - A_ij M_j^-1 A_ji): the grid ascends, so every
+    pair pivots on its larger threshold s_j (the better-conditioned block),
+    in stacked products and LAPACK LU calls of at most ``CHUNK`` pairs.
+    The Schur complement is unchanged by the exact similarity
+    A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, so rows need no balancing.
+    ``grid`` mirrors the rows by time reversal, P(s_i, s_j) = P(s_j, s_i),
+    and ``joint`` orders its pair by it.
     """
 
     #: Pairs per stacked determinant call; 32 ran 3-8% faster than 16 for +0.6 MB RSS.
     CHUNK = 32
 
-    def __init__(self, process: str, t: float, m: int, scale: float, kernels=None):
+    def __init__(self, process: str, t: float, m: int, scale: float, kernels):
         if t == 0.0:
             raise ValueError("joint table expects t != 0")
         self.process = process
@@ -451,27 +450,23 @@ class _JointTable:
         self.m = int(m)
         self.scale = scale
         self._tan = _tan_map(m, scale)
-        self.kt, self.kmt = kernels or _process_kernels(process, t, _INNER_TOL)
+        self.kt, self.kmt = kernels
 
-    def prepare(self, svals, eye_minus_a0=None, marginals=None) -> None:
-        """Cache the per-threshold data of the grid ``svals``, replacing
-        any earlier grid; ``eye_minus_a0`` and ``marginals`` take the I - A_0
-        blocks and their determinants where the caller has them already,
-        its blocks on a head that holds the grid's."""
+    def prepare(self, svals, eye_minus_a0, marginals) -> None:
+        """Cache the per-threshold data of the ascending grid ``svals``,
+        replacing any earlier grid, with its I - A_0 blocks ``eye_minus_a0``
+        (on a head that holds the grid's) and their determinants
+        ``marginals``.  Raises ValueError on a grid that does not ascend."""
         svals = np.asarray(svals, dtype=float)
+        if not np.all(np.diff(svals) >= 0.0):
+            raise ValueError("joint table thresholds must ascend")
         h = _head(self.process, svals, self._tan[0])
         self._off, self._rr = self._tan[0][:h], self._tan[1][:h, :h]
         self._s = svals
         self._x = svals[:, None] + self._off[None, :]
-        if eye_minus_a0 is None:
-            eye_minus_a0 = _eye_minus_a0(self.process, svals, *self._tan)
-        eye_minus_a0 = eye_minus_a0[:, :h, :h]
-        if marginals is None:
-            marginals = [p.value for p in _marginal_points(
-                self.process, svals, self.m, self.scale, eye_minus_a0)]
-        self.eye_minus_a0 = eye_minus_a0
+        self.eye_minus_a0 = eye_minus_a0[:, :h, :h]
         self._det = np.asarray(marginals, dtype=float)
-        self._inv = np.empty_like(eye_minus_a0)
+        self._inv = np.empty_like(self.eye_minus_a0)
         self._inverted = np.zeros(svals.size, dtype=bool)
         if self.process == "airy2":
             self._bt = self._bases(self.kt)
@@ -487,17 +482,15 @@ class _JointTable:
             out[lo:lo + rows] = kernel.basis(x[lo:lo + rows])
         return out.reshape(*self._x.shape, kernel.inner_size)
 
-    def _inverse(self, p) -> np.ndarray:
-        """M^-1 at the prepared thresholds ``p``, each inverted when it
-        first pivots: a grid inverts every threshold, a single joint only
+    def _inverse(self, lo: int, hi: int) -> np.ndarray:
+        """M^-1 at the prepared thresholds lo <= j < hi, each inverted when
+        it first pivots: a grid inverts every threshold, a single joint only
         the larger one."""
-        new = np.zeros_like(self._inverted)
-        new[p] = True
-        new &= ~self._inverted
+        new = ~self._inverted[lo:hi]
         if new.any():
-            self._inv[new] = np.linalg.inv(self.eye_minus_a0[new])
-            self._inverted |= new
-        return self._inv[p]
+            self._inv[lo:hi][new] = np.linalg.inv(self.eye_minus_a0[lo:hi][new])
+            self._inverted[lo:hi] = True
+        return self._inv[lo:hi]
 
     def row(self, i: int) -> np.ndarray:
         """Joints at the prepared thresholds (s_i, s_j) for j >= i."""
@@ -535,31 +528,32 @@ class _JointTable:
         return self._rr * b12, self._rr * b21
 
     def _dets(self, i: int, lo: int, hi: int, blocks=None) -> np.ndarray:
-        """det(M_p) det(M_q - A_qp M_p^-1 A_pq) of the pairs (s_i, s_j),
-        lo <= j < hi, from ``blocks`` (A_ij, A_ji) or else ``_blocks``."""
-        a_qp, a_pq = blocks or self._blocks(i, lo, hi)
-        on_j = self._s[lo:hi] >= self._s[i]
-        p, q = np.where(on_j, np.arange(lo, hi), i), np.where(on_j, i, np.arange(lo, hi))
-        if not on_j.all():  # the pairs with s_j < s_i pivot on s_i
-            on_j = on_j[:, None, None]
-            a_qp, a_pq = np.where(on_j, a_qp, a_pq), np.where(on_j, a_pq, a_qp)
-        # A_qp M_p^-1 first: the other order erred 200x more at Airy(1), t = 2.5, m = 20
-        schur = self.eye_minus_a0[q] - a_qp @ self._inverse(p) @ a_pq
-        return self._det[p] * det_lu(schur)
+        """det(M_j) det(M_i - A_ij M_j^-1 A_ji) of the pairs (s_i, s_j),
+        i <= lo <= j < hi, from ``blocks`` (A_ij, A_ji) or else ``_blocks``:
+        each pair pivots on its larger threshold s_j."""
+        a_ij, a_ji = blocks or self._blocks(i, lo, hi)
+        # A_ij M_j^-1 first: the other order erred 200x more at Airy(1), t = 2.5, m = 20
+        schur = self.eye_minus_a0[i] - a_ij @ self._inverse(lo, hi) @ a_ji
+        return self._det[lo:hi] * det_lu(schur)
 
     def joint(self, s1: float, s2: float) -> DistributionPoint:
-        """The joint at one pair, with the roundoff bound sqrt(2m) ||A||_F 8u
-        of its balanced system (``_balance_blocks``); prepares (s1, s2) as
-        the grid.  Flagged ``suspect`` also where it breaks a Frechet
-        bound, F1 + F2 - 1 <= P <= min(F1, F2), by more than the sum of
-        its own and both marginals' roundoff bounds and 8u |value|."""
-        blocks = _eye_minus_a0(self.process, [s1, s2], *self._tan)
-        f1, f2 = _marginal_points(self.process, [s1, s2], self.m, self.scale, blocks)
-        self.prepare([s1, s2], eye_minus_a0=blocks, marginals=[f1.value, f2.value])
+        """The joint at one pair, prepared as the grid (min, max): time
+        reversal, P(A(t) <= s1, A(0) <= s2) = P(A(t) <= s2, A(0) <= s1),
+        makes the order exact, so the pair pivots on its larger threshold.
+        Its roundoff bound is sqrt(2m) N 8u, with
+        N = (||A_11||^2 + ||A_22||^2 + 2 ||A_12|| ||A_21||)^(1/2) the least
+        Frobenius norm of its system over the block scalings
+        A_12 -> c A_12, A_21 -> A_21 / c, c > 0, which keep the determinant.
+        Flagged ``suspect`` also where it breaks a Frechet bound,
+        F1 + F2 - 1 <= P <= min(F1, F2), by more than the sum of its own
+        and both marginals' roundoff bounds and 8u |value|."""
+        pair = sorted((s1, s2))
+        blocks = _eye_minus_a0(self.process, pair, *self._tan)
+        f1, f2 = _marginal_points(self.process, pair, self.m, self.scale, blocks)
+        self.prepare(pair, blocks, [f1.value, f2.value])
         a12, a21 = self._blocks(0, 1, 2)
-        _balance_blocks([[None, a12], [a21, None]])
-        eye = np.eye(self._off.size)
-        norm = math.hypot(*map(frobenius_norm, (a12, a21, eye - self.eye_minus_a0)))
+        diag = frobenius_norm(np.eye(self._off.size) - self.eye_minus_a0)
+        norm = math.sqrt(diag * diag + 2.0 * frobenius_norm(a12) * frobenius_norm(a21))
         bound = math.sqrt(2 * self.m) * norm * DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF
         point = _det_point(self.t, DetResult(float(self._dets(0, 1, 2, (a12, a21))[0]),
                                              2 * self.m, bound))
@@ -613,8 +607,8 @@ def _cov_positive(process: str, t: float, m: int, n_outer: int,
     points = _marginal_points(process, outer.nodes, m, scale, eye_minus_a0=blocks)
     marg = np.array([p.value for p in points])
     keep, _ = _tail_drop(marg, np.array([p.est_error for p in points]), outer.weights)
-    table = _JointTable(process, t, m, scale, kernels=kernels)
-    table.prepare(outer.nodes[keep], eye_minus_a0=blocks[keep], marginals=marg[keep])
+    table = _JointTable(process, t, m, scale, kernels)
+    table.prepare(outer.nodes[keep], blocks[keep], marg[keep])
     # the dropped thresholds' blocks are not held while the grid is formed
     del blocks
     w, f = outer.weights[keep], marg[keep]

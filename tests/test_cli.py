@@ -74,6 +74,11 @@ class TestDetCommand:
         ["green-bench", "--method", "ritz", "--m-list", ""],
         ["f2", "--s-min", "-2", "--s-max", "-2", "--step", "1", "--route", "truncate",
          "--T", "12", "--scale", "1e4"],
+        # (hi - lo) / step is infinite, or over the cap of 1e6 steps
+        ["e2", "--s-min", "0", "--s-max", "1", "--step", "1e-320"],
+        ["f2", "--s-min", "0", "--s-max", "1", "--step", "1e-320"],
+        ["cov", "--process", "airy2", "--t-min", "0", "--t-max", "1", "--step", "1e-320"],
+        ["e2", "--s-min", "0", "--s-max", "1", "--step", "1e-12"],
     ])
     def test_bad_input_exit_2(self, argv):
         code, out, err = run(argv)

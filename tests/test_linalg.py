@@ -192,7 +192,7 @@ class TestRoundoffBound:
 
     def test_identity(self):
         # sqrt(4) * ||I_4||_F * eps = 2 * 2 * eps
-        assert roundoff_bound(np.eye(4), 2.0 ** -53) == pytest.approx(4 * 2.0 ** -53)
+        assert roundoff_bound(np.eye(4), 2.0 ** -53) == pytest.approx(4 * 2.0 ** -53, abs=0)
 
     def test_eps_validated(self):
         with pytest.raises(ValueError):

@@ -11,15 +11,17 @@ from contextlib import redirect_stderr
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredet import kernels as kernels_module
 from fredet import rmt
 from fredet.kernels import (AiryKernel, Airy1ProcessKernel, Airy2ProcessKernel,
-                            Kernel, TransformedKernel)
+                            Kernel, SineKernel, TransformedKernel)
 from fredet.linalg import UNIT_ROUNDOFF
 from fredet.cli import main
 from fredet.nystrom import (BlockSystem, NystromProblem, _balance_blocks, fredholm_det,
-                            fredholm_det_system)
+                            fredholm_det_system, nystrom_matrix)
 from fredet.quadrature import gauss_legendre
 from fredet.rmt import (airy1_joint, airy2_joint, cov_airy1, cov_airy2, cov_grid,
                         e2_gap, f2_tw, truncation_bound, tw_moments, _JointTable,
@@ -43,16 +45,17 @@ class ShiftedPairKernel(Kernel):
                 * np.sqrt(self.right.dphi(ys))[None, :])
 
 
-def block_system_joint(process, t, s1, s2, m, scale=10.0):
+def block_system_joint(process, t, s1, s2, m, scale=10.0, kernels=None):
     """P(A(t) <= s1, A(0) <= s2) as a fresh BlockSystem determinant,
-    assembled kernel by kernel: the reference for the joint table."""
-    if process == "airy2":
+    assembled kernel by kernel, with the off-diagonal ``kernels`` (K_t,
+    K_{-t}) or else its own: the reference for the joint table."""
+    if kernels is None and process == "airy2":
         x_min = min(s1, s2)
-        k0, kt, kmt = (AiryKernel(), Airy2ProcessKernel(t, x_min=x_min),
-                       Airy2ProcessKernel(-t, x_min=x_min))
-    else:
-        k0, kt, kmt = (Airy1ProcessKernel(0.0), Airy1ProcessKernel(t),
-                       Airy1ProcessKernel(-t))
+        kernels = Airy2ProcessKernel(t, x_min=x_min), Airy2ProcessKernel(-t, x_min=x_min)
+    elif kernels is None:
+        kernels = Airy1ProcessKernel(t), Airy1ProcessKernel(-t)
+    k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
+    kt, kmt = kernels
     rule = gauss_legendre(0.0, 1.0, m)
     kernels = ((TransformedKernel(k0, s1, scale=scale), ShiftedPairKernel(kt, s1, s2, scale)),
                (ShiftedPairKernel(kmt, s2, s1, scale), TransformedKernel(k0, s2, scale=scale)))
@@ -61,20 +64,84 @@ def block_system_joint(process, t, s1, s2, m, scale=10.0):
     return fredholm_det_system(system, -1.0)
 
 
-def two_sided_grid(tab, s):
-    """Joints at all pairs of thresholds ``s``, the pairs below the diagonal
-    computed on their own, as the rows j >= i of the reversed grid."""
-    n = s.size
-    tab.prepare(s)
-    upper = [tab.row(i) for i in range(n)]
-    tab.prepare(s[::-1])
-    lower = [tab.row(i) for i in range(n)]
-    joint = np.empty((n, n))
-    for i in range(n):
-        # reversed row i holds (s_{n-1-i}, s_{n-1-j}) for j >= i
-        joint[n - 1 - i, :n - i] = lower[i][::-1]
-        joint[i, i:] = upper[i]
+def table(process, t, m, x_min=rmt.DEFAULT_BOX[0]):
+    """A joint table at map scale 10 for thresholds >= ``x_min``."""
+    return _JointTable(process, t, m, 10.0,
+                       rmt._process_kernels(process, t, rmt._INNER_TOL, x_min))
+
+
+def prepare(tab, s):
+    """``tab.prepare`` on the ascending grid ``s``, with the I - A_0 blocks
+    and marginals a covariance level would hand it."""
+    blocks = rmt._eye_minus_a0(tab.process, s, *rmt._tan_map(tab.m, tab.scale))
+    points = rmt._marginal_points(tab.process, s, tab.m, tab.scale, blocks)
+    tab.prepare(s, blocks, [p.value for p in points])
+
+
+def two_sided_grid(tab):
+    """The joints of the prepared grid: the rows j >= i from the table, and
+    each pair (s_i, s_j), i > j, below the diagonal on its own, in its own
+    order, as the BlockSystem determinant with the table's kernels (the
+    table mirrors these pairs by time reversal)."""
+    s = tab._s
+    joint = np.triu(tab.grid())
+    for i in range(s.size):
+        for j in range(i):
+            joint[i, j] = block_system_joint(tab.process, tab.t, s[i], s[j], tab.m,
+                                             kernels=(tab.kt, tab.kmt)).value
     return joint
+
+
+def least_norm(a11, a22, a12, a21):
+    """min over c > 0 of ||[[A_11, c A_12], [A_21 / c, A_22]]||_F, in
+    closed form: (||A_11||^2 + ||A_22||^2 + 2 ||A_12|| ||A_21||)^(1/2)."""
+    n11, n22, n12, n21 = (np.linalg.norm(b) for b in (a11, a22, a12, a21))
+    return math.sqrt(n11 ** 2 + n22 ** 2 + 2.0 * n12 * n21)
+
+
+def closed_form_bound(process, t, s1, s2, m):
+    """The roundoff bound sqrt(2m) N 8u of the single joint (s1, s2), N its
+    ``least_norm``, from the blocks of a table that took that joint."""
+    tab = table(process, t, m, min(s1, s2))
+    tab.joint(s1, s2)
+    eye = np.eye(tab._off.size)
+    norm = least_norm(eye - tab.eye_minus_a0[0], eye - tab.eye_minus_a0[1],
+                      *tab._blocks(0, 1, 2))
+    return math.sqrt(2 * m) * norm * 8 * UNIT_ROUNDOFF
+
+
+def scan_least_norm(a11, a22, a12, a21):
+    """``least_norm`` by a scan of log2 c over [-150, 150], refined on a
+    finer scan around the best point: the excess over the minimum falls as
+    the square of the step."""
+    d2, p, q = (float(np.sum(b * b)) for b in (np.stack([a11, a22]), a12, a21))
+
+    def scan(lo, hi):
+        e = np.linspace(lo, hi, 1 << 16)
+        f = d2 + 4.0 ** e * p + q / 4.0 ** e
+        return e[np.argmin(f)], float(np.min(f))
+
+    best, _ = scan(-150.0, 150.0)
+    step = 300.0 / (1 << 16)
+    return math.sqrt(scan(best - step, best + step)[1])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+       k12=st.integers(-60, 60), k21=st.integers(-60, 60))
+def test_least_norm_is_the_minimum_over_scalings(seed, n, k12, k21):
+    # the closed form the joints' roundoff bound takes, on random blocks
+    # scaled by 2^k12 and 2^k21
+    rng = np.random.default_rng(seed)
+    a11, a22 = rng.standard_normal((2, n, n))
+    a12 = rng.standard_normal((n, n)) * 2.0 ** k12
+    a21 = rng.standard_normal((n, n)) * 2.0 ** k21
+    least = least_norm(a11, a22, a12, a21)
+    assert least == pytest.approx(scan_least_norm(a11, a22, a12, a21), rel=1e-13, abs=0)
+    # power-of-two balancing picks one of the scalings
+    _balance_blocks([[None, a12], [a21, None]])
+    balanced = np.linalg.norm(np.block([[a11, a12], [a21, a22]]))
+    assert least <= balanced * (1.0 + 4 * np.finfo(float).eps)
 
 
 def balanced_systems(tab, i, lo, hi):
@@ -171,6 +238,30 @@ class TestF2:
             if d0 < 1e-13:
                 break
             assert d1 <= d0 / 2.0
+
+
+@pytest.mark.parametrize("name,rel", [
+    # relative gaps measured 1.77e-2 and 1.85e-3
+    ("f2", 3.5e-2),
+    ("e2", 3.7e-3),
+])
+def test_deep_tail_matches_extended_precision_determinant(name, rel):
+    # the same float matrix, its determinant at -log10(value) + 20 digits,
+    # which separates roundoff from discretization.  F2(-12) at m = 100
+    # reads 6.17e-63 against 6.28e-63 for its matrix, while the left-tail
+    # expansion gives 1.85e-63; E2(0; 12) at m = 50 reads 1.732e-78 against
+    # 1.736e-78, while the expansion gives 2.17e-78 and m = 80 1.98e-78
+    if name == "f2":
+        point = f2_tw(-12.0, 100)
+        matrix = rmt._eye_minus_a0("airy2", [-12.0], *rmt._tan_map(100, 10.0))[0]
+    else:
+        point = e2_gap(12.0, 50)
+        matrix = np.eye(50) - nystrom_matrix(SineKernel(), gauss_legendre(0.0, 12.0, 50))
+    with mpmath.workdps(int(-math.log10(point.value)) + 20):
+        exact = float(mpmath.det(mpmath.matrix(matrix.tolist())))
+    assert not point.suspect
+    assert abs(point.value - exact) <= point.est_error
+    assert abs(point.value - exact) <= rel * exact
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
@@ -283,19 +374,22 @@ class TestAiry2Joint:
         ref = block_system_joint("airy2", 1.0, -1.0, 0.5, 30)
         assert p.value == pytest.approx(ref.value, abs=1e-13)
         assert p.m == ref.m
-        assert p.est_error == pytest.approx(ref.roundoff_bound, rel=1e-12)
+        assert p.est_error == pytest.approx(
+            closed_form_bound("airy2", 1.0, -1.0, 0.5, 30), rel=1e-14, abs=0)
+        # the least norm over scalings is at most the balanced one
+        assert p.est_error <= ref.roundoff_bound
 
     def test_thresholds_below_minus_ten(self):
         # the inner rules follow the lowest threshold; the table path
-        # against the system path, which builds its own kernels, checks
-        # the off-diagonal blocks through ||A||_F in est_error
+        # against the system path, which builds its own kernels
         p = airy2_joint(0.3, -18.0, -16.0, 30)
         ref = block_system_joint("airy2", 0.3, -18.0, -16.0, 30)
         assert p.value == pytest.approx(ref.value, abs=1e-13)
-        assert p.est_error == pytest.approx(ref.roundoff_bound, rel=1e-12)
-        tab = _JointTable("airy2", 0.3, 30, 10.0)
+        assert p.est_error == pytest.approx(
+            closed_form_bound("airy2", 0.3, -18.0, -16.0, 30), rel=1e-14, abs=0)
+        assert p.est_error <= ref.roundoff_bound
         with pytest.raises(ValueError, match="x_min"):
-            tab.prepare([-16.0])
+            prepare(table("airy2", 0.3, 30), np.array([-16.0]))
 
     def test_t_zero_carries_marginal_fallback(self):
         # at t = 0 the joint is the marginal F2(min(s1, s2)); at s = -9.5
@@ -304,10 +398,11 @@ class TestAiry2Joint:
         ref = f2_tw(-9.5, 30)
         assert p.suspect and ref.suspect
         assert abs(p.value - ref.value) <= ref.est_error
-        assert p.est_error == pytest.approx(ref.est_error, rel=1e-12)
+        # the same marginal determinant, so the same bits
+        assert p.est_error == ref.est_error
         clean = airy2_joint(0.0, -2.0, 0.0, 30)
         assert not clean.suspect
-        assert clean.est_error == pytest.approx(f2_tw(-2.0, 30).est_error, rel=1e-12)
+        assert clean.est_error == f2_tw(-2.0, 30).est_error
 
 
 class TestAiry1Joint:
@@ -354,7 +449,9 @@ class TestAiry1Joint:
         p = airy1_joint(1.5, -1.0, 0.5, 30)
         ref = block_system_joint("airy1", 1.5, -1.0, 0.5, 30)
         assert p.value == pytest.approx(ref.value, abs=1e-12)
-        assert p.est_error == pytest.approx(ref.roundoff_bound, rel=1e-12)
+        assert p.est_error == pytest.approx(
+            closed_form_bound("airy1", 1.5, -1.0, 0.5, 30), rel=1e-14, abs=0)
+        assert p.est_error <= ref.roundoff_bound
 
     def test_pivot_block_past_a_cholesky_fallback(self):
         # the marginal at s = -5 falls back from Cholesky to LU and reads
@@ -364,7 +461,9 @@ class TestAiry1Joint:
         p = airy1_joint(2.5, -5.0, 2.0, 30)
         ref = block_system_joint("airy1", 2.5, -5.0, 2.0, 30)
         assert p.value == pytest.approx(ref.value, abs=1e-13)
-        assert p.est_error == pytest.approx(ref.roundoff_bound, rel=1e-12)
+        assert p.est_error == pytest.approx(
+            closed_form_bound("airy1", 2.5, -5.0, 2.0, 30), rel=1e-14, abs=0)
+        assert p.est_error <= ref.roundoff_bound
         assert not p.suspect
 
 
@@ -402,8 +501,10 @@ class TestJointTableRows:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_symmetry_on_random_pairs(self, process, seed):
         # time reversal: P(A(t) <= s1, A(0) <= s2) = P(A(t) <= s2, A(0) <= s1)
-        s = np.random.default_rng(seed).uniform(-4.0, 2.0, size=7)
-        joint = two_sided_grid(_JointTable(process, 0.8, 20, 10.0), s)
+        s = np.sort(np.random.default_rng(seed).uniform(-4.0, 2.0, size=7))
+        tab = table(process, 0.8, 20)
+        prepare(tab, s)
+        joint = two_sided_grid(tab)
         assert np.max(np.abs(joint - joint.T)) <= 1e-13
 
     @pytest.mark.parametrize("process,box", [("airy2", rmt.DEFAULT_BOX),
@@ -412,11 +513,12 @@ class TestJointTableRows:
         # against a grid whose lower triangle is computed on its own; the
         # Airy(1) value at m = 12 is 3.3e5, so the bound is relative
         m, n = 12, 10
-        kernels = rmt._process_kernels(process, 1.0, 1e-12)
+        kernels = rmt._process_kernels(process, 1.0, 1e-12, box[0])
         value = rmt._cov_positive(process, 1.0, m, n, box, 10.0, kernels)
         outer = gauss_legendre(box[0], box[1], n)
-        joint = two_sided_grid(_JointTable(process, 1.0, m, 10.0, kernels=kernels),
-                               outer.nodes)
+        tab = _JointTable(process, 1.0, m, 10.0, kernels)
+        prepare(tab, outer.nodes)
+        joint = two_sided_grid(tab)
         marg = np.array([_marginal(process, s, m) for s in outer.nodes])
         ref = outer.weights @ (joint - np.outer(marg, marg)) @ outer.weights
         assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
@@ -433,8 +535,8 @@ class TestJointTableRows:
         # from full m x m kernel matrices of K_t and K_{-t}, relative to the
         # largest joint of the grid (the smallest ones are roundoff-sized)
         s = gauss_legendre(*rmt.AIRY1_BOX, 9).nodes
-        tab = _JointTable("airy1", t, 20, 10.0)
-        tab.prepare(s)
+        tab = table("airy1", t, 20)
+        prepare(tab, s)
         rows = tab.grid()
 
         def full(kernel, s1, s2, offsets):
@@ -450,8 +552,9 @@ class TestJointTableRows:
     def test_grid_symmetric_bit_for_bit(self, process):
         # only the rows j >= i are computed; the grid mirrors them
         s = np.random.default_rng(3).uniform(-5.0, 3.0, size=9)
-        tab = _JointTable(process, 0.6, 16, 10.0)
-        tab.prepare(s)
+        s.sort()
+        tab = table(process, 0.6, 16)
+        prepare(tab, s)
         joint = tab.grid()
         assert np.array_equal(joint, joint.T)
 
@@ -469,13 +572,14 @@ class TestJointTableRows:
         # rows against the per-pair system path, or on a level's grid
         # against the balanced systems of order 2m, each by LU
         if level is None:
-            s, m, kernels = np.array([-3.0, -1.2, 0.0, 0.7, 2.5]), 20, None
+            s, m = np.array([-3.0, -1.2, 0.0, 0.7, 2.5]), 20
+            kernels = rmt._process_kernels(process, t, rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
         else:
             m, n = rmt._COV_LEVELS[process][level]
             box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
             s, kernels = gauss_legendre(*box, n).nodes, cov_kernels(process, t)
-        tab = _JointTable(process, t, m, 10.0, kernels=kernels)
-        tab.prepare(s)
+        tab = _JointTable(process, t, m, 10.0, kernels)
+        prepare(tab, s)
         tab.CHUNK = 2  # a row spans several stacked calls
         for i in ((0, 2) if level is None else range(s.size)):
             row = tab.row(i)
@@ -489,11 +593,10 @@ class TestJointTableRows:
     @pytest.mark.parametrize("k", [-40, 7, 40])
     def test_rows_need_no_balancing(self, process, k, monkeypatch):
         # the Schur complement is invariant under the exact similarity
-        # A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, which balancing applies; the
-        # thresholds are unsorted, so rows pivot on s_i and s_j both
-        s = np.random.default_rng(5).permutation(gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes)
-        tab = _JointTable(process, 0.7, 16, 10.0)
-        tab.prepare(s)
+        # A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, which balancing applies
+        s = gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes
+        tab = table(process, 0.7, 16)
+        prepare(tab, s)
         rows = [tab.row(i) for i in range(s.size)]
         blocks = tab._blocks
 
@@ -518,8 +621,7 @@ class TestJointTableRows:
     def test_joint_matches_extended_precision_determinant(self, process, t, s1, s2, m):
         # the same Nystrom matrix oracle: the balanced float system of
         # order 2m, its determinant in 50-digit arithmetic
-        kernels = rmt._process_kernels(process, t, rmt._INNER_TOL, min(s1, s2))
-        tab = _JointTable(process, t, m, 10.0, kernels=kernels)
+        tab = table(process, t, m, min(s1, s2))
         p = tab.joint(s1, s2)
         system = balanced_systems(tab, 0, 1, 2)[0]
         with mpmath.workdps(50):
@@ -532,11 +634,11 @@ class TestJointTableRows:
         # the bits of the per-threshold evaluations
         m = 16
         s = gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes
-        tab = _JointTable(process, 0.7, m, 10.0)
+        tab = table(process, 0.7, m)
         # 2 of the 11 thresholds a matrix call, 9 of the 176 rows a basis
         # call (K_t and K_{-t} take 75 nodes), the last call of each ragged
         monkeypatch.setattr(rmt, "_EVAL_CHUNK", 700)
-        tab.prepare(s)
+        prepare(tab, s)
         k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
         offsets, rr = rmt._tan_map(m, 10.0)
         # the head of the grid: every node for Airy(1)
@@ -552,17 +654,25 @@ class TestJointTableRows:
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_joint_inverts_only_the_pivot_block(self, process):
-        # the Schur complement pivots on the larger threshold; the other
-        # block is never inverted
-        tab = _JointTable(process, 0.7, 16, 10.0)
-        for s1, s2, pivot in ((-1.0, 0.5, 1), (0.5, -1.0, 0)):
+        # the pair is ordered, and the Schur complement pivots on the
+        # larger threshold; the other block is never inverted
+        tab = table(process, 0.7, 16)
+        for s1, s2 in ((-1.0, 0.5), (0.5, -1.0)):
             tab.joint(s1, s2)
-            assert tab._inverted.tolist() == [k == pivot for k in range(2)]
+            assert tab._s.tolist() == [-1.0, 0.5]
+            assert tab._inverted.tolist() == [False, True]
+
+    @pytest.mark.parametrize("s", [[0.5, -1.0], [-2.0, 1.0, 0.0], [0.0, math.nan]])
+    def test_prepare_rejects_unsorted_grid(self, s):
+        # every pair pivots on its larger threshold s_j, j >= i
+        with pytest.raises(ValueError, match="ascend"):
+            table("airy1", 0.7, 16).prepare(s, np.eye(16) + np.zeros((len(s), 1, 1)),
+                                            np.ones(len(s)))
 
     def test_prepare_calls_basis_in_chunks(self, monkeypatch):
         # O(n m n_inner / chunk) calls of at most one chunk of 8k points:
         # not one call per threshold (slow) nor one per grid (peak memory)
-        tab = _JointTable("airy2", 1.0, 24, 10.0)
+        tab = table("airy2", 1.0, 24)
         sizes = []
         basis = Airy2ProcessKernel.basis
 
@@ -572,17 +682,18 @@ class TestJointTableRows:
 
         monkeypatch.setattr(Airy2ProcessKernel, "basis", counting)
         n, m = 38, 24
-        tab.prepare(gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
+        prepare(tab, gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
         points = n * m * (tab.kt.inner_size + tab.kmt.inner_size)
         assert rmt._EVAL_CHUNK <= 1 << 13 and max(sizes) <= rmt._EVAL_CHUNK
         assert len(sizes) <= points / rmt._EVAL_CHUNK + 4 < n
 
     def test_prepare_takes_ai_points_for_a0_and_kept_basis_entries(self, monkeypatch):
-        # every Ai point of prepare goes through kernels.airy_ai, where the
-        # benchmark's tracer counts it: n h for I - A_0 on the head of h
-        # nodes (its near-diagonal pairs are exact diagonals here) and
-        # n h K basis points for each kernel of K inner nodes
-        tab = _JointTable("airy2", 1.0, 24, 10.0)
+        # every Ai point of a level's blocks and prepare goes through
+        # kernels.airy_ai, where the benchmark's tracer counts it: n h for
+        # I - A_0 on the head of h nodes (its near-diagonal pairs are exact
+        # diagonals here) and n h K basis points for each kernel of K inner
+        # nodes
+        tab = table("airy2", 1.0, 24)
         points = []
         airy_ai = kernels_module.airy_ai
 
@@ -592,7 +703,7 @@ class TestJointTableRows:
 
         monkeypatch.setattr(kernels_module, "airy_ai", counting)
         n, m = 38, 24
-        tab.prepare(gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
+        prepare(tab, gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
         x = tab._x.ravel()
         h = tab._off.size
         assert x.size == n * h and h < m
@@ -600,20 +711,19 @@ class TestJointTableRows:
 
     def test_prepare_takes_given_blocks_bitwise(self):
         # a covariance level hands prepare the I - A_0 blocks of its kept
-        # thresholds, sliced from the marginals' blocks: the bits prepare
-        # would build itself.  The kept thresholds start higher, so their
-        # head is a leading slice of the blocks' head.
+        # thresholds, sliced from the marginals' blocks: the bits of blocks
+        # built for the kept thresholds alone.  The kept thresholds start
+        # higher, so their head is a leading slice of the blocks' head.
         m = 16
         s = gauss_legendre(*rmt.DEFAULT_BOX, 23).nodes
         keep = (np.arange(s.size) % 3 != 0) & (s > -2.0)
-        blocks = rmt._eye_minus_a0("airy2", s, *rmt._tan_map(m, 10.0))
-        tab = _JointTable("airy2", 0.7, m, 10.0)
-        tab.prepare(s[keep])
+        tan_map = rmt._tan_map(m, 10.0)
+        blocks = rmt._eye_minus_a0("airy2", s, *tan_map)
+        tab = table("airy2", 0.7, m)
+        tab.prepare(s[keep], blocks[keep], np.ones(np.sum(keep)))
         h = tab._off.size
         assert h < blocks.shape[-1]
-        assert np.array_equal(tab.eye_minus_a0, blocks[keep][:, :h, :h])
-        tab.prepare(s[keep], eye_minus_a0=blocks[keep])
-        assert np.array_equal(tab.eye_minus_a0, blocks[keep][:, :h, :h])
+        assert np.array_equal(tab.eye_minus_a0, rmt._eye_minus_a0("airy2", s[keep], *tan_map))
 
     def test_level_builds_eye_minus_a0_once(self, monkeypatch):
         calls = []
@@ -624,7 +734,7 @@ class TestJointTableRows:
             return build(process, svals, *args)
 
         monkeypatch.setattr(rmt, "_eye_minus_a0", counting)
-        kernels = rmt._process_kernels("airy2", 1.0, 1e-12)
+        kernels = rmt._process_kernels("airy2", 1.0, 1e-12, rmt.DEFAULT_BOX[0])
         rmt._cov_positive("airy2", 1.0, 20, 32, rmt.DEFAULT_BOX, 10.0, kernels)
         assert calls == [32]
 
@@ -634,8 +744,8 @@ def full_level(process, t, m, n_outer, box, kernels):
     system of order 2h, on the head of h nodes of the whole grid, its
     roundoff bound sqrt(2m) ||A||_F 8u, and the marginals with theirs."""
     outer = gauss_legendre(*box, n_outer)
-    tab = _JointTable(process, t, m, 10.0, kernels=kernels)
-    tab.prepare(outer.nodes)
+    tab = _JointTable(process, t, m, 10.0, kernels)
+    prepare(tab, outer.nodes)
     points = rmt._marginal_points(process, outer.nodes, m, 10.0)
     n, h = n_outer, tab._off.size
     joint, est = np.zeros((n, n)), np.zeros((n, n))
@@ -796,8 +906,13 @@ class TestHead:
             point = f2_tw(s, m)
             assert rmt._head("airy2", [s], rmt._tan_map(m, 10.0)[0]) < m
             assert abs(point.value - ref.value) <= point.est_error + EPS8 * abs(ref.value), s
+            # the marginal takes ||A_0||_F from the stored I - A_0, whose
+            # diagonal rounds to ulps of 1: for s >= 3, where A_0 is below
+            # 1e-12 and the bound below 2e-20, the bounds part by up to
+            # 2.0e-6, 5.3e-6 and 4.9e-7 relative at m = 50, 80 and 200
+            rel = {50: 4e-6, 80: 1e-5, 200: 1e-6}[m]
             assert point.m == m and point.est_error == pytest.approx(ref.roundoff_bound,
-                                                                     rel=1e-12)
+                                                                     rel=rel, abs=0)
             assert point.suspect == (ref.method == "cholesky->lu"
                                      or not -1e-10 <= ref.value <= 1.0 + 1e-10)
 
@@ -808,7 +923,9 @@ class TestHead:
             ref = block_system_joint("airy2", t, s1, s2, 30)
             assert abs(p.value - ref.value) <= p.est_error + EPS8 * abs(ref.value), (s1, s2)
             assert p.m == ref.m
-            assert p.est_error == pytest.approx(ref.roundoff_bound, rel=1e-12)
+            assert p.est_error == pytest.approx(closed_form_bound("airy2", t, s1, s2, 30),
+                                                rel=1e-14, abs=0)
+            assert p.est_error <= ref.roundoff_bound
 
     @pytest.mark.parametrize("t,level", [(1.0, 1), (0.25, 0)])
     def test_cov_level_equals_all_node_level(self, t, level, cov_kernels):
