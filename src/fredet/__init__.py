@@ -13,12 +13,10 @@ from .quadrature import (QuadRule, ResourceLimitError, clenshaw_curtis,
 from .linalg import (DetResult, NotPositiveDefiniteError, det_cholesky,
                      det_lu, frobenius_norm, roundoff_bound, singular_values,
                      trace_norm)
-from .specfun import AiryValue, airy_ai, airy_ai_prime, airy_value
+from .specfun import airy_ai, airy_ai_prime
 from .kernels import (AiryKernel, Airy1ProcessKernel, Airy2ProcessKernel,
                       GreenKernel, Kernel, SineKernel, TransformedKernel,
-                      airy_kernel, airy1_process_kernel, airy2_process_kernel,
-                      green_kernel, make_kernel, sine_kernel,
-                      transform_to_unit)
+                      make_kernel, sine_kernel)
 from .nystrom import (BlockSystem, KernelEvaluationError, NystromProblem,
                       StudyRow, convergence_study, fredholm_det,
                       fredholm_det_system, fredholm_series_oracle,

@@ -26,7 +26,7 @@ from .nystrom import (NystromProblem, convergence_study, fredholm_det,
                       rule_for_family)
 from .projection import galerkin_legendre_green, ritz_galerkin_green
 from .rmt import airy1_joint, airy2_joint, cov_grid, e2_gap, f2_tw, truncation_bound
-from .specfun import airy_value
+from .specfun import airy_ai, airy_ai_prime
 
 SIN1 = math.sin(1.0)
 
@@ -55,13 +55,6 @@ def _emit(args, header, rows, digits=15):
     finally:
         if path:
             handle.close()
-
-
-def _parse_z(text: str):
-    try:
-        return float(text)
-    except ValueError:
-        return complex(text)
 
 
 def _grid(lo, hi, step):
@@ -97,24 +90,22 @@ def _cmd_quad(args):
 
 
 def _cmd_specfun(args):
-    val = airy_value(args.x)
-    _emit(args, ["ai", "ai_prime"], [(val.ai, val.ai_prime)], digits=17)
+    _emit(args, ["ai", "ai_prime"], [(airy_ai(args.x), airy_ai_prime(args.x))], digits=17)
     return 0
 
 
 def _cmd_det(args):
     kernel = make_kernel(args.kernel, x_min=args.a)
     rule = rule_for_family(args.rule, args.a, args.b, args.m)
-    res = fredholm_det(NystromProblem(kernel, (args.a, args.b), _parse_z(args.z), rule))
-    _emit(args, ["value", "roundoff_bound"],
-          [(float(np.real(res.value)), res.roundoff_bound)])
+    res = fredholm_det(NystromProblem(kernel, (args.a, args.b), args.z, rule))
+    _emit(args, ["value", "roundoff_bound"], [(res.value, res.roundoff_bound)])
     return 0
 
 
 def _cmd_study(args):
     kernel = make_kernel(args.kernel, x_min=args.a)
-    rows = convergence_study(kernel, (args.a, args.b), _parse_z(args.z),
-                             args.rule, _list(args.m_list, int))
+    rows = convergence_study(kernel, (args.a, args.b), args.z, args.rule,
+                             _list(args.m_list, int))
     _emit(args, ["m", "value", "abs_error", "roundoff_bound"],
           [(r.m, r.value, r.error, r.roundoff_bound) for r in rows])
     return 0
@@ -211,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--z", default="-1")
+    sp.add_argument("--z", type=float, default=-1.0, help="real z of det(I + zA)")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--rule", choices=["gauss", "cc"], default="gauss")
     common(sp)
@@ -221,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--z", default="-1")
+    sp.add_argument("--z", type=float, default=-1.0, help="real z of det(I + zA)")
     sp.add_argument("--rule", choices=["gauss", "cc"], default="gauss")
     sp.add_argument("--m-list", required=True)
     common(sp)

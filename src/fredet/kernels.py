@@ -41,11 +41,6 @@ __all__ = [
     "Airy1ProcessKernel",
     "TransformedKernel",
     "sine_kernel",
-    "airy_kernel",
-    "green_kernel",
-    "airy2_process_kernel",
-    "airy1_process_kernel",
-    "transform_to_unit",
     "make_kernel",
     "KERNEL_FAMILIES",
 ]
@@ -504,37 +499,12 @@ class TransformedKernel(Kernel):
 
 
 # ---------------------------------------------------------------------------
-# Factory functions and the name registry
+# The name registry
 # ---------------------------------------------------------------------------
 
 def sine_kernel() -> SineKernel:
     """The sine kernel sin(pi(x-y))/(pi(x-y))."""
     return SineKernel()
-
-
-def airy_kernel() -> AiryKernel:
-    """The Airy kernel (Ai(x)Ai'(y) - Ai(y)Ai'(x))/(x-y)."""
-    return AiryKernel()
-
-
-def green_kernel() -> GreenKernel:
-    """The Green's kernel of the Dirichlet Poisson problem on [0, 1]."""
-    return GreenKernel()
-
-
-def airy2_process_kernel(t: float, **kwargs) -> Airy2ProcessKernel:
-    """Airy(2)-process kernel K_t; see ``Airy2ProcessKernel``."""
-    return Airy2ProcessKernel(t, **kwargs)
-
-
-def airy1_process_kernel(t: float) -> Airy1ProcessKernel:
-    """Airy(1)-process kernel K_t; see ``Airy1ProcessKernel``."""
-    return Airy1ProcessKernel(t)
-
-
-def transform_to_unit(base: Kernel, s: float, scale: float = 10.0) -> TransformedKernel:
-    """Wrap a kernel on (s, inf) as an equivalent kernel on (0, 1)."""
-    return TransformedKernel(base, s, scale=scale)
 
 
 #: Registry names understood by :func:`make_kernel` (and the CLI).
@@ -544,18 +514,21 @@ KERNEL_FAMILIES = ("sine", "airy", "green", "airy2:t", "airy1:t")
 def make_kernel(name: str, x_min: float = -10.0) -> Kernel:
     """Build a kernel from its registry name.
 
-    Plain names: ``sine``, ``airy``, ``green``.  Parametrized families
-    take the time argument after a colon, e.g. ``airy2:1.5`` or
-    ``airy1:-0.25``.  ``x_min`` is the smallest argument the kernel will
-    see; the Airy(2) process kernel sizes its inner rule by it.
+    ``sine``, ``airy`` and ``green`` give ``SineKernel``, ``AiryKernel``
+    and ``GreenKernel``.  The process families take the time argument
+    after a colon: ``airy2:1.5`` gives ``Airy2ProcessKernel(1.5,
+    x_min=x_min)`` and ``airy1:-0.25`` gives ``Airy1ProcessKernel(-0.25)``.
+    ``x_min`` is the smallest argument the kernel will see; the Airy(2)
+    process kernel sizes its inner rule by it.  Raises KeyError for a name
+    outside ``KERNEL_FAMILIES``.
     """
     base = name.strip()
     if base == "sine":
-        return sine_kernel()
+        return SineKernel()
     if base == "airy":
-        return airy_kernel()
+        return AiryKernel()
     if base == "green":
-        return green_kernel()
+        return GreenKernel()
     if ":" in base:
         family, _, arg = base.partition(":")
         try:
@@ -563,8 +536,8 @@ def make_kernel(name: str, x_min: float = -10.0) -> Kernel:
         except ValueError:
             raise KeyError(f"bad kernel parameter in {name!r}") from None
         if family == "airy2":
-            return airy2_process_kernel(t, x_min=x_min)
+            return Airy2ProcessKernel(t, x_min=x_min)
         if family == "airy1":
-            return airy1_process_kernel(t)
+            return Airy1ProcessKernel(t)
     raise KeyError(
         f"unknown kernel {name!r}; available: {', '.join(KERNEL_FAMILIES)}")

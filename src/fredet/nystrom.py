@@ -95,10 +95,6 @@ class BlockSystem:
         for interval, rule in zip(self.intervals, self.rules):
             _check_rule(rule, interval)
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.intervals)
-
 
 def _normalize_z(z):
     if isinstance(z, complex) and z.imag == 0.0:
@@ -313,11 +309,12 @@ def von_koch_det(a, z, n_max: int | None = None) -> complex | float:
 
 @dataclass(frozen=True)
 class StudyRow:
-    """One row of a convergence study: value at dimension m, absolute
-    difference to the richest-m value, and the roundoff bound."""
+    """One row of a convergence study: value at dimension m (complex for a
+    complex z), absolute difference to the richest-m value, and the
+    roundoff bound."""
 
     m: int
-    value: float
+    value: complex | float
     error: float
     roundoff_bound: float
 
@@ -351,6 +348,6 @@ def convergence_study(kernel: Kernel, interval: tuple[float, float],
     rows = []
     for m, res in zip(m_list, results):
         err = abs(res.value - richest) if res is not results[-1] else math.nan
-        rows.append(StudyRow(m=m, value=float(np.real(res.value)), error=err,
+        rows.append(StudyRow(m=m, value=res.value, error=err,
                              roundoff_bound=res.roundoff_bound))
     return rows

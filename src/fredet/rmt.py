@@ -125,13 +125,6 @@ def _det_point(parameter: float, res) -> DistributionPoint:
 # E2 and F2
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _unit_rule(m: int):
-    """The m-point Gauss-Legendre rule on (0, 1), built and validated once
-    per m: every tan-mapped determinant uses it, whatever its threshold."""
-    return gauss_legendre(0.0, 1.0, m)
-
-
 def e2_gap(s: float, m: int) -> DistributionPoint:
     """Gap probability E2(0; s): sine-kernel determinant at z = -1 on (0, s)."""
     if s < 0.0:
@@ -171,17 +164,18 @@ def f2_tw(s: float, m: int, route: str = "transform", scale: float | None = None
     raise ValueError(f"unknown route {route!r} (expected 'transform' or 'truncate')")
 
 
-def truncation_bound(s: float, T: float, m: int = 80) -> float:
+def truncation_bound(s: float, T: float) -> float:
     """Hilbert-Schmidt tail bound (int_T^inf int_T^inf K(x,y)^2 dx dy)^(1/2)
-    on the F2 error of truncating the Airy-kernel operator at T > s."""
-    if T <= s:
+    on the F2 error of truncating the Airy-kernel operator at T > s, for a
+    finite s: ||A||_F of the tan-mapped Airy matrix on (T, inf) at 80
+    nodes and scale 10 (``_tan_map``)."""
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    if not T > s:
         raise ValueError(f"need T > s, got T={T}, s={s}")
-    kernel = TransformedKernel(AiryKernel(), T)
-    rule = _unit_rule(m)
-    km = kernel.matrix(rule.nodes, rule.nodes)
-    w = rule.weights
-    val = float(w @ (km * km) @ w)
-    return math.sqrt(max(val, 0.0))
+    offsets, rr = _tan_map(80, 10.0)
+    x = T + offsets
+    return frobenius_norm(rr * AiryKernel().matrix(x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +211,7 @@ def _tan_map(m: int, scale: float):
     (s1, inf) x (s2, inf).  The offsets ascend, so the head of a call
     (``_head``) is a leading slice of both arrays.  Built once per
     (m, scale), never per s; the arrays are read-only."""
-    rule = _unit_rule(m)
+    rule = gauss_legendre(0.0, 1.0, m)
     tan_map = TransformedKernel(AiryKernel(), 0.0, scale=scale)
     offsets = tan_map.phi(rule.nodes)
     r = np.sqrt(rule.weights * tan_map.dphi(rule.nodes))
@@ -249,54 +243,61 @@ def _head(process: str, svals, offsets) -> int:
     The head of the smallest threshold holds the head of every other, so
     one size serves the whole stack.  Leaving the other nodes out is
     exact up to the dropped entries: in I - A_0 they are unit rows and
-    columns; in a joint at t > 0 the time-t threshold's give unit rows
-    (their K_0 and K_t entries vanish) and the time-0 threshold's unit
-    columns, and at t < 0 the roles swap, so expanding along them removes
-    the nodes although the ridge block K_{-|t|} does not vanish there."""
+    columns; in a joint (always taken at t > 0, ``_joint_point``) the
+    time-t threshold's give unit rows (their K_0 and K_t entries vanish)
+    and the time-0 threshold's unit columns, so expanding along them
+    removes the nodes although the ridge block K_{-t} does not vanish
+    there."""
     if process != "airy2":
         return offsets.size
     # at least one node, so that no matrix is empty
     return max(1, int(np.searchsorted(offsets, _HEAD_CUT - np.min(svals), side="right")))
 
 
-def _eye_minus_a0(process: str, svals, offsets, rr) -> np.ndarray:
+def _eye_minus_a0(process: str, svals, offsets, rr):
     """I - A_0 at each threshold s of ``svals``, stacked (n, h, h) on the
     head of the call (``_head``), with ``offsets`` and ``rr`` from
     ``_tan_map``: the diagonal blocks of every joint system and the
     matrices of the marginals.  A_0 is K_0 on (s, inf); K_0 is the Airy
     kernel itself for Airy(2) (its closed factorized form, no inner
     quadrature) and Ai(x + y) for Airy(1).  Each stacked kernel-matrix
-    call covers as many thresholds as fit in ``_EVAL_CHUNK`` entries."""
+    call covers as many thresholds as fit in ``_EVAL_CHUNK`` entries.
+
+    Returns the blocks and ||A_0||_F at each threshold, taken before I is
+    added: on the diagonal of I - A_0 the entries of A_0 have rounded to
+    ulps of 1."""
     k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
     h = _head(process, svals, offsets)
     x = np.asarray(svals, dtype=float)[:, None] + offsets[:h]
     rr = rr[:h, :h]
     out = np.empty((x.shape[0], h, h))
+    norms = np.empty(x.shape[0])
     step = max(1, _EVAL_CHUNK // (h * h))
     for lo in range(0, x.shape[0], step):
         xc = x[lo:lo + step]
-        out[lo:lo + step] = np.eye(h) - rr * k0.matrix(xc, xc)
-    return out
+        a0 = rr * k0.matrix(xc, xc)
+        norms[lo:lo + step] = np.sqrt(np.sum(a0 * a0, axis=(1, 2)))
+        out[lo:lo + step] = np.eye(h) - a0
+    return out, norms
 
 
-def _marginal_points(process: str, svals, m: int, scale: float,
-                     eye_minus_a0=None) -> list:
+def _marginal_points(process: str, svals, m: int, scale: float, blocks=None) -> list:
     """P(A(0) <= s) = det(I - A_0) at each threshold s of ``svals``, from
-    the given I - A_0 blocks, or else from ``_eye_minus_a0`` blocks built
-    one kernel-matrix call at a time (so that a long ``svals`` holds only
-    one call's blocks, on that call's head), by the determinant step of
-    ``fredholm_det`` (``_det_result``): Cholesky, or LU flagged suspect
-    where Cholesky fails, with the roundoff bound sqrt(m) ||A_0||_F 8u at
-    the rule size m."""
-    if eye_minus_a0 is None:
+    the given ``blocks`` (I - A_0 and ||A_0||_F, as ``_eye_minus_a0``
+    returns them), or else from blocks built one kernel-matrix call at a
+    time (so that a long ``svals`` holds only one call's blocks, on that
+    call's head), by the determinant step of ``fredholm_det``
+    (``_det_result``): Cholesky, or LU flagged suspect where Cholesky
+    fails, with the roundoff bound sqrt(m) ||A_0||_F 8u at the rule size
+    m."""
+    if blocks is None:
         tan_map = _tan_map(m, scale)
         step = max(1, _EVAL_CHUNK // (m * m))
         chunks = (svals[lo:lo + step] for lo in range(0, len(svals), step))
         return [point for chunk in chunks for point in _marginal_points(
             process, chunk, m, scale, _eye_minus_a0(process, chunk, *tan_map))]
-    eye = np.eye(eye_minus_a0.shape[-1])
-    return [_det_point(s, _det_result(block, frobenius_norm(block - eye), hermitian=True, m=m))
-            for s, block in zip(svals, eye_minus_a0)]
+    return [_det_point(s, _det_result(block, norm, hermitian=True, m=m))
+            for s, block, norm in zip(svals, *blocks)]
 
 
 def _marginal(process: str, s: float, m: int, scale: float = 10.0) -> float:
@@ -316,8 +317,11 @@ def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
         s = min(s1, s2)
         point = _marginal_points(process, [s], m, scale)[0]
         return replace(point, parameter=0.0, m=2 * m)
-    kernels = _process_kernels(process, t, _INNER_TOL, min(s1, s2))
-    return _JointTable(process, t, m, scale, kernels).joint(s1, s2)
+    # stationarity and time reversal make the joint even in t, so every t
+    # takes the table at |t|: -t and t give one point, bit for bit
+    kernels = _process_kernels(process, abs(t), _INNER_TOL, min(s1, s2))
+    point = _JointTable(process, abs(t), m, scale, kernels).joint(s1, s2)
+    return replace(point, parameter=float(t))
 
 
 def airy2_joint(t: float, s1: float, s2: float, m: int, scale: float = 10.0) -> DistributionPoint:
@@ -336,28 +340,28 @@ def airy1_joint(t: float, s1: float, s2: float, m: int, scale: float = 10.0) -> 
 # Tracy-Widom moments
 # ---------------------------------------------------------------------------
 
-def tw_moments(m: int = 48, box: tuple[float, float] = DEFAULT_BOX,
-               n_outer: int = 96) -> tuple[float, float]:
+def tw_moments() -> tuple[float, float]:
     """(mean, variance) of the Tracy-Widom distribution F2.
 
-    Both moments come from partially integrated truncations over the box,
+    Both moments come from partially integrated truncations over the box
+    (L, U) = ``DEFAULT_BOX``, read at call time,
 
         E[X]   = U F(U) - L F(L) - int_L^U F(s) ds,
         E[X^2] = U^2 F(U) - L^2 F(L) - 2 int_L^U s F(s) ds,
 
-    evaluated with outer Gauss-Legendre nodes; F2 itself is never
-    differentiated.  The box must leave both distribution tails below
-    1e-11 or ValueError is raised with the offending tail values.  (The
-    default box has 1 - F2(6) = 3.8e-12, which biases the moments by well
-    under 1e-9.)
+    evaluated with 96 outer Gauss-Legendre nodes and F2 at m = 48; F2
+    itself is never differentiated.  The computed tails F2(L) and
+    1 - F2(U) must be below 1e-11 or ValueError is raised with their
+    values.  (1 - F2(6) = 3.8e-12, which biases the moments by well under
+    1e-9.)
     """
-    low, up = box
-    rule = gauss_legendre(low, up, n_outer)
-    points = _marginal_points("airy2", [low, up, *rule.nodes], m, 10.0)
+    low, up = DEFAULT_BOX
+    rule = gauss_legendre(low, up, 96)
+    points = _marginal_points("airy2", [low, up, *rule.nodes], 48, 10.0)
     f_low, f_up = points[0].value, points[1].value
     if f_low > 1e-11 or 1.0 - f_up > 1e-11:
         raise ValueError(
-            f"moment box {box} too narrow: F2(L) = {f_low:.3e}, "
+            f"moment box {(low, up)} too narrow: F2(L) = {f_low:.3e}, "
             f"1 - F2(U) = {1.0 - f_up:.3e}")
     fvals = np.array([p.value for p in points[2:]])
     mean = up * f_up - low * f_low - float(rule.weights @ fvals)
@@ -417,10 +421,11 @@ def _cov_zero(process: str, m: int, n_outer: int, box: tuple[float, float],
 
 
 class _JointTable:
-    """Joint determinants P(A(t) <= s_i, A(0) <= s_j) over an ascending
-    grid of thresholds, with the kernels (K_t, K_{-t}) of
+    """Joint determinants P(A(t) <= s_i, A(0) <= s_j) at t > 0 over an
+    ascending grid of thresholds, with the kernels (K_t, K_{-t}) of
     ``_process_kernels``: the one joint-determinant path, for single pairs
-    (``airy2_joint`` / ``airy1_joint``) and covariance grids alike.
+    (``airy2_joint`` / ``airy1_joint``, which take a negative t to |t|)
+    and covariance grids alike.
 
     ``prepare`` caches per threshold s the nodes of the head of the grid
     (``_head``: the same h nodes at every threshold), the given M = I - A_0
@@ -443,8 +448,8 @@ class _JointTable:
     CHUNK = 32
 
     def __init__(self, process: str, t: float, m: int, scale: float, kernels):
-        if t == 0.0:
-            raise ValueError("joint table expects t != 0")
+        if not t > 0.0:
+            raise ValueError("joint table expects t > 0")
         self.process = process
         self.t = float(t)
         self.m = int(m)
@@ -543,17 +548,17 @@ class _JointTable:
         Its roundoff bound is sqrt(2m) N 8u, with
         N = (||A_11||^2 + ||A_22||^2 + 2 ||A_12|| ||A_21||)^(1/2) the least
         Frobenius norm of its system over the block scalings
-        A_12 -> c A_12, A_21 -> A_21 / c, c > 0, which keep the determinant.
+        A_12 -> c A_12, A_21 -> A_21 / c, c > 0, which keep the determinant;
+        ||A_11|| and ||A_22|| are those of A_0, taken before I is added.
         Flagged ``suspect`` also where it breaks a Frechet bound,
         F1 + F2 - 1 <= P <= min(F1, F2), by more than the sum of its own
         and both marginals' roundoff bounds and 8u |value|."""
         pair = sorted((s1, s2))
-        blocks = _eye_minus_a0(self.process, pair, *self._tan)
-        f1, f2 = _marginal_points(self.process, pair, self.m, self.scale, blocks)
+        blocks, norms = _eye_minus_a0(self.process, pair, *self._tan)
+        f1, f2 = _marginal_points(self.process, pair, self.m, self.scale, (blocks, norms))
         self.prepare(pair, blocks, [f1.value, f2.value])
         a12, a21 = self._blocks(0, 1, 2)
-        diag = frobenius_norm(np.eye(self._off.size) - self.eye_minus_a0)
-        norm = math.sqrt(diag * diag + 2.0 * frobenius_norm(a12) * frobenius_norm(a21))
+        norm = math.sqrt(norms @ norms + 2.0 * frobenius_norm(a12) * frobenius_norm(a21))
         bound = math.sqrt(2 * self.m) * norm * DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF
         point = _det_point(self.t, DetResult(float(self._dets(0, 1, 2, (a12, a21))[0]),
                                              2 * self.m, bound))
@@ -603,8 +608,8 @@ def _cov_positive(process: str, t: float, m: int, n_outer: int,
     with their blocks."""
     low, up = box
     outer = gauss_legendre(low, up, n_outer)
-    blocks = _eye_minus_a0(process, outer.nodes, *_tan_map(m, scale))
-    points = _marginal_points(process, outer.nodes, m, scale, eye_minus_a0=blocks)
+    blocks, norms = _eye_minus_a0(process, outer.nodes, *_tan_map(m, scale))
+    points = _marginal_points(process, outer.nodes, m, scale, (blocks, norms))
     marg = np.array([p.value for p in points])
     keep, _ = _tail_drop(marg, np.array([p.est_error for p in points]), outer.weights)
     table = _JointTable(process, t, m, scale, kernels)
@@ -663,10 +668,10 @@ def _cov_process(process: str, t: float, accuracy: float,
     return value
 
 
-def cov_airy2(t: float, accuracy: float = 1e-8,
-              box: tuple[float, float] = DEFAULT_BOX, scale: float = 10.0,
+def cov_airy2(t: float, accuracy: float = 1e-8, scale: float = 10.0,
               full_output: bool = False):
-    """Two-point correlation cov(A_2(t), A_2(0)) of the Airy(2) process.
+    """Two-point correlation cov(A_2(t), A_2(0)) of the Airy(2) process,
+    integrated over the box ``DEFAULT_BOX``, read at call time.
 
     Refines (block dimension m, outer rule size n_outer) along
     ``_COV_LEVELS["airy2"]``, from (20, 32) to (48, 88), until two
@@ -685,16 +690,16 @@ def cov_airy2(t: float, accuracy: float = 1e-8,
     is returned and a RuntimeWarning names t, ``accuracy``, the agreement
     and the finest level.
     """
-    return _cov_process("airy2", t, accuracy, box, scale, full_output)
+    return _cov_process("airy2", t, accuracy, DEFAULT_BOX, scale, full_output)
 
 
-def cov_airy1(t: float, accuracy: float = 1e-8,
-              box: tuple[float, float] = AIRY1_BOX, scale: float = 10.0,
+def cov_airy1(t: float, accuracy: float = 1e-8, scale: float = 10.0,
               full_output: bool = False):
-    """Two-point correlation cov(A_1(t), A_1(0)) of the Airy(1) process;
-    refined as ``cov_airy2`` is, along ``_COV_LEVELS["airy1"]``, from
-    (24, 38) to (48, 88), with the same tail-threshold drop and bound B."""
-    return _cov_process("airy1", t, accuracy, box, scale, full_output)
+    """Two-point correlation cov(A_1(t), A_1(0)) of the Airy(1) process,
+    integrated over the box ``AIRY1_BOX``, read at call time; refined as
+    ``cov_airy2`` is, along ``_COV_LEVELS["airy1"]``, from (24, 38) to
+    (48, 88), with the same tail-threshold drop and bound B."""
+    return _cov_process("airy1", t, accuracy, AIRY1_BOX, scale, full_output)
 
 
 def cov_grid(process: str, t_values, accuracy: float = 1e-8) -> CovGrid:

@@ -22,26 +22,14 @@ All functions accept scalars or ndarrays and are pure and reentrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "AiryValue",
     "airy_ai",
     "airy_ai_prime",
     "airy_ai_scaled",
-    "airy_value",
 ]
-
-
-@dataclass(frozen=True)
-class AiryValue:
-    """Ai and Ai' at a point, for callers that want both at once."""
-
-    ai: float
-    ai_prime: float
-    argument: float
 
 
 def _checked(x):
@@ -239,9 +227,3 @@ def airy_ai_scaled(x):
     products Ai(u)*exp(c) be evaluated in log space for large u.
     """
     return _airy(x, 0, scaled=True)
-
-
-def airy_value(x: float) -> AiryValue:
-    """Ai and Ai' at a scalar point."""
-    xf = float(x)
-    return AiryValue(ai=airy_ai(xf), ai_prime=airy_ai_prime(xf), argument=xf)

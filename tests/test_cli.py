@@ -79,6 +79,9 @@ class TestDetCommand:
         ["f2", "--s-min", "0", "--s-max", "1", "--step", "1e-320"],
         ["cov", "--process", "airy2", "--t-min", "0", "--t-max", "1", "--step", "1e-320"],
         ["e2", "--s-min", "0", "--s-max", "1", "--step", "1e-12"],
+        # a NaN threshold or truncation point
+        ["trunc-bound", "--s", "nan", "--T-list", "5"],
+        ["trunc-bound", "--s", "-2", "--T-list", "nan"],
     ])
     def test_bad_input_exit_2(self, argv):
         code, out, err = run(argv)
@@ -104,6 +107,19 @@ class TestDetCommand:
             main(argv)
         assert exc.value.code == 2
         assert message in err.getvalue()
+
+    @pytest.mark.parametrize("command", [
+        ["det", "--m", "10"],
+        ["study", "--m-list", "5,10"],
+    ])
+    def test_complex_z_is_a_usage_error(self, command):
+        # det(I + zA) at z = 1j is complex; the table holds one real value
+        argv = command[:1] + ["--kernel", "sine", "--a", "0", "--b", "1", "--z", "1j"]
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(argv + command[1:])
+        assert exc.value.code == 2
+        assert "argument --z: invalid float value: '1j'" in err.getvalue()
 
     def test_json_format(self):
         code, out, _ = run(["det", "--kernel", "green", "--a", "0", "--b", "1",

@@ -11,8 +11,7 @@ from scipy.integrate import quad
 
 from fredet.kernels import (Airy1ProcessKernel, Airy2ProcessKernel, AiryKernel,
                             GreenKernel, Kernel, SineKernel, TransformedKernel,
-                            airy2_process_kernel, make_kernel,
-                            transform_to_unit)
+                            make_kernel)
 from fredet import kernels as kernels_module
 from fredet.quadrature import gauss_legendre
 from fredet.rmt import _COV_LEVELS, DEFAULT_BOX, _tan_map
@@ -195,12 +194,12 @@ class TestHermitianSymmetry:
 
 class TestAiry2ProcessKernel:
     def test_positive_t_vs_adaptive_oracle(self):
-        k = airy2_process_kernel(1.0)
+        k = Airy2ProcessKernel(1.0)
         ref = 0.04544685282349152  # frozen high-precision oracle, t=1, x=y=0
         assert k.eval(0.0, 0.0) == pytest.approx(ref, abs=1e-12)
 
     def test_positive_t_oracle_scipy(self):
-        k = airy2_process_kernel(0.7)
+        k = Airy2ProcessKernel(0.7)
         for (x, y) in [(-3.0, 1.0), (0.5, 0.5)]:
             ref, _ = quad(lambda xi: math.exp(-0.7 * xi) * airy_ai(x + xi) * airy_ai(y + xi),
                           0.0, 40.0, epsabs=1e-13, limit=200)
@@ -209,7 +208,7 @@ class TestAiry2ProcessKernel:
     @pytest.mark.parametrize("t", [-0.4, -1.5])
     def test_negative_t_vs_brute(self, t):
         # piecewise adaptive integration of the defining oscillatory integral
-        k = airy2_process_kernel(t)
+        k = Airy2ProcessKernel(t)
         for (x, y) in [(-5.0, -5.0), (-2.0, 3.0)]:
             f = lambda xi: math.exp(-xi * t) * airy_ai(x + xi) * airy_ai(y + xi)
             total = 0.0
@@ -220,31 +219,31 @@ class TestAiry2ProcessKernel:
             assert k.eval(x, y) == pytest.approx(-total, abs=1e-9)
 
     def test_t_zero_plus_is_airy_kernel(self):
-        k = airy2_process_kernel(1e-8)
+        k = Airy2ProcessKernel(1e-8)
         ak = AiryKernel()
         for (x, y) in [(-2.0, 1.0), (0.0, 0.0), (-7.0, -3.0)]:
             assert k.eval(x, y) == pytest.approx(ak.eval(x, y), abs=1e-8)
 
     def test_t_zero_exact_is_airy_kernel(self):
-        k = airy2_process_kernel(0.0)
+        k = Airy2ProcessKernel(0.0)
         ak = AiryKernel()
         assert k.eval(-1.0, 2.0) == pytest.approx(ak.eval(-1.0, 2.0), abs=1e-12)
 
     def test_branch_consistency_at_zero(self):
         # t = +1e-8 and t = -1e-8 give the same kernel off the diagonal
-        kp = airy2_process_kernel(1e-8)
-        km = airy2_process_kernel(-1e-8)
+        kp = Airy2ProcessKernel(1e-8)
+        km = Airy2ProcessKernel(-1e-8)
         for (x, y) in [(-2.0, 1.0), (-7.0, -3.0), (2.0, 0.5)]:
             assert abs(kp.eval(x, y) - km.eval(x, y)) < 1e-6
 
     def test_diagonal_positive_decreasing_in_t(self):
-        vals = [airy2_process_kernel(t).eval(2.0, 2.0) for t in (0.5, 1.0, 2.0)]
+        vals = [Airy2ProcessKernel(t).eval(2.0, 2.0) for t in (0.5, 1.0, 2.0)]
         assert all(v > 0 for v in vals)
         assert vals[0] > vals[1] > vals[2]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_inner_rule_converged(self):
-        k = airy2_process_kernel(1.0)
+        k = Airy2ProcessKernel(1.0)
         assert k.achieved_tol < 1e-12
 
     def test_inner_rule_cap_warns(self, monkeypatch):
@@ -594,16 +593,16 @@ class TestAiry1ProcessKernel:
 
 class TestTransformedKernel:
     def test_map_values(self):
-        tk = transform_to_unit(AiryKernel(), s=-2.0)
+        tk = TransformedKernel(AiryKernel(), s=-2.0)
         assert tk.phi(0.0) == pytest.approx(-2.0, abs=1e-15)
         assert tk.phi(0.5) == pytest.approx(8.0, abs=1e-12)  # s + scale
 
     def test_dphi(self):
-        tk = transform_to_unit(AiryKernel(), s=0.0, scale=10.0)
+        tk = TransformedKernel(AiryKernel(), s=0.0, scale=10.0)
         assert tk.dphi(0.0) == pytest.approx(5.0 * math.pi, rel=1e-15)
 
     def test_symmetry_when_sides_match(self):
-        tk = transform_to_unit(AiryKernel(), s=-1.0)
+        tk = TransformedKernel(AiryKernel(), s=-1.0)
         assert tk.hermitian
         rng = np.random.default_rng(2)
         x = rng.uniform(0, 0.97, 200)
@@ -611,7 +610,7 @@ class TestTransformedKernel:
         assert np.max(np.abs(tk.eval(x, y) - tk.eval(y, x))) < 1e-13
 
     def test_endpoint_limit_zero(self):
-        tk = transform_to_unit(AiryKernel(), s=0.0)
+        tk = TransformedKernel(AiryKernel(), s=0.0)
         assert tk.eval(1.0, 0.5) == 0.0
         assert tk.eval(0.5, 1.0) == 0.0
         # approaching the endpoint the values decay to that limit
@@ -638,9 +637,13 @@ class TestTransformedKernel:
 
 class TestRegistry:
     def test_names(self):
-        assert isinstance(make_kernel("sine"), SineKernel)
-        assert isinstance(make_kernel("airy2:1.5"), Airy2ProcessKernel)
-        assert make_kernel("airy1:-0.5").t == -0.5
+        # each name builds its class, with the time and x_min it was given
+        for name, cls in (("sine", SineKernel), ("airy", AiryKernel), ("green", GreenKernel)):
+            assert type(make_kernel(name)) is cls
+        k = make_kernel("airy2:1.5", x_min=-14.0)
+        assert type(k) is Airy2ProcessKernel and (k.t, k.x_min) == (1.5, -14.0)
+        k = make_kernel("airy1:-0.5")
+        assert type(k) is Airy1ProcessKernel and k.t == -0.5
 
     def test_unknown(self):
         with pytest.raises(KeyError):

@@ -284,3 +284,12 @@ class TestConvergenceStudy:
             convergence_study(sine_kernel(), (0.0, 1.0), -1.0, "gauss", [8, 4])
         with pytest.raises(ValueError):
             convergence_study(sine_kernel(), (0.0, 1.0), -1.0, "bogus", [4, 8])
+
+    def test_complex_z_keeps_the_imaginary_part(self):
+        rows = convergence_study(sine_kernel(), (0.0, 1.0), 1j, "gauss", [10, 20])
+        ref = fredholm_det(problem(sine_kernel(), 0.0, 1.0, 1j, 10)).value
+        assert type(rows[0].value) is complex and rows[0].value == ref
+        assert rows[0].value.imag == pytest.approx(0.9981357273925655, abs=1e-14)
+        assert rows[0].error == abs(rows[0].value - rows[1].value)
+        real = convergence_study(sine_kernel(), (0.0, 1.0), -1.0, "gauss", [10])
+        assert type(real[0].value) is float

@@ -1,7 +1,8 @@
 """Property tests (hypothesis), derandomized so that every run draws the
-same examples: the time-reversal symmetry of single joints and the affine
-covariance of the quadrature rules.  The closed-form least norm of a joint
-system is checked in test_rmt.py."""
+same examples: the time-reversal symmetries of single joints, the
+invariance of F2 under the tan map's scale, and the affine covariance of
+the quadrature rules.  The closed-form least norm of a joint system is
+checked in test_rmt.py."""
 
 from fractions import Fraction
 
@@ -24,6 +25,30 @@ def test_airy1_joint_symmetric_bit_for_bit(t, s1, s2):
     # P(A(t) <= s1, A(0) <= s2) = P(A(t) <= s2, A(0) <= s1) by time
     # reversal; the joint orders its pair, so both orders give one point
     assert rmt.airy1_joint(t, s1, s2, 16) == rmt.airy1_joint(t, s2, s1, 16)
+
+
+@derandomized
+@given(joint=st.sampled_from([rmt.airy1_joint, rmt.airy2_joint]), t=st.floats(0.1, 2.5),
+       s1=st.floats(-5.0, 3.0), s2=st.floats(-5.0, 3.0))
+def test_joints_even_in_t_bit_for_bit(joint, t, s1, s2):
+    # stationarity and time reversal give P(A(-t) <= s1, A(0) <= s2) =
+    # P(A(t) <= s1, A(0) <= s2); both signs take the table at |t|
+    plus, minus = joint(t, s1, s2, 16), joint(-t, s1, s2, 16)
+    assert (minus.value, minus.est_error, minus.suspect) == (plus.value, plus.est_error,
+                                                             plus.suspect)
+    assert minus.parameter == -t
+
+
+@derandomized
+@given(s=st.floats(-8.0, 4.0), scale=st.floats(3.0, 30.0))
+def test_f2_invariant_under_tan_map_scale(s, scale):
+    # the determinant does not depend on the map.  Each value may also
+    # round by 8 eps of itself, which its est_error leaves out: near 1 the
+    # values part by up to 9 eps more than the est_errors (F2(3) at scales
+    # 3 and 10: 2.0e-15 apart, est_errors 2.4e-20)
+    a, b = rmt.f2_tw(s, 80, scale=scale), rmt.f2_tw(s, 80)
+    assert abs(a.value - b.value) <= (a.est_error + b.est_error
+                                      + 8 * EPS * (abs(a.value) + abs(b.value)))
 
 
 def affine_image(a, b, unit):

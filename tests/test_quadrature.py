@@ -255,8 +255,8 @@ class TestProductQuad:
         # the Green minor has a derivative kink on the diagonal, so the
         # product rule converges only algebraically; check the trend
         from scipy.integrate import dblquad
-        from fredet.kernels import green_kernel
-        k = green_kernel()
+        from fredet.kernels import GreenKernel
+        k = GreenKernel()
 
         def k2(x, y):
             return float(k.eval(x, x) * k.eval(y, y) - k.eval(x, y) * k.eval(y, x))

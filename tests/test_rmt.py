@@ -25,7 +25,7 @@ from fredet.nystrom import (BlockSystem, NystromProblem, _balance_blocks, fredho
 from fredet.quadrature import gauss_legendre
 from fredet.rmt import (airy1_joint, airy2_joint, cov_airy1, cov_airy2, cov_grid,
                         e2_gap, f2_tw, truncation_bound, tw_moments, _JointTable,
-                        _cov_zero, _legendre_cumulative, _marginal, _unit_rule)
+                        _cov_zero, _legendre_cumulative, _marginal)
 
 
 class ShiftedPairKernel(Kernel):
@@ -73,8 +73,8 @@ def table(process, t, m, x_min=rmt.DEFAULT_BOX[0]):
 def prepare(tab, s):
     """``tab.prepare`` on the ascending grid ``s``, with the I - A_0 blocks
     and marginals a covariance level would hand it."""
-    blocks = rmt._eye_minus_a0(tab.process, s, *rmt._tan_map(tab.m, tab.scale))
-    points = rmt._marginal_points(tab.process, s, tab.m, tab.scale, blocks)
+    blocks, norms = rmt._eye_minus_a0(tab.process, s, *rmt._tan_map(tab.m, tab.scale))
+    points = rmt._marginal_points(tab.process, s, tab.m, tab.scale, (blocks, norms))
     tab.prepare(s, blocks, [p.value for p in points])
 
 
@@ -100,13 +100,14 @@ def least_norm(a11, a22, a12, a21):
 
 
 def closed_form_bound(process, t, s1, s2, m):
-    """The roundoff bound sqrt(2m) N 8u of the single joint (s1, s2), N its
-    ``least_norm``, from the blocks of a table that took that joint."""
+    """The roundoff bound sqrt(2m) N 8u of the single joint (s1, s2), t > 0,
+    N its ``least_norm``: the off-diagonal blocks of a table that took that
+    joint, the diagonal ones A_0 on the table's head, built here."""
     tab = table(process, t, m, min(s1, s2))
     tab.joint(s1, s2)
-    eye = np.eye(tab._off.size)
-    norm = least_norm(eye - tab.eye_minus_a0[0], eye - tab.eye_minus_a0[1],
-                      *tab._blocks(0, 1, 2))
+    k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
+    a0 = [tab._rr * k0.matrix(x, x) for x in tab._x]
+    norm = least_norm(*a0, *tab._blocks(0, 1, 2))
     return math.sqrt(2 * m) * norm * 8 * UNIT_ROUNDOFF
 
 
@@ -253,7 +254,7 @@ def test_deep_tail_matches_extended_precision_determinant(name, rel):
     # 1.736e-78, while the expansion gives 2.17e-78 and m = 80 1.98e-78
     if name == "f2":
         point = f2_tw(-12.0, 100)
-        matrix = rmt._eye_minus_a0("airy2", [-12.0], *rmt._tan_map(100, 10.0))[0]
+        matrix = rmt._eye_minus_a0("airy2", [-12.0], *rmt._tan_map(100, 10.0))[0][0]
     else:
         point = e2_gap(12.0, 50)
         matrix = np.eye(50) - nystrom_matrix(SineKernel(), gauss_legendre(0.0, 12.0, 50))
@@ -314,13 +315,14 @@ class TestUnitRuleCache:
         # further thresholds build and validate no rule
         m = 37
         f2_tw(-2.0, m)
+        truncation_bound(-2.0, 2.0)
         offsets, rr = rmt._tan_map(m, 10.0)
         built = []
         monkeypatch.setattr(rmt, "gauss_legendre",
                             lambda *args: built.append(args) or gauss_legendre(*args))
         for s in (-3.0, 0.5):
             f2_tw(s, m)
-            truncation_bound(s, s + 4.0, m=m)
+            truncation_bound(s, s + 4.0)
         assert rmt._tan_map(m, 10.0)[0] is offsets and not built
         assert not offsets.flags.writeable and not rr.flags.writeable
 
@@ -344,6 +346,25 @@ class TestTruncationBound:
     def test_validates(self):
         with pytest.raises(ValueError):
             truncation_bound(2.0, 1.0)
+        # s is not used past the check, so a NaN s once returned 5.3e-10
+        with pytest.raises(ValueError, match="s must be finite"):
+            truncation_bound(math.nan, 5.0)
+        for T in (math.nan, 2.0):
+            with pytest.raises(ValueError, match="need T > s"):
+                truncation_bound(2.0, T)
+        # the rule size is a constant
+        with pytest.raises(TypeError):
+            truncation_bound(-8.0, 16.0, m=60)
+
+    def test_tan_mapped_frobenius_norm(self):
+        # ||A||_F of the tan-mapped Airy matrix on (T, inf), the sum
+        # w_i w_j K~(xi_i, xi_j)^2 over the 80-point rule on (0, 1)
+        rule = gauss_legendre(0.0, 1.0, 80)
+        w = rule.weights
+        for T in (-4.0, 2.0, 8.0):
+            km = TransformedKernel(AiryKernel(), T).matrix(rule.nodes, rule.nodes)
+            ref = math.sqrt(w @ (km * km) @ w)
+            assert truncation_bound(-10.0, T) == pytest.approx(ref, rel=4e-16, abs=0)
 
 
 class TestAiry2Joint:
@@ -473,15 +494,23 @@ class TestTWMoments:
         assert mean == pytest.approx(-1.771086807, abs=1e-6)
         assert var == pytest.approx(0.813194793, abs=1e-6)
 
-    def test_box_invariance(self):
-        m1, v1 = tw_moments(box=(-10.0, 6.0))
-        m2, v2 = tw_moments(box=(-12.0, 8.0))
+    def test_box_invariance(self, monkeypatch):
+        m1, v1 = tw_moments()
+        monkeypatch.setattr(rmt, "DEFAULT_BOX", (-12.0, 8.0))
+        m2, v2 = tw_moments()
         assert abs(m1 - m2) < 1e-9
         assert abs(v1 - v2) < 1e-9
 
-    def test_narrow_box_rejected(self):
+    def test_narrow_box_rejected(self, monkeypatch):
+        # the computed tail F2(-4) = 3.5e-3 fails the check
+        monkeypatch.setattr(rmt, "DEFAULT_BOX", (-4.0, 6.0))
         with pytest.raises(ValueError, match="too narrow"):
-            tw_moments(box=(-4.0, 6.0))
+            tw_moments()
+
+    def test_rule_sizes_and_box_are_not_settings(self):
+        for kwargs in ({"m": 60}, {"box": (-12.0, 8.0)}, {"n_outer": 64}):
+            with pytest.raises(TypeError):
+                tw_moments(**kwargs)
 
 
 class TestCovGridSmall:
@@ -561,7 +590,9 @@ class TestJointTableRows:
     @pytest.mark.parametrize("process,t,level", [
         pytest.param("airy2", 1.0, None, id="airy2-1.0"),  # K_t decay, K_{-t} oscillatory
         pytest.param("airy2", 0.5, None, id="airy2-0.5"),  # K_{-t} Laplace identity
-        pytest.param("airy2", -0.5, None, id="airy2--0.5"),  # K_t Laplace identity
+        # a negative t: the table at |t| against the system at t, whose K_t
+        # takes the Laplace identity (the joint is even in t)
+        pytest.param("airy2", -0.5, None, id="airy2--0.5"),
         pytest.param("airy1", 1.0, None, id="airy1-1.0"),
         pytest.param("airy1", -1.0, None, id="airy1--1.0"),
         # full, undropped outer grids of ladder levels, every row
@@ -573,12 +604,12 @@ class TestJointTableRows:
         # against the balanced systems of order 2m, each by LU
         if level is None:
             s, m = np.array([-3.0, -1.2, 0.0, 0.7, 2.5]), 20
-            kernels = rmt._process_kernels(process, t, rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
+            kernels = rmt._process_kernels(process, abs(t), rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
         else:
             m, n = rmt._COV_LEVELS[process][level]
             box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
             s, kernels = gauss_legendre(*box, n).nodes, cov_kernels(process, t)
-        tab = _JointTable(process, t, m, 10.0, kernels)
+        tab = _JointTable(process, abs(t), m, 10.0, kernels)
         prepare(tab, s)
         tab.CHUNK = 2  # a row spans several stacked calls
         for i in ((0, 2) if level is None else range(s.size)):
@@ -662,6 +693,13 @@ class TestJointTableRows:
             assert tab._s.tolist() == [-1.0, 0.5]
             assert tab._inverted.tolist() == [False, True]
 
+    @pytest.mark.parametrize("t", [0.0, -0.7, math.nan])
+    def test_table_needs_positive_t(self, t):
+        # the joints take a negative t to |t|, and t = 0 to the marginal
+        kernels = Airy1ProcessKernel(0.7), Airy1ProcessKernel(-0.7)
+        with pytest.raises(ValueError, match="t > 0"):
+            _JointTable("airy1", t, 16, 10.0, kernels)
+
     @pytest.mark.parametrize("s", [[0.5, -1.0], [-2.0, 1.0, 0.0], [0.0, math.nan]])
     def test_prepare_rejects_unsorted_grid(self, s):
         # every pair pivots on its larger threshold s_j, j >= i
@@ -718,12 +756,13 @@ class TestJointTableRows:
         s = gauss_legendre(*rmt.DEFAULT_BOX, 23).nodes
         keep = (np.arange(s.size) % 3 != 0) & (s > -2.0)
         tan_map = rmt._tan_map(m, 10.0)
-        blocks = rmt._eye_minus_a0("airy2", s, *tan_map)
+        blocks, _ = rmt._eye_minus_a0("airy2", s, *tan_map)
         tab = table("airy2", 0.7, m)
         tab.prepare(s[keep], blocks[keep], np.ones(np.sum(keep)))
         h = tab._off.size
         assert h < blocks.shape[-1]
-        assert np.array_equal(tab.eye_minus_a0, rmt._eye_minus_a0("airy2", s[keep], *tan_map))
+        assert np.array_equal(tab.eye_minus_a0,
+                              rmt._eye_minus_a0("airy2", s[keep], *tan_map)[0])
 
     def test_level_builds_eye_minus_a0_once(self, monkeypatch):
         calls = []
@@ -902,17 +941,15 @@ class TestHead:
     def test_f2_equals_all_node_value(self, m):
         for s in np.linspace(-12.0, 6.0, 13):
             kernel = TransformedKernel(AiryKernel(), s, scale=10.0)
-            ref = fredholm_det(NystromProblem(kernel, (0.0, 1.0), -1.0, _unit_rule(m)))
+            rule = gauss_legendre(0.0, 1.0, m)
+            ref = fredholm_det(NystromProblem(kernel, (0.0, 1.0), -1.0, rule))
             point = f2_tw(s, m)
             assert rmt._head("airy2", [s], rmt._tan_map(m, 10.0)[0]) < m
             assert abs(point.value - ref.value) <= point.est_error + EPS8 * abs(ref.value), s
-            # the marginal takes ||A_0||_F from the stored I - A_0, whose
-            # diagonal rounds to ulps of 1: for s >= 3, where A_0 is below
-            # 1e-12 and the bound below 2e-20, the bounds part by up to
-            # 2.0e-6, 5.3e-6 and 4.9e-7 relative at m = 50, 80 and 200
-            rel = {50: 4e-6, 80: 1e-5, 200: 1e-6}[m]
+            # ||A_0||_F is taken before I is added, so even at s = 6, where
+            # A_0 is below 1e-12, the bounds agree to the last bits
             assert point.m == m and point.est_error == pytest.approx(ref.roundoff_bound,
-                                                                     rel=rel, abs=0)
+                                                                     rel=1e-14, abs=0)
             assert point.suspect == (ref.method == "cholesky->lu"
                                      or not -1e-10 <= ref.value <= 1.0 + 1e-10)
 
@@ -923,7 +960,8 @@ class TestHead:
             ref = block_system_joint("airy2", t, s1, s2, 30)
             assert abs(p.value - ref.value) <= p.est_error + EPS8 * abs(ref.value), (s1, s2)
             assert p.m == ref.m
-            assert p.est_error == pytest.approx(closed_form_bound("airy2", t, s1, s2, 30),
+            # the joint is even in t and takes the table at |t|
+            assert p.est_error == pytest.approx(closed_form_bound("airy2", abs(t), s1, s2, 30),
                                                 rel=1e-14, abs=0)
             assert p.est_error <= ref.roundoff_bound
 
@@ -983,6 +1021,12 @@ class TestCovarianceTypes:
         with pytest.warns(RuntimeWarning, match="missed accuracy"):
             value, est, levels = cov(t, full_output=True)
         assert type(value) is float and type(est) is float and levels == 2
+
+    @pytest.mark.parametrize("cov", [cov_airy2, cov_airy1])
+    def test_box_is_not_a_setting(self, cov):
+        # the boxes are the constants DEFAULT_BOX and AIRY1_BOX
+        with pytest.raises(TypeError):
+            cov(1.0, box=(-8.0, 6.0))
 
 
 class TestCovarianceLadder:
