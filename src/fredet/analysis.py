@@ -6,9 +6,9 @@
   enclosure sqrt(e/pi) x Psi(x sqrt(2e)) <= Phi(x) <= x Psi(x sqrt(2e)),
   where Psi(z) = 1 + (sqrt(pi)/2) z e^(z^2/4) (1 + erf(z/2)).
 
-Phi grows like exp(e x^2 / 2), which leaves IEEE doubles near x = 22.8;
-log-space variants are provided so the enclosure can be checked over the
-whole range.
+Phi grows like exp(e x^2 / 2), which leaves IEEE doubles near x = 22.8,
+so both are computed as logarithms: the enclosure can then be checked
+over the whole range.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "BoundReport",
     "hadamard_bound",
     "hadamard_witness",
-    "phi_series",
-    "psi_closed",
     "log_phi_series",
     "log_psi_closed",
 ]
@@ -66,21 +64,6 @@ def hadamard_witness(kernel: Kernel, interval: tuple[float, float], n: int,
     return BoundReport(n=n, bound=hadamard_bound(n, k_inf), witness=witness)
 
 
-def phi_series(x: float, tol: float = 1e-16) -> float:
-    """Phi(x) = sum_{n>=1} n^((n+2)/2) x^n / n!, summed until the next term
-    drops below ``tol`` times the partial sum.  Raises ``OverflowError``
-    once the value leaves double range (x above ~22.8)."""
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 0.0
-    logv = log_phi_series(x, tol)
-    if logv > math.log(np.finfo(float).max):
-        raise OverflowError(
-            f"Phi({x}) ~ exp({logv:.1f}) overflows double precision")
-    return math.exp(logv)
-
-
 def log_phi_series(x: float, tol: float = 1e-16) -> float:
     """log Phi(x), via shifted log-sum-exp accumulation of the series."""
     if x < 0.0:
@@ -107,14 +90,6 @@ def log_phi_series(x: float, tol: float = 1e-16) -> float:
     arr = np.concatenate(chunks)
     with np.errstate(under="ignore"):
         return best + math.log(float(np.sum(np.exp(arr - best))))
-
-
-def psi_closed(x: float) -> float:
-    """Psi(x) = 1 + (sqrt(pi)/2) x e^(x^2/4) (1 + erf(x/2)).  Raises
-    ``OverflowError`` if e^(x^2/4) leaves double range (x above ~53)."""
-    if x * x / 4.0 > math.log(np.finfo(float).max):
-        raise OverflowError(f"Psi({x}) overflows double precision")
-    return 1.0 + 0.5 * math.sqrt(math.pi) * x * math.exp(x * x / 4.0) * (1.0 + math.erf(x / 2.0))
 
 
 def log_psi_closed(x: float) -> float:

@@ -6,13 +6,14 @@ joint, cov.  All emit CSV with a fixed header row (or mirrored JSON with
 for quadrature rules).  Sweeps run one point after another, in input order.
 
 Exit codes: 0 success, 1 numerical failure (overflow, a failed
-factorization), 2 usage error (bad arguments, or input the library
-rejects with ValueError).
+factorization), 2 usage error (bad arguments, an --output path that cannot
+be opened for writing, or input the library rejects with ValueError).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -39,22 +40,17 @@ def _fmt(x, digits=15):
 
 
 def _emit(args, header, rows, digits=15):
-    path = getattr(args, "output", None)
-    handle = open(path, "w") if path else sys.stdout
-    try:
-        if getattr(args, "format", "csv") == "json":
-            # NaN is not JSON: write null
-            payload = [{k: None if isinstance(v, float) and math.isnan(v) else v
-                        for k, v in zip(header, row)} for row in rows]
-            handle.write(json.dumps({"rows": payload}, indent=None) + "\n")
-        else:
-            handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(_fmt(v, digits) if isinstance(v, float) else str(v)
+    """Write the table to stdout, which ``main`` points at --output."""
+    if args.format == "json":
+        # NaN is not JSON: write null
+        payload = [{k: None if isinstance(v, float) and math.isnan(v) else v
+                    for k, v in zip(header, row)} for row in rows]
+        sys.stdout.write(json.dumps({"rows": payload}, indent=None) + "\n")
+    else:
+        sys.stdout.write(",".join(header) + "\n")
+        for row in rows:
+            sys.stdout.write(",".join(_fmt(v, digits) if isinstance(v, float) else str(v)
                                       for v in row) + "\n")
-    finally:
-        if path:
-            handle.close()
 
 
 def _grid(lo, hi, step):
@@ -277,7 +273,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # opened before any point is computed: an unwritable path costs no sweep
+        handle = open(args.output, "w") if args.output else sys.stdout
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write --output: {exc}\n")
+        return 2
+    try:
+        with contextlib.redirect_stdout(handle):
+            return args.fn(args)
     except KeyError as exc:
         # unknown kernel: usage error, list the registry
         sys.stderr.write(f"error: {exc.args[0]}\n")
@@ -292,6 +295,9 @@ def main(argv=None) -> int:
         # bad input: a reversed interval, a threshold or t out of range
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        if handle is not sys.stdout:
+            handle.close()
 
 
 if __name__ == "__main__":

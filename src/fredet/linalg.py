@@ -3,10 +3,10 @@
 Matrices are plain numpy arrays (real or complex), and every
 factorization is LAPACK through numpy: LU with partial pivoting for
 general matrices (``getrf``, one matrix or a stack), Cholesky for the
-Hermitian positive definite case (``potrf``), and the SVD for singular
-values and the trace norm (``gesdd``; used in bounds and tests, never in
-the hot path).  numpy rather than ``scipy.linalg``, whose import alone
-costs tens of milliseconds.
+Hermitian positive definite case (``potrf``), and the SVD for the trace
+norm (``gesdd``; used in bounds and tests, never in the hot path).
+numpy rather than ``scipy.linalg``, whose import alone costs tens of
+milliseconds.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "det_cholesky",
     "frobenius_norm",
     "trace_norm",
-    "singular_values",
     "roundoff_bound",
     "UNIT_ROUNDOFF",
     "DEFAULT_EPS_MULTIPLE",
@@ -117,27 +116,18 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
-def singular_values(a) -> np.ndarray:
-    """All singular values, descending (LAPACK ``gesdd``)."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return np.linalg.svd(a, compute_uv=False)
-
-
 def trace_norm(a) -> float:
-    """Trace (nuclear) norm: the sum of singular values."""
-    a = _as_square(a)
-    return float(np.sum(singular_values(a)))
+    """Trace (nuclear) norm: the sum of singular values (LAPACK ``gesdd``)."""
+    return float(np.sum(np.linalg.svd(_as_square(a), compute_uv=False)))
 
 
-def roundoff_bound(a, eps: float) -> float:
-    """A posteriori bound ``sqrt(m) * ||A||_F * eps`` on the determinant
-    error of ``det(I - A)`` caused by backward roundoff of size eps."""
-    a = _as_square(a)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    m = a.shape[0]
-    return math.sqrt(m) * frobenius_norm(a) * eps
+def roundoff_bound(m: int, norm: float) -> float:
+    """The a posteriori bound ``sqrt(m) * norm * 8u`` on the error of a
+    determinant det(I + zA) of order m, norm = ||zA||_F, caused by backward
+    roundoff in its factorization: the bound of every determinant the
+    library returns."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not (math.isfinite(norm) and norm >= 0.0):
+        raise ValueError(f"norm ||zA||_F must be finite and >= 0, got {norm}")
+    return math.sqrt(m) * norm * DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF

@@ -31,30 +31,37 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import Kernel
-from .linalg import (DEFAULT_EPS_MULTIPLE, UNIT_ROUNDOFF, DetResult,
-                     NotPositiveDefiniteError, det_cholesky, det_lu,
-                     frobenius_norm)
-from .quadrature import (PRODUCT_RULE_CAP, QuadRule, ResourceLimitError,
-                         clenshaw_curtis, gauss_legendre)
+from .linalg import (DetResult, NotPositiveDefiniteError, det_cholesky, det_lu,
+                     frobenius_norm, roundoff_bound)
+from .quadrature import QuadRule, clenshaw_curtis, gauss_legendre
 
 __all__ = [
     "NystromProblem",
     "BlockSystem",
     "KernelEvaluationError",
+    "ResourceLimitError",
+    "PRODUCT_RULE_CAP",
     "nystrom_matrix",
     "fredholm_det",
     "fredholm_det_system",
     "fredholm_series_oracle",
     "fredholm_series_oracle_system",
-    "von_koch_det",
     "StudyRow",
     "convergence_study",
     "rule_for_family",
 ]
 
 
+#: Default cap on the product-rule points the series oracle stands for.
+PRODUCT_RULE_CAP = 10_000_000
+
+
 class KernelEvaluationError(ArithmeticError):
     """Kernel returned a non-finite value at some node pair."""
+
+
+class ResourceLimitError(RuntimeError):
+    """The series oracle would exceed its product-rule point cap."""
 
 
 def _check_rule(rule: QuadRule, interval: tuple[float, float]) -> None:
@@ -160,8 +167,8 @@ def _det_result(b_matrix, za_norm: float, hermitian: bool, m: int | None = None)
     else:
         value, method = det_lu(b_matrix), "lu"
     m = b_matrix.shape[0] if m is None else m
-    bound = math.sqrt(m) * za_norm * DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF
-    return DetResult(value=value, m=m, roundoff_bound=bound, method=method)
+    return DetResult(value=value, m=m, roundoff_bound=roundoff_bound(m, za_norm),
+                     method=method)
 
 
 def _system_det(kernels, rules, z) -> DetResult:
@@ -259,13 +266,15 @@ def _series_from_matrix(k_matrix, weights, z, n_max, cap) -> complex | float:
     m = len(weights)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if m ** n_max > cap:
+    # the series terminates at n = m: later terms are never summed
+    n_top = min(n_max, m)
+    if m ** n_top > cap:
         raise ResourceLimitError(
-            f"series oracle needs {m}^{n_max} product-rule points, over the cap {cap}")
+            f"series oracle needs {m}^{n_top} product-rule points, over the cap {cap}")
     w = np.asarray(weights, dtype=float)
     k = np.asarray(k_matrix)
     total = 1.0 + (z * 0)  # promotes to complex for complex z
-    for n in range(1, min(n_max, m) + 1):
+    for n in range(1, n_top + 1):
         terms = []
         for subset in itertools.combinations(range(m), n):
             idx = list(subset)
@@ -290,17 +299,6 @@ def fredholm_series_oracle_system(system: BlockSystem, z: complex | float,
     weights = np.concatenate([rule.weights for rule in system.rules])
     return _series_from_matrix(_kernel_matrix(system.kernels, system.rules), weights,
                                _normalize_z(z), n_max, cap)
-
-
-def von_koch_det(a, z, n_max: int | None = None) -> complex | float:
-    """det(I + z A) of a matrix by the principal-minor (von Koch) expansion;
-    the series terminates at n = dim(A)."""
-    a = np.asarray(a)
-    m = a.shape[0]
-    if n_max is None:
-        n_max = m
-    return _series_from_matrix(a, np.ones(m), _normalize_z(z), n_max,
-                               cap=max(PRODUCT_RULE_CAP, m ** min(n_max, m)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
-"""One-dimensional quadrature rules and induced n-dimensional product rules.
+"""One-dimensional quadrature rules.
 
 Provides Gauss-Legendre and Clenshaw-Curtis rules on a finite interval
-``[a, b]``, rule application ``Q(f) = sum w_j f(x_j)``, and the tensor
-product rule ``Q^n`` used by the determinant series oracle.
+``[a, b]`` and rule application ``Q(f) = sum w_j f(x_j)``.
 
 Both families have positive weights.  An m-point Gauss-Legendre rule is
 exact for polynomials of degree ``2m - 1`` (order ``nu = 2m``); the
@@ -12,7 +11,6 @@ for degree ``m - 1`` (order ``nu = m``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,22 +20,12 @@ import numpy as np
 
 __all__ = [
     "QuadRule",
-    "ResourceLimitError",
     "gauss_legendre",
     "clenshaw_curtis",
     "quad_apply",
-    "product_quad",
-    "PRODUCT_RULE_CAP",
 ]
 
-#: Default cap on the total number of product-rule evaluation points.
-PRODUCT_RULE_CAP = 10_000_000
-
 _EPS = np.finfo(float).eps
-
-
-class ResourceLimitError(RuntimeError):
-    """A product rule would exceed the configured evaluation-point cap."""
 
 
 @dataclass(frozen=True)
@@ -241,30 +229,3 @@ def _eval_at_nodes(f, nodes):
     except (TypeError, ValueError, IndexError):
         pass
     return np.array([float(f(x)) for x in nodes])
-
-
-def product_quad(rule: QuadRule, n: int, f: Callable[..., float],
-                 cap: int = PRODUCT_RULE_CAP) -> float:
-    """Apply the n-dimensional product rule induced by ``rule``:
-
-        Q^n(f) = sum_{j1..jn} w_{j1} ... w_{jn} f(x_{j1}, ..., x_{jn})
-
-    The total point count ``m^n`` must not exceed ``cap`` (default 1e7),
-    else ``ResourceLimitError`` is raised.  Accumulation uses compensated
-    (fsum) summation so the result is independent of evaluation order.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = rule.m
-    if m ** n > cap:
-        raise ResourceLimitError(
-            f"product rule needs {m}^{n} = {m ** n} points, over the cap {cap}")
-    if n == 1:
-        return quad_apply(rule, f)
-    nodes = rule.nodes.tolist()
-    weights = rule.weights.tolist()
-    terms = []
-    for idx in itertools.product(range(m), repeat=n):
-        w = math.prod(weights[j] for j in idx)
-        terms.append(w * f(*(nodes[j] for j in idx)))
-    return math.fsum(terms)

@@ -43,7 +43,8 @@ import numpy as np
 
 from .kernels import (AiryKernel, Airy1ProcessKernel, Airy2ProcessKernel,
                       SineKernel, TransformedKernel)
-from .linalg import DEFAULT_EPS_MULTIPLE, UNIT_ROUNDOFF, DetResult, det_lu, frobenius_norm
+from .linalg import (DEFAULT_EPS_MULTIPLE, UNIT_ROUNDOFF, DetResult, det_lu,
+                     frobenius_norm, roundoff_bound)
 # fredholm_det_system and _balance_blocks are not called here: they stay
 # bound only because the benchmark's tracer (perfbench/tracing.py) patches
 # them in this module by name
@@ -559,9 +560,8 @@ class _JointTable:
         self.prepare(pair, blocks, [f1.value, f2.value])
         a12, a21 = self._blocks(0, 1, 2)
         norm = math.sqrt(norms @ norms + 2.0 * frobenius_norm(a12) * frobenius_norm(a21))
-        bound = math.sqrt(2 * self.m) * norm * DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF
         point = _det_point(self.t, DetResult(float(self._dets(0, 1, 2, (a12, a21))[0]),
-                                             2 * self.m, bound))
+                                             2 * self.m, roundoff_bound(2 * self.m, norm)))
         # each value also rounds by ~u |value|, which its roundoff bound (a
         # backward error of the matrix) leaves out: near 1 that dominates
         slack = sum(p.est_error + DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF * abs(p.value)

@@ -82,6 +82,9 @@ class TestDetCommand:
         # a NaN threshold or truncation point
         ["trunc-bound", "--s", "nan", "--T-list", "5"],
         ["trunc-bound", "--s", "-2", "--T-list", "nan"],
+        # an --output path that cannot be opened, found before the sweep runs
+        ["e2", "--s-min", "0", "--s-max", "1", "--step", "0.5",
+         "--output", "/nonexistent/dir/x.csv"],
     ])
     def test_bad_input_exit_2(self, argv):
         code, out, err = run(argv)

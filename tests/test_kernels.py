@@ -128,9 +128,10 @@ class TestAiryKernel:
     def test_off_diagonal_composition(self):
         ref = (airy_ai(0.0) * airy_ai_prime(1.0)
                - airy_ai(1.0) * airy_ai_prime(0.0)) / (0.0 - 1.0)
-        assert self.k.eval(0.0, 1.0) == pytest.approx(ref, rel=1e-15)
+        assert self.k.eval(0.0, 1.0) == pytest.approx(ref, rel=1e-15, abs=0)
         # frozen 25-digit value
-        assert self.k.eval(0.0, 1.0) == pytest.approx(0.02148550383703795484571133, rel=1e-13)
+        assert self.k.eval(0.0, 1.0) == pytest.approx(0.02148550383703795484571133,
+                                                      rel=1e-13, abs=0)
 
     def test_blend_matches_direct_at_split(self):
         # same point evaluated by the Taylor blend and the raw quotient;
@@ -521,7 +522,7 @@ def test_ladder_blocks_vs_fine_rule(t, x_min, bound):
 class TestAiry1ProcessKernel:
     def test_t_zero(self):
         k = Airy1ProcessKernel(0.0)
-        assert k.eval(1.0, 0.5) == pytest.approx(airy_ai(1.5), rel=1e-14)
+        assert k.eval(1.0, 0.5) == pytest.approx(airy_ai(1.5), rel=1e-14, abs=0)
 
     def test_gaussian_term_on_diagonal(self):
         t = 0.8
@@ -529,19 +530,19 @@ class TestAiry1ProcessKernel:
         x = 1.3
         airy_part = airy_ai(2 * x + t * t) * math.exp(t * 2 * x + 2 * t ** 3 / 3)
         assert k.eval(x, x) == pytest.approx(
-            airy_part - 1.0 / math.sqrt(4 * math.pi * t), rel=1e-13)
+            airy_part - 1.0 / math.sqrt(4 * math.pi * t), rel=1e-13, abs=0)
 
     def test_frozen_value(self):
         # 30-digit offline composition at t=0.5, x=1, y=2
         k = Airy1ProcessKernel(0.5)
         assert k.eval(1.0, 2.0) == pytest.approx(-0.221704459441966756233448654297,
-                                                 rel=1e-13)
+                                                 rel=1e-13, abs=0)
 
     def test_negative_t_branch(self):
         k = Airy1ProcessKernel(-0.5)
         x, y = -1.0, 0.5
         ref = airy_ai(x + y + 0.25) * math.exp(-0.5 * (x + y) + 2 * (-0.5) ** 3 / 3)
-        assert k.eval(x, y) == pytest.approx(ref, rel=1e-13)
+        assert k.eval(x, y) == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_no_overflow_at_large_negative_sum(self):
         # t(x+y) huge and positive: the scaled-Airy path must stay finite
@@ -599,7 +600,7 @@ class TestTransformedKernel:
 
     def test_dphi(self):
         tk = TransformedKernel(AiryKernel(), s=0.0, scale=10.0)
-        assert tk.dphi(0.0) == pytest.approx(5.0 * math.pi, rel=1e-15)
+        assert tk.dphi(0.0) == pytest.approx(5.0 * math.pi, rel=1e-15, abs=0)
 
     def test_symmetry_when_sides_match(self):
         tk = TransformedKernel(AiryKernel(), s=-1.0)
@@ -621,7 +622,7 @@ class TestTransformedKernel:
         tk = TransformedKernel(base, s=-3.0, scale=7.0)
         xi, eta = 0.3, 0.6
         ref = math.sqrt(tk.dphi(xi) * tk.dphi(eta)) * base.eval(tk.phi(xi), tk.phi(eta))
-        assert tk.eval(xi, eta) == pytest.approx(ref, rel=1e-15)
+        assert tk.eval(xi, eta) == pytest.approx(ref, rel=1e-15, abs=0)
 
     def test_determinant_invariance_across_scales(self):
         from fredet.nystrom import NystromProblem, fredholm_det

@@ -1,11 +1,12 @@
 """Determinants, norms, SVD, roundoff bound, and the perturbation lemma."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fredet.linalg import (NotPositiveDefiniteError, det_cholesky, det_lu,
-                           frobenius_norm, roundoff_bound, singular_values,
-                           trace_norm)
+from fredet.linalg import (UNIT_ROUNDOFF, NotPositiveDefiniteError, det_cholesky,
+                           det_lu, frobenius_norm, roundoff_bound, trace_norm)
 
 
 def cofactor_det(a):
@@ -36,19 +37,19 @@ class TestDetLU:
     def test_random_vs_cofactor(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.uniform(-1, 1, size=(6, 6))
-        assert det_lu(a) == pytest.approx(cofactor_det(a), rel=1e-12)
+        assert det_lu(a) == pytest.approx(cofactor_det(a), rel=1e-12, abs=0)
 
     def test_multiplicativity(self):
         rng = np.random.default_rng(42)
         for m in (2, 5, 11, 20):
             a = rng.uniform(-1, 1, size=(m, m))
             b = rng.uniform(-1, 1, size=(m, m))
-            assert det_lu(a @ b) == pytest.approx(det_lu(a) * det_lu(b), rel=1e-10)
+            assert det_lu(a @ b) == pytest.approx(det_lu(a) * det_lu(b), rel=1e-10, abs=0)
 
     def test_complex(self):
         a = np.array([[1 + 1j, 2.0], [0.5j, 3.0]])
         ref = (1 + 1j) * 3.0 - 2.0 * 0.5j
-        assert det_lu(a) == pytest.approx(ref, rel=1e-14)
+        assert det_lu(a) == pytest.approx(ref, rel=1e-14, abs=0)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
@@ -71,7 +72,7 @@ class TestDetLU:
         dets = det_lu(stack)
         assert np.iscomplexobj(dets)
         for a, d in zip(stack, dets):
-            assert d == pytest.approx(det_lu(a), rel=1e-13)
+            assert d == pytest.approx(det_lu(a), rel=1e-13, abs=0)
 
     def test_scalar_types(self):
         assert type(det_lu(np.eye(3))) is float
@@ -95,14 +96,14 @@ class TestDetCholesky:
         assert det_cholesky(np.eye(4)) == pytest.approx(1.0, abs=0)
 
     def test_diagonal(self):
-        assert det_cholesky(np.diag([1.0, 2.0, 3.0])) == pytest.approx(6.0, rel=1e-15)
+        assert det_cholesky(np.diag([1.0, 2.0, 3.0])) == pytest.approx(6.0, rel=1e-15, abs=0)
 
     def test_agrees_with_lu_on_spd(self):
         rng = np.random.default_rng(7)
         for m in (3, 8, 20):
             g = rng.normal(size=(m, m))
             a = g @ g.T + m * np.eye(m)
-            assert det_cholesky(a) == pytest.approx(det_lu(a), rel=1e-12)
+            assert det_cholesky(a) == pytest.approx(det_lu(a), rel=1e-12, abs=0)
 
     def test_sine_kernel_matrix(self):
         # I - A_Q for the sine kernel at s=1 is positive definite
@@ -111,7 +112,7 @@ class TestDetCholesky:
         from fredet.quadrature import gauss_legendre
         a = nystrom_matrix(sine_kernel(), gauss_legendre(0.0, 1.0, 10))
         b = np.eye(10) - a
-        assert det_cholesky(b) == pytest.approx(det_lu(b), rel=1e-13)
+        assert det_cholesky(b) == pytest.approx(det_lu(b), rel=1e-13, abs=0)
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -140,7 +141,7 @@ class TestDetCholesky:
             a = g @ g.conj().T + m * np.eye(m)
             d = det_cholesky(a)
             assert type(d) is float
-            assert d == pytest.approx(det_lu(a).real, rel=1e-12)
+            assert d == pytest.approx(det_lu(a).real, rel=1e-12, abs=0)
 
     def test_log_fallback_on_overflow(self):
         a = np.diag([1e200, 1e200, 1e-200, 1e-200])
@@ -156,10 +157,10 @@ class TestNorms:
         assert frobenius_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0)
 
     def test_trace_norm_identity(self):
-        assert trace_norm(np.eye(3)) == pytest.approx(3.0, rel=1e-14)
+        assert trace_norm(np.eye(3)) == pytest.approx(3.0, rel=1e-14, abs=0)
 
     def test_trace_norm_diagonal(self):
-        assert trace_norm(np.diag([1.0, -2.0, 3.0])) == pytest.approx(6.0, rel=1e-14)
+        assert trace_norm(np.diag([1.0, -2.0, 3.0])) == pytest.approx(6.0, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_trace_norm_vs_eigh_oracle(self, seed):
@@ -167,36 +168,37 @@ class TestNorms:
         g = rng.normal(size=(5, 5))
         a = 0.5 * (g + g.T)
         ref = float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-        assert trace_norm(a) == pytest.approx(ref, rel=1e-10)
+        assert trace_norm(a) == pytest.approx(ref, rel=1e-10, abs=0)
 
     def test_singular_values_vs_numpy(self):
         rng = np.random.default_rng(11)
         for m in (2, 7, 30, 60):
             a = rng.normal(size=(m, m))
             ref = np.linalg.svd(a, compute_uv=False)
-            assert np.max(np.abs(singular_values(a) - ref)) < 1e-10 * ref[0]
+            assert trace_norm(a) == pytest.approx(float(np.sum(ref)), rel=1e-10, abs=0)
 
     def test_norm_ordering(self):
         # trace norm >= frobenius >= spectral norm
         rng = np.random.default_rng(3)
         for m in (4, 9, 15):
             a = rng.normal(size=(m, m))
-            sv = singular_values(a)
             assert trace_norm(a) >= frobenius_norm(a) - 1e-12
-            assert frobenius_norm(a) >= sv[0] - 1e-12
+            assert frobenius_norm(a) >= np.linalg.norm(a, 2) - 1e-12
 
 
 class TestRoundoffBound:
     def test_zero_matrix(self):
-        assert roundoff_bound(np.zeros((4, 4)), 2.0 ** -53) == 0.0
+        assert roundoff_bound(4, 0.0) == 0.0
 
     def test_identity(self):
-        # sqrt(4) * ||I_4||_F * eps = 2 * 2 * eps
-        assert roundoff_bound(np.eye(4), 2.0 ** -53) == pytest.approx(4 * 2.0 ** -53, abs=0)
+        # sqrt(4) * ||I_4||_F * 8u = 2 * 2 * 8u
+        norm = frobenius_norm(np.eye(4))
+        assert roundoff_bound(4, norm) == pytest.approx(32 * UNIT_ROUNDOFF, abs=0)
 
-    def test_eps_validated(self):
-        with pytest.raises(ValueError):
-            roundoff_bound(np.eye(2), 0.0)
+    def test_inputs_validated(self):
+        for m, norm in ((0, 1.0), (-1, 1.0), (2, -1.0), (2, math.inf), (2, math.nan)):
+            with pytest.raises(ValueError):
+                roundoff_bound(m, norm)
 
 
 class TestPerturbationLemma:

@@ -6,9 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from fredet.quadrature import (QuadRule, ResourceLimitError, _cc_weights_fft,
-                               clenshaw_curtis, gauss_legendre, product_quad,
-                               quad_apply)
+from fredet.nystrom import NystromProblem, fredholm_series_oracle
+from fredet.quadrature import (QuadRule, _cc_weights_fft, clenshaw_curtis,
+                               gauss_legendre, quad_apply)
 
 EPS = np.finfo(float).eps
 
@@ -227,16 +227,14 @@ class TestQuadApply:
             quad_apply(gauss_legendre(0, 1, 4), lambda x: np.where(x > 0.5, np.nan, x))
 
 
+def minor_2d(kernel, m):
+    """Q^2(K_2) of the m-point Gauss rule on (0, 1), K_2 the 2 x 2 kernel
+    minor: at z = -1 the series oracle's n = 2 term is Q^2(K_2) / 2."""
+    p = NystromProblem(kernel, (0.0, 1.0), -1.0, gauss_legendre(0, 1, m))
+    return 2.0 * (fredholm_series_oracle(p, 2) - fredholm_series_oracle(p, 1))
+
+
 class TestProductQuad:
-    def test_n1_reduces_to_quad_apply(self):
-        r = gauss_legendre(0, 1, 7)
-        f = lambda x: np.cos(x)
-        assert product_quad(r, 1, f) == pytest.approx(quad_apply(r, f), abs=1e-16)
-
-    def test_separable_2d(self):
-        r = gauss_legendre(0, 1, 4)
-        assert product_quad(r, 2, lambda x, y: x * y) == pytest.approx(0.25, abs=1e-15)
-
     def test_sine_minor_2d_vs_adaptive(self):
         # smooth 2x2-minor integrand: the product rule hits the adaptive
         # reference essentially exactly
@@ -247,9 +245,8 @@ class TestProductQuad:
         def k2(x, y):
             return float(k.eval(x, x) * k.eval(y, y) - k.eval(x, y) * k.eval(y, x))
 
-        mine = product_quad(gauss_legendre(0, 1, 12), 2, k2)
         ref, _ = dblquad(k2, 0, 1, 0, 1, epsabs=1e-13)
-        assert mine == pytest.approx(ref, abs=1e-10)
+        assert minor_2d(k, 12) == pytest.approx(ref, abs=1e-10)
 
     def test_green_minor_2d_converges_to_adaptive(self):
         # the Green minor has a derivative kink on the diagonal, so the
@@ -262,18 +259,10 @@ class TestProductQuad:
             return float(k.eval(x, x) * k.eval(y, y) - k.eval(x, y) * k.eval(y, x))
 
         ref, _ = dblquad(k2, 0, 1, 0, 1, epsabs=1e-13)
-        e6 = abs(product_quad(gauss_legendre(0, 1, 6), 2, k2) - ref)
-        e24 = abs(product_quad(gauss_legendre(0, 1, 24), 2, k2) - ref)
+        e6 = abs(minor_2d(k, 6) - ref)
+        e24 = abs(minor_2d(k, 24) - ref)
         assert e6 < 5e-3
         assert e24 < e6 / 8
-
-    def test_cap(self):
-        r = gauss_legendre(0, 1, 50)
-        with pytest.raises(ResourceLimitError):
-            product_quad(r, 5, lambda *a: 1.0)
-        # custom cap allows it
-        assert product_quad(gauss_legendre(0, 1, 2), 2, lambda x, y: 1.0,
-                            cap=10) == pytest.approx(1.0)
 
 
 class TestQuadRuleValidation:

@@ -42,8 +42,8 @@ class TestAiry:
 
     @pytest.mark.parametrize("x,ai,aip", AIRY_TABLE)
     def test_table(self, x, ai, aip):
-        assert airy_ai(float(x)) == pytest.approx(ai, rel=1e-13)
-        assert airy_ai_prime(float(x)) == pytest.approx(aip, rel=1e-13)
+        assert airy_ai(float(x)) == pytest.approx(ai, rel=1e-13, abs=0)
+        assert airy_ai_prime(float(x)) == pytest.approx(aip, rel=1e-13, abs=0)
 
     def test_vectorized(self):
         xs = np.array([row[0] for row in AIRY_TABLE], dtype=float)
@@ -80,7 +80,7 @@ class TestAiry:
     def test_scaled_variant(self):
         for x in (0.5, 5.0, 40.0):
             ref = airy_ai(x) * math.exp((2.0 / 3.0) * x ** 1.5)
-            assert airy_ai_scaled(x) == pytest.approx(ref, rel=1e-12)
+            assert airy_ai_scaled(x) == pytest.approx(ref, rel=1e-12, abs=0)
         assert airy_ai_scaled(-3.0) == pytest.approx(airy_ai(-3.0), rel=0, abs=0)
 
     def test_nonfinite_rejected(self):
@@ -156,7 +156,7 @@ class TestAiryOracle:
         for sign in (1.0, -1.0):
             inside, outside = sign * 10.0, sign * np.nextafter(10.0, 20.0)
             for f in (airy_ai, airy_ai_prime, airy_ai_scaled):
-                assert f(outside) == pytest.approx(f(inside), rel=1e-13)
+                assert f(outside) == pytest.approx(f(inside), rel=1e-13, abs=0)
         for f in (airy_ai, airy_ai_prime):
             assert f(108.0) == f(np.nextafter(108.0, 109.0)) == 0.0 != f(107.0)
         low, below = -195.0, np.nextafter(-195.0, -196.0)
