@@ -279,6 +279,9 @@ class Airy2ProcessKernel(Kernel):
                                                min(tol, self._ROUNDOFF))
                 break
         self._xi, self._q = rule
+        # read-only: rmt caches a kernel pair and shares it among calls at its t
+        self._xi.setflags(write=False)
+        self._q.setflags(write=False)
         self.inner_size = self._xi.size
         cancel = 0.0
         if self._mode == "laplace":

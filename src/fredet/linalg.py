@@ -74,14 +74,18 @@ def det_lu(a):
     ``a`` is one square matrix or a ``(k, n, n)`` stack of them; a stack
     gives the k determinants as an array from one call.  The determinant
     is an exact 0 when a pivot column vanishes.  Real input gives real
-    values and complex input complex values.
+    values and complex input complex values.  Raises OverflowError when a
+    determinant is not finite, as ``det_cholesky`` does.
     """
     arr = np.asarray(a)
     if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
-    det = np.linalg.det(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(arr)
+    if not np.all(np.isfinite(det)):
+        raise OverflowError("determinant is not finite: the LU factors overflowed")
     if arr.ndim == 3:
         return det
     return complex(det) if np.iscomplexobj(det) else float(det)

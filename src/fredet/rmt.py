@@ -30,6 +30,14 @@ smallest threshold s of the call (``_head``).  Past X the Airy kernel
 and K_t, t > 0, have underflowed, so the other nodes would add unit rows
 and columns that cost O(m^3) and change no determinant beyond entries
 below 3e-22 (``_HEAD_CUT``).  Airy(1) keeps every node.
+
+What does not depend on t is built once per process and shared by every
+t and call: a covariance level's outer rule, marginals, kept thresholds,
+I - A_0 blocks and their inverses (``_level``, keyed on (process, m,
+n_outer, box, scale)), and the Airy(2) kernel pair K_t, K_{-t} with its
+inner rules (``_airy2_kernels``, keyed on (t, inner tolerance, effective
+x_min)), unless its build warned.  Cached arrays are read-only, and a
+warm call returns the bits of a cold one.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -185,13 +193,43 @@ def truncation_bound(s: float, T: float) -> float:
 
 def _process_kernels(process: str, t: float, inner_tol: float, x_min: float):
     """The off-diagonal kernels K_t and K_{-t} of a joint system whose
-    thresholds are all >= ``x_min``."""
+    thresholds are all >= ``x_min``.  The Airy(2) pair comes from
+    ``_airy2_kernels``, built once per (t, inner_tol, effective x_min
+    min(x_min, -10)) unless its build warned; the Airy(1) pair is closed
+    form and costs nothing to build."""
     if process == "airy2":
-        return (Airy2ProcessKernel(t, tol=inner_tol, x_min=x_min),
-                Airy2ProcessKernel(-t, tol=inner_tol, x_min=x_min))
+        try:
+            return _airy2_kernels(t, inner_tol, min(x_min, -10.0))
+        except _Uncached as warned:
+            return warned.kernels
     if process == "airy1":
         return Airy1ProcessKernel(t), Airy1ProcessKernel(-t)
     raise ValueError(f"unknown process {process!r} (expected 'airy2' or 'airy1')")
+
+
+class _Uncached(Exception):
+    """Carries a kernel pair whose build warned out of ``_airy2_kernels``,
+    which caches no exception: each call that builds such a pair warns."""
+
+    def __init__(self, kernels):
+        super().__init__()
+        self.kernels = kernels
+
+
+@lru_cache(maxsize=64)
+def _airy2_kernels(t: float, inner_tol: float, x_min: float):
+    """(K_t, K_{-t}) of Airy(2), ``Airy2ProcessKernel`` with ``x_min`` (at
+    most -10, as the kernel lowers it), cached on (t, inner_tol, x_min): the
+    inner-rule doubling is the costly part of a joint at a new t, and a
+    covariance sweep or repeated call needs it once.  A pair with
+    ``achieved_tol > inner_tol`` has warned and is raised as ``_Uncached``,
+    so it is not cached.  The inner rules ``_xi`` and ``_q`` are
+    read-only."""
+    kernels = (Airy2ProcessKernel(t, tol=inner_tol, x_min=x_min),
+               Airy2ProcessKernel(-t, tol=inner_tol, x_min=x_min))
+    if not all(k.achieved_tol <= inner_tol for k in kernels):
+        raise _Uncached(kernels)
+    return kernels
 
 
 #: Kernel entries or Ai points per evaluation call when a level builds its
@@ -401,26 +439,6 @@ def _legendre_cumulative(rule) -> np.ndarray:
     return integrals.T @ (legendre[:n] * rule.weights)
 
 
-def _cov_zero(process: str, m: int, n_outer: int, box: tuple[float, float],
-              scale: float) -> float:
-    """Variance via the covariance identity at t = 0.
-
-    The joint reduces to F(min(s1, s2)), so the box integral collapses to
-    twice the triangle integral of F(s1)(1 - F(s2)) over s1 < s2:
-
-        var = 2 int_L^U (1 - F(s2)) G(s2) ds2,   G(s2) = int_L^{s2} F(s1) ds1.
-
-    F is evaluated once per outer Gauss-Legendre node, and G at the same
-    nodes comes from the cumulative spectral-integration matrix of that
-    rule (``_legendre_cumulative``), so a level costs n_outer marginals.
-    """
-    low, up = box
-    outer = gauss_legendre(low, up, n_outer)
-    f = np.array([p.value for p in _marginal_points(process, outer.nodes, m, scale)])
-    g = _legendre_cumulative(outer) @ f
-    return 2.0 * float(outer.weights @ ((1.0 - f) * g))
-
-
 class _JointTable:
     """Joint determinants P(A(t) <= s_i, A(0) <= s_j) at t > 0 over an
     ascending grid of thresholds, with the kernels (K_t, K_{-t}) of
@@ -432,7 +450,9 @@ class _JointTable:
     (``_head``: the same h nodes at every threshold), the given M = I - A_0
     and det(M), and, for Airy(2), the inner-rule Airy bases of K_t and
     K_{-t}, filled by ``basis`` calls of at most ``_EVAL_CHUNK`` points.
-    M^-1 is formed once per threshold, when it first pivots.  ``row``
+    M^-1 comes from the covariance level (``_Level.inverses``, one
+    inversion per process for every t) or, for a single joint, is formed
+    when its threshold first pivots.  ``row``
     forms the off-diagonal blocks of the pairs (s_i, s_j), j >= i, with one
     matrix product per kernel (Airy(2)) or one shared Airy evaluation
     (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), and takes each joint
@@ -458,11 +478,13 @@ class _JointTable:
         self._tan = _tan_map(m, scale)
         self.kt, self.kmt = kernels
 
-    def prepare(self, svals, eye_minus_a0, marginals) -> None:
+    def prepare(self, svals, eye_minus_a0, marginals, inverses=None) -> None:
         """Cache the per-threshold data of the ascending grid ``svals``,
         replacing any earlier grid, with its I - A_0 blocks ``eye_minus_a0``
-        (on a head that holds the grid's) and their determinants
-        ``marginals``.  Raises ValueError on a grid that does not ascend."""
+        (on a head that holds the grid's), their determinants ``marginals``
+        and, if given, their ``inverses`` on the grid's own head; else each
+        block is inverted when it first pivots.  Raises ValueError on a
+        grid that does not ascend."""
         svals = np.asarray(svals, dtype=float)
         if not np.all(np.diff(svals) >= 0.0):
             raise ValueError("joint table thresholds must ascend")
@@ -472,8 +494,12 @@ class _JointTable:
         self._x = svals[:, None] + self._off[None, :]
         self.eye_minus_a0 = eye_minus_a0[:, :h, :h]
         self._det = np.asarray(marginals, dtype=float)
-        self._inv = np.empty_like(self.eye_minus_a0)
-        self._inverted = np.zeros(svals.size, dtype=bool)
+        if inverses is None:
+            self._inv = np.empty_like(self.eye_minus_a0)
+            self._inverted = np.zeros(svals.size, dtype=bool)
+        else:
+            self._inv = inverses
+            self._inverted = np.ones(svals.size, dtype=bool)
         if self.process == "airy2":
             self._bt = self._bases(self.kt)
             self._bmt = self._bases(self.kmt)
@@ -599,24 +625,89 @@ def _tail_drop(marg, bounds, weights):
     return keep, float(cost[n_drop - 1]) if n_drop else 0.0
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _Level:
+    """The data of a covariance level that do not depend on t, shared by
+    every t and every call at (process, m, n_outer, box, scale) through
+    ``_level``:
+
+    * ``outer``: the n_outer-point Gauss-Legendre rule on the box;
+    * ``marg`` and ``bounds``: the marginals F(s_i) at its nodes and their
+      roundoff bounds, from I - A_0 stacked on the head of the whole grid;
+    * ``keep``: the thresholds ``_tail_drop`` leaves in at t > 0;
+    * ``eye_minus_a0``: I - A_0 at the kept thresholds, on their own head
+      (the dropped thresholds' blocks are not held);
+    * built on first use: ``inverses`` of those blocks (the pivots of
+      every joint, t > 0) and ``cumulative``, the ``_legendre_cumulative``
+      matrix of the outer rule (t = 0).
+
+    Every array is read-only."""
+
+    def __init__(self, process: str, m: int, n_outer: int,
+                 box: tuple[float, float], scale: float):
+        self.outer = gauss_legendre(box[0], box[1], n_outer)
+        _frozen(self.outer.nodes)
+        _frozen(self.outer.weights)
+        offsets, rr = _tan_map(m, scale)
+        blocks, norms = _eye_minus_a0(process, self.outer.nodes, offsets, rr)
+        points = _marginal_points(process, self.outer.nodes, m, scale, (blocks, norms))
+        self.marg = _frozen(np.array([p.value for p in points]))
+        self.bounds = _frozen(np.array([p.est_error for p in points]))
+        self.keep = _frozen(_tail_drop(self.marg, self.bounds, self.outer.weights)[0])
+        h = _head(process, self.outer.nodes[self.keep], offsets)
+        self.eye_minus_a0 = _frozen(blocks[self.keep, :h, :h])
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        return _frozen(np.linalg.inv(self.eye_minus_a0))
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        return _frozen(_legendre_cumulative(self.outer))
+
+
+@lru_cache(maxsize=16)
+def _level(process: str, m: int, n_outer: int, box: tuple[float, float],
+           scale: float) -> _Level:
+    """The ``_Level`` at (process, m, n_outer, box, scale), built once: the
+    nine default levels of both processes, with their inverses and
+    cumulative matrices, hold 6.6 MB of arrays."""
+    return _Level(process, m, n_outer, box, scale)
+
+
+def _cov_zero(process: str, m: int, n_outer: int, box: tuple[float, float],
+              scale: float) -> float:
+    """Variance via the covariance identity at t = 0.
+
+    The joint reduces to F(min(s1, s2)), so the box integral collapses to
+    twice the triangle integral of F(s1)(1 - F(s2)) over s1 < s2:
+
+        var = 2 int_L^U (1 - F(s2)) G(s2) ds2,   G(s2) = int_L^{s2} F(s1) ds1.
+
+    F is the level's marginal at each outer Gauss-Legendre node, and G at
+    the same nodes comes from the level's cumulative spectral-integration
+    matrix (``_legendre_cumulative``), so a level costs n_outer marginals.
+    """
+    level = _level(process, m, n_outer, box, scale)
+    f = level.marg
+    g = level.cumulative @ f
+    return 2.0 * float(level.outer.weights @ ((1.0 - f) * g))
+
+
 def _cov_positive(process: str, t: float, m: int, n_outer: int,
                   box: tuple[float, float], scale: float, kernels) -> float:
-    """Covariance at t > 0 from the joint table on the outer grid.  The
-    marginals come first, from stacked I - A_0 blocks; the thresholds whose
-    exact joints a Frechet bound puts below the level's roundoff floor are
-    left out (``_tail_drop``), and the table is prepared on the others,
-    with their blocks."""
-    low, up = box
-    outer = gauss_legendre(low, up, n_outer)
-    blocks, norms = _eye_minus_a0(process, outer.nodes, *_tan_map(m, scale))
-    points = _marginal_points(process, outer.nodes, m, scale, (blocks, norms))
-    marg = np.array([p.value for p in points])
-    keep, _ = _tail_drop(marg, np.array([p.est_error for p in points]), outer.weights)
+    """Covariance at t > 0 from the joint table on the outer grid of the
+    level (``_level``): the table is prepared on the thresholds the level
+    keeps (``_tail_drop``), with their I - A_0 blocks, marginals and
+    inverses."""
+    level = _level(process, m, n_outer, box, scale)
+    w, f = level.outer.weights[level.keep], level.marg[level.keep]
     table = _JointTable(process, t, m, scale, kernels)
-    table.prepare(outer.nodes[keep], blocks[keep], marg[keep])
-    # the dropped thresholds' blocks are not held while the grid is formed
-    del blocks
-    w, f = outer.weights[keep], marg[keep]
+    table.prepare(level.outer.nodes[level.keep], level.eye_minus_a0, f, level.inverses)
     return float(w @ (table.grid() - np.outer(f, f)) @ w)
 
 
@@ -689,6 +780,12 @@ def cov_airy2(t: float, accuracy: float = 1e-8, scale: float = 10.0,
     two finest levels disagree by more than ``accuracy``, the finest value
     is returned and a RuntimeWarning names t, ``accuracy``, the agreement
     and the finest level.
+
+    Each level's outer rule, marginals, kept thresholds, I - A_0 blocks
+    and inverses are built once per process and shared by every t
+    (``_level``, keyed on (process, m, n_outer, box, scale)), as are K_t
+    and K_{-t} at a t seen before (``_airy2_kernels``); a repeated call
+    returns the same bits.
     """
     return _cov_process("airy2", t, accuracy, DEFAULT_BOX, scale, full_output)
 
@@ -698,12 +795,16 @@ def cov_airy1(t: float, accuracy: float = 1e-8, scale: float = 10.0,
     """Two-point correlation cov(A_1(t), A_1(0)) of the Airy(1) process,
     integrated over the box ``AIRY1_BOX``, read at call time; refined as
     ``cov_airy2`` is, along ``_COV_LEVELS["airy1"]``, from (24, 38) to
-    (48, 88), with the same tail-threshold drop and bound B."""
+    (48, 88), with the same tail-threshold drop and bound B, and the same
+    level cache (``_level``); its closed-form kernels need no cache."""
     return _cov_process("airy1", t, accuracy, AIRY1_BOX, scale, full_output)
 
 
 def cov_grid(process: str, t_values, accuracy: float = 1e-8) -> CovGrid:
-    """Covariance values on an ascending grid of time separations."""
+    """Covariance values on an ascending grid of time separations, one
+    ``cov_airy2`` / ``cov_airy1`` call per t.  The calls share each
+    ladder level (``_level``): its marginals, I - A_0 blocks and their
+    inverses are built once for the whole grid, not once per t."""
     t_values = np.asarray(list(t_values), dtype=float)
     if t_values.size and np.any(np.diff(t_values) <= 0):
         raise ValueError("t_values must be strictly ascending")

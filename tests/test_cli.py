@@ -59,6 +59,14 @@ class TestDetCommand:
         assert code == 1
         assert err.startswith("numerical failure:")
 
+    def test_lu_overflow_exit_1(self):
+        # z = -1e308: Cholesky fails, and LU overflows as Cholesky does above
+        # instead of printing inf
+        code, out, err = run(["det", "--kernel", "sine", "--a", "0", "--b", "1",
+                              "--z=-1e308", "--m", "10"])
+        assert code == 1 and not out
+        assert err.startswith("numerical failure:")
+
     @pytest.mark.parametrize("argv", [
         ["det", "--kernel", "sine", "--a", "1", "--b", "0", "--z", "-1", "--m", "5"],
         ["quad", "--rule", "gauss", "--a", "1", "--b", "0", "--m", "3"],

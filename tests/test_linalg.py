@@ -90,6 +90,15 @@ class TestDetLU:
         with pytest.raises(ValueError):
             det_lu(stack)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
+    def test_overflow_raises(self, shape):
+        # finite entries whose determinant overflows: an OverflowError, as
+        # from det_cholesky, not inf with numpy's RuntimeWarning (which the
+        # test configuration turns into an error)
+        a = np.broadcast_to(np.eye(4) * 1e100, shape).copy()
+        with pytest.raises(OverflowError, match="not finite"):
+            det_lu(a)
+
 
 class TestDetCholesky:
     def test_identity(self):

@@ -764,7 +764,8 @@ class TestJointTableRows:
         assert np.array_equal(tab.eye_minus_a0,
                               rmt._eye_minus_a0("airy2", s[keep], *tan_map)[0])
 
-    def test_level_builds_eye_minus_a0_once(self, monkeypatch):
+    def test_level_builds_eye_minus_a0_once(self, monkeypatch, fresh_caches):
+        # with the level cache emptied first, whatever ran before
         calls = []
         build = rmt._eye_minus_a0
 
@@ -776,6 +777,82 @@ class TestJointTableRows:
         kernels = rmt._process_kernels("airy2", 1.0, 1e-12, rmt.DEFAULT_BOX[0])
         rmt._cov_positive("airy2", 1.0, 20, 32, rmt.DEFAULT_BOX, 10.0, kernels)
         assert calls == [32]
+
+
+class TestCaches:
+    """The covariance levels (``rmt._level``) and Airy(2) kernel pairs
+    (``rmt._airy2_kernels``) built once per process and shared by every t."""
+
+    def test_warm_calls_repeat_cold_bits(self, fresh_caches):
+        calls = [lambda: cov_airy2(0.0, full_output=True),
+                 lambda: cov_airy2(1.0, full_output=True),
+                 lambda: cov_airy1(0.5, 1e-7, full_output=True)]
+        cold = [call() for call in calls]
+        misses = rmt._level.cache_info().misses, rmt._airy2_kernels.cache_info().misses
+        assert misses[0] > 0 and misses[1] == 1
+        warm = [call() for call in calls]
+        assert (rmt._level.cache_info().misses,
+                rmt._airy2_kernels.cache_info().misses) == misses
+        # value, est and levels, bit for bit
+        assert [[float(x).hex() for x in out] for out in warm] == \
+               [[float(x).hex() for x in out] for out in cold]
+
+    def test_cached_arrays_are_read_only(self):
+        level = rmt._level("airy2", 20, 32, rmt.DEFAULT_BOX, 10.0)
+        arrays = [level.outer.nodes, level.outer.weights, level.marg, level.bounds,
+                  level.keep, level.eye_minus_a0, level.inverses, level.cumulative]
+        for kernel in rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0):
+            arrays += [kernel._xi, kernel._q]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[..., 0] = 0.0
+
+    def test_cov_grid_builds_each_level_once(self, monkeypatch, fresh_caches):
+        # t = 0 and t = 1 share the levels both use: each level's I - A_0
+        # is built once for the grid, not once per t
+        calls = []
+        build = rmt._eye_minus_a0
+
+        def counting(process, svals, *args):
+            calls.append(len(svals))
+            return build(process, svals, *args)
+
+        monkeypatch.setattr(rmt, "_eye_minus_a0", counting)
+        cov_grid("airy2", [0.0, 1.0])
+        used = max(cov_airy2(t, full_output=True)[2] for t in (0.0, 1.0))
+        assert calls == [n for _, n in rmt._COV_LEVELS["airy2"][:used]]
+
+    def test_kernels_shared_by_effective_x_min(self, fresh_caches):
+        # Airy2ProcessKernel lowers x_min to -10, so the key does too
+        pair = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -1.0)
+        assert rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0) is pair
+        assert rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -12.0) is not pair
+        assert rmt._process_kernels("airy2", 1.0, 1e-13, -10.0) is not pair
+
+    def test_warned_kernels_warn_on_every_call(self, fresh_caches):
+        # K_{-0.5} at x_min = -18: the Gaussian-term cancellation, 5.8e-12,
+        # exceeds the tolerance, so the pair is not cached
+        pairs = []
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="achieved_tol"):
+                pairs.append(rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -18.0))
+        assert pairs[0] is not pairs[1]
+        assert rmt._airy2_kernels.cache_info().currsize == 0
+
+    def test_cache_clear_empties_both_caches(self):
+        level = rmt._level("airy2", 20, 32, rmt.DEFAULT_BOX, 10.0)
+        pair = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)
+        rmt._level.cache_clear()
+        rmt._airy2_kernels.cache_clear()
+        assert rmt._level.cache_info().currsize == rmt._airy2_kernels.cache_info().currsize == 0
+        # the next calls build afresh, to the same bits
+        again = rmt._level("airy2", 20, 32, rmt.DEFAULT_BOX, 10.0)
+        assert again is not level
+        assert np.array_equal(again.inverses, level.inverses)
+        new_pair = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)
+        assert new_pair is not pair
+        assert all(np.array_equal(a._q, b._q) for a, b in zip(new_pair, pair))
 
 
 def full_level(process, t, m, n_outer, box, kernels):

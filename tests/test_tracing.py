@@ -29,7 +29,9 @@ def test_every_boundary_resolves(tracing):
     assert all(callable(obj) for obj in tracing.boundary_objects().values())
 
 
-def test_install_and_uninstall_restore_the_library(tracing):
+def test_install_and_uninstall_restore_the_library(tracing, fresh_caches):
+    # fresh_caches: the kernel pair of the joint below is built, not taken
+    # from the cache an earlier test filled
     before = tracing.boundary_objects()
     tracer = tracing.Tracer()
     tracer.install()
