@@ -45,8 +45,8 @@ __all__ = [
     "KERNEL_FAMILIES",
 ]
 
-#: Below this separation |x - y| the analytic diagonal expansions replace
-#: the directly evaluated quotients.
+#: Below this separation |x - y| the Airy kernel's analytic diagonal
+#: expansion replaces the directly evaluated quotient.
 _DIAG_SPLIT = 1e-4
 
 
@@ -91,16 +91,9 @@ class SineKernel(Kernel):
     hermitian = True
 
     def eval(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        d = x - y
-        u = np.pi * d
-        small = np.abs(d) < _DIAG_SPLIT
-        u_safe = np.where(small, 1.0, u)
-        far = np.sin(u_safe) / u_safe
-        u2 = u * u
-        near = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0)
-        return _float_if_scalar(np.where(small, near, far))
+        # sin(u)/u does not cancel near u = 0, so np.sinc needs no series there
+        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        return _float_if_scalar(np.sinc(d))
 
 
 class GreenKernel(Kernel):
@@ -242,15 +235,17 @@ class Airy2ProcessKernel(Kernel):
     #: Size of the first rule of the doubling, and the size it stops at.
     _FIRST_RULE_SIZE = 30
     _MAX_RULE_SIZE = 25600
+    #: Highest x_min a kernel is built for: the fixed probe pairs reach down
+    #: to it, so a larger x_min is lowered to it.
+    _X_MIN_CEILING = -10.0
 
-    def __init__(self, t: float, tol: float = 1e-12, x_min: float = -10.0):
+    def __init__(self, t: float, tol: float = 1e-12, x_min: float = _X_MIN_CEILING):
         self.t = float(t)
         if not math.isfinite(self.t):
             raise ValueError("t must be finite")
         if not math.isfinite(x_min):
             raise ValueError("x_min must be finite")
-        # the fixed probe pairs reach down to -10
-        self.x_min = min(float(x_min), -10.0)
+        self.x_min = min(float(x_min), self._X_MIN_CEILING)
         if self.t >= 0.0:
             self._mode = "decay"
             end = self._DECAY_END - self.x_min

@@ -199,7 +199,7 @@ def _process_kernels(process: str, t: float, inner_tol: float, x_min: float):
     form and costs nothing to build."""
     if process == "airy2":
         try:
-            return _airy2_kernels(t, inner_tol, min(x_min, -10.0))
+            return _airy2_kernels(t, inner_tol, min(x_min, Airy2ProcessKernel._X_MIN_CEILING))
         except _Uncached as warned:
             return warned.kernels
     if process == "airy1":
@@ -446,19 +446,19 @@ class _JointTable:
     (``airy2_joint`` / ``airy1_joint``, which take a negative t to |t|)
     and covariance grids alike.
 
-    ``prepare`` caches per threshold s the nodes of the head of the grid
-    (``_head``: the same h nodes at every threshold), the given M = I - A_0
-    and det(M), and, for Airy(2), the inner-rule Airy bases of K_t and
-    K_{-t}, filled by ``basis`` calls of at most ``_EVAL_CHUNK`` points.
-    M^-1 comes from the covariance level (``_Level.inverses``, one
-    inversion per process for every t) or, for a single joint, is formed
-    when its threshold first pivots.  ``row``
-    forms the off-diagonal blocks of the pairs (s_i, s_j), j >= i, with one
-    matrix product per kernel (Airy(2)) or one shared Airy evaluation
-    (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), and takes each joint
-    as det(M_j) det(M_i - A_ij M_j^-1 A_ji): the grid ascends, so every
-    pair pivots on its larger threshold s_j (the better-conditioned block),
-    in stacked products and LAPACK LU calls of at most ``CHUNK`` pairs.
+    ``prepare`` caches per threshold s the given M = I - A_0 on the head of
+    the grid (``_head``: the same h nodes at every threshold), det(M) and
+    M^-1, and, for Airy(2), the inner-rule Airy bases of K_t and K_{-t},
+    filled by ``basis`` calls of at most ``_EVAL_CHUNK`` points.  A
+    covariance level hands it every M^-1 (``_Level.inverses``, one
+    inversion per process for every t); a single joint inverts only its
+    pivot.  ``row`` forms the off-diagonal blocks of the pairs (s_i, s_j),
+    j >= i, with one matrix product per kernel (Airy(2)) or one shared Airy
+    evaluation (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), and takes
+    each joint as det(M_j) det(M_i - A_ij M_j^-1 A_ji): the grid ascends,
+    so every pair pivots on its larger threshold s_j (the better-conditioned
+    block), in stacked products and LAPACK LU calls of at most ``CHUNK``
+    pairs.
     The Schur complement is unchanged by the exact similarity
     A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, so rows need no balancing.
     ``grid`` mirrors the rows by time reversal, P(s_i, s_j) = P(s_j, s_i),
@@ -478,28 +478,22 @@ class _JointTable:
         self._tan = _tan_map(m, scale)
         self.kt, self.kmt = kernels
 
-    def prepare(self, svals, eye_minus_a0, marginals, inverses=None) -> None:
+    def prepare(self, svals, eye_minus_a0, marginals, inverses) -> None:
         """Cache the per-threshold data of the ascending grid ``svals``,
         replacing any earlier grid, with its I - A_0 blocks ``eye_minus_a0``
-        (on a head that holds the grid's), their determinants ``marginals``
-        and, if given, their ``inverses`` on the grid's own head; else each
-        block is inverted when it first pivots.  Raises ValueError on a
-        grid that does not ascend."""
+        on the grid's head (``_head``), their determinants ``marginals`` and
+        their ``inverses``.  Raises ValueError on a grid that does not
+        ascend."""
         svals = np.asarray(svals, dtype=float)
         if not np.all(np.diff(svals) >= 0.0):
             raise ValueError("joint table thresholds must ascend")
-        h = _head(self.process, svals, self._tan[0])
+        h = eye_minus_a0.shape[-1]
         self._off, self._rr = self._tan[0][:h], self._tan[1][:h, :h]
         self._s = svals
         self._x = svals[:, None] + self._off[None, :]
-        self.eye_minus_a0 = eye_minus_a0[:, :h, :h]
+        self.eye_minus_a0 = eye_minus_a0
         self._det = np.asarray(marginals, dtype=float)
-        if inverses is None:
-            self._inv = np.empty_like(self.eye_minus_a0)
-            self._inverted = np.zeros(svals.size, dtype=bool)
-        else:
-            self._inv = inverses
-            self._inverted = np.ones(svals.size, dtype=bool)
+        self._inv = inverses
         if self.process == "airy2":
             self._bt = self._bases(self.kt)
             self._bmt = self._bases(self.kmt)
@@ -513,16 +507,6 @@ class _JointTable:
         for lo in range(0, x.size, rows):
             out[lo:lo + rows] = kernel.basis(x[lo:lo + rows])
         return out.reshape(*self._x.shape, kernel.inner_size)
-
-    def _inverse(self, lo: int, hi: int) -> np.ndarray:
-        """M^-1 at the prepared thresholds lo <= j < hi, each inverted when
-        it first pivots: a grid inverts every threshold, a single joint only
-        the larger one."""
-        new = ~self._inverted[lo:hi]
-        if new.any():
-            self._inv[lo:hi][new] = np.linalg.inv(self.eye_minus_a0[lo:hi][new])
-            self._inverted[lo:hi] = True
-        return self._inv[lo:hi]
 
     def row(self, i: int) -> np.ndarray:
         """Joints at the prepared thresholds (s_i, s_j) for j >= i."""
@@ -565,14 +549,16 @@ class _JointTable:
         each pair pivots on its larger threshold s_j."""
         a_ij, a_ji = blocks or self._blocks(i, lo, hi)
         # A_ij M_j^-1 first: the other order erred 200x more at Airy(1), t = 2.5, m = 20
-        schur = self.eye_minus_a0[i] - a_ij @ self._inverse(lo, hi) @ a_ji
+        schur = self.eye_minus_a0[i] - a_ij @ self._inv[lo:hi] @ a_ji
         return self._det[lo:hi] * det_lu(schur)
 
     def joint(self, s1: float, s2: float) -> DistributionPoint:
         """The joint at one pair, prepared as the grid (min, max): time
         reversal, P(A(t) <= s1, A(0) <= s2) = P(A(t) <= s2, A(0) <= s1),
-        makes the order exact, so the pair pivots on its larger threshold.
-        Its roundoff bound is sqrt(2m) N 8u, with
+        makes the order exact, so the pair pivots on its larger threshold,
+        whose block alone it inverts before preparing; the other's inverse
+        is left NaN, so a later ``grid`` of the table raises ValueError
+        (``det_lu``).  Its roundoff bound is sqrt(2m) N 8u, with
         N = (||A_11||^2 + ||A_22||^2 + 2 ||A_12|| ||A_21||)^(1/2) the least
         Frobenius norm of its system over the block scalings
         A_12 -> c A_12, A_21 -> A_21 / c, c > 0, which keep the determinant;
@@ -583,7 +569,9 @@ class _JointTable:
         pair = sorted((s1, s2))
         blocks, norms = _eye_minus_a0(self.process, pair, *self._tan)
         f1, f2 = _marginal_points(self.process, pair, self.m, self.scale, (blocks, norms))
-        self.prepare(pair, blocks, [f1.value, f2.value])
+        inverses = np.full_like(blocks, np.nan)
+        inverses[1] = np.linalg.inv(blocks[1])
+        self.prepare(pair, blocks, [f1.value, f2.value], inverses)
         a12, a21 = self._blocks(0, 1, 2)
         norm = math.sqrt(norms @ norms + 2.0 * frobenius_norm(a12) * frobenius_norm(a21))
         point = _det_point(self.t, DetResult(float(self._dets(0, 1, 2, (a12, a21))[0]),
@@ -650,8 +638,6 @@ class _Level:
     def __init__(self, process: str, m: int, n_outer: int,
                  box: tuple[float, float], scale: float):
         self.outer = gauss_legendre(box[0], box[1], n_outer)
-        _frozen(self.outer.nodes)
-        _frozen(self.outer.weights)
         offsets, rr = _tan_map(m, scale)
         blocks, norms = _eye_minus_a0(process, self.outer.nodes, offsets, rr)
         points = _marginal_points(process, self.outer.nodes, m, scale, (blocks, norms))

@@ -71,11 +71,11 @@ def table(process, t, m, x_min=rmt.DEFAULT_BOX[0]):
 
 
 def prepare(tab, s):
-    """``tab.prepare`` on the ascending grid ``s``, with the I - A_0 blocks
-    and marginals a covariance level would hand it."""
+    """``tab.prepare`` on the ascending grid ``s``, with the I - A_0 blocks,
+    marginals and inverses a covariance level would hand it."""
     blocks, norms = rmt._eye_minus_a0(tab.process, s, *rmt._tan_map(tab.m, tab.scale))
     points = rmt._marginal_points(tab.process, s, tab.m, tab.scale, (blocks, norms))
-    tab.prepare(s, blocks, [p.value for p in points])
+    tab.prepare(s, blocks, [p.value for p in points], np.linalg.inv(blocks))
 
 
 def two_sided_grid(tab):
@@ -684,14 +684,34 @@ class TestJointTableRows:
                 assert np.array_equal(tab._bmt[k], tab.kmt.basis(x))
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
-    def test_joint_inverts_only_the_pivot_block(self, process):
+    def test_joint_inverts_only_the_pivot_block(self, process, monkeypatch):
         # the pair is ordered, and the Schur complement pivots on the
         # larger threshold; the other block is never inverted
         tab = table(process, 0.7, 16)
+        inverted = []
+        inv = np.linalg.inv
+
+        def counting(a):
+            inverted.append(np.array(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
         for s1, s2 in ((-1.0, 0.5), (0.5, -1.0)):
+            inverted.clear()
             tab.joint(s1, s2)
             assert tab._s.tolist() == [-1.0, 0.5]
-            assert tab._inverted.tolist() == [False, True]
+            assert len(inverted) == 1
+            assert np.array_equal(inverted[0], tab.eye_minus_a0[1])
+            assert np.isnan(tab._inv[0]).all() and np.isfinite(tab._inv[1]).all()
+
+    @pytest.mark.parametrize("process", ["airy2", "airy1"])
+    def test_grid_after_a_joint_raises(self, process):
+        # a single joint leaves its smaller threshold's inverse NaN, so no
+        # later grid reads an inverse that was never formed
+        tab = table(process, 0.7, 16)
+        tab.joint(-1.0, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            tab.grid()
 
     @pytest.mark.parametrize("t", [0.0, -0.7, math.nan])
     def test_table_needs_positive_t(self, t):
@@ -703,9 +723,9 @@ class TestJointTableRows:
     @pytest.mark.parametrize("s", [[0.5, -1.0], [-2.0, 1.0, 0.0], [0.0, math.nan]])
     def test_prepare_rejects_unsorted_grid(self, s):
         # every pair pivots on its larger threshold s_j, j >= i
+        eye = np.eye(16) + np.zeros((len(s), 1, 1))
         with pytest.raises(ValueError, match="ascend"):
-            table("airy1", 0.7, 16).prepare(s, np.eye(16) + np.zeros((len(s), 1, 1)),
-                                            np.ones(len(s)))
+            table("airy1", 0.7, 16).prepare(s, eye, np.ones(len(s)), eye)
 
     def test_prepare_calls_basis_in_chunks(self, monkeypatch):
         # O(n m n_inner / chunk) calls of at most one chunk of 8k points:
@@ -749,18 +769,21 @@ class TestJointTableRows:
 
     def test_prepare_takes_given_blocks_bitwise(self):
         # a covariance level hands prepare the I - A_0 blocks of its kept
-        # thresholds, sliced from the marginals' blocks: the bits of blocks
-        # built for the kept thresholds alone.  The kept thresholds start
-        # higher, so their head is a leading slice of the blocks' head.
+        # thresholds, sliced from the marginals' blocks to the kept head:
+        # the bits of blocks built for the kept thresholds alone.  The kept
+        # thresholds start higher, so their head is a leading slice of the
+        # blocks' head.
         m = 16
         s = gauss_legendre(*rmt.DEFAULT_BOX, 23).nodes
         keep = (np.arange(s.size) % 3 != 0) & (s > -2.0)
         tan_map = rmt._tan_map(m, 10.0)
         blocks, _ = rmt._eye_minus_a0("airy2", s, *tan_map)
-        tab = table("airy2", 0.7, m)
-        tab.prepare(s[keep], blocks[keep], np.ones(np.sum(keep)))
-        h = tab._off.size
+        h = rmt._head("airy2", s[keep], tan_map[0])
         assert h < blocks.shape[-1]
+        kept = blocks[keep, :h, :h]
+        tab = table("airy2", 0.7, m)
+        tab.prepare(s[keep], kept, np.ones(np.sum(keep)), np.linalg.inv(kept))
+        assert tab._off.size == h
         assert np.array_equal(tab.eye_minus_a0,
                               rmt._eye_minus_a0("airy2", s[keep], *tan_map)[0])
 
