@@ -509,7 +509,7 @@ def sine_kernel() -> SineKernel:
 KERNEL_FAMILIES = ("sine", "airy", "green", "airy2:t", "airy1:t")
 
 
-def make_kernel(name: str, x_min: float = -10.0) -> Kernel:
+def make_kernel(name: str, x_min: float = Airy2ProcessKernel._X_MIN_CEILING) -> Kernel:
     """Build a kernel from its registry name.
 
     ``sine``, ``airy`` and ``green`` give ``SineKernel``, ``AiryKernel``

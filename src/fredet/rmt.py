@@ -29,21 +29,27 @@ map only: the nodes x = s + scale tan(pi xi / 2) <= X = 20 for the
 smallest threshold s of the call (``_head``).  Past X the Airy kernel
 and K_t, t > 0, have underflowed, so the other nodes would add unit rows
 and columns that cost O(m^3) and change no determinant beyond entries
-below 3e-22 (``_HEAD_CUT``).  Airy(1) keeps every node.
+below 3e-22 (``_HEAD_CUT``).  Airy(1) keeps every node.  On the head,
+K_t (t > 0) and the oscillatory K_{-t} (t >= 0.75) are analytic and of
+numerical rank 20-90, so the joint table takes them from low-rank
+Chebyshev factors (``_ChebyshevFactor``) instead of their 60-480-node
+inner rules; the Laplace-branch K_{-t} (0 < t < 0.75), whose Gaussian
+ridge has no low rank, keeps its inner rule.
 
 What does not depend on t is built once per process and shared by every
 t and call: a covariance level's outer rule, marginals, kept thresholds,
 I - A_0 blocks and their inverses (``_level``, keyed on (process, m,
 n_outer, box, scale)), and the Airy(2) kernel pair K_t, K_{-t} with its
-inner rules (``_airy2_kernels``, keyed on (t, inner tolerance, effective
-x_min)), unless its build warned.  Cached arrays are read-only, and a
-warm call returns the bits of a cold one.
+inner rules and factors (``_airy2_kernels``, keyed on (t, inner
+tolerance, effective x_min)), unless its build warned.  Cached arrays are
+read-only, and a warm call returns the bits of a cold one.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -221,23 +227,37 @@ def _airy2_kernels(t: float, inner_tol: float, x_min: float):
     """(K_t, K_{-t}) of Airy(2), ``Airy2ProcessKernel`` with ``x_min`` (at
     most -10, as the kernel lowers it), cached on (t, inner_tol, x_min): the
     inner-rule doubling is the costly part of a joint at a new t, and a
-    covariance sweep or repeated call needs it once.  A pair with
-    ``achieved_tol > inner_tol`` has warned and is raised as ``_Uncached``,
-    so it is not cached.  The inner rules ``_xi`` and ``_q`` are
-    read-only."""
+    covariance sweep or repeated call needs it once.  Each kernel without a
+    Gaussian term also gets its ``_chebyshev_factor`` here, 3-10 ms per
+    kernel at x_min = -10, held in ``_FACTORS`` for as long as the kernel
+    lives.  A pair with ``achieved_tol > inner_tol`` has warned and is
+    raised as ``_Uncached``, so it is neither cached nor factored.  The
+    inner rules ``_xi`` and ``_q`` are read-only."""
     kernels = (Airy2ProcessKernel(t, tol=inner_tol, x_min=x_min),
                Airy2ProcessKernel(-t, tol=inner_tol, x_min=x_min))
     if not all(k.achieved_tol <= inner_tol for k in kernels):
         raise _Uncached(kernels)
+    for kernel in kernels:
+        # the Laplace branch's Gaussian ridge has no low rank on the head
+        if kernel._mode != "laplace":
+            factor = _chebyshev_factor(kernel)
+            if factor is not None:
+                _FACTORS[kernel] = factor
     return kernels
 
 
-#: Kernel entries or Ai points per evaluation call when a level builds its
-#: per-threshold data (``_eye_minus_a0``, ``_JointTable.prepare``).  One
-#: call per threshold pays per-call overhead, one per grid raises peak
-#: memory: on cov-airy2, 16k points put peak RSS ~0.3 MB above
-#: per-threshold calls and 8k ~0.1 MB below; whole-grid I - A_0 for
-#: Airy(1) took cov-airy1 1.7 MB above.
+#: The ``_ChebyshevFactor`` of each kernel of a cached ``_airy2_kernels``
+#: pair that has one; an entry goes with its kernel.
+_FACTORS = weakref.WeakKeyDictionary()
+
+
+#: Kernel entries, or basis entries (rows times inner size: Ai points of
+#: an inner rule, interpolated terms of a factor), per evaluation call when
+#: a level builds its per-threshold data (``_eye_minus_a0``,
+#: ``_JointTable.prepare``).  One call per threshold pays per-call
+#: overhead, one per grid raises peak memory: on cov-airy2, 16k points put
+#: peak RSS ~0.3 MB above per-threshold calls and 8k ~0.1 MB below;
+#: whole-grid I - A_0 for Airy(1) took cov-airy1 1.7 MB above.
 _EVAL_CHUNK = 1 << 13
 
 
@@ -269,8 +289,129 @@ def _tan_map(m: int, scale: float):
 #: of A_0 or of the K_{|t|} block is therefore at most
 #: r_max^2 sqrt(K_0(X, X) K_0(s_min, s_min)), r = sqrt(w phi'), with
 #: K_0(20, 20) = 3.2e-55: below 3e-22 for m <= 200 at scale 10 and
-#: s_min >= -12, where the measured entries stay below 4e-28.
+#: s_min >= -12, where the measured entries stay below 4e-28.  X is also
+#: the upper end of every ``_ChebyshevFactor``.
 _HEAD_CUT = 20.0
+
+
+#: Chebyshev points of the first and the largest ``_chebyshev_factor``,
+#: and its agreement with the kernel's inner rule on the probe grid,
+#: relative to max(1, |K|).
+_FACTOR_FIRST_NODES = 64
+_FACTOR_MAX_NODES = 512
+_FACTOR_TOL = 16.0 * np.finfo(float).eps
+#: Relative eigenvalue size below which a factor drops a term.
+_FACTOR_CUT = 1e-16
+
+
+class _ChebyshevFactor:
+    """K(x, y) = sum_k lambda_k v_k(x) v_k(y) on [x_min, ``_HEAD_CUT``]^2
+    for an analytic, symmetric Airy(2) kernel K without a Gaussian term: the
+    kept eigenpairs of K sampled on N Chebyshev points, each v_k the
+    barycentric interpolant of its eigenvector (Berrut & Trefethen, SIAM
+    Review 46, 2004), which is stable on Chebyshev points.
+
+    It stands in for the kernel in ``_JointTable``: ``basis`` gives the
+    v_k at the nodes, ``inner_weights`` the lambda_k and ``inner_size`` the
+    rank, so a block is ``(basis(x) * inner_weights) @ basis(y).T`` with
+    tens of terms where the inner rule has 60-480.  Rows at x > ``_HEAD_CUT``
+    are 0: K_t has vanished there, and such a node gives a unit row or
+    column of a joint system (``_head``).  ``basis`` raises ValueError
+    below x_min, as the kernel's does.  The arrays are read-only."""
+
+    def __init__(self, x_min: float, nodes, weights, vectors, values):
+        self.x_min = x_min
+        self._nodes, self._weights = _frozen(nodes), _frozen(weights)
+        self._vectors = _frozen(vectors)
+        self.inner_weights = _frozen(values)
+        self.inner_size = values.size
+
+    def basis(self, xs) -> np.ndarray:
+        """v_k(xs[..., i]) for every kept term k, 0 past ``_HEAD_CUT``."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.size and np.min(xs) < self.x_min:
+            raise ValueError(f"factor is built for arguments >= x_min={self.x_min:g}, "
+                             f"got {np.min(xs):g}")
+        x = xs.ravel()
+        inside = x <= _HEAD_CUT
+        out = np.zeros((x.size, self.inner_size))
+        out[inside] = _barycentric(x[inside], self._nodes, self._weights) @ self._vectors
+        return out.reshape(*xs.shape, self.inner_size)
+
+    @staticmethod
+    def gaussian_part(xs, ys):
+        """0: a factored kernel has no Gaussian term."""
+        return 0.0
+
+
+def _chebyshev_points(a: float, b: float, n: int):
+    """The n Chebyshev points of the second kind on [a, b], ascending, with
+    both ends exact, and their barycentric weights (-1)^j, halved at the
+    ends."""
+    x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(n) / (n - 1))
+    x[0], x[-1] = a, b
+    w = np.where(np.arange(n) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    return x, w
+
+
+def _barycentric(x, nodes, weights) -> np.ndarray:
+    """The matrix that maps values at ``nodes`` to their polynomial
+    interpolant at the points x, by the second barycentric formula; a point
+    on a node takes that node's value."""
+    d = x[:, None] - nodes
+    hit = d == 0.0
+    d[hit] = 1.0
+    c = weights / d
+    c /= np.sum(c, axis=1, keepdims=True)
+    on_node = np.any(hit, axis=1)
+    c[on_node] = hit[on_node]
+    return c
+
+
+def _basis_rows(source, x) -> np.ndarray:
+    """``source.basis`` (a kernel's or a factor's) at the points x, stacked
+    (x.size, inner size), in calls of at most ``_EVAL_CHUNK`` entries."""
+    rows = max(1, _EVAL_CHUNK // source.inner_size)
+    out = np.empty((x.size, source.inner_size))
+    for lo in range(0, x.size, rows):
+        out[lo:lo + rows] = source.basis(x[lo:lo + rows])
+    return out
+
+
+def _sampled(source, x) -> np.ndarray:
+    """K(x_i, x_j) from ``source.basis`` and ``source.inner_weights``,
+    without a Gaussian term."""
+    b = _basis_rows(source, x)
+    return (b * source.inner_weights) @ b.T
+
+
+def _chebyshev_factor(kernel):
+    """The ``_ChebyshevFactor`` of an Airy(2) kernel without a Gaussian
+    term, or None if none within reach matches the kernel.
+
+    N doubles from ``_FACTOR_FIRST_NODES`` until the factor of the kept
+    eigenpairs (|lambda| > ``_FACTOR_CUT`` max |lambda|) of the kernel on N
+    Chebyshev points matches the kernel's inner rule to ``_FACTOR_TOL``
+    max(1, |K|) at every pair of a 61-point probe grid on [x_min,
+    ``_HEAD_CUT``]; past ``_FACTOR_MAX_NODES`` the kernel keeps its inner
+    rule.  At x_min = -20, K_{-0.76} needs 256 points; the others of
+    t in {0.1, 0.5, +-0.76, +-1, +-2.5} at x_min in {-10, -14, -20}
+    take 128."""
+    probes = np.linspace(kernel.x_min, _HEAD_CUT, 61)
+    want = _sampled(kernel, probes)
+    n = _FACTOR_FIRST_NODES
+    while n <= _FACTOR_MAX_NODES:
+        nodes, weights = _chebyshev_points(kernel.x_min, _HEAD_CUT, n)
+        values, vectors = np.linalg.eigh(_sampled(kernel, nodes))
+        kept = np.abs(values) > _FACTOR_CUT * np.max(np.abs(values))
+        factor = _ChebyshevFactor(kernel.x_min, nodes, weights,
+                                  vectors[:, kept], values[kept])
+        got = _sampled(factor, probes)
+        if np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= _FACTOR_TOL:
+            return factor
+        n *= 2
+    return None
 
 
 def _head(process: str, svals, offsets) -> int:
@@ -448,13 +589,17 @@ class _JointTable:
 
     ``prepare`` caches per threshold s the given M = I - A_0 on the head of
     the grid (``_head``: the same h nodes at every threshold), det(M) and
-    M^-1, and, for Airy(2), the inner-rule Airy bases of K_t and K_{-t},
-    filled by ``basis`` calls of at most ``_EVAL_CHUNK`` points.  A
-    covariance level hands it every M^-1 (``_Level.inverses``, one
-    inversion per process for every t); a single joint inverts only its
-    pivot.  ``row`` forms the off-diagonal blocks of the pairs (s_i, s_j),
-    j >= i, with one matrix product per kernel (Airy(2)) or one shared Airy
-    evaluation (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), and takes
+    M^-1, and, for Airy(2), the bases of K_t and K_{-t} at its nodes,
+    filled by ``basis`` calls of at most ``_EVAL_CHUNK`` entries: from a
+    kernel's ``_ChebyshevFactor`` where it has one (``_FACTORS``), else
+    from its inner rule (the Laplace-branch K_{-t}).  Both read as
+    ``basis``, ``inner_weights``, ``inner_size`` and ``gaussian_part``, so
+    one code path serves either.  A covariance level hands it every M^-1
+    (``_Level.inverses``, one inversion per process for every t); a single
+    joint inverts only its pivot.  ``row`` forms the off-diagonal blocks of
+    the pairs (s_i, s_j), j >= i, with one matrix product per kernel
+    (Airy(2)) or one shared Airy evaluation (Airy(1),
+    ``Airy1ProcessKernel.shifted_pairs``), and takes
     each joint as det(M_j) det(M_i - A_ij M_j^-1 A_ji): the grid ascends,
     so every pair pivots on its larger threshold s_j (the better-conditioned
     block), in stacked products and LAPACK LU calls of at most ``CHUNK``
@@ -477,6 +622,8 @@ class _JointTable:
         self.scale = scale
         self._tan = _tan_map(m, scale)
         self.kt, self.kmt = kernels
+        # each Airy(2) kernel's factor where it has one, else the kernel
+        self._sources = tuple(_FACTORS.get(k, k) for k in kernels)
 
     def prepare(self, svals, eye_minus_a0, marginals, inverses) -> None:
         """Cache the per-threshold data of the ascending grid ``svals``,
@@ -495,18 +642,10 @@ class _JointTable:
         self._det = np.asarray(marginals, dtype=float)
         self._inv = inverses
         if self.process == "airy2":
-            self._bt = self._bases(self.kt)
-            self._bmt = self._bases(self.kmt)
-
-    def _bases(self, kernel) -> np.ndarray:
-        """``kernel.basis`` at every prepared node, stacked
-        (n, h, inner size), in calls of at most ``_EVAL_CHUNK`` points."""
-        x = self._x.ravel()
-        rows = max(1, _EVAL_CHUNK // kernel.inner_size)
-        out = np.empty((x.size, kernel.inner_size))
-        for lo in range(0, x.size, rows):
-            out[lo:lo + rows] = kernel.basis(x[lo:lo + rows])
-        return out.reshape(*self._x.shape, kernel.inner_size)
+            # stacked (n, h, inner size)
+            self._bt, self._bmt = (
+                _basis_rows(src, self._x.ravel()).reshape(*self._x.shape, src.inner_size)
+                for src in self._sources)
 
     def row(self, i: int) -> np.ndarray:
         """Joints at the prepared thresholds (s_i, s_j) for j >= i."""
@@ -530,13 +669,14 @@ class _JointTable:
         x1, x2 = self._x[i], self._x[lo:hi]
         if self.process == "airy2":
             # b12[j, p, q] = K_t(x1_p, x2_jq), b21[j, q, p] = K_{-t}(x2_jq, x1_p)
-            bt2 = self._bt[lo:hi].reshape(c * h, self.kt.inner_size)
-            b12 = ((self._bt[i] * self.kt.inner_weights) @ bt2.T).reshape(h, c, h)
-            b12 = b12.transpose(1, 0, 2) - self.kt.gaussian_part(
+            st, smt = self._sources
+            bt2 = self._bt[lo:hi].reshape(c * h, st.inner_size)
+            b12 = ((self._bt[i] * st.inner_weights) @ bt2.T).reshape(h, c, h)
+            b12 = b12.transpose(1, 0, 2) - st.gaussian_part(
                 x1[None, :, None], x2[:, None, :])
-            bmt2 = self._bmt[lo:hi].reshape(c * h, self.kmt.inner_size)
-            b21 = (bmt2 @ (self._bmt[i] * self.kmt.inner_weights).T).reshape(c, h, h)
-            b21 = b21 - self.kmt.gaussian_part(x2[:, :, None], x1[None, None, :])
+            bmt2 = self._bmt[lo:hi].reshape(c * h, smt.inner_size)
+            b21 = (bmt2 @ (self._bmt[i] * smt.inner_weights).T).reshape(c, h, h)
+            b21 = b21 - smt.gaussian_part(x2[:, :, None], x1[None, None, :])
         else:
             # same layout; the shared Airy factor is symmetric in (p, q)
             b12, bwd = self.kt.shifted_pairs(self._s[i], self._s[lo:hi], self._off)

@@ -662,12 +662,14 @@ class TestJointTableRows:
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_batched_blocks_equal_per_threshold(self, process, monkeypatch):
         # stacked kernel-matrix calls for I - A_0 and chunked bases give
-        # the bits of the per-threshold evaluations
+        # the bits of the per-threshold evaluations.  At t = 0.7 the Airy(2)
+        # K_t is factored and K_{-t} keeps its inner rule (Laplace branch).
         m = 16
         s = gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes
         tab = table(process, 0.7, m)
-        # 2 of the 11 thresholds a matrix call, 9 of the 176 rows a basis
-        # call (K_t and K_{-t} take 75 nodes), the last call of each ragged
+        # 2 of the 11 thresholds a matrix call; 9 of the 121 rows a basis
+        # call of K_{-t} (75 inner nodes), 20-30 of the factor of K_t (rank
+        # 23-35), the last call of each ragged
         monkeypatch.setattr(rmt, "_EVAL_CHUNK", 700)
         prepare(tab, s)
         k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
@@ -676,12 +678,24 @@ class TestJointTableRows:
         h = rmt._head(process, s, offsets)
         assert (h < m) == (process == "airy2")
         offsets, rr = offsets[:h], rr[:h, :h]
+        if process == "airy2":
+            factor, inner = tab._sources
+            assert isinstance(factor, rmt._ChebyshevFactor) and inner is tab.kmt
+            assert 700 // factor.inner_size < s.size * h
         for k, sk in enumerate(s):
             x = sk + offsets
             assert np.array_equal(tab.eye_minus_a0[k], np.eye(h) - rr * k0.matrix(x, x))
             if process == "airy2":
-                assert np.array_equal(tab._bt[k], tab.kt.basis(x))
                 assert np.array_equal(tab._bmt[k], tab.kmt.basis(x))
+                # the interpolation weights are per-point bits; the product
+                # with the eigenvectors rounds with the BLAS blocking
+                head = x <= rmt._HEAD_CUT
+                assert np.array_equal(
+                    rmt._barycentric(tab._x.ravel(), factor._nodes, factor._weights)
+                    .reshape(s.size, h, -1)[k, head],
+                    rmt._barycentric(x[head], factor._nodes, factor._weights))
+                assert np.max(np.abs(tab._bt[k] - factor.basis(x))) <= \
+                    8 * UNIT_ROUNDOFF * np.max(np.abs(factor._vectors))
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_joint_inverts_only_the_pivot_block(self, process, monkeypatch):
@@ -728,30 +742,39 @@ class TestJointTableRows:
             table("airy1", 0.7, 16).prepare(s, eye, np.ones(len(s)), eye)
 
     def test_prepare_calls_basis_in_chunks(self, monkeypatch):
-        # O(n m n_inner / chunk) calls of at most one chunk of 8k points:
-        # not one call per threshold (slow) nor one per grid (peak memory)
-        tab = table("airy2", 1.0, 24)
+        # O(n m rank / chunk) calls of at most one chunk of 8k entries, of a
+        # factor or an inner rule (the Laplace K_{-0.5}): not one call per
+        # threshold (slow) nor one per grid (peak memory)
         sizes = []
-        basis = Airy2ProcessKernel.basis
 
-        def counting(kernel, xs):
-            sizes.append(np.size(xs) * kernel.inner_size)
-            return basis(kernel, xs)
+        def count(cls):
+            basis = cls.basis
 
-        monkeypatch.setattr(Airy2ProcessKernel, "basis", counting)
+            def counting(source, xs):
+                sizes.append(np.size(xs) * source.inner_size)
+                return basis(source, xs)
+            monkeypatch.setattr(cls, "basis", counting)
+
+        count(Airy2ProcessKernel)
+        count(rmt._ChebyshevFactor)
         n, m = 38, 24
-        prepare(tab, gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
-        points = n * m * (tab.kt.inner_size + tab.kmt.inner_size)
-        assert rmt._EVAL_CHUNK <= 1 << 13 and max(sizes) <= rmt._EVAL_CHUNK
-        assert len(sizes) <= points / rmt._EVAL_CHUNK + 4 < n
+        for t in (1.0, 0.5):
+            tab = table("airy2", t, m)
+            sizes.clear()
+            prepare(tab, gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
+            entries = n * tab._off.size * sum(src.inner_size for src in tab._sources)
+            assert sum(sizes) == entries
+            assert rmt._EVAL_CHUNK <= 1 << 13 and max(sizes) <= rmt._EVAL_CHUNK
+            assert len(sizes) <= entries / rmt._EVAL_CHUNK + 4 < n
 
     def test_prepare_takes_ai_points_for_a0_and_kept_basis_entries(self, monkeypatch):
         # every Ai point of a level's blocks and prepare goes through
         # kernels.airy_ai, where the benchmark's tracer counts it: n h for
         # I - A_0 on the head of h nodes (its near-diagonal pairs are exact
-        # diagonals here) and n h K basis points for each kernel of K inner
-        # nodes
-        tab = table("airy2", 1.0, 24)
+        # diagonals here), none for a factored kernel (K_1, K_{-1} and
+        # K_0.5), and n h K basis points for a kernel that keeps its inner
+        # rule of K nodes (the Laplace K_{-0.5})
+        tables = [table("airy2", t, 24) for t in (1.0, 0.5)]
         points = []
         airy_ai = kernels_module.airy_ai
 
@@ -761,11 +784,13 @@ class TestJointTableRows:
 
         monkeypatch.setattr(kernels_module, "airy_ai", counting)
         n, m = 38, 24
-        prepare(tab, gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
-        x = tab._x.ravel()
-        h = tab._off.size
-        assert x.size == n * h and h < m
-        assert sum(points) == n * h * (1 + tab.kt.inner_size + tab.kmt.inner_size)
+        for tab, inner in zip(tables, (0, tables[1].kmt.inner_size)):
+            points.clear()
+            prepare(tab, gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
+            x = tab._x.ravel()
+            h = tab._off.size
+            assert x.size == n * h and h < m
+            assert sum(points) == n * h * (1 + inner)
 
     def test_prepare_takes_given_blocks_bitwise(self):
         # a covariance level hands prepare the I - A_0 blocks of its kept
@@ -802,6 +827,58 @@ class TestJointTableRows:
         assert calls == [32]
 
 
+class TestChebyshevFactor:
+    """The low-rank factors of the Gaussian-free Airy(2) kernels on
+    [x_min, ``_HEAD_CUT``] (``rmt._chebyshev_factor``)."""
+
+    @pytest.mark.parametrize("x_min", [-10.0, -14.0, -20.0])
+    @pytest.mark.parametrize("t", [0.1, 0.5, 0.76, -0.76, 1.0, -1.0, 2.5, -2.5])
+    def test_matches_kernel(self, t, x_min):
+        # random pairs, not the probe grid the build checks
+        kernel = Airy2ProcessKernel(t, x_min=x_min)
+        factor = rmt._chebyshev_factor(kernel)
+        assert factor.inner_size < kernel.inner_size
+        x, y = np.random.default_rng(7).uniform(x_min, rmt._HEAD_CUT, (2, 2000))
+        got = np.sum(factor.basis(x) * factor.inner_weights * factor.basis(y), axis=1)
+        want = kernel.eval(x, y)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= rmt._FACTOR_TOL
+
+    def test_rows_beyond_the_head_cut_are_zero(self):
+        kt, kmt = (rmt._FACTORS[k] for k in
+                   rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0))
+        x = np.array([-10.0, rmt._HEAD_CUT, np.nextafter(rmt._HEAD_CUT, 30.0), 25.0, 1e3])
+        for factor in (kt, kmt):
+            rows = factor.basis(x)
+            assert rows.shape == (5, factor.inner_size)
+            assert np.all(np.any(rows[:2] != 0.0, axis=1)) and np.all(rows[2:] == 0.0)
+            with pytest.raises(ValueError, match="x_min"):
+                factor.basis([-10.5])
+
+    def test_laplace_branch_keeps_its_inner_rule(self):
+        # K_{-0.5} carries a Gaussian term; K_0.5 is factored
+        kernels = rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -10.0)
+        tab = _JointTable("airy2", 0.5, 16, 10.0, kernels)
+        assert isinstance(tab._sources[0], rmt._ChebyshevFactor)
+        assert tab._sources[1] is tab.kmt and tab.kmt not in rmt._FACTORS
+
+    def test_missed_cap_keeps_the_inner_rule(self, monkeypatch, fresh_caches):
+        # 64 Chebyshev points miss at x_min = -10, so with the cap there no
+        # kernel gets a factor and the table takes the kernels' bases
+        monkeypatch.setattr(rmt, "_FACTOR_MAX_NODES", rmt._FACTOR_FIRST_NODES)
+        try:
+            kernels = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)
+            assert all(rmt._chebyshev_factor(k) is None and k not in rmt._FACTORS
+                       for k in kernels)
+            tab = _JointTable("airy2", 1.0, 16, 10.0, kernels)
+            assert tab._sources == kernels
+            s1, s2 = -1.0, 0.5
+            assert abs(tab.joint(s1, s2).value
+                       - block_system_joint("airy2", 1.0, s1, s2, 16).value) <= 1e-14
+        finally:
+            # no later test may take this unfactored pair from the cache
+            rmt._airy2_kernels.cache_clear()
+
+
 class TestCaches:
     """The covariance levels (``rmt._level``) and Airy(2) kernel pairs
     (``rmt._airy2_kernels``) built once per process and shared by every t."""
@@ -825,7 +902,9 @@ class TestCaches:
         arrays = [level.outer.nodes, level.outer.weights, level.marg, level.bounds,
                   level.keep, level.eye_minus_a0, level.inverses, level.cumulative]
         for kernel in rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0):
-            arrays += [kernel._xi, kernel._q]
+            factor = rmt._FACTORS[kernel]
+            arrays += [kernel._xi, kernel._q, factor._nodes, factor._weights,
+                       factor._vectors, factor.inner_weights]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -845,6 +924,26 @@ class TestCaches:
         cov_grid("airy2", [0.0, 1.0])
         used = max(cov_airy2(t, full_output=True)[2] for t in (0.0, 1.0))
         assert calls == [n for _, n in rmt._COV_LEVELS["airy2"][:used]]
+
+    def test_factors_built_once_per_cached_pair(self, monkeypatch, fresh_caches):
+        # both kernels at t = 1, only K_t at t = 0.5 (K_{-0.5} has a
+        # Gaussian term), and none for a pair whose build warned
+        built = []
+        build = rmt._chebyshev_factor
+
+        def counting(kernel):
+            built.append(kernel.t)
+            return build(kernel)
+
+        monkeypatch.setattr(rmt, "_chebyshev_factor", counting)
+        for _ in range(2):
+            cov_airy2(1.0)
+            airy2_joint(1.0, -1.0, 0.5, 16)
+            airy2_joint(0.5, -1.0, 0.5, 16)
+        assert built == [1.0, -1.0, 0.5]
+        with pytest.warns(RuntimeWarning, match="achieved_tol"):
+            rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -18.0)
+        assert len(built) == 3
 
     def test_kernels_shared_by_effective_x_min(self, fresh_caches):
         # Airy2ProcessKernel lowers x_min to -10, so the key does too

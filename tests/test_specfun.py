@@ -230,6 +230,15 @@ class TestOneEvaluator:
         ref = np.array([_mp_airy(v, scaled=True) for v in x])
         assert np.max(np.abs(airy_ai_scaled(x) / ref - 1.0)) <= 1e-14
 
+    def test_decaying_series_shortens_at_30(self):
+        # 22 terms below 30, 10 from there on: the first left out,
+        # u_10 / zeta^10, is 2.2e-19 at 30
+        assert specfun._FAR == 30.0 and specfun._FAR_TERMS == 10
+        for x in (np.nextafter(30.0, 0.0), 30.0):
+            for deriv in (0, 1):
+                ref = _mp_airy(x, deriv, scaled=True)
+                assert abs(specfun._airy(x, deriv, scaled=True) / ref - 1.0) <= 1e-15
+
     def test_neighbouring_panels_agree_at_their_seam(self):
         # the panels about c and c + 1/16 meet at c + 1/32, where both are
         # used: agreement there checks the seeds of both walks, down from
