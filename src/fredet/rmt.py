@@ -38,11 +38,11 @@ ridge has no low rank, keeps its inner rule.
 
 What does not depend on t is built once per process and shared by every
 t and call: a covariance level's outer rule, marginals, kept thresholds,
-I - A_0 blocks and their inverses (``_level``, keyed on (process, m,
-n_outer, box, scale)), and the Airy(2) kernel pair K_t, K_{-t} with its
-inner rules and factors (``_airy2_kernels``, keyed on (t, inner
-tolerance, effective x_min)), unless its build warned.  Cached arrays are
-read-only, and a warm call returns the bits of a cold one.
+I - A_0 blocks, inverses and interpolation matrices (``_level``, keyed on
+(process, m, n_outer, box, scale)), and the Airy(2) kernel pair K_t,
+K_{-t} with its inner rules and factors (``_airy2_kernels``, keyed on (t,
+inner tolerance, effective x_min)), unless its build warned.  Cached
+arrays are read-only, and a warm call returns the bits of a cold one.
 """
 
 from __future__ import annotations
@@ -251,13 +251,14 @@ def _airy2_kernels(t: float, inner_tol: float, x_min: float):
 _FACTORS = weakref.WeakKeyDictionary()
 
 
-#: Kernel entries, or basis entries (rows times inner size: Ai points of
-#: an inner rule, interpolated terms of a factor), per evaluation call when
-#: a level builds its per-threshold data (``_eye_minus_a0``,
-#: ``_JointTable.prepare``).  One call per threshold pays per-call
-#: overhead, one per grid raises peak memory: on cov-airy2, 16k points put
-#: peak RSS ~0.3 MB above per-threshold calls and 8k ~0.1 MB below;
-#: whole-grid I - A_0 for Airy(1) took cov-airy1 1.7 MB above.
+#: Kernel entries, basis entries (rows times inner size) or interpolation
+#: entries (rows times Chebyshev points) per evaluation call when a level
+#: builds its per-threshold data (``_eye_minus_a0``, ``_interpolation``,
+#: ``_JointTable.prepare``), and Schur-complement entries per LU call of
+#: the joint rows (``_JointTable._dets``).  One call per threshold pays
+#: per-call overhead, one per grid raises peak memory: on cov-airy2, 16k
+#: points put peak RSS ~0.3 MB above per-threshold calls and 8k ~0.1 MB
+#: below; whole-grid I - A_0 for Airy(1) took cov-airy1 1.7 MB above.
 _EVAL_CHUNK = 1 << 13
 
 
@@ -307,9 +308,9 @@ _FACTOR_CUT = 1e-16
 class _ChebyshevFactor:
     """K(x, y) = sum_k lambda_k v_k(x) v_k(y) on [x_min, ``_HEAD_CUT``]^2
     for an analytic, symmetric Airy(2) kernel K without a Gaussian term: the
-    kept eigenpairs of K sampled on N Chebyshev points, each v_k the
-    barycentric interpolant of its eigenvector (Berrut & Trefethen, SIAM
-    Review 46, 2004), which is stable on Chebyshev points.
+    kept eigenpairs of K sampled on N = ``points`` Chebyshev points, each
+    v_k the barycentric interpolant of its eigenvector (Berrut & Trefethen,
+    SIAM Review 46, 2004), which is stable on Chebyshev points.
 
     It stands in for the kernel in ``_JointTable``: ``basis`` gives the
     v_k at the nodes, ``inner_weights`` the lambda_k and ``inner_size`` the
@@ -319,29 +320,22 @@ class _ChebyshevFactor:
     column of a joint system (``_head``).  ``basis`` raises ValueError
     below x_min, as the kernel's does.  The arrays are read-only."""
 
-    def __init__(self, x_min: float, nodes, weights, vectors, values):
+    def __init__(self, x_min: float, vectors, values):
         self.x_min = x_min
-        self._nodes, self._weights = _frozen(nodes), _frozen(weights)
+        self.points = vectors.shape[0]
         self._vectors = _frozen(vectors)
         self.inner_weights = _frozen(values)
         self.inner_size = values.size
 
-    def basis(self, xs) -> np.ndarray:
-        """v_k(xs[..., i]) for every kept term k, 0 past ``_HEAD_CUT``."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.size and np.min(xs) < self.x_min:
-            raise ValueError(f"factor is built for arguments >= x_min={self.x_min:g}, "
-                             f"got {np.min(xs):g}")
-        x = xs.ravel()
-        inside = x <= _HEAD_CUT
+    def basis(self, xs, interpolation=None) -> np.ndarray:
+        """v_k(xs[..., i]) for every kept term k, 0 past ``_HEAD_CUT``, from
+        the given ``_interpolation`` matrix of xs or else a new one."""
+        x = np.asarray(xs, dtype=float).ravel()
+        if interpolation is None:
+            interpolation = _interpolation(x, self.x_min, self.points)
         out = np.zeros((x.size, self.inner_size))
-        out[inside] = _barycentric(x[inside], self._nodes, self._weights) @ self._vectors
-        return out.reshape(*xs.shape, self.inner_size)
-
-    @staticmethod
-    def gaussian_part(xs, ys):
-        """0: a factored kernel has no Gaussian term."""
-        return 0.0
+        out[x <= _HEAD_CUT] = interpolation @ self._vectors
+        return out.reshape(*np.shape(xs), self.inner_size)
 
 
 def _chebyshev_points(a: float, b: float, n: int):
@@ -367,6 +361,21 @@ def _barycentric(x, nodes, weights) -> np.ndarray:
     on_node = np.any(hit, axis=1)
     c[on_node] = hit[on_node]
     return c
+
+
+def _interpolation(x, x_min: float, n: int) -> np.ndarray:
+    """The ``_barycentric`` matrix from the n Chebyshev points on [x_min,
+    ``_HEAD_CUT``] to the points of the 1-d x at or below ``_HEAD_CUT``, in
+    calls of at most ``_EVAL_CHUNK`` entries; read-only.  Every factor of
+    N = n points on [x_min, ``_HEAD_CUT``] shares it.  Raises ValueError
+    below x_min."""
+    if x.size and np.min(x) < x_min:
+        raise ValueError(f"factor is built for arguments >= x_min={x_min:g}, got {np.min(x):g}")
+    x, (nodes, weights) = x[x <= _HEAD_CUT], _chebyshev_points(x_min, _HEAD_CUT, n)
+    out, step = np.empty((x.size, n)), max(1, _EVAL_CHUNK // n)
+    for lo in range(0, x.size, step):
+        out[lo:lo + step] = _barycentric(x[lo:lo + step], nodes, weights)
+    return _frozen(out)
 
 
 def _basis_rows(source, x) -> np.ndarray:
@@ -402,11 +411,10 @@ def _chebyshev_factor(kernel):
     want = _sampled(kernel, probes)
     n = _FACTOR_FIRST_NODES
     while n <= _FACTOR_MAX_NODES:
-        nodes, weights = _chebyshev_points(kernel.x_min, _HEAD_CUT, n)
+        nodes, _ = _chebyshev_points(kernel.x_min, _HEAD_CUT, n)
         values, vectors = np.linalg.eigh(_sampled(kernel, nodes))
         kept = np.abs(values) > _FACTOR_CUT * np.max(np.abs(values))
-        factor = _ChebyshevFactor(kernel.x_min, nodes, weights,
-                                  vectors[:, kept], values[kept])
+        factor = _ChebyshevFactor(kernel.x_min, vectors[:, kept], values[kept])
         got = _sampled(factor, probes)
         if np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= _FACTOR_TOL:
             return factor
@@ -590,28 +598,25 @@ class _JointTable:
     ``prepare`` caches per threshold s the given M = I - A_0 on the head of
     the grid (``_head``: the same h nodes at every threshold), det(M) and
     M^-1, and, for Airy(2), the bases of K_t and K_{-t} at its nodes,
-    filled by ``basis`` calls of at most ``_EVAL_CHUNK`` entries: from a
-    kernel's ``_ChebyshevFactor`` where it has one (``_FACTORS``), else
-    from its inner rule (the Laplace-branch K_{-t}).  Both read as
-    ``basis``, ``inner_weights``, ``inner_size`` and ``gaussian_part``, so
-    one code path serves either.  A covariance level hands it every M^-1
-    (``_Level.inverses``, one inversion per process for every t); a single
-    joint inverts only its pivot.  ``row`` forms the off-diagonal blocks of
-    the pairs (s_i, s_j), j >= i, with one matrix product per kernel
-    (Airy(2)) or one shared Airy evaluation (Airy(1),
-    ``Airy1ProcessKernel.shifted_pairs``), and takes
-    each joint as det(M_j) det(M_i - A_ij M_j^-1 A_ji): the grid ascends,
-    so every pair pivots on its larger threshold s_j (the better-conditioned
-    block), in stacked products and LAPACK LU calls of at most ``CHUNK``
-    pairs.
+    weighted in place by the tan map's r = sqrt(w phi'): U = r B.  A
+    kernel's ``_ChebyshevFactor`` (``_FACTORS``) takes B from the grid's
+    ``_interpolation`` matrix; the Laplace-branch K_{-t} from its inner
+    rule, in ``basis`` calls of at most ``_EVAL_CHUNK`` entries.  A
+    covariance level hands it every M^-1 and its interpolation matrices
+    (``_Level``, shared by every t); a single joint inverts only its pivot.
+    ``_dets``, the one row routine of ``grid`` and ``joint``, forms the
+    off-diagonal blocks of the pairs (s_i, s_j), j >= i, with one matrix
+    product per kernel (Airy(2), ``_blocks``) or one shared Airy evaluation
+    (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), and takes each joint
+    as det(M_j) det(M_i - A_ij M_j^-1 A_ji): the grid ascends, so every pair
+    pivots on its larger threshold s_j (the better-conditioned block).  The
+    Schur complements of all rows fill one stack, which LAPACK LU takes
+    ``_EVAL_CHUNK`` entries at a time.
     The Schur complement is unchanged by the exact similarity
     A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, so rows need no balancing.
     ``grid`` mirrors the rows by time reversal, P(s_i, s_j) = P(s_j, s_i),
     and ``joint`` orders its pair by it.
     """
-
-    #: Pairs per stacked determinant call; 32 ran 3-8% faster than 16 for +0.6 MB RSS.
-    CHUNK = 32
 
     def __init__(self, process: str, t: float, m: int, scale: float, kernels):
         if not t > 0.0:
@@ -624,13 +629,18 @@ class _JointTable:
         self.kt, self.kmt = kernels
         # each Airy(2) kernel's factor where it has one, else the kernel
         self._sources = tuple(_FACTORS.get(k, k) for k in kernels)
+        # K_t, t > 0, is symmetric with no Gaussian term (``_blocks``); of
+        # the Airy(2) K_{-t}, the Laplace branch has one
+        assert getattr(self.kt, "_mode", "decay") == "decay"
+        self._ridge = getattr(self.kmt, "_mode", None) == "laplace"
 
-    def prepare(self, svals, eye_minus_a0, marginals, inverses) -> None:
+    def prepare(self, svals, eye_minus_a0, marginals, inverses, interpolations) -> None:
         """Cache the per-threshold data of the ascending grid ``svals``,
         replacing any earlier grid, with its I - A_0 blocks ``eye_minus_a0``
         on the grid's head (``_head``), their determinants ``marginals`` and
-        their ``inverses``.  Raises ValueError on a grid that does not
-        ascend."""
+        their ``inverses``; the dict ``interpolations`` of the head nodes'
+        ``_interpolation`` matrices by (x_min, N) gains those it lacks.
+        Raises ValueError on a grid that does not ascend."""
         svals = np.asarray(svals, dtype=float)
         if not np.all(np.diff(svals) >= 0.0):
             raise ValueError("joint table thresholds must ascend")
@@ -642,55 +652,66 @@ class _JointTable:
         self._det = np.asarray(marginals, dtype=float)
         self._inv = inverses
         if self.process == "airy2":
-            # stacked (n, h, inner size)
-            self._bt, self._bmt = (
-                _basis_rows(src, self._x.ravel()).reshape(*self._x.shape, src.inner_size)
-                for src in self._sources)
-
-    def row(self, i: int) -> np.ndarray:
-        """Joints at the prepared thresholds (s_i, s_j) for j >= i."""
-        n = self._s.size
-        return np.concatenate([self._dets(i, lo, min(lo + self.CHUNK, n))
-                               for lo in range(i, n, self.CHUNK)])
+            # U[i, p] = r_p B(x_ip), stacked (n, h, inner size); sqrt(fl(r^2)) is r
+            x, r, self._u = self._x.ravel(), np.sqrt(np.diagonal(self._rr))[:, None], []
+            for src in self._sources:
+                if isinstance(src, _ChebyshevFactor):
+                    key = src.x_min, src.points
+                    if key not in interpolations:
+                        interpolations[key] = _interpolation(x, *key)
+                    u = src.basis(x, interpolations[key])
+                else:
+                    u = _basis_rows(src, x)
+                self._u.append(u.reshape(*self._x.shape, -1))
+                self._u[-1] *= r
 
     def grid(self) -> np.ndarray:
         """All joints of the prepared thresholds: the rows j >= i, mirrored
         below the diagonal."""
         n = self._s.size
         joint = np.zeros((n, n))
-        for i in range(n):
-            joint[i, i:] = self.row(i)
+        joint[np.triu_indices(n)] = self._dets([(i, i, n) for i in range(n)])
         return joint + np.triu(joint, 1).T
 
     def _blocks(self, i: int, lo: int, hi: int):
         """The off-diagonal blocks A_ij and A_ji of the systems I - A of the
         pairs (s_i, s_j), lo <= j < hi, each stacked (hi - lo, h, h)."""
-        h, c = self._off.size, hi - lo
-        x1, x2 = self._x[i], self._x[lo:hi]
-        if self.process == "airy2":
-            # b12[j, p, q] = K_t(x1_p, x2_jq), b21[j, q, p] = K_{-t}(x2_jq, x1_p)
-            st, smt = self._sources
-            bt2 = self._bt[lo:hi].reshape(c * h, st.inner_size)
-            b12 = ((self._bt[i] * st.inner_weights) @ bt2.T).reshape(h, c, h)
-            b12 = b12.transpose(1, 0, 2) - st.gaussian_part(
-                x1[None, :, None], x2[:, None, :])
-            bmt2 = self._bmt[lo:hi].reshape(c * h, smt.inner_size)
-            b21 = (bmt2 @ (self._bmt[i] * smt.inner_weights).T).reshape(c, h, h)
-            b21 = b21 - smt.gaussian_part(x2[:, :, None], x1[None, None, :])
-        else:
-            # same layout; the shared Airy factor is symmetric in (p, q)
+        if self.process == "airy1":
+            # [j, p, q] = K_t(x_ip, x_jq) and K_{-t}(x_jq, x_ip)
             b12, bwd = self.kt.shifted_pairs(self._s[i], self._s[lo:hi], self._off)
-            b21 = bwd.transpose(0, 2, 1)
-        return self._rr * b12, self._rr * b21
+            return self._rr * b12, self._rr * bwd.transpose(0, 2, 1)
+        # [j, q, p] = r_q K(x_jq, x_ip) r_p, one product per kernel
+        h, c = self._off.size, hi - lo
+        a_ij, a_ji = ((u[lo:hi].reshape(c * h, -1) @ (u[i] * src.inner_weights).T)
+                      .reshape(c, h, h) for u, src in zip(self._u, self._sources))
+        if self._ridge:
+            a_ji -= self._rr * self.kmt.gaussian_part(self._x[lo:hi, :, None], self._x[i])
+        # K_t is symmetric: its stack's per-pair transpose is A_ij
+        return a_ij.transpose(0, 2, 1), a_ji
 
-    def _dets(self, i: int, lo: int, hi: int, blocks=None) -> np.ndarray:
+    def _dets(self, rows, blocks=None) -> np.ndarray:
         """det(M_j) det(M_i - A_ij M_j^-1 A_ji) of the pairs (s_i, s_j),
-        i <= lo <= j < hi, from ``blocks`` (A_ij, A_ji) or else ``_blocks``:
-        each pair pivots on its larger threshold s_j."""
-        a_ij, a_ji = blocks or self._blocks(i, lo, hi)
-        # A_ij M_j^-1 first: the other order erred 200x more at Airy(1), t = 2.5, m = 20
-        schur = self.eye_minus_a0[i] - a_ij @ self._inv[lo:hi] @ a_ji
-        return self._det[lo:hi] * det_lu(schur)
+        lo <= j < hi, of each row segment (i, lo, hi), i <= lo, in order,
+        each pivoting on its larger threshold s_j, from the segment's blocks
+        ``blocks(i, lo, hi)`` or else ``_blocks``, in Schur-complement stacks
+        of ``_EVAL_CHUNK`` entries (at least one pair) that span rows."""
+        h, left = self._off.size, sum(hi - lo for _, lo, hi in rows)
+        step = min(max(1, _EVAL_CHUNK // (h * h)), left)
+        schur, det, out, k = np.empty((step, h, h)), np.empty(step), [], 0
+        for i, lo, hi in rows:
+            a_ij, a_ji = (blocks or self._blocks)(i, lo, hi)
+            while lo < hi:
+                c = min(hi - lo, step - k)
+                # A_ij M_j^-1 first: the other order erred 200x more at Airy(1), t = 2.5, m = 20
+                np.subtract(self.eye_minus_a0[i], a_ij[:c] @ self._inv[lo:lo + c] @ a_ji[:c],
+                            out=schur[k:k + c])
+                det[k:k + c] = self._det[lo:lo + c]
+                a_ij, a_ji, lo, k, left = a_ij[c:], a_ji[c:], lo + c, k + c, left - c
+                if k == step or not left:
+                    out.append(det[:k] * det_lu(schur[:k]))
+                    k = 0
+            del a_ij, a_ji  # before the next row's blocks
+        return np.concatenate(out)
 
     def joint(self, s1: float, s2: float) -> DistributionPoint:
         """The joint at one pair, prepared as the grid (min, max): time
@@ -711,11 +732,11 @@ class _JointTable:
         f1, f2 = _marginal_points(self.process, pair, self.m, self.scale, (blocks, norms))
         inverses = np.full_like(blocks, np.nan)
         inverses[1] = np.linalg.inv(blocks[1])
-        self.prepare(pair, blocks, [f1.value, f2.value], inverses)
+        self.prepare(pair, blocks, [f1.value, f2.value], inverses, {})
         a12, a21 = self._blocks(0, 1, 2)
         norm = math.sqrt(norms @ norms + 2.0 * frobenius_norm(a12) * frobenius_norm(a21))
-        point = _det_point(self.t, DetResult(float(self._dets(0, 1, 2, (a12, a21))[0]),
-                                             2 * self.m, roundoff_bound(2 * self.m, norm)))
+        value = float(self._dets([(0, 1, 2)], lambda *_: (a12, a21))[0])
+        point = _det_point(self.t, DetResult(value, 2 * self.m, roundoff_bound(2 * self.m, norm)))
         # each value also rounds by ~u |value|, which its roundoff bound (a
         # backward error of the matrix) leaves out: near 1 that dominates
         slack = sum(p.est_error + DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF * abs(p.value)
@@ -770,8 +791,9 @@ class _Level:
     * ``eye_minus_a0``: I - A_0 at the kept thresholds, on their own head
       (the dropped thresholds' blocks are not held);
     * built on first use: ``inverses`` of those blocks (the pivots of
-      every joint, t > 0) and ``cumulative``, the ``_legendre_cumulative``
-      matrix of the outer rule (t = 0).
+      every joint, t > 0), ``interpolations``, a dict of that head's
+      ``_interpolation`` matrices by (x_min, N) (``_JointTable.prepare``),
+      and ``cumulative``, the ``_legendre_cumulative`` matrix (t = 0).
 
     Every array is read-only."""
 
@@ -786,6 +808,7 @@ class _Level:
         self.keep = _frozen(_tail_drop(self.marg, self.bounds, self.outer.weights)[0])
         h = _head(process, self.outer.nodes[self.keep], offsets)
         self.eye_minus_a0 = _frozen(blocks[self.keep, :h, :h])
+        self.interpolations = {}
 
     @cached_property
     def inverses(self) -> np.ndarray:
@@ -800,8 +823,9 @@ class _Level:
 def _level(process: str, m: int, n_outer: int, box: tuple[float, float],
            scale: float) -> _Level:
     """The ``_Level`` at (process, m, n_outer, box, scale), built once: the
-    nine default levels of both processes, with their inverses and
-    cumulative matrices, hold 6.6 MB of arrays."""
+    nine default levels of both processes, with their inverses, cumulative
+    matrices and one interpolation matrix per Airy(2) level (4.4 MB, at
+    x_min = -10 and N = 128), hold 11.0 MB of arrays."""
     return _Level(process, m, n_outer, box, scale)
 
 
@@ -833,7 +857,8 @@ def _cov_positive(process: str, t: float, m: int, n_outer: int,
     level = _level(process, m, n_outer, box, scale)
     w, f = level.outer.weights[level.keep], level.marg[level.keep]
     table = _JointTable(process, t, m, scale, kernels)
-    table.prepare(level.outer.nodes[level.keep], level.eye_minus_a0, f, level.inverses)
+    table.prepare(level.outer.nodes[level.keep], level.eye_minus_a0, f, level.inverses,
+                  level.interpolations)
     return float(w @ (table.grid() - np.outer(f, f)) @ w)
 
 

@@ -72,10 +72,13 @@ def table(process, t, m, x_min=rmt.DEFAULT_BOX[0]):
 
 def prepare(tab, s):
     """``tab.prepare`` on the ascending grid ``s``, with the I - A_0 blocks,
-    marginals and inverses a covariance level would hand it."""
+    marginals and inverses a covariance level would hand it, and an empty
+    dict of interpolation matrices, which it returns as prepare filled it."""
     blocks, norms = rmt._eye_minus_a0(tab.process, s, *rmt._tan_map(tab.m, tab.scale))
     points = rmt._marginal_points(tab.process, s, tab.m, tab.scale, (blocks, norms))
-    tab.prepare(s, blocks, [p.value for p in points], np.linalg.inv(blocks))
+    interpolations = {}
+    tab.prepare(s, blocks, [p.value for p in points], np.linalg.inv(blocks), interpolations)
+    return interpolations
 
 
 def two_sided_grid(tab):
@@ -595,13 +598,15 @@ class TestJointTableRows:
         pytest.param("airy2", -0.5, None, id="airy2--0.5"),
         pytest.param("airy1", 1.0, None, id="airy1-1.0"),
         pytest.param("airy1", -1.0, None, id="airy1--1.0"),
-        # full, undropped outer grids of ladder levels, every row
+        # full, undropped outer grids of ladder levels, every row; at
+        # t = 0.5 the Laplace-branch K_{-t} brings its Gaussian term
         pytest.param("airy2", 1.0, 1, id="airy2-1.0-level1"),
+        pytest.param("airy2", 0.5, 0, id="airy2-0.5-level0"),
         pytest.param("airy1", 0.5, 0, id="airy1-0.5-level0"),
     ])
-    def test_row_matches_per_pair_joint(self, process, t, level, cov_kernels):
+    def test_row_matches_per_pair_joint(self, process, t, level, cov_kernels, monkeypatch):
         # rows against the per-pair system path, or on a level's grid
-        # against the balanced systems of order 2m, each by LU
+        # against the balanced systems of order 2h, each by LU
         if level is None:
             s, m = np.array([-3.0, -1.2, 0.0, 0.7, 2.5]), 20
             kernels = rmt._process_kernels(process, abs(t), rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
@@ -611,9 +616,11 @@ class TestJointTableRows:
             s, kernels = gauss_legendre(*box, n).nodes, cov_kernels(process, t)
         tab = _JointTable(process, abs(t), m, 10.0, kernels)
         prepare(tab, s)
-        tab.CHUNK = 2  # a row spans several stacked calls
+        # two pairs an LU call: a row spans several calls, and a call two rows
+        monkeypatch.setattr(rmt, "_EVAL_CHUNK", 3 * tab._off.size ** 2 - 1)
+        grid = tab.grid()
         for i in ((0, 2) if level is None else range(s.size)):
-            row = tab.row(i)
+            row = grid[i, i:]
             if level is None:
                 ref = [block_system_joint(process, t, s[i], s2, m).value for s2 in s[i:]]
             else:
@@ -628,7 +635,7 @@ class TestJointTableRows:
         s = gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes
         tab = table(process, 0.7, 16)
         prepare(tab, s)
-        rows = [tab.row(i) for i in range(s.size)]
+        rows = tab.grid()
         blocks = tab._blocks
 
         def scaled(i, lo, hi):
@@ -636,8 +643,7 @@ class TestJointTableRows:
             return a12 * 2.0 ** k, a21 * 2.0 ** -k
 
         monkeypatch.setattr(tab, "_blocks", scaled)
-        for i in range(s.size):
-            assert np.array_equal(tab.row(i), rows[i])
+        assert np.array_equal(tab.grid(), rows)
 
     @pytest.mark.parametrize("process,t,s1,s2,m", [
         ("airy2", 1.0, -1.0, 0.5, 16),
@@ -661,41 +667,101 @@ class TestJointTableRows:
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_batched_blocks_equal_per_threshold(self, process, monkeypatch):
-        # stacked kernel-matrix calls for I - A_0 and chunked bases give
-        # the bits of the per-threshold evaluations.  At t = 0.7 the Airy(2)
-        # K_t is factored and K_{-t} keeps its inner rule (Laplace branch).
+        # stacked kernel-matrix calls for I - A_0, chunked bases and the
+        # grid's interpolation matrix give the bits of the per-threshold
+        # evaluations.  At t = 0.7 the Airy(2) K_t is factored and K_{-t}
+        # keeps its inner rule (Laplace branch).
         m = 16
         s = gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes
         tab = table(process, 0.7, m)
-        # 2 of the 11 thresholds a matrix call; 9 of the 121 rows a basis
-        # call of K_{-t} (75 inner nodes), 20-30 of the factor of K_t (rank
-        # 23-35), the last call of each ragged
+        # 2 of the 11 thresholds a matrix call; 9 of the 121 nodes a basis
+        # call of K_{-t} (75 inner nodes), 5 an interpolation call of the
+        # factor of K_t (128 points), the last call of each ragged
         monkeypatch.setattr(rmt, "_EVAL_CHUNK", 700)
-        prepare(tab, s)
+        interpolations = prepare(tab, s)
         k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
         offsets, rr = rmt._tan_map(m, 10.0)
         # the head of the grid: every node for Airy(1)
         h = rmt._head(process, s, offsets)
         assert (h < m) == (process == "airy2")
         offsets, rr = offsets[:h], rr[:h, :h]
+        r = np.sqrt(np.diag(rr))[:, None]
         if process == "airy2":
             factor, inner = tab._sources
             assert isinstance(factor, rmt._ChebyshevFactor) and inner is tab.kmt
-            assert 700 // factor.inner_size < s.size * h
+            key = factor.x_min, factor.points
+            # the grid's interpolation rows, put back per threshold
+            rows = np.zeros((s.size * h, factor.points))
+            inside = tab._x.ravel() <= rmt._HEAD_CUT
+            assert 700 // factor.points < np.sum(inside)
+            rows[inside] = interpolations[key]
+            rows = rows.reshape(s.size, h, -1)
         for k, sk in enumerate(s):
             x = sk + offsets
             assert np.array_equal(tab.eye_minus_a0[k], np.eye(h) - rr * k0.matrix(x, x))
             if process == "airy2":
-                assert np.array_equal(tab._bmt[k], tab.kmt.basis(x))
+                # weighted in place: U = r B
+                assert np.array_equal(tab._u[1][k], r * tab.kmt.basis(x))
                 # the interpolation weights are per-point bits; the product
                 # with the eigenvectors rounds with the BLAS blocking
                 head = x <= rmt._HEAD_CUT
-                assert np.array_equal(
-                    rmt._barycentric(tab._x.ravel(), factor._nodes, factor._weights)
-                    .reshape(s.size, h, -1)[k, head],
-                    rmt._barycentric(x[head], factor._nodes, factor._weights))
-                assert np.max(np.abs(tab._bt[k] - factor.basis(x))) <= \
-                    8 * UNIT_ROUNDOFF * np.max(np.abs(factor._vectors))
+                assert np.array_equal(rows[k, head], rmt._interpolation(x, *key))
+                assert np.max(np.abs(tab._u[0][k] - r * factor.basis(x))) <= \
+                    8 * UNIT_ROUNDOFF * np.max(r) * np.max(np.abs(factor._vectors))
+
+    @pytest.mark.parametrize("process,level", [("airy2", 1), ("airy1", 0)])
+    @pytest.mark.parametrize("chunk", [None, 100])
+    def test_grid_lu_calls_are_bounded(self, process, level, chunk, cov_kernels,
+                                       monkeypatch):
+        # the Schur complements of all rows share one stack, and each LU
+        # call takes at most _EVAL_CHUNK entries of it (default), or one
+        # pair where a pair alone has more (chunk = 100 < h^2); every call
+        # but the last is full, so the count is O(entries / _EVAL_CHUNK)
+        m, n = rmt._COV_LEVELS[process][level]
+        box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
+        tab = _JointTable(process, 1.0, m, 10.0, cov_kernels(process, 1.0))
+        prepare(tab, gauss_legendre(*box, n).nodes)
+        if chunk is not None:
+            monkeypatch.setattr(rmt, "_EVAL_CHUNK", chunk)
+        stacks = []
+        det_lu = rmt.det_lu
+
+        def counting(a):
+            stacks.append(a.shape)
+            return det_lu(a)
+
+        monkeypatch.setattr(rmt, "det_lu", counting)
+        tab.grid()
+        h = tab._off.size
+        pairs, per_call = n * (n + 1) // 2, max(1, rmt._EVAL_CHUNK // (h * h))
+        assert (per_call == 1) == (chunk is not None)
+        assert all(shape[1:] == (h, h) for shape in stacks)
+        assert sum(shape[0] for shape in stacks) == pairs
+        assert all(shape[0] == per_call for shape in stacks[:-1])
+        assert len(stacks) == -(-pairs // per_call)
+        if chunk is None:
+            assert 1 < len(stacks) <= 2 * pairs * h * h / rmt._EVAL_CHUNK + 1
+
+    @pytest.mark.parametrize("process", ["airy2", "airy1"])
+    def test_grid_and_joint_share_the_row_routine(self, process, monkeypatch):
+        # a covariance level and a single joint, each one call of _dets
+        calls = []
+        dets = _JointTable._dets
+
+        def counting(tab, rows, *args):
+            calls.append(list(rows))
+            return dets(tab, rows, *args)
+
+        monkeypatch.setattr(_JointTable, "_dets", counting)
+        m, n = 16, 9
+        box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
+        kernels = rmt._process_kernels(process, 0.7, rmt._INNER_TOL, box[0])
+        rmt._cov_positive(process, 0.7, m, n, box, 10.0, kernels)
+        k = int(np.sum(rmt._level(process, m, n, box, 10.0).keep))
+        assert calls == [[(i, i, k) for i in range(k)]]
+        calls.clear()
+        point = rmt._joint_point(process, -0.7, 0.5, -1.0, m, 10.0)
+        assert calls == [[(0, 1, 2)]] and point.parameter == -0.7
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_joint_inverts_only_the_pivot_block(self, process, monkeypatch):
@@ -739,30 +805,40 @@ class TestJointTableRows:
         # every pair pivots on its larger threshold s_j, j >= i
         eye = np.eye(16) + np.zeros((len(s), 1, 1))
         with pytest.raises(ValueError, match="ascend"):
-            table("airy1", 0.7, 16).prepare(s, eye, np.ones(len(s)), eye)
+            table("airy1", 0.7, 16).prepare(s, eye, np.ones(len(s)), eye, None)
 
     def test_prepare_calls_basis_in_chunks(self, monkeypatch):
-        # O(n m rank / chunk) calls of at most one chunk of 8k entries, of a
-        # factor or an inner rule (the Laplace K_{-0.5}): not one call per
+        # O(n h (K + N) / chunk) calls of at most one chunk of 8k entries,
+        # of an inner rule of K nodes (the Laplace K_{-0.5}) or of the
+        # interpolation onto N Chebyshev points (at the nodes left of the
+        # cut), which the factors of one (x_min, N) share: not one call per
         # threshold (slow) nor one per grid (peak memory)
         sizes = []
+        basis, barycentric = Airy2ProcessKernel.basis, rmt._barycentric
 
-        def count(cls):
-            basis = cls.basis
+        def counting_basis(kernel, xs):
+            sizes.append(np.size(xs) * kernel.inner_size)
+            return basis(kernel, xs)
 
-            def counting(source, xs):
-                sizes.append(np.size(xs) * source.inner_size)
-                return basis(source, xs)
-            monkeypatch.setattr(cls, "basis", counting)
+        def counting_barycentric(x, nodes, weights):
+            sizes.append(x.size * nodes.size)
+            return barycentric(x, nodes, weights)
 
-        count(Airy2ProcessKernel)
-        count(rmt._ChebyshevFactor)
+        monkeypatch.setattr(Airy2ProcessKernel, "basis", counting_basis)
+        monkeypatch.setattr(rmt, "_barycentric", counting_barycentric)
         n, m = 38, 24
         for t in (1.0, 0.5):
             tab = table("airy2", t, m)
             sizes.clear()
             prepare(tab, gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
-            entries = n * tab._off.size * sum(src.inner_size for src in tab._sources)
+            x = tab._x.ravel()
+            factors = [src for src in tab._sources if isinstance(src, rmt._ChebyshevFactor)]
+            keys = {(f.x_min, f.points) for f in factors}
+            # K_1 and K_{-1} share one matrix (N = 128 both)
+            assert len(factors) == (2 if t == 1.0 else 1) and len(keys) == 1
+            entries = (np.sum(x <= rmt._HEAD_CUT) * sum(points for _, points in keys)
+                       + x.size * sum(src.inner_size for src in tab._sources
+                                      if src not in factors))
             assert sum(sizes) == entries
             assert rmt._EVAL_CHUNK <= 1 << 13 and max(sizes) <= rmt._EVAL_CHUNK
             assert len(sizes) <= entries / rmt._EVAL_CHUNK + 4 < n
@@ -807,7 +883,7 @@ class TestJointTableRows:
         assert h < blocks.shape[-1]
         kept = blocks[keep, :h, :h]
         tab = table("airy2", 0.7, m)
-        tab.prepare(s[keep], kept, np.ones(np.sum(keep)), np.linalg.inv(kept))
+        tab.prepare(s[keep], kept, np.ones(np.sum(keep)), np.linalg.inv(kept), {})
         assert tab._off.size == h
         assert np.array_equal(tab.eye_minus_a0,
                               rmt._eye_minus_a0("airy2", s[keep], *tan_map)[0])
@@ -898,17 +974,36 @@ class TestCaches:
                [[float(x).hex() for x in out] for out in cold]
 
     def test_cached_arrays_are_read_only(self):
+        cov_airy2(1.0)  # builds the level's interpolation matrix
         level = rmt._level("airy2", 20, 32, rmt.DEFAULT_BOX, 10.0)
+        assert len(level.interpolations) == 1
         arrays = [level.outer.nodes, level.outer.weights, level.marg, level.bounds,
-                  level.keep, level.eye_minus_a0, level.inverses, level.cumulative]
+                  level.keep, level.eye_minus_a0, level.inverses, level.cumulative,
+                  *level.interpolations.values()]
         for kernel in rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0):
             factor = rmt._FACTORS[kernel]
-            arrays += [kernel._xi, kernel._q, factor._nodes, factor._weights,
-                       factor._vectors, factor.inner_weights]
+            arrays += [kernel._xi, kernel._q, factor._vectors, factor.inner_weights]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[..., 0] = 0.0
+
+    def test_interpolations_shared_across_t_keep_bits(self, fresh_caches):
+        # t = 2.5 alone, and after t = 1 built the levels' interpolation
+        # matrices, which t = 2.5 then takes: the same bits
+        alone = cov_airy2(2.5, full_output=True)
+        rmt._level.cache_clear()
+        rmt._airy2_kernels.cache_clear()
+        cov_airy2(1.0)
+        levels = [rmt._level("airy2", m, n, rmt.DEFAULT_BOX, 10.0)
+                  for m, n in rmt._COV_LEVELS["airy2"][:alone[2]]]
+        built = [dict(level.interpolations) for level in levels]
+        assert all(len(b) == 1 for b in built)
+        after = cov_airy2(2.5, full_output=True)
+        assert [float(x).hex() for x in after] == [float(x).hex() for x in alone]
+        for level, before in zip(levels, built):
+            assert level.interpolations.keys() == before.keys()
+            assert all(level.interpolations[key] is a for key, a in before.items())
 
     def test_cov_grid_builds_each_level_once(self, monkeypatch, fresh_caches):
         # t = 0 and t = 1 share the levels both use: each level's I - A_0
