@@ -41,8 +41,8 @@ class GreenSpectrum:
 
 
 def green_spectrum(m: int) -> GreenSpectrum:
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     n = np.arange(1, m + 1, dtype=float)
     lam = 1.0 / (np.pi * np.pi * n * n)
     lam.setflags(write=False)
@@ -61,8 +61,8 @@ def legendre_galerkin_matrix(m: int) -> np.ndarray:
     Legendre basis.  Diagonal: 1/12, 1/60, then a_n = 1/(2(2n+1)(2n+5))
     for n = 1, 2, ...; second off-diagonals b_n = -1/(4(2n+3) sqrt((2n+1)(2n+5)));
     zero elsewhere."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     mat = np.zeros((m, m))
     diag = np.empty(m)
     diag[0] = 1.0 / 12.0

@@ -135,8 +135,8 @@ def _gauss_legendre_unit(m: int):
 def gauss_legendre(a: float, b: float, m: int) -> QuadRule:
     """m-point Gauss-Legendre rule on [a, b]; order ``nu = 2m``."""
     _check_interval(a, b)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     x, w = _gauss_legendre_unit(int(m))
     return _map_from_unit(a, b, x, w, order=2 * m)
 
@@ -182,8 +182,8 @@ def clenshaw_curtis(a: float, b: float, m: int) -> QuadRule:
     """m-point Clenshaw-Curtis rule on [a, b] (closed, endpoints included);
     order ``nu = m``.  Requires ``m >= 2``."""
     _check_interval(a, b)
-    if m < 2:
-        raise ValueError("clenshaw-curtis requires m >= 2")
+    if not isinstance(m, (int, np.integer)) or m < 2:
+        raise ValueError(f"clenshaw-curtis requires an integer m >= 2, got {m!r}")
     x, w = _clenshaw_curtis_unit(int(m))
     return _map_from_unit(a, b, x, w, order=m)
 

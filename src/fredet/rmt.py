@@ -39,17 +39,16 @@ ridge has no low rank, keeps its inner rule.
 What does not depend on t is built once per process and shared by every
 t and call: a covariance level's outer rule, marginals, kept thresholds,
 I - A_0 blocks, inverses and interpolation matrices (``_level``, keyed on
-(process, m, n_outer, box, scale)), and the Airy(2) kernel pair K_t,
-K_{-t} with its inner rules and factors (``_airy2_kernels``, keyed on (t,
-inner tolerance, effective x_min)), unless its build warned.  Cached
-arrays are read-only, and a warm call returns the bits of a cold one.
+(process, m, n_outer, box, scale)), and the Airy(2) pair K_t, K_{-t} as
+factors where they have one (``_airy2_kernels``, keyed on (t, inner
+tolerance, effective x_min)), unless its build warned.  Cached arrays
+are read-only, and a warm call returns the bits of a cold one.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -199,10 +198,10 @@ def truncation_bound(s: float, T: float) -> float:
 
 def _process_kernels(process: str, t: float, inner_tol: float, x_min: float):
     """The off-diagonal kernels K_t and K_{-t} of a joint system whose
-    thresholds are all >= ``x_min``.  The Airy(2) pair comes from
-    ``_airy2_kernels``, built once per (t, inner_tol, effective x_min
-    min(x_min, -10)) unless its build warned; the Airy(1) pair is closed
-    form and costs nothing to build."""
+    thresholds are all >= ``x_min``, as ``_JointTable`` reads them.  The
+    Airy(2) pair comes from ``_airy2_kernels``, built once per (t,
+    inner_tol, effective x_min min(x_min, -10)) unless its build warned;
+    the Airy(1) pair is closed form and costs nothing to build."""
     if process == "airy2":
         try:
             return _airy2_kernels(t, inner_tol, min(x_min, Airy2ProcessKernel._X_MIN_CEILING))
@@ -224,31 +223,22 @@ class _Uncached(Exception):
 
 @lru_cache(maxsize=64)
 def _airy2_kernels(t: float, inner_tol: float, x_min: float):
-    """(K_t, K_{-t}) of Airy(2), ``Airy2ProcessKernel`` with ``x_min`` (at
-    most -10, as the kernel lowers it), cached on (t, inner_tol, x_min): the
-    inner-rule doubling is the costly part of a joint at a new t, and a
-    covariance sweep or repeated call needs it once.  Each kernel without a
-    Gaussian term also gets its ``_chebyshev_factor`` here, 3-10 ms per
-    kernel at x_min = -10, held in ``_FACTORS`` for as long as the kernel
-    lives.  A pair with ``achieved_tol > inner_tol`` has warned and is
-    raised as ``_Uncached``, so it is neither cached nor factored.  The
-    inner rules ``_xi`` and ``_q`` are read-only."""
+    """K_t and K_{-t} of Airy(2) as ``_JointTable`` reads them, cached on
+    (t, inner_tol, x_min): the inner-rule doubling of ``Airy2ProcessKernel``
+    with ``x_min`` (at most -10, as the kernel lowers it) is the costly part
+    of a joint at a new t, and a covariance sweep or repeated call needs it
+    once.  A kernel without a Gaussian term gives way to its
+    ``_chebyshev_factor`` (3-10 ms at x_min = -10), and its inner rule goes
+    with it; the Laplace-branch K_{-t} and a kernel with no factor within
+    ``_FACTOR_MAX_NODES`` keep their read-only inner rules ``_xi`` and
+    ``_q``.  A pair with ``achieved_tol > inner_tol`` has warned and is
+    raised as ``_Uncached``, so it is neither cached nor factored."""
     kernels = (Airy2ProcessKernel(t, tol=inner_tol, x_min=x_min),
                Airy2ProcessKernel(-t, tol=inner_tol, x_min=x_min))
     if not all(k.achieved_tol <= inner_tol for k in kernels):
         raise _Uncached(kernels)
-    for kernel in kernels:
-        # the Laplace branch's Gaussian ridge has no low rank on the head
-        if kernel._mode != "laplace":
-            factor = _chebyshev_factor(kernel)
-            if factor is not None:
-                _FACTORS[kernel] = factor
-    return kernels
-
-
-#: The ``_ChebyshevFactor`` of each kernel of a cached ``_airy2_kernels``
-#: pair that has one; an entry goes with its kernel.
-_FACTORS = weakref.WeakKeyDictionary()
+    # the Laplace branch's Gaussian ridge has no low rank on the head
+    return tuple(k if k._mode == "laplace" else _chebyshev_factor(k) or k for k in kernels)
 
 
 #: Kernel entries, basis entries (rows times inner size) or interpolation
@@ -534,14 +524,15 @@ def tw_moments() -> tuple[float, float]:
     Both moments come from partially integrated truncations over the box
     (L, U) = ``DEFAULT_BOX``, read at call time,
 
-        E[X]   = U F(U) - L F(L) - int_L^U F(s) ds,
-        E[X^2] = U^2 F(U) - L^2 F(L) - 2 int_L^U s F(s) ds,
+        E[X]   = U - int_L^U F(s) ds,
+        E[X^2] = U^2 - 2 int_L^U s F(s) ds,
 
     evaluated with 96 outer Gauss-Legendre nodes and F2 at m = 48; F2
-    itself is never differentiated.  The computed tails F2(L) and
-    1 - F2(U) must be below 1e-11 or ValueError is raised with their
-    values.  (1 - F2(6) = 3.8e-12, which biases the moments by well under
-    1e-9.)
+    itself is never differentiated.  They leave out only the tails past
+    the box: int_U^inf (1 - F) ds ~ 8e-13 in E[X] and int_U^inf 2s (1 - F)
+    ds ~ 9e-12 in E[X^2], as 1 - F2(6) = 3.8e-12, and below 1e-35 below L,
+    as F2(-10) = 4e-37.  The computed tails F2(L) and 1 - F2(U) must be
+    below 1e-11 or ValueError is raised with their values.
     """
     low, up = DEFAULT_BOX
     rule = gauss_legendre(low, up, 96)
@@ -552,9 +543,8 @@ def tw_moments() -> tuple[float, float]:
             f"moment box {(low, up)} too narrow: F2(L) = {f_low:.3e}, "
             f"1 - F2(U) = {1.0 - f_up:.3e}")
     fvals = np.array([p.value for p in points[2:]])
-    mean = up * f_up - low * f_low - float(rule.weights @ fvals)
-    second = (up * up * f_up - low * low * f_low
-              - 2.0 * float(rule.weights @ (rule.nodes * fvals)))
+    mean = up - float(rule.weights @ fvals)
+    second = up * up - 2.0 * float(rule.weights @ (rule.nodes * fvals))
     return mean, second - mean * mean
 
 
@@ -590,18 +580,19 @@ def _legendre_cumulative(rule) -> np.ndarray:
 
 class _JointTable:
     """Joint determinants P(A(t) <= s_i, A(0) <= s_j) at t > 0 over an
-    ascending grid of thresholds, with the kernels (K_t, K_{-t}) of
-    ``_process_kernels``: the one joint-determinant path, for single pairs
-    (``airy2_joint`` / ``airy1_joint``, which take a negative t to |t|)
-    and covariance grids alike.
+    ascending grid of thresholds, with K_t and K_{-t} as
+    ``_process_kernels`` gives them (an Airy(2) kernel's
+    ``_ChebyshevFactor`` where it has one): the one joint-determinant path,
+    for single pairs (``airy2_joint`` / ``airy1_joint``, which take a
+    negative t to |t|) and covariance grids alike.
 
     ``prepare`` caches per threshold s the given M = I - A_0 on the head of
     the grid (``_head``: the same h nodes at every threshold), det(M) and
     M^-1, and, for Airy(2), the bases of K_t and K_{-t} at its nodes,
     weighted in place by the tan map's r = sqrt(w phi'): U = r B.  A
-    kernel's ``_ChebyshevFactor`` (``_FACTORS``) takes B from the grid's
-    ``_interpolation`` matrix; the Laplace-branch K_{-t} from its inner
-    rule, in ``basis`` calls of at most ``_EVAL_CHUNK`` entries.  A
+    ``_ChebyshevFactor`` takes B from the grid's ``_interpolation`` matrix;
+    a kernel (the Laplace-branch K_{-t}) from its inner rule, in ``basis``
+    calls of at most ``_EVAL_CHUNK`` entries.  A
     covariance level hands it every M^-1 and its interpolation matrices
     (``_Level``, shared by every t); a single joint inverts only its pivot.
     ``_dets``, the one row routine of ``grid`` and ``joint``, forms the
@@ -627,8 +618,6 @@ class _JointTable:
         self.scale = scale
         self._tan = _tan_map(m, scale)
         self.kt, self.kmt = kernels
-        # each Airy(2) kernel's factor where it has one, else the kernel
-        self._sources = tuple(_FACTORS.get(k, k) for k in kernels)
         # K_t, t > 0, is symmetric with no Gaussian term (``_blocks``); of
         # the Airy(2) K_{-t}, the Laplace branch has one
         assert getattr(self.kt, "_mode", "decay") == "decay"
@@ -654,7 +643,7 @@ class _JointTable:
         if self.process == "airy2":
             # U[i, p] = r_p B(x_ip), stacked (n, h, inner size); sqrt(fl(r^2)) is r
             x, r, self._u = self._x.ravel(), np.sqrt(np.diagonal(self._rr))[:, None], []
-            for src in self._sources:
+            for src in (self.kt, self.kmt):
                 if isinstance(src, _ChebyshevFactor):
                     key = src.x_min, src.points
                     if key not in interpolations:
@@ -683,7 +672,7 @@ class _JointTable:
         # [j, q, p] = r_q K(x_jq, x_ip) r_p, one product per kernel
         h, c = self._off.size, hi - lo
         a_ij, a_ji = ((u[lo:hi].reshape(c * h, -1) @ (u[i] * src.inner_weights).T)
-                      .reshape(c, h, h) for u, src in zip(self._u, self._sources))
+                      .reshape(c, h, h) for u, src in zip(self._u, (self.kt, self.kmt)))
         if self._ridge:
             a_ji -= self._rr * self.kmt.gaussian_part(self._x[lo:hi, :, None], self._x[i])
         # K_t is symmetric: its stack's per-pair transpose is A_ij
@@ -782,7 +771,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class _Level:
     """The data of a covariance level that do not depend on t, shared by
     every t and every call at (process, m, n_outer, box, scale) through
-    ``_level``:
+    ``_level``, which builds each level once:
 
     * ``outer``: the n_outer-point Gauss-Legendre rule on the box;
     * ``marg`` and ``bounds``: the marginals F(s_i) at its nodes and their
@@ -795,7 +784,10 @@ class _Level:
       ``_interpolation`` matrices by (x_min, N) (``_JointTable.prepare``),
       and ``cumulative``, the ``_legendre_cumulative`` matrix (t = 0).
 
-    Every array is read-only."""
+    Every array is read-only.  The nine default levels of both processes,
+    with their inverses, cumulative matrices and one interpolation matrix
+    per Airy(2) level (4.4 MB, at x_min = -10 and N = 128), hold 11.0 MB of
+    arrays."""
 
     def __init__(self, process: str, m: int, n_outer: int,
                  box: tuple[float, float], scale: float):
@@ -819,14 +811,7 @@ class _Level:
         return _frozen(_legendre_cumulative(self.outer))
 
 
-@lru_cache(maxsize=16)
-def _level(process: str, m: int, n_outer: int, box: tuple[float, float],
-           scale: float) -> _Level:
-    """The ``_Level`` at (process, m, n_outer, box, scale), built once: the
-    nine default levels of both processes, with their inverses, cumulative
-    matrices and one interpolation matrix per Airy(2) level (4.4 MB, at
-    x_min = -10 and N = 128), hold 11.0 MB of arrays."""
-    return _Level(process, m, n_outer, box, scale)
+_level = lru_cache(maxsize=16)(_Level)
 
 
 def _cov_zero(process: str, m: int, n_outer: int, box: tuple[float, float],

@@ -8,8 +8,8 @@ Ai and Ai' have one evaluator, chosen per point x (zeta = (2/3)|x|^{3/2}):
 * x > 108: 0; above 107.6 Ai and Ai' are below half the smallest
   subnormal number.
 * The scaled Ai(x) e^zeta is the table value times e^zeta for 0 < x <= 10,
-  and above that DLMF 9.7.5 without its factor e^-zeta, since rounding
-  zeta costs the product ~zeta eps.
+  and above that DLMF 9.7.5, summed to 22 terms at every x, without its
+  factor e^-zeta, since rounding zeta costs the product ~zeta eps.
 
 Against 50-digit mpmath (``tests/test_specfun.py``) the table is good to a
 few eps, absolute where Ai oscillates and relative where it decays; the
@@ -55,12 +55,6 @@ _U = np.cumprod([1.0] + [(6 * k - 5) * (6 * k - 3) * (6 * k - 1) / ((2 * k - 1) 
                          for k in range(1, 22)])
 _V = np.array([-(6 * k + 1) / (6 * k - 1) for k in range(22)]) * _U
 
-#: From this x on, ``_decaying`` sums only the first ``_FAR_TERMS`` terms:
-#: the first one left out, u_10 / zeta^10, is 2.2e-19 at x = 30.
-_FAR = 30.0
-_FAR_TERMS = 10
-
-
 def _zeta(x):
     return (2.0 / 3.0) * (x * np.sqrt(x))
 
@@ -77,21 +71,10 @@ def _series(w, coef):
 def _decaying(x, deriv: int):
     """Ai (deriv=0) or Ai' (deriv=1) times e^zeta on x >= 10, DLMF 9.7.5-6:
     x^(-+1/4) / (2 sqrt pi) sum u_k (-1/zeta)^k, with v_k and a minus sign
-    for Ai'; 22 terms below ``_FAR``, 10 from there on."""
-    x = np.asarray(x, dtype=float)
-    coef = _V if deriv else _U
+    for Ai'; all 22 terms at every x."""
     with np.errstate(under="ignore"):
         # -1/zeta, which cannot overflow
-        w = -1.5 * x ** -1.5
-    # Horner's rule: the terms past _FAR_TERMS only below _FAR, then the
-    # first _FAR_TERMS everywhere
-    series = np.full(x.shape, coef[_FAR_TERMS - 1])
-    near = x < _FAR
-    if near.any():
-        series[near] = _series(w[near], coef[_FAR_TERMS - 1:])
-    for a in coef[_FAR_TERMS - 2::-1]:
-        series *= w
-        series += a
+        series = _series(-1.5 * x ** -1.5, _V if deriv else _U)
     return (-(x ** 0.25) if deriv else x ** -0.25) * series / (2.0 * math.sqrt(math.pi))
 
 

@@ -222,7 +222,7 @@ def reference_shifts(blocks):
 
 class TestBalancing:
     @pytest.mark.parametrize("n", [2, 3])
-    def test_stacked_shifts_match_per_system_sweep(self, n):
+    def test_shifts_match_per_system_sweep(self, n):
         rng = np.random.default_rng(n)
         k, m = 40, 4
         # block magnitudes over 60 decades, plus exact powers of two that
@@ -232,18 +232,16 @@ class TestBalancing:
         scales[8, 0, 1] = 0.0  # a vanishing block leaves its row alone
         base = rng.uniform(0.5, 1.0, size=(k, n, n, m, m))
         base[:8, :, :, 0, 0] = 1.0
-        stacked = [[base[:, i, j] * scales[:, i, j, None, None] for j in range(n)]
-                   for i in range(n)]
-        originals = [[b.copy() for b in row] for row in stacked]
-        shifts = _balance_blocks(stacked)
-        assert shifts.shape == (n, k)
         for q in range(k):
-            ref = reference_shifts([[b[q] for b in row] for row in originals])
-            assert np.array_equal(shifts[:, q], ref), q
+            blocks = [[base[q, i, j] * scales[q, i, j] for j in range(n)] for i in range(n)]
+            originals = [[b.copy() for b in row] for row in blocks]
+            shifts = _balance_blocks(blocks)
+            ref = reference_shifts(originals)
+            assert shifts.shape == (n,) and np.array_equal(shifts, ref), q
             for i in range(n):
                 for j in range(n):
-                    expect = originals[i][j][q] * (2.0 ** (ref[i] - ref[j]) if i != j else 1.0)
-                    assert np.array_equal(stacked[i][j][q], expect)
+                    expect = originals[i][j] * (2.0 ** (ref[i] - ref[j]) if i != j else 1.0)
+                    assert np.array_equal(blocks[i][j], expect)
 
     def test_single_block_untouched(self):
         blocks = [[np.eye(3)]]

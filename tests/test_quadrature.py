@@ -6,9 +6,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from fredet.nystrom import NystromProblem, fredholm_series_oracle
+from fredet.kernels import GreenKernel
+from fredet.nystrom import NystromProblem, convergence_study, fredholm_series_oracle
+from fredet.projection import (green_spectrum, legendre_galerkin_matrix,
+                               ritz_galerkin_green)
 from fredet.quadrature import (QuadRule, _cc_weights_fft, clenshaw_curtis,
                                gauss_legendre, quad_apply)
+from fredet.rmt import airy1_joint, e2_gap
 
 EPS = np.finfo(float).eps
 
@@ -282,3 +286,28 @@ class TestQuadRuleValidation:
         r = gauss_legendre(0, 1, 3)
         with pytest.raises(ValueError):
             r.nodes[0] = 0.0
+
+
+#: Public calls that take a rule or basis size m, directly or through the
+#: rule they build.
+SIZED_CALLS = {
+    "gauss_legendre": lambda m: gauss_legendre(0.0, 1.0, m),
+    "clenshaw_curtis": lambda m: clenshaw_curtis(0.0, 1.0, m),
+    "green_spectrum": green_spectrum,
+    "legendre_galerkin_matrix": legendre_galerkin_matrix,
+    "ritz_galerkin_green": ritz_galerkin_green,
+    "e2_gap": lambda m: e2_gap(1.0, m),
+    "airy1_joint": lambda m: airy1_joint(1.0, 0.0, 0.0, m),
+    "convergence_study": lambda m: convergence_study(GreenKernel(), (0.0, 1.0), -1.0,
+                                                     "gauss", [m, 8]),
+}
+
+
+@pytest.mark.parametrize("m", [2.5, 3.7, 4.0])
+@pytest.mark.parametrize("name", sorted(SIZED_CALLS))
+def test_non_integral_sizes_rejected(name, m):
+    # a float size used to run at a rounded size and report another
+    with pytest.raises(ValueError, match="integer"):
+        SIZED_CALLS[name](m)
+    # numpy integers are sizes
+    SIZED_CALLS[name](np.int64(3))

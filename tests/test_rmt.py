@@ -70,6 +70,16 @@ def table(process, t, m, x_min=rmt.DEFAULT_BOX[0]):
                        rmt._process_kernels(process, t, rmt._INNER_TOL, x_min))
 
 
+def process_kernels(process, t, x_min=rmt.DEFAULT_BOX[0], tol=rmt._INNER_TOL):
+    """The kernels K_t and K_{-t} themselves, built as ``rmt._airy2_kernels``
+    builds the Airy(2) pair before it factors them, or the closed-form
+    Airy(1) pair: for references that assemble each kernel's ``matrix``."""
+    if process == "airy2":
+        return (Airy2ProcessKernel(t, tol=tol, x_min=x_min),
+                Airy2ProcessKernel(-t, tol=tol, x_min=x_min))
+    return Airy1ProcessKernel(t), Airy1ProcessKernel(-t)
+
+
 def prepare(tab, s):
     """``tab.prepare`` on the ascending grid ``s``, with the I - A_0 blocks,
     marginals and inverses a covariance level would hand it, and an empty
@@ -81,17 +91,17 @@ def prepare(tab, s):
     return interpolations
 
 
-def two_sided_grid(tab):
+def two_sided_grid(tab, kernels):
     """The joints of the prepared grid: the rows j >= i from the table, and
     each pair (s_i, s_j), i > j, below the diagonal on its own, in its own
-    order, as the BlockSystem determinant with the table's kernels (the
-    table mirrors these pairs by time reversal)."""
+    order, as the BlockSystem determinant with the table's ``kernels``
+    (``process_kernels``; the table mirrors these pairs by time reversal)."""
     s = tab._s
     joint = np.triu(tab.grid())
     for i in range(s.size):
         for j in range(i):
             joint[i, j] = block_system_joint(tab.process, tab.t, s[i], s[j], tab.m,
-                                             kernels=(tab.kt, tab.kmt)).value
+                                             kernels=kernels).value
     return joint
 
 
@@ -151,11 +161,13 @@ def test_least_norm_is_the_minimum_over_scalings(seed, n, k12, k21):
 def balanced_systems(tab, i, lo, hi):
     """The full systems I - A of the prepared pairs (s_i, s_j), lo <= j < hi,
     stacked (hi - lo, 2h, 2h) on the table's head of h nodes: its diagonal
-    and off-diagonal blocks, balanced by ``_balance_blocks``.  The joint
-    table takes Schur complements instead; this is the order-2h reference."""
+    and off-diagonal blocks, each system balanced by ``_balance_blocks``.
+    The joint table takes Schur complements instead; this is the order-2h
+    reference."""
     h = tab._off.size
     a12, a21 = tab._blocks(i, lo, hi)
-    _balance_blocks([[None, a12], [a21, None]])
+    for b12, b21 in zip(a12, a21):
+        _balance_blocks([[None, b12], [b21, None]])
     systems = np.empty((hi - lo, 2 * h, 2 * h))
     systems[:, :h, :h] = tab.eye_minus_a0[i]
     systems[:, :h, h:] = -a12
@@ -497,6 +509,14 @@ class TestTWMoments:
         assert mean == pytest.approx(-1.771086807, abs=1e-6)
         assert var == pytest.approx(0.813194793, abs=1e-6)
 
+    def test_matches_bornemann_2010(self):
+        # Bornemann's values (2010), to 16 and 13 digits; leaving out the
+        # upper tail terms U (1 - F2(U)) and U^2 (1 - F2(U)) moved them by
+        # 2.4e-11 and 2.3e-10
+        mean, var = tw_moments()
+        assert abs(mean - -1.771086807411601) <= 2e-12
+        assert abs(var - 0.8131947928329) <= 3e-11
+
     def test_box_invariance(self, monkeypatch):
         m1, v1 = tw_moments()
         monkeypatch.setattr(rmt, "DEFAULT_BOX", (-12.0, 8.0))
@@ -536,7 +556,7 @@ class TestJointTableRows:
         s = np.sort(np.random.default_rng(seed).uniform(-4.0, 2.0, size=7))
         tab = table(process, 0.8, 20)
         prepare(tab, s)
-        joint = two_sided_grid(tab)
+        joint = two_sided_grid(tab, process_kernels(process, 0.8))
         assert np.max(np.abs(joint - joint.T)) <= 1e-13
 
     @pytest.mark.parametrize("process,box", [("airy2", rmt.DEFAULT_BOX),
@@ -550,7 +570,7 @@ class TestJointTableRows:
         outer = gauss_legendre(box[0], box[1], n)
         tab = _JointTable(process, 1.0, m, 10.0, kernels)
         prepare(tab, outer.nodes)
-        joint = two_sided_grid(tab)
+        joint = two_sided_grid(tab, process_kernels(process, 1.0, box[0], 1e-12))
         marg = np.array([_marginal(process, s, m) for s in outer.nodes])
         ref = outer.weights @ (joint - np.outer(marg, marg)) @ outer.weights
         assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
@@ -687,8 +707,9 @@ class TestJointTableRows:
         offsets, rr = offsets[:h], rr[:h, :h]
         r = np.sqrt(np.diag(rr))[:, None]
         if process == "airy2":
-            factor, inner = tab._sources
-            assert isinstance(factor, rmt._ChebyshevFactor) and inner is tab.kmt
+            factor, inner = tab.kt, tab.kmt
+            assert isinstance(factor, rmt._ChebyshevFactor)
+            assert isinstance(inner, Airy2ProcessKernel) and inner._mode == "laplace"
             key = factor.x_min, factor.points
             # the grid's interpolation rows, put back per threshold
             rows = np.zeros((s.size * h, factor.points))
@@ -832,12 +853,13 @@ class TestJointTableRows:
             sizes.clear()
             prepare(tab, gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
             x = tab._x.ravel()
-            factors = [src for src in tab._sources if isinstance(src, rmt._ChebyshevFactor)]
+            sources = tab.kt, tab.kmt
+            factors = [src for src in sources if isinstance(src, rmt._ChebyshevFactor)]
             keys = {(f.x_min, f.points) for f in factors}
             # K_1 and K_{-1} share one matrix (N = 128 both)
             assert len(factors) == (2 if t == 1.0 else 1) and len(keys) == 1
             entries = (np.sum(x <= rmt._HEAD_CUT) * sum(points for _, points in keys)
-                       + x.size * sum(src.inner_size for src in tab._sources
+                       + x.size * sum(src.inner_size for src in sources
                                       if src not in factors))
             assert sum(sizes) == entries
             assert rmt._EVAL_CHUNK <= 1 << 13 and max(sizes) <= rmt._EVAL_CHUNK
@@ -920,10 +942,11 @@ class TestChebyshevFactor:
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= rmt._FACTOR_TOL
 
     def test_rows_beyond_the_head_cut_are_zero(self):
-        kt, kmt = (rmt._FACTORS[k] for k in
-                   rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0))
+        # both kernels at t = 1 are factored in the cached pair
+        factors = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)
         x = np.array([-10.0, rmt._HEAD_CUT, np.nextafter(rmt._HEAD_CUT, 30.0), 25.0, 1e3])
-        for factor in (kt, kmt):
+        for factor in factors:
+            assert isinstance(factor, rmt._ChebyshevFactor)
             rows = factor.basis(x)
             assert rows.shape == (5, factor.inner_size)
             assert np.all(np.any(rows[:2] != 0.0, axis=1)) and np.all(rows[2:] == 0.0)
@@ -932,10 +955,11 @@ class TestChebyshevFactor:
 
     def test_laplace_branch_keeps_its_inner_rule(self):
         # K_{-0.5} carries a Gaussian term; K_0.5 is factored
-        kernels = rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -10.0)
-        tab = _JointTable("airy2", 0.5, 16, 10.0, kernels)
-        assert isinstance(tab._sources[0], rmt._ChebyshevFactor)
-        assert tab._sources[1] is tab.kmt and tab.kmt not in rmt._FACTORS
+        kt, kmt = rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -10.0)
+        assert isinstance(kt, rmt._ChebyshevFactor)
+        assert isinstance(kmt, Airy2ProcessKernel) and kmt._mode == "laplace"
+        tab = _JointTable("airy2", 0.5, 16, 10.0, (kt, kmt))
+        assert tab.kt is kt and tab.kmt is kmt and tab._ridge
 
     def test_missed_cap_keeps_the_inner_rule(self, monkeypatch, fresh_caches):
         # 64 Chebyshev points miss at x_min = -10, so with the cap there no
@@ -943,10 +967,10 @@ class TestChebyshevFactor:
         monkeypatch.setattr(rmt, "_FACTOR_MAX_NODES", rmt._FACTOR_FIRST_NODES)
         try:
             kernels = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)
-            assert all(rmt._chebyshev_factor(k) is None and k not in rmt._FACTORS
+            assert all(isinstance(k, Airy2ProcessKernel) and rmt._chebyshev_factor(k) is None
                        for k in kernels)
             tab = _JointTable("airy2", 1.0, 16, 10.0, kernels)
-            assert tab._sources == kernels
+            assert (tab.kt, tab.kmt) == kernels and not tab._ridge
             s1, s2 = -1.0, 0.5
             assert abs(tab.joint(s1, s2).value
                        - block_system_joint("airy2", 1.0, s1, s2, 16).value) <= 1e-14
@@ -980,9 +1004,12 @@ class TestCaches:
         arrays = [level.outer.nodes, level.outer.weights, level.marg, level.bounds,
                   level.keep, level.eye_minus_a0, level.inverses, level.cumulative,
                   *level.interpolations.values()]
-        for kernel in rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0):
-            factor = rmt._FACTORS[kernel]
-            arrays += [kernel._xi, kernel._q, factor._vectors, factor.inner_weights]
+        # the cached pairs: K_1 and K_{-1} factored, K_0.5 factored and
+        # the Laplace K_{-0.5} with its inner rule
+        kt, kmt = rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -10.0)
+        arrays += [kmt._xi, kmt._q, kt._vectors, kt.inner_weights]
+        for factor in rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0):
+            arrays += [factor._vectors, factor.inner_weights]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -1069,7 +1096,10 @@ class TestCaches:
         assert np.array_equal(again.inverses, level.inverses)
         new_pair = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)
         assert new_pair is not pair
-        assert all(np.array_equal(a._q, b._q) for a, b in zip(new_pair, pair))
+        assert all(isinstance(a, rmt._ChebyshevFactor) and a is not b
+                   and np.array_equal(a._vectors, b._vectors)
+                   and np.array_equal(a.inner_weights, b.inner_weights)
+                   for a, b in zip(new_pair, pair))
 
 
 def full_level(process, t, m, n_outer, box, kernels):
@@ -1185,7 +1215,8 @@ def all_node_level(t, m, n_outer, kernels):
     joint, est = np.empty((n, n)), np.empty((n, n))
     for i in range(n):
         a12, a21 = rr * kernels[0].matrix(x[i], x), rr * kernels[1].matrix(x, x[i])
-        _balance_blocks([[None, a12], [a21, None]])
+        for b12, b21 in zip(a12, a21):
+            _balance_blocks([[None, b12], [b21, None]])
         systems = np.block([[np.broadcast_to(a0[i], a12.shape), a12], [a21, a0]])
         joint[i] = rmt.det_lu(np.eye(2 * m) - systems)
         est[i] = np.sqrt(2 * m) * 8 * UNIT_ROUNDOFF * np.linalg.norm(systems, axis=(1, 2))
@@ -1263,7 +1294,8 @@ class TestHead:
     def test_cov_level_equals_all_node_level(self, t, level, cov_kernels):
         m, n = rmt._COV_LEVELS["airy2"][level]
         kernels = cov_kernels("airy2", t)
-        ref, bound, keep = all_node_level(t, m, n, kernels)
+        # the reference assembles the kernels' matrices, not their factors
+        ref, bound, keep = all_node_level(t, m, n, process_kernels("airy2", t, tol=1e-12))
         outer = gauss_legendre(*rmt.DEFAULT_BOX, n)
         points = rmt._marginal_points("airy2", outer.nodes, m, 10.0)
         head_keep, _ = rmt._tail_drop(np.array([p.value for p in points]),

@@ -230,11 +230,11 @@ class TestOneEvaluator:
         ref = np.array([_mp_airy(v, scaled=True) for v in x])
         assert np.max(np.abs(airy_ai_scaled(x) / ref - 1.0)) <= 1e-14
 
-    def test_decaying_series_shortens_at_30(self):
-        # 22 terms below 30, 10 from there on: the first left out,
-        # u_10 / zeta^10, is 2.2e-19 at 30
-        assert specfun._FAR == 30.0 and specfun._FAR_TERMS == 10
-        for x in (np.nextafter(30.0, 0.0), 30.0):
+    def test_decaying_series_vs_mpmath_past_30(self):
+        # all 22 terms at every x: at the former cut at 30, at the two
+        # points where summing 10 terms from 30 on moved the value (by 2
+        # and 1 ulp), and far out
+        for x in (np.nextafter(30.0, 0.0), 30.0, 30.03135999296132, 34.04356245, 1e3, 1e6):
             for deriv in (0, 1):
                 ref = _mp_airy(x, deriv, scaled=True)
                 assert abs(specfun._airy(x, deriv, scaled=True) / ref - 1.0) <= 1e-15
