@@ -53,6 +53,10 @@ def hadamard_witness(kernel: Kernel, interval: tuple[float, float], n: int,
     """Sample random node tuples and report max |det(K(t_p, t_q))| against
     the Hadamard bound computed from the sampled sup of |K|."""
     a, b = interval
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"interval must be finite and increasing, got {interval}")
+    if n < 1 or samples < 1:
+        raise ValueError(f"n and samples must be >= 1, got n={n}, samples={samples}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(a, b, size=(samples, n))
     k_inf = 0.0
@@ -66,10 +70,12 @@ def hadamard_witness(kernel: Kernel, interval: tuple[float, float], n: int,
 
 def log_phi_series(x: float, tol: float = 1e-16) -> float:
     """log Phi(x), via shifted log-sum-exp accumulation of the series."""
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
+    if not x >= 0.0:
+        raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
         return -math.inf
+    if x == math.inf:
+        return math.inf
     logx = math.log(x)
     chunks = []
     best = -math.inf
@@ -94,8 +100,8 @@ def log_phi_series(x: float, tol: float = 1e-16) -> float:
 
 def log_psi_closed(x: float) -> float:
     """log Psi(x) for x >= 0, safe for large x."""
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
+    if not x >= 0.0:
+        raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
         return 0.0
     # log of the dominating term; the constant 1 is folded in via log1p

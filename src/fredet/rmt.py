@@ -36,13 +36,13 @@ Chebyshev factors (``_ChebyshevFactor``) instead of their 60-480-node
 inner rules; the Laplace-branch K_{-t} (0 < t < 0.75), whose Gaussian
 ridge has no low rank, keeps its inner rule.
 
-What does not depend on t is built once per process and shared by every
-t and call: a covariance level's outer rule, marginals, kept thresholds,
-I - A_0 blocks, inverses and interpolation matrices (``_level``, keyed on
-(process, m, n_outer, box, scale)), and the Airy(2) pair K_t, K_{-t} as
-factors where they have one (``_airy2_kernels``, keyed on (t, inner
-tolerance, effective x_min)), unless its build warned.  Cached arrays
-are read-only, and a warm call returns the bits of a cold one.
+What does not depend on t sits in a ``_Level``, from which every joint
+table is built: per call for a single joint's pair, once per process for
+a covariance rung, which every t and call share (``_level``, keyed on
+(process, m, n_outer, box, scale)), as they share the Airy(2) pair K_t,
+K_{-t} as factors where they have one (``_airy2_kernels``, keyed on (t,
+inner tolerance, effective x_min)), unless its build warned.  Cached
+arrays are read-only, and a warm call returns the bits of a cold one.
 """
 
 from __future__ import annotations
@@ -143,6 +143,8 @@ def e2_gap(s: float, m: int) -> DistributionPoint:
     """Gap probability E2(0; s): sine-kernel determinant at z = -1 on (0, s)."""
     if s < 0.0:
         raise ValueError("s must be >= 0")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     if s == 0.0:
         return DistributionPoint(parameter=0.0, value=1.0, m=0, est_error=0.0)
     rule = gauss_legendre(0.0, s, m)
@@ -164,7 +166,7 @@ def f2_tw(s: float, m: int, route: str = "transform", scale: float | None = None
     if route == "transform":
         if T is not None:
             raise ValueError("T applies only to route='truncate'")
-        return _marginal_points("airy2", [s], m, 10.0 if scale is None else scale)[0]
+        return _marginal_points("airy2", [s], m, 10.0 if scale is None else scale)[2][0]
     if route == "truncate":
         if scale is not None:
             raise ValueError("scale applies only to route='transform'")
@@ -243,12 +245,13 @@ def _airy2_kernels(t: float, inner_tol: float, x_min: float):
 
 #: Kernel entries, basis entries (rows times inner size) or interpolation
 #: entries (rows times Chebyshev points) per evaluation call when a level
-#: builds its per-threshold data (``_eye_minus_a0``, ``_interpolation``,
-#: ``_JointTable.prepare``), and Schur-complement entries per LU call of
-#: the joint rows (``_JointTable._dets``).  One call per threshold pays
-#: per-call overhead, one per grid raises peak memory: on cov-airy2, 16k
-#: points put peak RSS ~0.3 MB above per-threshold calls and 8k ~0.1 MB
-#: below; whole-grid I - A_0 for Airy(1) took cov-airy1 1.7 MB above.
+#: or table builds its per-threshold data (``_eye_minus_a0``, whose call
+#: holds all its blocks, ``_interpolation``, the ``_JointTable``
+#: constructor), and Schur-complement entries per LU call of the joint
+#: rows (``_dets``).  One call per threshold pays per-call overhead, one
+#: per grid peak memory: on cov-airy2, 16k points put peak RSS ~0.3 MB
+#: above per-threshold calls, 8k ~0.1 MB below; whole-grid I - A_0 for
+#: Airy(1) took cov-airy1 1.7 MB above.
 _EVAL_CHUNK = 1 << 13
 
 
@@ -459,29 +462,22 @@ def _eye_minus_a0(process: str, svals, offsets, rr):
     return out, norms
 
 
-def _marginal_points(process: str, svals, m: int, scale: float, blocks=None) -> list:
+def _marginal_points(process: str, svals, m: int, scale: float):
     """P(A(0) <= s) = det(I - A_0) at each threshold s of ``svals``, from
-    the given ``blocks`` (I - A_0 and ||A_0||_F, as ``_eye_minus_a0``
-    returns them), or else from blocks built one kernel-matrix call at a
-    time (so that a long ``svals`` holds only one call's blocks, on that
-    call's head), by the determinant step of ``fredholm_det``
-    (``_det_result``): Cholesky, or LU flagged suspect where Cholesky
-    fails, with the roundoff bound sqrt(m) ||A_0||_F 8u at the rule size
-    m."""
-    if blocks is None:
-        tan_map = _tan_map(m, scale)
-        step = max(1, _EVAL_CHUNK // (m * m))
-        chunks = (svals[lo:lo + step] for lo in range(0, len(svals), step))
-        return [point for chunk in chunks for point in _marginal_points(
-            process, chunk, m, scale, _eye_minus_a0(process, chunk, *tan_map))]
-    return [_det_point(s, _det_result(block, norm, hermitian=True, m=m))
-            for s, block, norm in zip(svals, *blocks)]
+    one ``_eye_minus_a0`` call on the head of them all, by the determinant
+    step of ``fredholm_det`` (``_det_result``): Cholesky, or LU flagged
+    suspect where Cholesky fails, with the roundoff bound sqrt(m)
+    ||A_0||_F 8u at the rule size m.  Returns the I - A_0 blocks, ||A_0||_F
+    and the points."""
+    blocks, norms = _eye_minus_a0(process, svals, *_tan_map(m, scale))
+    return blocks, norms, [_det_point(s, _det_result(block, norm, hermitian=True, m=m))
+                           for s, block, norm in zip(svals, blocks, norms)]
 
 
 def _marginal(process: str, s: float, m: int, scale: float = 10.0) -> float:
     """P(A(t) <= s) for the stationary process: the one-operator determinant
     with the K_0 kernel on (s, inf)."""
-    return _marginal_points(process, [s], m, scale)[0].value
+    return _marginal_points(process, [s], m, scale)[2][0].value
 
 
 def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
@@ -493,13 +489,13 @@ def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
         # system is bypassed here.  The marginal's roundoff bound and
         # Cholesky-to-LU flag carry over.
         s = min(s1, s2)
-        point = _marginal_points(process, [s], m, scale)[0]
+        point = _marginal_points(process, [s], m, scale)[2][0]
         return replace(point, parameter=0.0, m=2 * m)
     # stationarity and time reversal make the joint even in t, so every t
     # takes the table at |t|: -t and t give one point, bit for bit
     kernels = _process_kernels(process, abs(t), _INNER_TOL, min(s1, s2))
-    point = _JointTable(process, abs(t), m, scale, kernels).joint(s1, s2)
-    return replace(point, parameter=float(t))
+    level = _Level(process, sorted((s1, s2)), m, scale)
+    return replace(_JointTable(abs(t), kernels, level).joint(), parameter=float(t))
 
 
 def airy2_joint(t: float, s1: float, s2: float, m: int, scale: float = 10.0) -> DistributionPoint:
@@ -536,7 +532,7 @@ def tw_moments() -> tuple[float, float]:
     """
     low, up = DEFAULT_BOX
     rule = gauss_legendre(low, up, 96)
-    points = _marginal_points("airy2", [low, up, *rule.nodes], 48, 10.0)
+    points = _marginal_points("airy2", [low, up, *rule.nodes], 48, 10.0)[2]
     f_low, f_up = points[0].value, points[1].value
     if f_low > 1e-11 or 1.0 - f_up > 1e-11:
         raise ValueError(
@@ -579,22 +575,21 @@ def _legendre_cumulative(rule) -> np.ndarray:
 
 
 class _JointTable:
-    """Joint determinants P(A(t) <= s_i, A(0) <= s_j) at t > 0 over an
-    ascending grid of thresholds, with K_t and K_{-t} as
+    """Joint determinants P(A(t) <= s_i, A(0) <= s_j) at t > 0 over the
+    ascending thresholds a ``_Level`` keeps, with K_t and K_{-t} as
     ``_process_kernels`` gives them (an Airy(2) kernel's
     ``_ChebyshevFactor`` where it has one): the one joint-determinant path,
     for single pairs (``airy2_joint`` / ``airy1_joint``, which take a
     negative t to |t|) and covariance grids alike.
 
-    ``prepare`` caches per threshold s the given M = I - A_0 on the head of
-    the grid (``_head``: the same h nodes at every threshold), det(M) and
-    M^-1, and, for Airy(2), the bases of K_t and K_{-t} at its nodes,
-    weighted in place by the tan map's r = sqrt(w phi'): U = r B.  A
-    ``_ChebyshevFactor`` takes B from the grid's ``_interpolation`` matrix;
-    a kernel (the Laplace-branch K_{-t}) from its inner rule, in ``basis``
-    calls of at most ``_EVAL_CHUNK`` entries.  A
-    covariance level hands it every M^-1 and its interpolation matrices
-    (``_Level``, shared by every t); a single joint inverts only its pivot.
+    The level holds per threshold s M = I - A_0 on the head of its
+    thresholds (``_head``: the same h nodes at every one), det(M) and M^-1;
+    the constructor adds, for Airy(2), the bases of K_t and K_{-t} at the
+    head nodes, weighted in place by the tan map's r = sqrt(w phi'):
+    U = r B.  A ``_ChebyshevFactor`` takes B from the level's
+    ``interpolation`` matrix, shared by every t; a kernel (the
+    Laplace-branch K_{-t}) from its inner rule, in ``basis`` calls of at
+    most ``_EVAL_CHUNK`` entries.
     ``_dets``, the one row routine of ``grid`` and ``joint``, forms the
     off-diagonal blocks of the pairs (s_i, s_j), j >= i, with one matrix
     product per kernel (Airy(2), ``_blocks``) or one shared Airy evaluation
@@ -606,58 +601,31 @@ class _JointTable:
     The Schur complement is unchanged by the exact similarity
     A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, so rows need no balancing.
     ``grid`` mirrors the rows by time reversal, P(s_i, s_j) = P(s_j, s_i),
-    and ``joint`` orders its pair by it.
+    and a single joint's level orders its pair by it.
     """
 
-    def __init__(self, process: str, t: float, m: int, scale: float, kernels):
+    def __init__(self, t: float, kernels, level):
         if not t > 0.0:
             raise ValueError("joint table expects t > 0")
-        self.process = process
-        self.t = float(t)
-        self.m = int(m)
-        self.scale = scale
-        self._tan = _tan_map(m, scale)
+        self.t, self.level, self._det = float(t), level, level.marg[level.keep]
         self.kt, self.kmt = kernels
         # K_t, t > 0, is symmetric with no Gaussian term (``_blocks``); of
         # the Airy(2) K_{-t}, the Laplace branch has one
         assert getattr(self.kt, "_mode", "decay") == "decay"
         self._ridge = getattr(self.kmt, "_mode", None) == "laplace"
-
-    def prepare(self, svals, eye_minus_a0, marginals, inverses, interpolations) -> None:
-        """Cache the per-threshold data of the ascending grid ``svals``,
-        replacing any earlier grid, with its I - A_0 blocks ``eye_minus_a0``
-        on the grid's head (``_head``), their determinants ``marginals`` and
-        their ``inverses``; the dict ``interpolations`` of the head nodes'
-        ``_interpolation`` matrices by (x_min, N) gains those it lacks.
-        Raises ValueError on a grid that does not ascend."""
-        svals = np.asarray(svals, dtype=float)
-        if not np.all(np.diff(svals) >= 0.0):
-            raise ValueError("joint table thresholds must ascend")
-        h = eye_minus_a0.shape[-1]
-        self._off, self._rr = self._tan[0][:h], self._tan[1][:h, :h]
-        self._s = svals
-        self._x = svals[:, None] + self._off[None, :]
-        self.eye_minus_a0 = eye_minus_a0
-        self._det = np.asarray(marginals, dtype=float)
-        self._inv = inverses
-        if self.process == "airy2":
+        if level.process == "airy2":
             # U[i, p] = r_p B(x_ip), stacked (n, h, inner size); sqrt(fl(r^2)) is r
-            x, r, self._u = self._x.ravel(), np.sqrt(np.diagonal(self._rr))[:, None], []
+            x, r, self._u = level.x.ravel(), np.sqrt(np.diagonal(level.rr))[:, None], []
             for src in (self.kt, self.kmt):
-                if isinstance(src, _ChebyshevFactor):
-                    key = src.x_min, src.points
-                    if key not in interpolations:
-                        interpolations[key] = _interpolation(x, *key)
-                    u = src.basis(x, interpolations[key])
-                else:
-                    u = _basis_rows(src, x)
-                self._u.append(u.reshape(*self._x.shape, -1))
+                u = (src.basis(x, level.interpolation(src.x_min, src.points))
+                     if isinstance(src, _ChebyshevFactor) else _basis_rows(src, x))
+                self._u.append(u.reshape(*level.x.shape, -1))
                 self._u[-1] *= r
 
     def grid(self) -> np.ndarray:
-        """All joints of the prepared thresholds: the rows j >= i, mirrored
+        """All joints of the level's thresholds: the rows j >= i, mirrored
         below the diagonal."""
-        n = self._s.size
+        n = self.level.s.size
         joint = np.zeros((n, n))
         joint[np.triu_indices(n)] = self._dets([(i, i, n) for i in range(n)])
         return joint + np.triu(joint, 1).T
@@ -665,16 +633,17 @@ class _JointTable:
     def _blocks(self, i: int, lo: int, hi: int):
         """The off-diagonal blocks A_ij and A_ji of the systems I - A of the
         pairs (s_i, s_j), lo <= j < hi, each stacked (hi - lo, h, h)."""
-        if self.process == "airy1":
+        lv = self.level
+        if lv.process == "airy1":
             # [j, p, q] = K_t(x_ip, x_jq) and K_{-t}(x_jq, x_ip)
-            b12, bwd = self.kt.shifted_pairs(self._s[i], self._s[lo:hi], self._off)
-            return self._rr * b12, self._rr * bwd.transpose(0, 2, 1)
+            b12, bwd = self.kt.shifted_pairs(lv.s[i], lv.s[lo:hi], lv.offsets)
+            return lv.rr * b12, lv.rr * bwd.transpose(0, 2, 1)
         # [j, q, p] = r_q K(x_jq, x_ip) r_p, one product per kernel
-        h, c = self._off.size, hi - lo
+        h, c = lv.offsets.size, hi - lo
         a_ij, a_ji = ((u[lo:hi].reshape(c * h, -1) @ (u[i] * src.inner_weights).T)
                       .reshape(c, h, h) for u, src in zip(self._u, (self.kt, self.kmt)))
         if self._ridge:
-            a_ji -= self._rr * self.kmt.gaussian_part(self._x[lo:hi, :, None], self._x[i])
+            a_ji -= lv.rr * self.kmt.gaussian_part(lv.x[lo:hi, :, None], lv.x[i])
         # K_t is symmetric: its stack's per-pair transpose is A_ij
         return a_ij.transpose(0, 2, 1), a_ji
 
@@ -684,7 +653,8 @@ class _JointTable:
         each pivoting on its larger threshold s_j, from the segment's blocks
         ``blocks(i, lo, hi)`` or else ``_blocks``, in Schur-complement stacks
         of ``_EVAL_CHUNK`` entries (at least one pair) that span rows."""
-        h, left = self._off.size, sum(hi - lo for _, lo, hi in rows)
+        eye_minus_a0, inverses = self.level.eye_minus_a0, self.level.inverses
+        h, left = eye_minus_a0.shape[-1], sum(hi - lo for _, lo, hi in rows)
         step = min(max(1, _EVAL_CHUNK // (h * h)), left)
         schur, det, out, k = np.empty((step, h, h)), np.empty(step), [], 0
         for i, lo, hi in rows:
@@ -692,7 +662,7 @@ class _JointTable:
             while lo < hi:
                 c = min(hi - lo, step - k)
                 # A_ij M_j^-1 first: the other order erred 200x more at Airy(1), t = 2.5, m = 20
-                np.subtract(self.eye_minus_a0[i], a_ij[:c] @ self._inv[lo:lo + c] @ a_ji[:c],
+                np.subtract(eye_minus_a0[i], a_ij[:c] @ inverses[lo:lo + c] @ a_ji[:c],
                             out=schur[k:k + c])
                 det[k:k + c] = self._det[lo:lo + c]
                 a_ij, a_ji, lo, k, left = a_ij[c:], a_ji[c:], lo + c, k + c, left - c
@@ -702,36 +672,29 @@ class _JointTable:
             del a_ij, a_ji  # before the next row's blocks
         return np.concatenate(out)
 
-    def joint(self, s1: float, s2: float) -> DistributionPoint:
-        """The joint at one pair, prepared as the grid (min, max): time
-        reversal, P(A(t) <= s1, A(0) <= s2) = P(A(t) <= s2, A(0) <= s1),
+    def joint(self) -> DistributionPoint:
+        """The joint of a single joint's level, the pair (s1, s2), s1 <= s2:
+        time reversal, P(A(t) <= s1, A(0) <= s2) = P(A(t) <= s2, A(0) <= s1),
         makes the order exact, so the pair pivots on its larger threshold,
-        whose block alone it inverts before preparing; the other's inverse
-        is left NaN, so a later ``grid`` of the table raises ValueError
-        (``det_lu``).  Its roundoff bound is sqrt(2m) N 8u, with
-        N = (||A_11||^2 + ||A_22||^2 + 2 ||A_12|| ||A_21||)^(1/2) the least
+        the one block its level inverts.  Its roundoff bound is sqrt(2m) N 8u,
+        with N = (||A_11||^2 + ||A_22||^2 + 2 ||A_12|| ||A_21||)^(1/2) the least
         Frobenius norm of its system over the block scalings
         A_12 -> c A_12, A_21 -> A_21 / c, c > 0, which keep the determinant;
         ||A_11|| and ||A_22|| are those of A_0, taken before I is added.
         Flagged ``suspect`` also where it breaks a Frechet bound,
         F1 + F2 - 1 <= P <= min(F1, F2), by more than the sum of its own
         and both marginals' roundoff bounds and 8u |value|."""
-        pair = sorted((s1, s2))
-        blocks, norms = _eye_minus_a0(self.process, pair, *self._tan)
-        f1, f2 = _marginal_points(self.process, pair, self.m, self.scale, (blocks, norms))
-        inverses = np.full_like(blocks, np.nan)
-        inverses[1] = np.linalg.inv(blocks[1])
-        self.prepare(pair, blocks, [f1.value, f2.value], inverses, {})
+        lv = self.level
         a12, a21 = self._blocks(0, 1, 2)
-        norm = math.sqrt(norms @ norms + 2.0 * frobenius_norm(a12) * frobenius_norm(a21))
+        norm = math.sqrt(lv.norms @ lv.norms + 2.0 * frobenius_norm(a12) * frobenius_norm(a21))
         value = float(self._dets([(0, 1, 2)], lambda *_: (a12, a21))[0])
-        point = _det_point(self.t, DetResult(value, 2 * self.m, roundoff_bound(2 * self.m, norm)))
+        point = _det_point(self.t, DetResult(value, 2 * lv.m, roundoff_bound(2 * lv.m, norm)))
         # each value also rounds by ~u |value|, which its roundoff bound (a
         # backward error of the matrix) leaves out: near 1 that dominates
-        slack = sum(p.est_error + DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF * abs(p.value)
-                    for p in (point, f1, f2))
-        if not (f1.value + f2.value - 1.0 - slack <= point.value
-                <= min(f1.value, f2.value) + slack):
+        slack = sum(e + DEFAULT_EPS_MULTIPLE * UNIT_ROUNDOFF * abs(v)
+                    for v, e in ((point.value, point.est_error), *zip(lv.marg, lv.bounds)))
+        f1, f2 = lv.marg
+        if not f1 + f2 - 1.0 - slack <= point.value <= min(f1, f2) + slack:
             point = replace(point, suspect=True)
         return point
 
@@ -769,53 +732,74 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class _Level:
-    """The data of a covariance level that do not depend on t, shared by
-    every t and every call at (process, m, n_outer, box, scale) through
-    ``_level``, which builds each level once:
+    """The t-independent data of an ascending set of thresholds, from which
+    a ``_JointTable`` is built: a covariance rung with its ``outer`` rule
+    (``_level``, cached) or a single joint's sorted pair (``_joint_point``).
 
-    * ``outer``: the n_outer-point Gauss-Legendre rule on the box;
-    * ``marg`` and ``bounds``: the marginals F(s_i) at its nodes and their
-      roundoff bounds, from I - A_0 stacked on the head of the whole grid;
-    * ``keep``: the thresholds ``_tail_drop`` leaves in at t > 0;
-    * ``eye_minus_a0``: I - A_0 at the kept thresholds, on their own head
-      (the dropped thresholds' blocks are not held);
-    * built on first use: ``inverses`` of those blocks (the pivots of
-      every joint, t > 0), ``interpolations``, a dict of that head's
-      ``_interpolation`` matrices by (x_min, N) (``_JointTable.prepare``),
+    * ``marg``, ``bounds`` and ``norms``: the marginals F(s_i), their
+      roundoff bounds and ||A_0||_F, from I - A_0 stacked on the head of
+      every threshold (``_marginal_points``);
+    * ``keep``: the thresholds ``_tail_drop`` leaves in at t > 0 (a pair
+      keeps both), and of those ``s``, the head ``offsets``, ``rr`` and
+      nodes ``x`` of their tan map, and ``eye_minus_a0``: I - A_0 on that
+      head (the dropped thresholds' blocks are not held);
+    * built on first use: ``inverses`` of those blocks, the pivots of every
+      joint (a pair inverts only the larger threshold's and leaves the
+      other NaN, so a ``grid`` of it raises ValueError in ``det_lu``),
+      ``interpolation(x_min, N)``, that head's ``_interpolation`` matrix,
       and ``cumulative``, the ``_legendre_cumulative`` matrix (t = 0).
 
-    Every array is read-only.  The nine default levels of both processes,
-    with their inverses, cumulative matrices and one interpolation matrix
-    per Airy(2) level (4.4 MB, at x_min = -10 and N = 128), hold 11.0 MB of
-    arrays."""
+    Every array is read-only.  The nine default rungs of both processes,
+    with inverses, cumulative matrices and one interpolation matrix per
+    Airy(2) rung (4.4 MB, at x_min = -10 and N = 128), hold 11.0 MB."""
 
-    def __init__(self, process: str, m: int, n_outer: int,
-                 box: tuple[float, float], scale: float):
-        self.outer = gauss_legendre(box[0], box[1], n_outer)
-        offsets, rr = _tan_map(m, scale)
-        blocks, norms = _eye_minus_a0(process, self.outer.nodes, offsets, rr)
-        points = _marginal_points(process, self.outer.nodes, m, scale, (blocks, norms))
+    def __init__(self, process: str, svals, m: int, scale: float, outer=None):
+        svals = np.asarray(svals, dtype=float)
+        if not (svals[1:] >= svals[:-1]).all():
+            raise ValueError("level thresholds must ascend")
+        self.process, self.m, self.outer = process, m, outer
+        blocks, norms, points = _marginal_points(process, svals, m, scale)
         self.marg = _frozen(np.array([p.value for p in points]))
         self.bounds = _frozen(np.array([p.est_error for p in points]))
-        self.keep = _frozen(_tail_drop(self.marg, self.bounds, self.outer.weights)[0])
-        h = _head(process, self.outer.nodes[self.keep], offsets)
+        self.norms = _frozen(norms)
+        self.keep = _frozen(np.ones(svals.size, dtype=bool) if outer is None else
+                            _tail_drop(self.marg, self.bounds, outer.weights)[0])
+        self.s = _frozen(svals[self.keep])
+        offsets, rr = _tan_map(m, scale)
+        h = _head(process, self.s, offsets)
+        self.offsets, self.rr = offsets[:h], rr[:h, :h]
+        self.x = _frozen(self.s[:, None] + self.offsets)
         self.eye_minus_a0 = _frozen(blocks[self.keep, :h, :h])
-        self.interpolations = {}
+        self._interpolations = {}
 
     @cached_property
     def inverses(self) -> np.ndarray:
-        return _frozen(np.linalg.inv(self.eye_minus_a0))
+        if self.outer is not None:
+            return _frozen(np.linalg.inv(self.eye_minus_a0))
+        inverses = np.full_like(self.eye_minus_a0, np.nan)
+        inverses[-1] = np.linalg.inv(self.eye_minus_a0[-1])
+        return _frozen(inverses)
+
+    def interpolation(self, x_min: float, n: int) -> np.ndarray:
+        if (x_min, n) not in self._interpolations:
+            self._interpolations[x_min, n] = _interpolation(self.x.ravel(), x_min, n)
+        return self._interpolations[x_min, n]
 
     @cached_property
     def cumulative(self) -> np.ndarray:
         return _frozen(_legendre_cumulative(self.outer))
 
 
-_level = lru_cache(maxsize=16)(_Level)
+@lru_cache(maxsize=16)
+def _level(process: str, m: int, n_outer: int, box: tuple[float, float],
+           scale: float) -> _Level:
+    """The covariance rung on the n_outer-point Gauss-Legendre rule on the
+    box, built once and shared by every t and call."""
+    outer = gauss_legendre(box[0], box[1], n_outer)
+    return _Level(process, outer.nodes, m, scale, outer)
 
 
-def _cov_zero(process: str, m: int, n_outer: int, box: tuple[float, float],
-              scale: float) -> float:
+def _cov_zero(level: _Level) -> float:
     """Variance via the covariance identity at t = 0.
 
     The joint reduces to F(min(s1, s2)), so the box integral collapses to
@@ -823,28 +807,20 @@ def _cov_zero(process: str, m: int, n_outer: int, box: tuple[float, float],
 
         var = 2 int_L^U (1 - F(s2)) G(s2) ds2,   G(s2) = int_L^{s2} F(s1) ds1.
 
-    F is the level's marginal at each outer Gauss-Legendre node, and G at
-    the same nodes comes from the level's cumulative spectral-integration
-    matrix (``_legendre_cumulative``), so a level costs n_outer marginals.
+    F is the rung's marginal at each outer Gauss-Legendre node, and G at
+    the same nodes comes from its cumulative spectral-integration matrix
+    (``_legendre_cumulative``), so a rung costs n_outer marginals.
     """
-    level = _level(process, m, n_outer, box, scale)
     f = level.marg
     g = level.cumulative @ f
     return 2.0 * float(level.outer.weights @ ((1.0 - f) * g))
 
 
-def _cov_positive(process: str, t: float, m: int, n_outer: int,
-                  box: tuple[float, float], scale: float, kernels) -> float:
-    """Covariance at t > 0 from the joint table on the outer grid of the
-    level (``_level``): the table is prepared on the thresholds the level
-    keeps (``_tail_drop``), with their I - A_0 blocks, marginals and
-    inverses."""
-    level = _level(process, m, n_outer, box, scale)
+def _cov_positive(level: _Level, t: float, kernels) -> float:
+    """Covariance at t > 0 from the joint table on the thresholds the rung
+    keeps (``_tail_drop``)."""
     w, f = level.outer.weights[level.keep], level.marg[level.keep]
-    table = _JointTable(process, t, m, scale, kernels)
-    table.prepare(level.outer.nodes[level.keep], level.eye_minus_a0, f, level.inverses,
-                  level.interpolations)
-    return float(w @ (table.grid() - np.outer(f, f)) @ w)
+    return float(w @ (_JointTable(t, kernels, level).grid() - np.outer(f, f)) @ w)
 
 
 #: (block dimension m, outer nodes) per refinement level, by process.  The
@@ -874,11 +850,8 @@ def _cov_process(process: str, t: float, accuracy: float,
     values = []
     est = math.inf
     for m, n_outer in levels:
-        if t == 0.0:
-            val = _cov_zero(process, m, n_outer, box, scale)
-        else:
-            val = _cov_positive(process, t, m, n_outer, box, scale, kernels)
-        values.append(val)
+        level = _level(process, m, n_outer, box, scale)
+        values.append(_cov_zero(level) if t == 0.0 else _cov_positive(level, t, kernels))
         if len(values) >= 2:
             est = abs(values[-1] - values[-2])
             if est <= accuracy:

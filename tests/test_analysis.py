@@ -70,8 +70,35 @@ class TestPhiPsi:
                 1.0 + math.erf(x / 2.0))
             assert log_psi_closed(x) == pytest.approx(math.log(psi), rel=1e-12, abs=0)
 
+    def test_at_infinity(self):
+        # both grow without bound; the series used to run 1e3 blocks first
+        assert log_phi_series(math.inf) == math.inf
+        assert log_psi_closed(math.inf) == math.inf
+
     def test_domain(self):
         with pytest.raises(ValueError):
             log_phi_series(-1.0)
         with pytest.raises(ValueError):
             log_psi_closed(-1.0)
+
+
+SINE = make_kernel("sine")
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: log_psi_closed(math.nan), "x must be >= 0"),
+    (lambda: log_phi_series(math.nan), "x must be >= 0"),
+    (lambda: hadamard_witness(SINE, (0.0, 1.0), 0), "n and samples must be >= 1"),
+    (lambda: hadamard_witness(SINE, (0.0, 1.0), 3, samples=0), "n and samples must be >= 1"),
+    (lambda: hadamard_witness(SINE, (math.nan, 1.0), 3), "finite and increasing"),
+    (lambda: hadamard_witness(SINE, (0.0, math.inf), 3), "finite and increasing"),
+    (lambda: hadamard_witness(SINE, (1.0, 0.0), 3), "finite and increasing"),
+    (lambda: hadamard_witness(SINE, (1.0, 1.0), 3), "finite and increasing"),
+], ids=["psi-nan", "phi-nan", "n-0", "samples-0", "interval-nan", "interval-inf",
+        "interval-reversed", "interval-empty"])
+def test_bad_input_rejected(call, match):
+    # a NaN went through as NaN or a 1 s divergence, n = 0 into numpy's
+    # zero-size error, samples = 0 into a vacuous report, a NaN interval
+    # into OverflowError
+    with pytest.raises(ValueError, match=match):
+        call()

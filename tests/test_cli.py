@@ -162,6 +162,13 @@ class TestSweeps:
         assert lines[0] == "param,value,est_error"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("s_max", ["0", "1"])
+    def test_e2_bad_m_exits_2(self, s_max):
+        # the sweep's first point, s = 0, checks m as the others do
+        code, out, err = run(["e2", "--s-min", "0", "--s-max", s_max, "--step", "1",
+                              "--m", "-5"])
+        assert code == 2 and out == "" and "m must be an integer >= 1" in err
+
     def test_green_bench(self):
         code, out, _ = run(["green-bench", "--m-list", "4,8,16,32",
                             "--method", "nystrom-gauss"])

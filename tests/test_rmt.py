@@ -64,10 +64,27 @@ def block_system_joint(process, t, s1, s2, m, scale=10.0, kernels=None):
     return fredholm_det_system(system, -1.0)
 
 
-def table(process, t, m, x_min=rmt.DEFAULT_BOX[0]):
-    """A joint table at map scale 10 for thresholds >= ``x_min``."""
-    return _JointTable(process, t, m, 10.0,
-                       rmt._process_kernels(process, t, rmt._INNER_TOL, x_min))
+def grid_level(process, s, m):
+    """A level at map scale 10 on the ascending thresholds ``s`` that keeps
+    every one, as a single joint's does, and inverts every block, as a
+    covariance rung does: the level of a table on any grid."""
+    level = rmt._Level(process, s, m, 10.0)
+    level.inverses = rmt._frozen(np.linalg.inv(level.eye_minus_a0))
+    return level
+
+
+def table(process, t, m, s, x_min=rmt.DEFAULT_BOX[0]):
+    """A joint table on the ascending grid ``s`` (``grid_level``), with the
+    kernels for thresholds >= ``x_min``."""
+    return _JointTable(t, rmt._process_kernels(process, t, rmt._INNER_TOL, x_min),
+                       grid_level(process, s, m))
+
+
+def pair_table(process, t, s1, s2, m):
+    """The table of the single joint (s1, s2), built as ``_joint_point``
+    builds it."""
+    return _JointTable(t, rmt._process_kernels(process, t, rmt._INNER_TOL, min(s1, s2)),
+                       rmt._Level(process, sorted((s1, s2)), m, 10.0))
 
 
 def process_kernels(process, t, x_min=rmt.DEFAULT_BOX[0], tol=rmt._INNER_TOL):
@@ -80,28 +97,17 @@ def process_kernels(process, t, x_min=rmt.DEFAULT_BOX[0], tol=rmt._INNER_TOL):
     return Airy1ProcessKernel(t), Airy1ProcessKernel(-t)
 
 
-def prepare(tab, s):
-    """``tab.prepare`` on the ascending grid ``s``, with the I - A_0 blocks,
-    marginals and inverses a covariance level would hand it, and an empty
-    dict of interpolation matrices, which it returns as prepare filled it."""
-    blocks, norms = rmt._eye_minus_a0(tab.process, s, *rmt._tan_map(tab.m, tab.scale))
-    points = rmt._marginal_points(tab.process, s, tab.m, tab.scale, (blocks, norms))
-    interpolations = {}
-    tab.prepare(s, blocks, [p.value for p in points], np.linalg.inv(blocks), interpolations)
-    return interpolations
-
-
 def two_sided_grid(tab, kernels):
-    """The joints of the prepared grid: the rows j >= i from the table, and
+    """The joints of the table's grid: the rows j >= i from the table, and
     each pair (s_i, s_j), i > j, below the diagonal on its own, in its own
     order, as the BlockSystem determinant with the table's ``kernels``
     (``process_kernels``; the table mirrors these pairs by time reversal)."""
-    s = tab._s
+    level = tab.level
     joint = np.triu(tab.grid())
-    for i in range(s.size):
+    for i in range(level.s.size):
         for j in range(i):
-            joint[i, j] = block_system_joint(tab.process, tab.t, s[i], s[j], tab.m,
-                                             kernels=kernels).value
+            joint[i, j] = block_system_joint(level.process, tab.t, level.s[i], level.s[j],
+                                             level.m, kernels=kernels).value
     return joint
 
 
@@ -116,10 +122,9 @@ def closed_form_bound(process, t, s1, s2, m):
     """The roundoff bound sqrt(2m) N 8u of the single joint (s1, s2), t > 0,
     N its ``least_norm``: the off-diagonal blocks of a table that took that
     joint, the diagonal ones A_0 on the table's head, built here."""
-    tab = table(process, t, m, min(s1, s2))
-    tab.joint(s1, s2)
+    tab = pair_table(process, t, s1, s2, m)
     k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
-    a0 = [tab._rr * k0.matrix(x, x) for x in tab._x]
+    a0 = [tab.level.rr * k0.matrix(x, x) for x in tab.level.x]
     norm = least_norm(*a0, *tab._blocks(0, 1, 2))
     return math.sqrt(2 * m) * norm * 8 * UNIT_ROUNDOFF
 
@@ -159,20 +164,21 @@ def test_least_norm_is_the_minimum_over_scalings(seed, n, k12, k21):
 
 
 def balanced_systems(tab, i, lo, hi):
-    """The full systems I - A of the prepared pairs (s_i, s_j), lo <= j < hi,
+    """The full systems I - A of the table's pairs (s_i, s_j), lo <= j < hi,
     stacked (hi - lo, 2h, 2h) on the table's head of h nodes: its diagonal
     and off-diagonal blocks, each system balanced by ``_balance_blocks``.
     The joint table takes Schur complements instead; this is the order-2h
     reference."""
-    h = tab._off.size
+    eye_minus_a0 = tab.level.eye_minus_a0
+    h = eye_minus_a0.shape[-1]
     a12, a21 = tab._blocks(i, lo, hi)
     for b12, b21 in zip(a12, a21):
         _balance_blocks([[None, b12], [b21, None]])
     systems = np.empty((hi - lo, 2 * h, 2 * h))
-    systems[:, :h, :h] = tab.eye_minus_a0[i]
+    systems[:, :h, :h] = eye_minus_a0[i]
     systems[:, :h, h:] = -a12
     systems[:, h:, :h] = -a21
-    systems[:, h:, h:] = tab.eye_minus_a0[lo:hi]
+    systems[:, h:, h:] = eye_minus_a0[lo:hi]
     return systems
 
 
@@ -187,6 +193,14 @@ class TestE2:
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):
             e2_gap(-0.5, 5)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("m", [-5, 0, 2.5])
+    def test_bad_m_rejected(self, s, m):
+        # the empty interval s = 0 returns 1 without a rule, but a rule
+        # size that no rule accepts is a usage error there too
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            e2_gap(s, m)
 
     def test_monotone_decreasing_in_range(self):
         vals = [e2_gap(s, 40).value for s in np.linspace(0.0, 2.5, 11)]
@@ -425,7 +439,20 @@ class TestAiry2Joint:
             closed_form_bound("airy2", 0.3, -18.0, -16.0, 30), rel=1e-14, abs=0)
         assert p.est_error <= ref.roundoff_bound
         with pytest.raises(ValueError, match="x_min"):
-            prepare(table("airy2", 0.3, 30), np.array([-16.0]))
+            table("airy2", 0.3, 30, [-16.0])
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "t = 1e-4 is not resolved at m = 30 and 60: the joint reads 0.78391 and "
+        "0.78129, apart by 2e11 times their error bounds, inside the Frechet "
+        "window and unflagged"))
+    def test_tiny_t_converges_or_is_flagged(self):
+        # at t -> 0 the joint tends to F2(min(s1, s2)) = F2(-1) = 0.8072142
+        # (t = 0.01 gives 0.807213 at m = 60); each value must agree with the
+        # other rule size within both error bounds, or say that it does not
+        a, b = (airy2_joint(1e-4, -1.0, 0.0, m) for m in (30, 60))
+        for p, q in ((a, b), (b, a)):
+            assert p.suspect or abs(p.value - q.value) <= (
+                p.est_error + q.est_error + 8 * UNIT_ROUNDOFF * abs(q.value))
 
     def test_t_zero_carries_marginal_fallback(self):
         # at t = 0 the joint is the marginal F2(min(s1, s2)); at s = -9.5
@@ -474,7 +501,7 @@ class TestAiry1Joint:
         # 0.529, inside [0, 1]: only the Frechet bound P <= min(F1, F2)
         # catches it
         p = airy1_joint(2.5, -5.99, -5.94, 20)
-        f1, f2 = rmt._marginal_points("airy1", [-5.99, -5.94], 20, 10.0)
+        f1, f2 = rmt._marginal_points("airy1", [-5.99, -5.94], 20, 10.0)[2]
         assert -4e-6 < f1.value < 0.0 and -2e-6 < f2.value < 0.0
         assert 0.5 < p.value < 0.55
         assert p.suspect
@@ -492,7 +519,7 @@ class TestAiry1Joint:
     def test_pivot_block_past_a_cholesky_fallback(self):
         # the marginal at s = -5 falls back from Cholesky to LU and reads
         # -1.1e-18; the Schur complement pivots on the block at s = 2
-        low = rmt._marginal_points("airy1", [-5.0], 30, 10.0)[0]
+        low = rmt._marginal_points("airy1", [-5.0], 30, 10.0)[2][0]
         assert low.suspect and -1e-17 < low.value < 0.0
         p = airy1_joint(2.5, -5.0, 2.0, 30)
         ref = block_system_joint("airy1", 2.5, -5.0, 2.0, 30)
@@ -554,8 +581,7 @@ class TestJointTableRows:
     def test_symmetry_on_random_pairs(self, process, seed):
         # time reversal: P(A(t) <= s1, A(0) <= s2) = P(A(t) <= s2, A(0) <= s1)
         s = np.sort(np.random.default_rng(seed).uniform(-4.0, 2.0, size=7))
-        tab = table(process, 0.8, 20)
-        prepare(tab, s)
+        tab = table(process, 0.8, 20, s)
         joint = two_sided_grid(tab, process_kernels(process, 0.8))
         assert np.max(np.abs(joint - joint.T)) <= 1e-13
 
@@ -566,10 +592,9 @@ class TestJointTableRows:
         # Airy(1) value at m = 12 is 3.3e5, so the bound is relative
         m, n = 12, 10
         kernels = rmt._process_kernels(process, 1.0, 1e-12, box[0])
-        value = rmt._cov_positive(process, 1.0, m, n, box, 10.0, kernels)
+        value = rmt._cov_positive(rmt._level(process, m, n, box, 10.0), 1.0, kernels)
         outer = gauss_legendre(box[0], box[1], n)
-        tab = _JointTable(process, 1.0, m, 10.0, kernels)
-        prepare(tab, outer.nodes)
+        tab = _JointTable(1.0, kernels, grid_level(process, outer.nodes, m))
         joint = two_sided_grid(tab, process_kernels(process, 1.0, box[0], 1e-12))
         marg = np.array([_marginal(process, s, m) for s in outer.nodes])
         ref = outer.weights @ (joint - np.outer(marg, marg)) @ outer.weights
@@ -587,8 +612,7 @@ class TestJointTableRows:
         # from full m x m kernel matrices of K_t and K_{-t}, relative to the
         # largest joint of the grid (the smallest ones are roundoff-sized)
         s = gauss_legendre(*rmt.AIRY1_BOX, 9).nodes
-        tab = table("airy1", t, 20)
-        prepare(tab, s)
+        tab = table("airy1", t, 20, s)
         rows = tab.grid()
 
         def full(kernel, s1, s2, offsets):
@@ -605,8 +629,7 @@ class TestJointTableRows:
         # only the rows j >= i are computed; the grid mirrors them
         s = np.random.default_rng(3).uniform(-5.0, 3.0, size=9)
         s.sort()
-        tab = table(process, 0.6, 16)
-        prepare(tab, s)
+        tab = table(process, 0.6, 16, s)
         joint = tab.grid()
         assert np.array_equal(joint, joint.T)
 
@@ -634,10 +657,9 @@ class TestJointTableRows:
             m, n = rmt._COV_LEVELS[process][level]
             box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
             s, kernels = gauss_legendre(*box, n).nodes, cov_kernels(process, t)
-        tab = _JointTable(process, abs(t), m, 10.0, kernels)
-        prepare(tab, s)
+        tab = _JointTable(abs(t), kernels, grid_level(process, s, m))
         # two pairs an LU call: a row spans several calls, and a call two rows
-        monkeypatch.setattr(rmt, "_EVAL_CHUNK", 3 * tab._off.size ** 2 - 1)
+        monkeypatch.setattr(rmt, "_EVAL_CHUNK", 3 * tab.level.offsets.size ** 2 - 1)
         grid = tab.grid()
         for i in ((0, 2) if level is None else range(s.size)):
             row = grid[i, i:]
@@ -653,8 +675,7 @@ class TestJointTableRows:
         # the Schur complement is invariant under the exact similarity
         # A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, which balancing applies
         s = gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes
-        tab = table(process, 0.7, 16)
-        prepare(tab, s)
+        tab = table(process, 0.7, 16, s)
         rows = tab.grid()
         blocks = tab._blocks
 
@@ -678,8 +699,8 @@ class TestJointTableRows:
     def test_joint_matches_extended_precision_determinant(self, process, t, s1, s2, m):
         # the same Nystrom matrix oracle: the balanced float system of
         # order 2m, its determinant in 50-digit arithmetic
-        tab = table(process, t, m, min(s1, s2))
-        p = tab.joint(s1, s2)
+        tab = pair_table(process, t, s1, s2, m)
+        p = tab.joint()
         system = balanced_systems(tab, 0, 1, 2)[0]
         with mpmath.workdps(50):
             exact = float(mpmath.det(mpmath.matrix(system.tolist())))
@@ -693,12 +714,13 @@ class TestJointTableRows:
         # keeps its inner rule (Laplace branch).
         m = 16
         s = gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes
-        tab = table(process, 0.7, m)
+        kernels = rmt._process_kernels(process, 0.7, rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
         # 2 of the 11 thresholds a matrix call; 9 of the 121 nodes a basis
         # call of K_{-t} (75 inner nodes), 5 an interpolation call of the
         # factor of K_t (128 points), the last call of each ragged
         monkeypatch.setattr(rmt, "_EVAL_CHUNK", 700)
-        interpolations = prepare(tab, s)
+        level = grid_level(process, s, m)
+        tab = _JointTable(0.7, kernels, level)
         k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
         offsets, rr = rmt._tan_map(m, 10.0)
         # the head of the grid: every node for Airy(1)
@@ -713,13 +735,13 @@ class TestJointTableRows:
             key = factor.x_min, factor.points
             # the grid's interpolation rows, put back per threshold
             rows = np.zeros((s.size * h, factor.points))
-            inside = tab._x.ravel() <= rmt._HEAD_CUT
+            inside = level.x.ravel() <= rmt._HEAD_CUT
             assert 700 // factor.points < np.sum(inside)
-            rows[inside] = interpolations[key]
+            rows[inside] = level.interpolation(*key)
             rows = rows.reshape(s.size, h, -1)
         for k, sk in enumerate(s):
             x = sk + offsets
-            assert np.array_equal(tab.eye_minus_a0[k], np.eye(h) - rr * k0.matrix(x, x))
+            assert np.array_equal(level.eye_minus_a0[k], np.eye(h) - rr * k0.matrix(x, x))
             if process == "airy2":
                 # weighted in place: U = r B
                 assert np.array_equal(tab._u[1][k], r * tab.kmt.basis(x))
@@ -740,8 +762,8 @@ class TestJointTableRows:
         # but the last is full, so the count is O(entries / _EVAL_CHUNK)
         m, n = rmt._COV_LEVELS[process][level]
         box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
-        tab = _JointTable(process, 1.0, m, 10.0, cov_kernels(process, 1.0))
-        prepare(tab, gauss_legendre(*box, n).nodes)
+        tab = _JointTable(1.0, cov_kernels(process, 1.0),
+                          grid_level(process, gauss_legendre(*box, n).nodes, m))
         if chunk is not None:
             monkeypatch.setattr(rmt, "_EVAL_CHUNK", chunk)
         stacks = []
@@ -753,7 +775,7 @@ class TestJointTableRows:
 
         monkeypatch.setattr(rmt, "det_lu", counting)
         tab.grid()
-        h = tab._off.size
+        h = tab.level.offsets.size
         pairs, per_call = n * (n + 1) // 2, max(1, rmt._EVAL_CHUNK // (h * h))
         assert (per_call == 1) == (chunk is not None)
         assert all(shape[1:] == (h, h) for shape in stacks)
@@ -777,8 +799,9 @@ class TestJointTableRows:
         m, n = 16, 9
         box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
         kernels = rmt._process_kernels(process, 0.7, rmt._INNER_TOL, box[0])
-        rmt._cov_positive(process, 0.7, m, n, box, 10.0, kernels)
-        k = int(np.sum(rmt._level(process, m, n, box, 10.0).keep))
+        level = rmt._level(process, m, n, box, 10.0)
+        rmt._cov_positive(level, 0.7, kernels)
+        k = int(np.sum(level.keep))
         assert calls == [[(i, i, k) for i in range(k)]]
         calls.clear()
         point = rmt._joint_point(process, -0.7, 0.5, -1.0, m, 10.0)
@@ -786,47 +809,65 @@ class TestJointTableRows:
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_joint_inverts_only_the_pivot_block(self, process, monkeypatch):
-        # the pair is ordered, and the Schur complement pivots on the
+        # the pair level is ordered, and the Schur complement pivots on the
         # larger threshold; the other block is never inverted
-        tab = table(process, 0.7, 16)
-        inverted = []
+        levels, inverted = [], []
         inv = np.linalg.inv
+
+        class Recording(rmt._Level):
+            def __init__(self, *args):
+                super().__init__(*args)
+                levels.append(self)
 
         def counting(a):
             inverted.append(np.array(a))
             return inv(a)
 
+        monkeypatch.setattr(rmt, "_Level", Recording)
         monkeypatch.setattr(np.linalg, "inv", counting)
         for s1, s2 in ((-1.0, 0.5), (0.5, -1.0)):
             inverted.clear()
-            tab.joint(s1, s2)
-            assert tab._s.tolist() == [-1.0, 0.5]
+            rmt._joint_point(process, 0.7, s1, s2, 16, 10.0)
+            level = levels[-1]
+            assert level.s.tolist() == [-1.0, 0.5] and level.keep.all()
             assert len(inverted) == 1
-            assert np.array_equal(inverted[0], tab.eye_minus_a0[1])
-            assert np.isnan(tab._inv[0]).all() and np.isfinite(tab._inv[1]).all()
+            assert np.array_equal(inverted[0], level.eye_minus_a0[1])
+            assert np.isnan(level.inverses[0]).all() and np.isfinite(level.inverses[1]).all()
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_grid_after_a_joint_raises(self, process):
-        # a single joint leaves its smaller threshold's inverse NaN, so no
-        # later grid reads an inverse that was never formed
-        tab = table(process, 0.7, 16)
-        tab.joint(-1.0, 0.5)
+        # a single joint's level leaves its smaller threshold's inverse NaN,
+        # so no grid of its table reads an inverse that was never formed
+        tab = pair_table(process, 0.7, -1.0, 0.5, 16)
+        tab.joint()
         with pytest.raises(ValueError, match="finite"):
             tab.grid()
+
+    @pytest.mark.parametrize("process,t,s1,s2", [
+        ("airy2", 1.0, -1.0, 0.5),  # both kernels factored
+        ("airy2", 0.5, 0.5, -1.0),  # the Laplace-branch K_{-t}, pair reversed
+        ("airy1", 1.5, -1.0, 0.5),
+    ])
+    def test_single_joint_equals_grid_bitwise(self, process, t, s1, s2):
+        # a single joint and a grid on the same two thresholds take the same
+        # level data, blocks and Schur complement: the same bits
+        point = rmt._joint_point(process, t, s1, s2, 20, 10.0)
+        grid = table(process, t, 20, sorted((s1, s2)), min(s1, s2)).grid()
+        assert point.value == grid[0, 1] == grid[1, 0]
 
     @pytest.mark.parametrize("t", [0.0, -0.7, math.nan])
     def test_table_needs_positive_t(self, t):
         # the joints take a negative t to |t|, and t = 0 to the marginal
         kernels = Airy1ProcessKernel(0.7), Airy1ProcessKernel(-0.7)
         with pytest.raises(ValueError, match="t > 0"):
-            _JointTable("airy1", t, 16, 10.0, kernels)
+            _JointTable(t, kernels, rmt._Level("airy1", [-1.0, 0.5], 16, 10.0))
 
     @pytest.mark.parametrize("s", [[0.5, -1.0], [-2.0, 1.0, 0.0], [0.0, math.nan]])
     def test_prepare_rejects_unsorted_grid(self, s):
-        # every pair pivots on its larger threshold s_j, j >= i
-        eye = np.eye(16) + np.zeros((len(s), 1, 1))
+        # every pair pivots on its larger threshold s_j, j >= i, so a level
+        # takes its thresholds ascending
         with pytest.raises(ValueError, match="ascend"):
-            table("airy1", 0.7, 16).prepare(s, eye, np.ones(len(s)), eye, None)
+            rmt._Level("airy1", s, 16, 10.0)
 
     def test_prepare_calls_basis_in_chunks(self, monkeypatch):
         # O(n h (K + N) / chunk) calls of at most one chunk of 8k entries,
@@ -849,10 +890,11 @@ class TestJointTableRows:
         monkeypatch.setattr(rmt, "_barycentric", counting_barycentric)
         n, m = 38, 24
         for t in (1.0, 0.5):
-            tab = table("airy2", t, m)
+            kernels = rmt._process_kernels("airy2", t, rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
             sizes.clear()
-            prepare(tab, gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
-            x = tab._x.ravel()
+            tab = _JointTable(t, kernels, grid_level("airy2", gauss_legendre(
+                *rmt.DEFAULT_BOX, n).nodes, m))
+            x = tab.level.x.ravel()
             sources = tab.kt, tab.kmt
             factors = [src for src in sources if isinstance(src, rmt._ChebyshevFactor)]
             keys = {(f.x_min, f.points) for f in factors}
@@ -866,13 +908,14 @@ class TestJointTableRows:
             assert len(sizes) <= entries / rmt._EVAL_CHUNK + 4 < n
 
     def test_prepare_takes_ai_points_for_a0_and_kept_basis_entries(self, monkeypatch):
-        # every Ai point of a level's blocks and prepare goes through
+        # every Ai point of a level's blocks and its table goes through
         # kernels.airy_ai, where the benchmark's tracer counts it: n h for
         # I - A_0 on the head of h nodes (its near-diagonal pairs are exact
         # diagonals here), none for a factored kernel (K_1, K_{-1} and
         # K_0.5), and n h K basis points for a kernel that keeps its inner
         # rule of K nodes (the Laplace K_{-0.5})
-        tables = [table("airy2", t, 24) for t in (1.0, 0.5)]
+        pairs = [rmt._process_kernels("airy2", t, rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
+                 for t in (1.0, 0.5)]
         points = []
         airy_ai = kernels_module.airy_ai
 
@@ -882,32 +925,31 @@ class TestJointTableRows:
 
         monkeypatch.setattr(kernels_module, "airy_ai", counting)
         n, m = 38, 24
-        for tab, inner in zip(tables, (0, tables[1].kmt.inner_size)):
+        for t, kernels, inner in zip((1.0, 0.5), pairs, (0, pairs[1][1].inner_size)):
             points.clear()
-            prepare(tab, gauss_legendre(*rmt.DEFAULT_BOX, n).nodes)
-            x = tab._x.ravel()
-            h = tab._off.size
+            tab = _JointTable(t, kernels, grid_level("airy2", gauss_legendre(
+                *rmt.DEFAULT_BOX, n).nodes, m))
+            x = tab.level.x.ravel()
+            h = tab.level.offsets.size
             assert x.size == n * h and h < m
             assert sum(points) == n * h * (1 + inner)
 
-    def test_prepare_takes_given_blocks_bitwise(self):
-        # a covariance level hands prepare the I - A_0 blocks of its kept
-        # thresholds, sliced from the marginals' blocks to the kept head:
-        # the bits of blocks built for the kept thresholds alone.  The kept
-        # thresholds start higher, so their head is a leading slice of the
-        # blocks' head.
+    def test_prepare_takes_given_blocks_bitwise(self, monkeypatch):
+        # a covariance rung slices the I - A_0 blocks of its kept thresholds
+        # from the marginals' blocks to the kept head: the bits of blocks
+        # built for the kept thresholds alone.  The kept thresholds start
+        # higher, so their head is a leading slice of the blocks' head.
         m = 16
-        s = gauss_legendre(*rmt.DEFAULT_BOX, 23).nodes
+        outer = gauss_legendre(*rmt.DEFAULT_BOX, 23)
+        s = outer.nodes
         keep = (np.arange(s.size) % 3 != 0) & (s > -2.0)
+        monkeypatch.setattr(rmt, "_tail_drop", lambda *args: (keep, 0.0))
         tan_map = rmt._tan_map(m, 10.0)
-        blocks, _ = rmt._eye_minus_a0("airy2", s, *tan_map)
+        level = rmt._Level("airy2", s, m, 10.0, outer)
         h = rmt._head("airy2", s[keep], tan_map[0])
-        assert h < blocks.shape[-1]
-        kept = blocks[keep, :h, :h]
-        tab = table("airy2", 0.7, m)
-        tab.prepare(s[keep], kept, np.ones(np.sum(keep)), np.linalg.inv(kept), {})
-        assert tab._off.size == h
-        assert np.array_equal(tab.eye_minus_a0,
+        assert h < rmt._head("airy2", s, tan_map[0])
+        assert level.offsets.size == h and np.array_equal(level.s, s[keep])
+        assert np.array_equal(level.eye_minus_a0,
                               rmt._eye_minus_a0("airy2", s[keep], *tan_map)[0])
 
     def test_level_builds_eye_minus_a0_once(self, monkeypatch, fresh_caches):
@@ -921,7 +963,7 @@ class TestJointTableRows:
 
         monkeypatch.setattr(rmt, "_eye_minus_a0", counting)
         kernels = rmt._process_kernels("airy2", 1.0, 1e-12, rmt.DEFAULT_BOX[0])
-        rmt._cov_positive("airy2", 1.0, 20, 32, rmt.DEFAULT_BOX, 10.0, kernels)
+        rmt._cov_positive(rmt._level("airy2", 20, 32, rmt.DEFAULT_BOX, 10.0), 1.0, kernels)
         assert calls == [32]
 
 
@@ -958,7 +1000,7 @@ class TestChebyshevFactor:
         kt, kmt = rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -10.0)
         assert isinstance(kt, rmt._ChebyshevFactor)
         assert isinstance(kmt, Airy2ProcessKernel) and kmt._mode == "laplace"
-        tab = _JointTable("airy2", 0.5, 16, 10.0, (kt, kmt))
+        tab = _JointTable(0.5, (kt, kmt), rmt._Level("airy2", [-1.0, 0.5], 16, 10.0))
         assert tab.kt is kt and tab.kmt is kmt and tab._ridge
 
     def test_missed_cap_keeps_the_inner_rule(self, monkeypatch, fresh_caches):
@@ -969,10 +1011,10 @@ class TestChebyshevFactor:
             kernels = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)
             assert all(isinstance(k, Airy2ProcessKernel) and rmt._chebyshev_factor(k) is None
                        for k in kernels)
-            tab = _JointTable("airy2", 1.0, 16, 10.0, kernels)
-            assert (tab.kt, tab.kmt) == kernels and not tab._ridge
             s1, s2 = -1.0, 0.5
-            assert abs(tab.joint(s1, s2).value
+            tab = _JointTable(1.0, kernels, rmt._Level("airy2", [s1, s2], 16, 10.0))
+            assert (tab.kt, tab.kmt) == kernels and not tab._ridge
+            assert abs(tab.joint().value
                        - block_system_joint("airy2", 1.0, s1, s2, 16).value) <= 1e-14
         finally:
             # no later test may take this unfactored pair from the cache
@@ -997,13 +1039,18 @@ class TestCaches:
         assert [[float(x).hex() for x in out] for out in warm] == \
                [[float(x).hex() for x in out] for out in cold]
 
-    def test_cached_arrays_are_read_only(self):
+    def test_cached_arrays_are_read_only(self, monkeypatch):
         cov_airy2(1.0)  # builds the level's interpolation matrix
         level = rmt._level("airy2", 20, 32, rmt.DEFAULT_BOX, 10.0)
-        assert len(level.interpolations) == 1
+        factor = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)[0]
+        # built once per key: a later request builds nothing
+        with monkeypatch.context() as patch:
+            patch.setattr(rmt, "_interpolation", None)
+            interpolation = level.interpolation(factor.x_min, factor.points)
+            assert level.interpolation(factor.x_min, factor.points) is interpolation
         arrays = [level.outer.nodes, level.outer.weights, level.marg, level.bounds,
-                  level.keep, level.eye_minus_a0, level.inverses, level.cumulative,
-                  *level.interpolations.values()]
+                  level.norms, level.keep, level.s, level.offsets, level.rr, level.x,
+                  level.eye_minus_a0, level.inverses, level.cumulative, interpolation]
         # the cached pairs: K_1 and K_{-1} factored, K_0.5 factored and
         # the Laplace K_{-0.5} with its inner rule
         kt, kmt = rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -10.0)
@@ -1024,13 +1071,14 @@ class TestCaches:
         cov_airy2(1.0)
         levels = [rmt._level("airy2", m, n, rmt.DEFAULT_BOX, 10.0)
                   for m, n in rmt._COV_LEVELS["airy2"][:alone[2]]]
-        built = [dict(level.interpolations) for level in levels]
-        assert all(len(b) == 1 for b in built)
+        key = next(iter(levels[0]._interpolations))
+        built = [level.interpolation(*key) for level in levels]
+        assert all(list(level._interpolations) == [key] for level in levels)
         after = cov_airy2(2.5, full_output=True)
         assert [float(x).hex() for x in after] == [float(x).hex() for x in alone]
         for level, before in zip(levels, built):
-            assert level.interpolations.keys() == before.keys()
-            assert all(level.interpolations[key] is a for key, a in before.items())
+            assert list(level._interpolations) == [key]
+            assert level.interpolation(*key) is before
 
     def test_cov_grid_builds_each_level_once(self, monkeypatch, fresh_caches):
         # t = 0 and t = 1 share the levels both use: each level's I - A_0
@@ -1107,10 +1155,8 @@ def full_level(process, t, m, n_outer, box, kernels):
     system of order 2h, on the head of h nodes of the whole grid, its
     roundoff bound sqrt(2m) ||A||_F 8u, and the marginals with theirs."""
     outer = gauss_legendre(*box, n_outer)
-    tab = _JointTable(process, t, m, 10.0, kernels)
-    prepare(tab, outer.nodes)
-    points = rmt._marginal_points(process, outer.nodes, m, 10.0)
-    n, h = n_outer, tab._off.size
+    tab = _JointTable(t, kernels, grid_level(process, outer.nodes, m))
+    n, h = n_outer, tab.level.offsets.size
     joint, est = np.zeros((n, n)), np.zeros((n, n))
     for i in range(n):
         systems = balanced_systems(tab, i, i, n)
@@ -1118,7 +1164,7 @@ def full_level(process, t, m, n_outer, box, kernels):
         est[i, i:] = (np.sqrt(2 * m) * 8 * UNIT_ROUNDOFF
                       * np.linalg.norm(np.eye(2 * h) - systems, axis=(1, 2)))
     return (outer, joint + np.triu(joint, 1).T, est + np.triu(est, 1).T,
-            np.array([p.value for p in points]), np.array([p.est_error for p in points]))
+            tab.level.marg, tab.level.bounds)
 
 
 @pytest.fixture(scope="module")
@@ -1166,7 +1212,8 @@ class TestTailDrop:
         assert b <= (box[1] - box[0]) ** 2 * np.max(e)
         w = outer.weights
         full = float(w @ (joint - np.outer(f, f)) @ w)
-        assert abs(rmt._cov_positive(process, t, m, n, box, 10.0, kernels) - full) <= b
+        level = rmt._level(process, m, n, box, 10.0)
+        assert abs(rmt._cov_positive(level, t, kernels) - full) <= b
 
     @pytest.mark.parametrize("process,t,level,ref", [
         # ref: _cov_positive at (m, n_outer) = (38, 64) without the drop
@@ -1191,7 +1238,7 @@ class TestTailDrop:
         assert np.any(~keep) and b <= (box[1] - box[0]) ** 2 * np.max(e)
         w = outer.weights
         full = float(w @ (joint - np.outer(f, f)) @ w)
-        value = rmt._cov_positive(process, t, m, n, box, 10.0, kernels)
+        value = rmt._cov_positive(rmt._level(process, m, n, box, 10.0), t, kernels)
         assert abs(value - full) <= b + abs(full - ref)
 
 
@@ -1297,11 +1344,11 @@ class TestHead:
         # the reference assembles the kernels' matrices, not their factors
         ref, bound, keep = all_node_level(t, m, n, process_kernels("airy2", t, tol=1e-12))
         outer = gauss_legendre(*rmt.DEFAULT_BOX, n)
-        points = rmt._marginal_points("airy2", outer.nodes, m, 10.0)
+        points = rmt._marginal_points("airy2", outer.nodes, m, 10.0)[2]
         head_keep, _ = rmt._tail_drop(np.array([p.value for p in points]),
                                       np.array([p.est_error for p in points]), outer.weights)
         assert np.array_equal(head_keep, keep)
-        value = rmt._cov_positive("airy2", t, m, n, rmt.DEFAULT_BOX, 10.0, kernels)
+        value = rmt._cov_positive(rmt._level("airy2", m, n, rmt.DEFAULT_BOX, 10.0), t, kernels)
         assert abs(value - ref) <= bound
 
 
@@ -1328,7 +1375,7 @@ class TestCovarianceZero:
             inner = gauss_legendre(low, s2, n_outer)
             fin = np.array([_marginal("airy2", s, m, scale) for s in inner.nodes])
             total += w2 * (1.0 - _marginal("airy2", s2, m, scale)) * float(inner.weights @ fin)
-        assert abs(_cov_zero("airy2", m, n_outer, box, scale) - 2.0 * total) <= 1e-12
+        assert abs(_cov_zero(rmt._level("airy2", m, n_outer, box, scale)) - 2.0 * total) <= 1e-12
 
 
 #: A two-level ladder far too coarse to meet any accuracy asked for here.
