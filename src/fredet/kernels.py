@@ -372,10 +372,8 @@ class Airy1ProcessKernel(Kernel):
         K_t(x, y) = Ai(x+y+t^2) e^{t(x+y) + 2t^3/3}
                     - exp(-(x-y)^2 / (4t)) / sqrt(4 pi t)    for t > 0,
 
-    and just the first term otherwise (so K_0(x, y) = Ai(x+y)).  The
-    Airy-times-exponential product is evaluated through the scaled Airy
-    function so that large positive arguments underflow cleanly instead of
-    producing inf * 0.
+    and just the first term otherwise (so K_0(x, y) = Ai(x+y)): ``eval`` is
+    ``airy_part`` minus ``gaussian_part``, which ``rmt`` takes apart.
     """
 
     hermitian = True
@@ -386,68 +384,27 @@ class Airy1ProcessKernel(Kernel):
             raise ValueError("t must be finite")
 
     def eval(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        xy = x + y
-        return _float_if_scalar(
-            self._term(x, y, *_airy_log_split(xy + self.t * self.t), xy, self.t))
+        return _float_if_scalar(self.airy_part(x, y) - self.gaussian_part(x, y))
 
-    def shifted_pairs(self, s1: float, s2, offsets):
-        """``K_t(s1 + o_p, s2_j + o_q)`` and ``K_{-t}(s2_j + o_q, s1 + o_p)``
-        for every j, both stacked as [j, p, q].  The two kernels share the
-        factor Ai(x + y + t^2) and differ in the sign of the exponent, so
-        the Airy points are evaluated once for both.
-
-        The sum x + y is rounded as (s1 + s2_j) + (o_p + o_q), which is
-        symmetric bit for bit in (p, q) and in (s1, s2_j), so the Airy
-        factor is evaluated for p <= q only and mirrored.  The exponent
-        t (x + y) comes from the same sum, which keeps it consistent with
-        the Airy factor's log scale; the heat term is evaluated in full.
-        """
-        offsets = np.asarray(offsets, dtype=float)
-        s2 = np.asarray(s2, dtype=float)
-        t = self.t
-        x = (s1 + offsets)[None, :, None]
-        y = (s2[:, None] + offsets[None, :])[:, None, :]
-        xy = (s1 + s2)[:, None, None] + (offsets[:, None] + offsets[None, :])
-        p, q = np.triu_indices(offsets.size)
-        a_tri, g_tri = _airy_log_split(xy[:, p, q] + t * t)
-        ai = np.empty(xy.shape)
-        log_scale = np.empty(xy.shape)
-        for full, tri in ((ai, a_tri), (log_scale, g_tri)):
-            full[:, p, q] = tri
-            full[:, q, p] = tri
-        return (self._term(x, y, ai, log_scale, xy, t),
-                self._term(x, y, ai, log_scale, xy, -t))
-
-    @staticmethod
-    def _term(x, y, ai, log_scale, xy, t):
-        """K_t(x, y) from the split Airy factor Ai(xy + t^2) =
-        ai * exp(log_scale), xy = x + y: Ai times e^{t xy + 2t^3/3} in log
-        space, so that it underflows cleanly instead of giving inf * 0
-        (for xy + t^2 <= 0 the exponent is bounded above).  The exponent
-        of K_{-t} is the exact negative of K_t's, and the heat term is
-        even in x - y, so the term at -t is also K_{-t}(y, x)."""
-        c = t * xy + 2.0 * t ** 3 / 3.0
+    def airy_part(self, x, y):
+        """Ai(v) e^{t(x+y) + 2t^3/3}, v = x + y + t^2, as scaled Ai times
+        e^{-(w - t)^2 (2w + t) / 3}, w = sqrt(v), for v > 0: it underflows cleanly, and
+        summed term by term that exponent cancels (8e-13 relative error at t = 20)."""
+        t, xy = self.t, np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
+        v = xy + t * t
+        w = np.sqrt(np.maximum(v, 0.0))
         with np.errstate(under="ignore", over="ignore"):
-            out = ai * np.exp(c + log_scale)
-        if t > 0.0:
-            out = out - _heat(x, y, t)
-        return out
+            expo = np.where(v > 0.0, -(w - t) ** 2 * (2.0 * w + t) / 3.0,
+                            t * xy + 2.0 * t ** 3 / 3.0)
+            return airy_ai_scaled(v) * np.exp(expo)
 
-
-def _heat(x, y, t):
-    """The heat-kernel term exp(-(x-y)^2 / (4t)) / sqrt(4 pi t), t > 0."""
-    with np.errstate(under="ignore", over="ignore"):
-        return np.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-
-
-def _airy_log_split(u):
-    """(a, g) with Ai(u) = a * exp(g): the scaled Airy function and
-    g = -(2/3) u^(3/2) for u > 0, Ai(u) itself and g = 0 otherwise."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(under="ignore", over="ignore"):
-        return airy_ai_scaled(u), -(2.0 / 3.0) * np.maximum(u, 0.0) ** 1.5
+    def gaussian_part(self, x, y):
+        """The heat term exp(-(x-y)^2 / (4t)) / sqrt(4 pi t) for t > 0, else 0."""
+        if self.t <= 0.0:
+            return 0.0
+        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        with np.errstate(under="ignore", over="ignore"):
+            return np.exp(-(d ** 2) / (4.0 * self.t)) / math.sqrt(4.0 * math.pi * self.t)
 
 
 class TransformedKernel(Kernel):

@@ -34,14 +34,16 @@ K_t (t > 0) and the oscillatory K_{-t} (t >= 0.75) are analytic and of
 numerical rank 20-90, so the joint table takes them from low-rank
 Chebyshev factors (``_ChebyshevFactor``) instead of their 60-480-node
 inner rules; the Laplace-branch K_{-t} (0 < t < 0.75), whose Gaussian
-ridge has no low rank, keeps its inner rule.
+ridge has no low rank, keeps its inner rule.  Airy(1)'s K_t and K_{-t}
+come from factors of their Airy parts (``_airy1_kernels``).
 
 What does not depend on t sits in a ``_Level``, from which every joint
 table is built: per call for a single joint's pair, once per process for
 a covariance rung, which every t and call share (``_level``, keyed on
 (process, m, n_outer, box, scale)), as they share the Airy(2) pair K_t,
 K_{-t} as factors where they have one (``_airy2_kernels``, keyed on (t,
-inner tolerance, effective x_min)), unless its build warned.  Cached
+inner tolerance, effective x_min)), unless its build warned, and the
+Airy(1) pair (``_airy1_kernels``, keyed on (t, effective x_min)).  Cached
 arrays are read-only, and a warm call returns the bits of a cold one.
 """
 
@@ -50,7 +52,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -200,17 +202,16 @@ def truncation_bound(s: float, T: float) -> float:
 
 def _process_kernels(process: str, t: float, inner_tol: float, x_min: float):
     """The off-diagonal kernels K_t and K_{-t} of a joint system whose
-    thresholds are all >= ``x_min``, as ``_JointTable`` reads them.  The
-    Airy(2) pair comes from ``_airy2_kernels``, built once per (t,
-    inner_tol, effective x_min min(x_min, -10)) unless its build warned;
-    the Airy(1) pair is closed form and costs nothing to build."""
+    thresholds are all >= ``x_min``, as ``_JointTable`` reads them, from
+    ``_airy2_kernels`` at the effective x_min min(x_min, -10) or
+    ``_airy1_kernels`` at min(x_min, 0)."""
     if process == "airy2":
         try:
             return _airy2_kernels(t, inner_tol, min(x_min, Airy2ProcessKernel._X_MIN_CEILING))
         except _Uncached as warned:
             return warned.kernels
     if process == "airy1":
-        return Airy1ProcessKernel(t), Airy1ProcessKernel(-t)
+        return _airy1_kernels(t, min(x_min, 0.0))
     raise ValueError(f"unknown process {process!r} (expected 'airy2' or 'airy1')")
 
 
@@ -240,7 +241,42 @@ def _airy2_kernels(t: float, inner_tol: float, x_min: float):
     if not all(k.achieved_tol <= inner_tol for k in kernels):
         raise _Uncached(kernels)
     # the Laplace branch's Gaussian ridge has no low rank on the head
-    return tuple(k if k._mode == "laplace" else _chebyshev_factor(k) or k for k in kernels)
+    return tuple(k if k._mode == "laplace" else
+                 _chebyshev_factor(partial(_sampled, k), k.x_min, _HEAD_CUT) or k for k in kernels)
+
+
+def _airy1_cut(t: float) -> float:
+    """C(t), past which in x + y the Airy(1) factors' rows are 0: 24 up to
+    t = 0.42, 32.5 at t = 2.5, 54.7 at t = 10.  K_t's Airy part is Ai(v)
+    e^{(2/3) v^(3/2)} e^{-d^2 (2d + 3t) / 3}, v = x + y + t^2, d = sqrt(v) - t:
+    its first factor is at most Ai(0) < 1 and its exponent falls from 0 at
+    x + y = 0, so it is below 1e-30 (1.3e-31 at C, t <= 20) once
+    d^2 (2d + 3t) >= 3 ln 1e30, at x + y = d (d + 2t).  |K_{-t}| <= Ai(x + y)
+    <= Ai(24) = 1.2e-35 there.  A node past C - x_min meets every node
+    >= x_min in a sum past C: its zero rows and columns stand in for the
+    kernel's to 1e-30 before the tan map's weights."""
+    d = float(np.max(np.roots([2.0, 3.0 * t, 0.0, -3.0 * math.log(1e30)]).real))
+    return max(24.0, d * (d + 2.0 * t))
+
+
+@lru_cache(maxsize=64)
+def _airy1_kernels(t: float, x_min: float):
+    """Airy(1)'s K_t and K_{-t}, t > 0: ``_chebyshev_factor`` s on [x_min,
+    ``_airy1_cut``(t) - x_min], cached on (t, x_min), of parts at most 0.54.
+    K_t's is of its Airy part, sampled directly: its ``gaussian_part``, the
+    heat term, dominates from x ~ 3 on and would take digits with it.
+    K_{-t}'s is of Ai(x+y+t^2) with rate -t: a factor of K_{-t} itself (6e7
+    at t = 2.5, x + y = -12) erred by ~1e-15 of that everywhere.  Without a
+    factor in reach it raises ArithmeticError: no inner rule is left."""
+    kt, k0 = Airy1ProcessKernel(t), Airy1ProcessKernel(0.0)
+    x_max, shift = _airy1_cut(t) - x_min, t * t
+    factors = (_chebyshev_factor(lambda x: kt.airy_part(x[:, None], x), x_min, x_max,
+                                 gaussian_part=kt.gaussian_part),
+               _chebyshev_factor(lambda x: k0.airy_part(x[:, None] + x + shift, 0.0), x_min, x_max,
+                                 rate=-t))
+    if None in factors:
+        raise ArithmeticError(f"no Chebyshev factor of Airy(1) at t={t:g}, x_min={x_min:g}")
+    return factors
 
 
 #: Kernel entries, basis entries (rows times inner size) or interpolation
@@ -284,13 +320,13 @@ def _tan_map(m: int, scale: float):
 #: r_max^2 sqrt(K_0(X, X) K_0(s_min, s_min)), r = sqrt(w phi'), with
 #: K_0(20, 20) = 3.2e-55: below 3e-22 for m <= 200 at scale 10 and
 #: s_min >= -12, where the measured entries stay below 4e-28.  X is also
-#: the upper end of every ``_ChebyshevFactor``.
+#: the upper end of every Airy(2) ``_ChebyshevFactor``.
 _HEAD_CUT = 20.0
 
 
 #: Chebyshev points of the first and the largest ``_chebyshev_factor``,
-#: and its agreement with the kernel's inner rule on the probe grid,
-#: relative to max(1, |K|).
+#: and its agreement with the kernel's samples on the probe grid, relative
+#: to max(1, |K|).
 _FACTOR_FIRST_NODES = 64
 _FACTOR_MAX_NODES = 512
 _FACTOR_TOL = 16.0 * np.finfo(float).eps
@@ -299,35 +335,43 @@ _FACTOR_CUT = 1e-16
 
 
 class _ChebyshevFactor:
-    """K(x, y) = sum_k lambda_k v_k(x) v_k(y) on [x_min, ``_HEAD_CUT``]^2
-    for an analytic, symmetric Airy(2) kernel K without a Gaussian term: the
-    kept eigenpairs of K sampled on N = ``points`` Chebyshev points, each
-    v_k the barycentric interpolant of its eigenvector (Berrut & Trefethen,
-    SIAM Review 46, 2004), which is stable on Chebyshev points.
+    """K(x, y) = sum_k lambda_k v_k(x) v_k(y) on [x_min, x_max]^2 for the
+    analytic, symmetric part of a kernel K: its kept eigenpairs sampled on
+    N = ``points`` Chebyshev points, each v_k the barycentric interpolant of
+    its eigenvector (Berrut & Trefethen, SIAM Review 46, 2004), stable on
+    Chebyshev points, times the exact row scaling e^{rate x + rate^3/3}.
 
     It stands in for the kernel in ``_JointTable``: ``basis`` gives the
     v_k at the nodes, ``inner_weights`` the lambda_k and ``inner_size`` the
     rank, so a block is ``(basis(x) * inner_weights) @ basis(y).T`` with
-    tens of terms where the inner rule has 60-480.  Rows at x > ``_HEAD_CUT``
-    are 0: K_t has vanished there, and such a node gives a unit row or
-    column of a joint system (``_head``).  ``basis`` raises ValueError
-    below x_min, as the kernel's does.  The arrays are read-only."""
+    tens of terms where an inner rule has 60-480, less ``gaussian_part``
+    (None, or Airy(1)'s heat term).  Rows past x_max are 0: the kernel has
+    vanished there, and such a node gives a unit row or column of a joint
+    system (``_head``, ``_airy1_cut``).  ``basis`` raises ValueError below
+    x_min, as the kernel's does.  The arrays are read-only."""
 
-    def __init__(self, x_min: float, vectors, values):
-        self.x_min = x_min
+    def __init__(self, x_min: float, x_max: float, vectors, values, rate: float = 0.0,
+                 gaussian_part=None):
+        self.x_min, self.x_max = x_min, x_max
         self.points = vectors.shape[0]
         self._vectors = _frozen(vectors)
         self.inner_weights = _frozen(values)
         self.inner_size = values.size
+        self.rate, self.gaussian_part = rate, gaussian_part
 
     def basis(self, xs, interpolation=None) -> np.ndarray:
-        """v_k(xs[..., i]) for every kept term k, 0 past ``_HEAD_CUT``, from
-        the given ``_interpolation`` matrix of xs or else a new one."""
+        """v_k(xs[..., i]) for every kept term k, 0 past x_max, from the
+        given ``_interpolation`` matrix of xs or else a new one."""
         x = np.asarray(xs, dtype=float).ravel()
         if interpolation is None:
-            interpolation = _interpolation(x, self.x_min, self.points)
+            interpolation = _interpolation(x, self.x_min, self.x_max, self.points)
+        inside = x <= self.x_max
+        rows = interpolation @ self._vectors
+        if self.rate:
+            with np.errstate(under="ignore"):
+                rows *= np.exp(self.rate * x[inside] + self.rate ** 3 / 3.0)[:, None]
         out = np.zeros((x.size, self.inner_size))
-        out[x <= _HEAD_CUT] = interpolation @ self._vectors
+        out[inside] = rows
         return out.reshape(*np.shape(xs), self.inner_size)
 
 
@@ -356,15 +400,14 @@ def _barycentric(x, nodes, weights) -> np.ndarray:
     return c
 
 
-def _interpolation(x, x_min: float, n: int) -> np.ndarray:
+def _interpolation(x, x_min: float, x_max: float, n: int) -> np.ndarray:
     """The ``_barycentric`` matrix from the n Chebyshev points on [x_min,
-    ``_HEAD_CUT``] to the points of the 1-d x at or below ``_HEAD_CUT``, in
-    calls of at most ``_EVAL_CHUNK`` entries; read-only.  Every factor of
-    N = n points on [x_min, ``_HEAD_CUT``] shares it.  Raises ValueError
-    below x_min."""
+    x_max] to the points of the 1-d x at or below x_max, in calls of at
+    most ``_EVAL_CHUNK`` entries; read-only.  Every factor of N = n points
+    on [x_min, x_max] shares it.  Raises ValueError below x_min."""
     if x.size and np.min(x) < x_min:
         raise ValueError(f"factor is built for arguments >= x_min={x_min:g}, got {np.min(x):g}")
-    x, (nodes, weights) = x[x <= _HEAD_CUT], _chebyshev_points(x_min, _HEAD_CUT, n)
+    x, (nodes, weights) = x[x <= x_max], _chebyshev_points(x_min, x_max, n)
     out, step = np.empty((x.size, n)), max(1, _EVAL_CHUNK // n)
     for lo in range(0, x.size, step):
         out[lo:lo + step] = _barycentric(x[lo:lo + step], nodes, weights)
@@ -374,7 +417,7 @@ def _interpolation(x, x_min: float, n: int) -> np.ndarray:
 def _basis_rows(source, x) -> np.ndarray:
     """``source.basis`` (a kernel's or a factor's) at the points x, stacked
     (x.size, inner size), in calls of at most ``_EVAL_CHUNK`` entries."""
-    rows = max(1, _EVAL_CHUNK // source.inner_size)
+    rows = max(1, _EVAL_CHUNK // max(1, source.inner_size))
     out = np.empty((x.size, source.inner_size))
     for lo in range(0, x.size, rows):
         out[lo:lo + rows] = source.basis(x[lo:lo + rows])
@@ -388,29 +431,31 @@ def _sampled(source, x) -> np.ndarray:
     return (b * source.inner_weights) @ b.T
 
 
-def _chebyshev_factor(kernel):
-    """The ``_ChebyshevFactor`` of an Airy(2) kernel without a Gaussian
-    term, or None if none within reach matches the kernel.
+def _chebyshev_factor(sample, x_min: float, x_max: float, rate: float = 0.0,
+                      gaussian_part=None):
+    """The ``_ChebyshevFactor`` on [x_min, x_max], with ``rate`` and
+    ``gaussian_part``, of the values ``sample(x)`` at every pair of the 1-d
+    points x, or None if none within reach matches them.
 
     N doubles from ``_FACTOR_FIRST_NODES`` until the factor of the kept
-    eigenpairs (|lambda| > ``_FACTOR_CUT`` max |lambda|) of the kernel on N
-    Chebyshev points matches the kernel's inner rule to ``_FACTOR_TOL``
-    max(1, |K|) at every pair of a 61-point probe grid on [x_min,
-    ``_HEAD_CUT``]; past ``_FACTOR_MAX_NODES`` the kernel keeps its inner
-    rule.  At x_min = -20, K_{-0.76} needs 256 points; the others of
-    t in {0.1, 0.5, +-0.76, +-1, +-2.5} at x_min in {-10, -14, -20}
-    take 128."""
-    probes = np.linspace(kernel.x_min, _HEAD_CUT, 61)
-    want = _sampled(kernel, probes)
+    eigenpairs (|lambda| > ``_FACTOR_CUT`` max |lambda|) of the samples on
+    N Chebyshev points matches the samples to ``_FACTOR_TOL`` max(1, |K|)
+    at every pair of a 61-point probe grid; past ``_FACTOR_MAX_NODES``
+    there is none.  Samples that vanish give rank 0.  The Airy(2) kernels
+    of t in {0.1, 0.5, +-0.76, +-1, +-2.5} at x_min in {-10, -14, -20} take
+    128 points, but K_{-0.76} at -20, which takes 256."""
+    probes = np.linspace(x_min, x_max, 61)
+    want = sample(probes)
     n = _FACTOR_FIRST_NODES
     while n <= _FACTOR_MAX_NODES:
-        nodes, _ = _chebyshev_points(kernel.x_min, _HEAD_CUT, n)
-        values, vectors = np.linalg.eigh(_sampled(kernel, nodes))
+        nodes, _ = _chebyshev_points(x_min, x_max, n)
+        values, vectors = np.linalg.eigh(sample(nodes))
         kept = np.abs(values) > _FACTOR_CUT * np.max(np.abs(values))
-        factor = _ChebyshevFactor(kernel.x_min, vectors[:, kept], values[kept])
+        factor = _ChebyshevFactor(x_min, x_max, vectors[:, kept], values[kept])
         got = _sampled(factor, probes)
         if np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= _FACTOR_TOL:
-            return factor
+            return _ChebyshevFactor(x_min, x_max, factor._vectors, factor.inner_weights, rate,
+                                    gaussian_part)
         n *= 2
     return None
 
@@ -482,6 +527,10 @@ def _marginal(process: str, s: float, m: int, scale: float = 10.0) -> float:
 
 def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
                  scale: float) -> DistributionPoint:
+    # before any kernel, factor or cache sees min(s1, s2)
+    for name, s in (("s1", s1), ("s2", s2)):
+        if not math.isfinite(s):
+            raise ValueError(f"threshold {name} must be finite, got {s}")
     if t == 0.0:
         # At coinciding times the joint degenerates to the marginal at
         # min(s1, s2); the t -> 0 limit of the block determinant reproduces
@@ -577,23 +626,21 @@ def _legendre_cumulative(rule) -> np.ndarray:
 class _JointTable:
     """Joint determinants P(A(t) <= s_i, A(0) <= s_j) at t > 0 over the
     ascending thresholds a ``_Level`` keeps, with K_t and K_{-t} as
-    ``_process_kernels`` gives them (an Airy(2) kernel's
-    ``_ChebyshevFactor`` where it has one): the one joint-determinant path,
-    for single pairs (``airy2_joint`` / ``airy1_joint``, which take a
-    negative t to |t|) and covariance grids alike.
+    ``_process_kernels`` gives them (``_ChebyshevFactor`` s but for an
+    Airy(2) kernel with none): the one joint-determinant path of both
+    processes, for single pairs (``airy2_joint`` / ``airy1_joint``, which
+    take a negative t to |t|) and covariance grids alike.
 
     The level holds per threshold s M = I - A_0 on the head of its
     thresholds (``_head``: the same h nodes at every one), det(M) and M^-1;
-    the constructor adds, for Airy(2), the bases of K_t and K_{-t} at the
-    head nodes, weighted in place by the tan map's r = sqrt(w phi'):
-    U = r B.  A ``_ChebyshevFactor`` takes B from the level's
-    ``interpolation`` matrix, shared by every t; a kernel (the
+    the constructor adds the bases of K_t and K_{-t} at the head nodes,
+    weighted in place by the tan map's r = sqrt(w phi'): U = r B.  A factor
+    takes B from the level's ``interpolation`` matrix; a kernel (the
     Laplace-branch K_{-t}) from its inner rule, in ``basis`` calls of at
-    most ``_EVAL_CHUNK`` entries.
-    ``_dets``, the one row routine of ``grid`` and ``joint``, forms the
-    off-diagonal blocks of the pairs (s_i, s_j), j >= i, with one matrix
-    product per kernel (Airy(2), ``_blocks``) or one shared Airy evaluation
-    (Airy(1), ``Airy1ProcessKernel.shifted_pairs``), and takes each joint
+    most ``_EVAL_CHUNK`` entries.  ``_dets``, the one row routine of
+    ``grid`` and ``joint``, forms the off-diagonal blocks of the pairs
+    (s_i, s_j), j >= i, with one matrix product per kernel (``_blocks``),
+    and takes each joint
     as det(M_j) det(M_i - A_ij M_j^-1 A_ji): the grid ascends, so every pair
     pivots on its larger threshold s_j (the better-conditioned block).  The
     Schur complements of all rows fill one stack, which LAPACK LU takes
@@ -609,18 +656,14 @@ class _JointTable:
             raise ValueError("joint table expects t > 0")
         self.t, self.level, self._det = float(t), level, level.marg[level.keep]
         self.kt, self.kmt = kernels
-        # K_t, t > 0, is symmetric with no Gaussian term (``_blocks``); of
-        # the Airy(2) K_{-t}, the Laplace branch has one
-        assert getattr(self.kt, "_mode", "decay") == "decay"
-        self._ridge = getattr(self.kmt, "_mode", None) == "laplace"
-        if level.process == "airy2":
-            # U[i, p] = r_p B(x_ip), stacked (n, h, inner size); sqrt(fl(r^2)) is r
-            x, r, self._u = level.x.ravel(), np.sqrt(np.diagonal(level.rr))[:, None], []
-            for src in (self.kt, self.kmt):
-                u = (src.basis(x, level.interpolation(src.x_min, src.points))
-                     if isinstance(src, _ChebyshevFactor) else _basis_rows(src, x))
-                self._u.append(u.reshape(*level.x.shape, -1))
-                self._u[-1] *= r
+        # U[i, p] = r_p B(x_ip), stacked (n, h, inner size); sqrt(fl(r^2)) is r
+        x, r, self._u = level.x.ravel(), np.sqrt(np.diagonal(level.rr))[:, None], []
+        key = {f: (f.x_min, f.x_max, f.points) for f in kernels if isinstance(f, _ChebyshevFactor)}
+        interpolations = level.interpolations(key.values())
+        for src in kernels:
+            u = src.basis(x, interpolations[key[src]]) if src in key else _basis_rows(src, x)
+            self._u.append(u.reshape(*level.x.shape, src.inner_size))
+            self._u[-1] *= r
 
     def grid(self) -> np.ndarray:
         """All joints of the level's thresholds: the rows j >= i, mirrored
@@ -634,18 +677,16 @@ class _JointTable:
         """The off-diagonal blocks A_ij and A_ji of the systems I - A of the
         pairs (s_i, s_j), lo <= j < hi, each stacked (hi - lo, h, h)."""
         lv = self.level
-        if lv.process == "airy1":
-            # [j, p, q] = K_t(x_ip, x_jq) and K_{-t}(x_jq, x_ip)
-            b12, bwd = self.kt.shifted_pairs(lv.s[i], lv.s[lo:hi], lv.offsets)
-            return lv.rr * b12, lv.rr * bwd.transpose(0, 2, 1)
-        # [j, q, p] = r_q K(x_jq, x_ip) r_p, one product per kernel
-        h, c = lv.offsets.size, hi - lo
-        a_ij, a_ji = ((u[lo:hi].reshape(c * h, -1) @ (u[i] * src.inner_weights).T)
-                      .reshape(c, h, h) for u, src in zip(self._u, (self.kt, self.kmt)))
-        if self._ridge:
-            a_ji -= lv.rr * self.kmt.gaussian_part(lv.x[lo:hi, :, None], lv.x[i])
+        h, c, blocks = lv.offsets.size, hi - lo, []
+        for u, src in zip(self._u, (self.kt, self.kmt)):
+            # [j, q, p] = r_q K(x_jq, x_ip) r_p, one product per kernel, less its Gaussian term
+            block = (u[lo:hi].reshape(c * h, src.inner_size)
+                     @ (u[i] * src.inner_weights).T).reshape(c, h, h)
+            if src.gaussian_part is not None:
+                block -= lv.rr * src.gaussian_part(lv.x[lo:hi, :, None], lv.x[i])
+            blocks.append(block)
         # K_t is symmetric: its stack's per-pair transpose is A_ij
-        return a_ij.transpose(0, 2, 1), a_ji
+        return blocks[0].transpose(0, 2, 1), blocks[1]
 
     def _dets(self, rows, blocks=None) -> np.ndarray:
         """det(M_j) det(M_i - A_ij M_j^-1 A_ji) of the pairs (s_i, s_j),
@@ -746,12 +787,12 @@ class _Level:
     * built on first use: ``inverses`` of those blocks, the pivots of every
       joint (a pair inverts only the larger threshold's and leaves the
       other NaN, so a ``grid`` of it raises ValueError in ``det_lu``),
-      ``interpolation(x_min, N)``, that head's ``_interpolation`` matrix,
-      and ``cumulative``, the ``_legendre_cumulative`` matrix (t = 0).
+      ``interpolations(keys)``, the ``_interpolation`` matrices of the latest
+      table's factors, and ``cumulative``, ``_legendre_cumulative`` (t = 0).
 
     Every array is read-only.  The nine default rungs of both processes,
-    with inverses, cumulative matrices and one interpolation matrix per
-    Airy(2) rung (4.4 MB, at x_min = -10 and N = 128), hold 11.0 MB."""
+    with inverses, cumulative matrices and one interpolation matrix per rung
+    (4.4 MB for Airy(2), 4.8 MB for Airy(1) at t = 0.1), hold 15.9 MB."""
 
     def __init__(self, process: str, svals, m: int, scale: float, outer=None):
         svals = np.asarray(svals, dtype=float)
@@ -780,10 +821,11 @@ class _Level:
         inverses[-1] = np.linalg.inv(self.eye_minus_a0[-1])
         return _frozen(inverses)
 
-    def interpolation(self, x_min: float, n: int) -> np.ndarray:
-        if (x_min, n) not in self._interpolations:
-            self._interpolations[x_min, n] = _interpolation(self.x.ravel(), x_min, n)
-        return self._interpolations[x_min, n]
+    def interpolations(self, keys) -> dict:
+        # the latest table's only: Airy(1)'s x_max moves with t
+        self._interpolations = {key: self._interpolations[key] if key in self._interpolations
+                                else _interpolation(self.x.ravel(), *key) for key in set(keys)}
+        return self._interpolations
 
     @cached_property
     def cumulative(self) -> np.ndarray:
@@ -843,7 +885,7 @@ def _cov_process(process: str, t: float, accuracy: float,
     if not (math.isfinite(accuracy) and accuracy > 0.0):
         raise ValueError(f"accuracy must be finite and > 0, got {accuracy}")
     # the process kernels depend on neither m nor the outer rule, so one
-    # build (and one inner-rule refinement for Airy(2)) serves every level
+    # build (one inner-rule refinement for Airy(2), factors for both) serves every level
     kernels = (_process_kernels(process, t, min(_INNER_TOL, accuracy * 1e-2), box[0])
                if t > 0.0 else None)
     levels = _COV_LEVELS[process]
@@ -904,8 +946,8 @@ def cov_airy1(t: float, accuracy: float = 1e-8, scale: float = 10.0,
     """Two-point correlation cov(A_1(t), A_1(0)) of the Airy(1) process,
     integrated over the box ``AIRY1_BOX``, read at call time; refined as
     ``cov_airy2`` is, along ``_COV_LEVELS["airy1"]``, from (24, 38) to
-    (48, 88), with the same tail-threshold drop and bound B, and the same
-    level cache (``_level``); its closed-form kernels need no cache."""
+    (48, 88), with the same tail-threshold drop and bound B, level cache
+    (``_level``) and a kernel-pair cache (``_airy1_kernels``)."""
     return _cov_process("airy1", t, accuracy, AIRY1_BOX, scale, full_output)
 
 

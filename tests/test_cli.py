@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from fredet import rmt
 from fredet.cli import main
 
 
@@ -93,6 +94,9 @@ class TestDetCommand:
         # an --output path that cannot be opened, found before the sweep runs
         ["e2", "--s-min", "0", "--s-max", "1", "--step", "0.5",
          "--output", "/nonexistent/dir/x.csv"],
+        # a non-finite joint threshold, named before any kernel is built
+        ["joint", "--process", "airy1", "--t", "1", "--s1", "nan", "--s2", "0"],
+        ["joint", "--process", "airy2", "--t", "1", "--s1", "-1", "--s2", "inf"],
     ])
     def test_bad_input_exit_2(self, argv):
         code, out, err = run(argv)
@@ -198,6 +202,22 @@ class TestSweeps:
         assert code == 0
         val = float(out.strip().splitlines()[1].split(",")[0])
         assert 0.0 < val < 1.0
+
+    @pytest.mark.parametrize("name,value", [("--s1", "nan"), ("--s2", "-inf")])
+    def test_joint_names_the_bad_threshold(self, name, value):
+        argv = ["joint", "--process", "airy1", "--t", "1", "--s1=-1", "--s2=0"]
+        argv[[a.split("=")[0] for a in argv].index(name)] = f"{name}={value}"
+        code, out, err = run(argv)
+        assert code == 2 and not out
+        assert f"threshold {name[2:]} must be finite" in err
+
+    def test_airy1_joint_without_a_factor_exit_1(self, monkeypatch, fresh_caches):
+        # no Chebyshev factor within reach: Airy(1) has no inner rule left
+        monkeypatch.setattr(rmt, "_FACTOR_MAX_NODES", rmt._FACTOR_FIRST_NODES // 2)
+        code, out, err = run(["joint", "--process", "airy1", "--t", "1",
+                              "--s1", "-1", "--s2", "0"])
+        assert code == 1 and not out
+        assert err.startswith("numerical failure:") and "no Chebyshev factor" in err
 
     def test_specfun(self):
         code, out, _ = run(["specfun", "ai", "--x", "0"])

@@ -13,6 +13,7 @@ from fredet.kernels import (Airy1ProcessKernel, Airy2ProcessKernel, AiryKernel,
                             GreenKernel, Kernel, SineKernel, TransformedKernel,
                             make_kernel)
 from fredet import kernels as kernels_module
+from fredet import rmt
 from fredet.quadrature import gauss_legendre
 from fredet.rmt import _COV_LEVELS, DEFAULT_BOX, _tan_map
 from fredet.specfun import airy_ai, airy_ai_prime
@@ -555,41 +556,95 @@ class TestAiry1ProcessKernel:
 
     @pytest.mark.parametrize("t", [0.5, -0.7, 2.5])
     def test_matrix_pair_matches_both_kernels(self, t):
-        # one shared Airy evaluation gives K_t(x, y) and K_{-t}(y, x); at
-        # s1 = s2 = 0 the sums x + y round as in the full evaluation
-        offsets = np.linspace(-6.0, 40.0, 7)
-        fwd, bwd = Airy1ProcessKernel(t).shifted_pairs(0.0, np.zeros(1), offsets)
-        assert np.array_equal(fwd[0], Airy1ProcessKernel(t).matrix(offsets, offsets))
-        assert np.array_equal(bwd[0], Airy1ProcessKernel(-t).matrix(offsets, offsets).T)
+        # a row of joint-table blocks from the factors, as a joint at t
+        # takes them (at |t|): A_ij = rr K_t(x_i, x_j), the heat term
+        # subtracted in full, and A_ji = rr K_{-t}(x_j, x_i); measured 3.8 eps
+        # of max(1, |K|) and 1.2e-15 of K_{-t}'s envelope
+        t = abs(t)
+        s = np.array([-5.5, -2.5, -1.0, 0.3, 4.0])
+        level = rmt._Level("airy1", s, 20, 10.0)
+        tab = rmt._JointTable(t, rmt._process_kernels("airy1", t, rmt._INNER_TOL, s[0]), level)
+        a_ij, a_ji = tab._blocks(1, 1, s.size)
+        x, rr = level.x, level.rr
+        kt = Airy1ProcessKernel(t).matrix(x[1], x[1:])
+        assert np.all(np.abs(a_ij - rr * kt) <= rmt._FACTOR_TOL * rr * np.maximum(1.0, np.abs(kt)))
+        kmt = Airy1ProcessKernel(-t).matrix(x[1:], x[1])
+        with np.errstate(under="ignore"):
+            envelope = np.exp(-t * (x[1:, :, None] + x[1]) - 2.0 * t ** 3 / 3.0)
+        assert np.all(np.abs(a_ji - rr * kmt) <= 2e-14 * rr * envelope)
 
-    @pytest.mark.parametrize("t", [0.5, -0.7, 2.5])
-    def test_shifted_pairs_match_matrix_pair(self, t):
-        # the mirrored Airy factor differs from full evaluation only by the
-        # rounding of its argument
+    @pytest.mark.parametrize("t", [5.0, 10.0, 20.0])
+    def test_large_t_matches_extended_precision(self, t):
+        # the Airy part's exponent t(x+y) + 2t^3/3 - (2/3) v^(3/2) nearly
+        # cancels at large t; summed term by term it erred by 1.1e-13 at
+        # t = 10 and 8.3e-13 at t = 20.  At x - y = 100 the heat term is
+        # below 1e-50 of the kernel, so the error is the Airy part's
         k = Airy1ProcessKernel(t)
-        offsets = 10.0 * np.tan(0.5 * np.pi * np.linspace(0.02, 0.98, 13))
-        s2 = np.array([-5.5, -1.0, 0.3, 4.0])
-        fwd, bwd = k.shifted_pairs(-2.5, s2, offsets)
-        for j, sj in enumerate(s2):
-            ref_fwd = k.matrix(-2.5 + offsets, sj + offsets)
-            ref_bwd = Airy1ProcessKernel(-t).matrix(sj + offsets, -2.5 + offsets).T
-            assert np.max(np.abs(fwd[j] - ref_fwd)) <= 1e-13 * np.max(np.abs(ref_fwd))
-            assert np.max(np.abs(bwd[j] - ref_bwd)) <= 1e-13 * np.max(np.abs(ref_bwd))
+        xy = np.linspace(-8.0, 30.0, 77)
+        x, y = (xy + 100.0) / 2.0, (xy - 100.0) / 2.0
+        got = k.eval(x, y)
+        with mpmath.workdps(50):
+            for xi, yi, gi in zip(x, y, got):
+                xm, ym, tm = mpmath.mpf(xi), mpmath.mpf(yi), mpmath.mpf(t)
+                airy = mpmath.airyai(xm + ym + tm ** 2) * mpmath.exp(tm * (xm + ym) + 2 * tm ** 3 / 3)
+                ref = airy - mpmath.exp(-(xm - ym) ** 2 / (4 * tm)) / mpmath.sqrt(4 * mpmath.pi * tm)
+                assert abs(gi - ref) <= 6e-14 * abs(ref)
 
-    def test_shifted_pairs_evaluate_one_triangle(self, monkeypatch):
-        points = []
+    def test_eval_is_airy_part_less_gaussian_part(self):
+        x, y = np.meshgrid(np.linspace(-6.0, 8.0, 15), np.linspace(-5.0, 9.0, 15))
+        for t in (0.7, 0.0, -0.7):
+            k = Airy1ProcessKernel(t)
+            assert np.array_equal(k.eval(x, y), k.airy_part(x, y) - k.gaussian_part(x, y))
+        assert Airy1ProcessKernel(-0.7).gaussian_part(x, y) == 0.0
 
-        def counting(split):
-            def wrapped(u):
-                points.append(np.size(u))
-                return split(u)
-            return wrapped
 
-        monkeypatch.setattr(kernels_module, "_airy_log_split",
-                            counting(kernels_module._airy_log_split))
-        m, c = 9, 3
-        Airy1ProcessKernel(1.0).shifted_pairs(0.0, np.zeros(c), np.arange(m, dtype=float))
-        assert points == [c * m * (m + 1) // 2]
+class TestAiry1Factors:
+    """The factors ``rmt`` takes for the Airy(1) kernels K_t and K_{-t}
+    (``rmt._airy1_kernels``), against the kernels' own ``matrix``."""
+
+    @pytest.mark.parametrize("x_min", [-10.0, -6.0, -3.0])
+    @pytest.mark.parametrize("t", [0.05, 0.5, 1.0, 2.5, 10.0, 20.0])
+    def test_factors_match_matrix(self, t, x_min):
+        # random pairs on the factors' domain, not the build's probe grid;
+        # every tested t and x_min has a factor (no ArithmeticError)
+        kt, kmt = rmt._airy1_kernels(t, x_min)
+        assert (kt.x_min, kt.x_max) == (kmt.x_min, kmt.x_max) == (x_min, rmt._airy1_cut(t) - x_min)
+        x, y = np.random.default_rng(7).uniform(x_min, kt.x_max, (2, 400))
+        # K_t: the factored Airy part less the heat term in full, relative
+        # to max(1, |K|) as the build checks it (measured: up to 13.7 eps)
+        got = (kt.basis(x) * kt.inner_weights) @ kt.basis(y).T - kt.gaussian_part(x[:, None], y)
+        want = Airy1ProcessKernel(t).matrix(x, y)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= rmt._FACTOR_TOL
+        # K_{-t} reaches 4.5e7 at t = 1, x_min = -10: relative to its
+        # envelope e^{-t(x+y) - 2t^3/3}, which the row scaling carries
+        # exactly (measured: up to 4.6e-15)
+        got = (kmt.basis(x) * kmt.inner_weights) @ kmt.basis(y).T
+        want = Airy1ProcessKernel(-t).matrix(x, y)
+        with np.errstate(under="ignore"):
+            envelope = np.exp(-t * (x[:, None] + y) - 2.0 * t ** 3 / 3.0)
+        assert np.all(np.abs(got - want) <= 2e-14 * envelope)
+
+    def test_rows_past_x_max_are_zero(self):
+        kt, kmt = rmt._airy1_kernels(1.0, -6.0)
+        x = np.array([-6.0, kt.x_max, np.nextafter(kt.x_max, np.inf), kt.x_max + 5.0, 1e3])
+        for factor in (kt, kmt):
+            rows = factor.basis(x)
+            assert rows.shape == (5, factor.inner_size)
+            assert np.all(np.any(rows[:2] != 0.0, axis=1)) and np.all(rows[2:] == 0.0)
+            with pytest.raises(ValueError, match="x_min"):
+                factor.basis([-6.5])
+
+    def test_rank_zero_at_t_20(self):
+        # Ai(x + y + 400) underflows on the whole domain: an empty basis,
+        # and the joint of two independent marginals
+        kt, kmt = rmt._airy1_kernels(20.0, -1.0)
+        assert kmt.inner_size == 0 and kt.inner_size > 0
+        assert kmt.basis(np.linspace(-1.0, 10.0, 5)).shape == (5, 0)
+        assert np.all(Airy1ProcessKernel(-20.0).matrix(np.linspace(-1.0, 10.0, 5),
+                                                        np.linspace(-1.0, 10.0, 5)) == 0.0)
+        p = rmt.airy1_joint(20.0, -1.0, 0.0, 30)
+        f1, f2 = (rmt._marginal_points("airy1", [s], 30, 10.0)[2][0] for s in (-1.0, 0.0))
+        assert abs(p.value - f1.value * f2.value) <= p.est_error + f1.est_error + f2.est_error
 
 
 class TestTransformedKernel:

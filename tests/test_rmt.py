@@ -6,6 +6,7 @@ here the individual ingredients are pinned at moderate sizes.
 
 import io
 import math
+from functools import partial
 from contextlib import redirect_stderr
 
 import mpmath
@@ -529,6 +530,36 @@ class TestAiry1Joint:
         assert p.est_error <= ref.roundoff_bound
         assert not p.suspect
 
+    @pytest.mark.parametrize("t", [5.0, 10.0, 20.0])
+    @pytest.mark.parametrize("s1,s2", [(-6.0, -3.0), (-1.0, 0.0), (2.0, 5.5)])
+    def test_large_t_matches_system_path(self, t, s1, s2):
+        # the factors' domain grows with t (x_max = 47-81 at x_min = -6),
+        # and K_{-20} has rank 0; against full all-node kernel matrices
+        p = airy1_joint(t, s1, s2, 30)
+        ref = block_system_joint("airy1", t, s1, s2, 30)
+        assert abs(p.value - ref.value) <= (p.est_error + ref.roundoff_bound
+                                            + 8 * UNIT_ROUNDOFF * abs(ref.value))
+
+    def test_no_factor_raises(self, monkeypatch, fresh_caches):
+        # Airy(1) has no inner rule to fall back on
+        monkeypatch.setattr(rmt, "_FACTOR_MAX_NODES", rmt._FACTOR_FIRST_NODES // 2)
+        with pytest.raises(ArithmeticError, match="no Chebyshev factor"):
+            airy1_joint(1.0, -1.0, 0.0, 20)
+        assert rmt._airy1_kernels.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("joint", [airy2_joint, airy1_joint])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_joint_rejects_non_finite_threshold(joint, bad, name, fresh_caches):
+    # checked before any kernel, factor or cache sees min(s1, s2)
+    thresholds = {"s1": -1.0, "s2": 0.0, name: bad}
+    for t in (1.0, 0.0):
+        with pytest.raises(ValueError, match=f"threshold {name} must be finite"):
+            joint(t, thresholds["s1"], thresholds["s2"], 16)
+    assert rmt._airy1_kernels.cache_info().currsize == 0
+    assert rmt._airy2_kernels.cache_info().currsize == 0
+
 
 class TestTWMoments:
     def test_values(self):
@@ -608,20 +639,25 @@ class TestJointTableRows:
         (2.5, 1e-10),
     ])
     def test_airy1_rows_match_full_evaluation(self, t, rel, monkeypatch):
-        # rows with the mirrored Airy factor against rows whose blocks come
-        # from full m x m kernel matrices of K_t and K_{-t}, relative to the
-        # largest joint of the grid (the smallest ones are roundoff-sized)
+        # rows from the factors against rows whose blocks come from full
+        # m x m kernel matrices of K_t and K_{-t}, relative to the largest
+        # joint of the grid (the smallest ones are roundoff-sized); measured
+        # at m = 20: 1.0e-14, 7.0e-15 and 5.3e-11
         s = gauss_legendre(*rmt.AIRY1_BOX, 9).nodes
         tab = table("airy1", t, 20, s)
         rows = tab.grid()
+        calls = []
 
-        def full(kernel, s1, s2, offsets):
-            x, y = s1 + offsets, s2[:, None] + offsets
-            return (Airy1ProcessKernel(kernel.t).matrix(x, y),
-                    np.swapaxes(Airy1ProcessKernel(-kernel.t).matrix(y, x), -1, -2))
+        def full(tab, i, lo, hi):
+            # [j, p, q] = K_t(x_ip, x_jq), and [j, q, p] = K_{-t}(x_jq, x_ip)
+            lv = tab.level
+            calls.append(i)
+            return (lv.rr * Airy1ProcessKernel(t).matrix(lv.x[i], lv.x[lo:hi]),
+                    lv.rr * Airy1ProcessKernel(-t).matrix(lv.x[lo:hi], lv.x[i]))
 
-        monkeypatch.setattr(Airy1ProcessKernel, "shifted_pairs", full)
+        monkeypatch.setattr(_JointTable, "_blocks", full)
         ref = tab.grid()
+        assert calls == list(range(s.size))
         assert np.max(np.abs(rows - ref)) <= rel * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
@@ -709,9 +745,10 @@ class TestJointTableRows:
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_batched_blocks_equal_per_threshold(self, process, monkeypatch):
         # stacked kernel-matrix calls for I - A_0, chunked bases and the
-        # grid's interpolation matrix give the bits of the per-threshold
+        # grid's interpolation matrices give the bits of the per-threshold
         # evaluations.  At t = 0.7 the Airy(2) K_t is factored and K_{-t}
-        # keeps its inner rule (Laplace branch).
+        # keeps its inner rule (Laplace branch); both Airy(1) kernels are
+        # factored.
         m = 16
         s = gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes
         kernels = rmt._process_kernels(process, 0.7, rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
@@ -728,29 +765,37 @@ class TestJointTableRows:
         assert (h < m) == (process == "airy2")
         offsets, rr = offsets[:h], rr[:h, :h]
         r = np.sqrt(np.diag(rr))[:, None]
+        # Airy(2): K_t factored, K_{-t} with its inner rule (Laplace
+        # branch); Airy(1): both factored, on a domain past the head cut
+        factors = [tab.kt] if process == "airy2" else [tab.kt, tab.kmt]
+        assert all(isinstance(f, rmt._ChebyshevFactor) for f in factors)
         if process == "airy2":
-            factor, inner = tab.kt, tab.kmt
-            assert isinstance(factor, rmt._ChebyshevFactor)
-            assert isinstance(inner, Airy2ProcessKernel) and inner._mode == "laplace"
-            key = factor.x_min, factor.points
-            # the grid's interpolation rows, put back per threshold
-            rows = np.zeros((s.size * h, factor.points))
-            inside = level.x.ravel() <= rmt._HEAD_CUT
+            assert isinstance(tab.kmt, Airy2ProcessKernel) and tab.kmt._mode == "laplace"
+        # the grid's interpolation rows, put back per threshold
+        rows = []
+        for factor in factors:
+            key = factor.x_min, factor.x_max, factor.points
+            inside = level.x.ravel() <= factor.x_max
             assert 700 // factor.points < np.sum(inside)
-            rows[inside] = level.interpolation(*key)
-            rows = rows.reshape(s.size, h, -1)
+            rows.append(np.zeros((s.size * h, factor.points)))
+            rows[-1][inside] = level._interpolations[key]
+            rows[-1] = rows[-1].reshape(s.size, h, -1)
         for k, sk in enumerate(s):
             x = sk + offsets
             assert np.array_equal(level.eye_minus_a0[k], np.eye(h) - rr * k0.matrix(x, x))
             if process == "airy2":
                 # weighted in place: U = r B
                 assert np.array_equal(tab._u[1][k], r * tab.kmt.basis(x))
+            for factor, u, f_rows in zip(factors, tab._u, rows):
                 # the interpolation weights are per-point bits; the product
-                # with the eigenvectors rounds with the BLAS blocking
-                head = x <= rmt._HEAD_CUT
-                assert np.array_equal(rows[k, head], rmt._interpolation(x, *key))
-                assert np.max(np.abs(tab._u[0][k] - r * factor.basis(x))) <= \
-                    8 * UNIT_ROUNDOFF * np.max(r) * np.max(np.abs(factor._vectors))
+                # with the eigenvectors rounds with the BLAS blocking, and the
+                # row scaling of Airy(1)'s K_{-t} multiplies that
+                head = x <= factor.x_max
+                key = factor.x_min, factor.x_max, factor.points
+                assert np.array_equal(f_rows[k, head], rmt._interpolation(x, *key))
+                scale = np.exp(factor.rate * x[head] + factor.rate ** 3 / 3.0).max(initial=1.0)
+                assert np.max(np.abs(u[k] - r * factor.basis(x))) <= \
+                    8 * UNIT_ROUNDOFF * np.max(r) * np.max(np.abs(factor._vectors)) * scale
 
     @pytest.mark.parametrize("process,level", [("airy2", 1), ("airy1", 0)])
     @pytest.mark.parametrize("chunk", [None, 100])
@@ -976,7 +1021,7 @@ class TestChebyshevFactor:
     def test_matches_kernel(self, t, x_min):
         # random pairs, not the probe grid the build checks
         kernel = Airy2ProcessKernel(t, x_min=x_min)
-        factor = rmt._chebyshev_factor(kernel)
+        factor = rmt._chebyshev_factor(partial(rmt._sampled, kernel), x_min, rmt._HEAD_CUT)
         assert factor.inner_size < kernel.inner_size
         x, y = np.random.default_rng(7).uniform(x_min, rmt._HEAD_CUT, (2, 2000))
         got = np.sum(factor.basis(x) * factor.inner_weights * factor.basis(y), axis=1)
@@ -1001,7 +1046,7 @@ class TestChebyshevFactor:
         assert isinstance(kt, rmt._ChebyshevFactor)
         assert isinstance(kmt, Airy2ProcessKernel) and kmt._mode == "laplace"
         tab = _JointTable(0.5, (kt, kmt), rmt._Level("airy2", [-1.0, 0.5], 16, 10.0))
-        assert tab.kt is kt and tab.kmt is kmt and tab._ridge
+        assert tab.kt is kt and tab.kmt is kmt and kt.gaussian_part is None
 
     def test_missed_cap_keeps_the_inner_rule(self, monkeypatch, fresh_caches):
         # 64 Chebyshev points miss at x_min = -10, so with the cap there no
@@ -1009,11 +1054,11 @@ class TestChebyshevFactor:
         monkeypatch.setattr(rmt, "_FACTOR_MAX_NODES", rmt._FACTOR_FIRST_NODES)
         try:
             kernels = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)
-            assert all(isinstance(k, Airy2ProcessKernel) and rmt._chebyshev_factor(k) is None
-                       for k in kernels)
+            assert all(isinstance(k, Airy2ProcessKernel) and rmt._chebyshev_factor(
+                partial(rmt._sampled, k), k.x_min, rmt._HEAD_CUT) is None for k in kernels)
             s1, s2 = -1.0, 0.5
             tab = _JointTable(1.0, kernels, rmt._Level("airy2", [s1, s2], 16, 10.0))
-            assert (tab.kt, tab.kmt) == kernels and not tab._ridge
+            assert (tab.kt, tab.kmt) == kernels
             assert abs(tab.joint().value
                        - block_system_joint("airy2", 1.0, s1, s2, 16).value) <= 1e-14
         finally:
@@ -1043,11 +1088,12 @@ class TestCaches:
         cov_airy2(1.0)  # builds the level's interpolation matrix
         level = rmt._level("airy2", 20, 32, rmt.DEFAULT_BOX, 10.0)
         factor = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)[0]
+        key = factor.x_min, factor.x_max, factor.points
         # built once per key: a later request builds nothing
         with monkeypatch.context() as patch:
             patch.setattr(rmt, "_interpolation", None)
-            interpolation = level.interpolation(factor.x_min, factor.points)
-            assert level.interpolation(factor.x_min, factor.points) is interpolation
+            interpolation = level.interpolations([key])[key]
+            assert level.interpolations([key])[key] is interpolation
         arrays = [level.outer.nodes, level.outer.weights, level.marg, level.bounds,
                   level.norms, level.keep, level.s, level.offsets, level.rr, level.x,
                   level.eye_minus_a0, level.inverses, level.cumulative, interpolation]
@@ -1055,7 +1101,8 @@ class TestCaches:
         # the Laplace K_{-0.5} with its inner rule
         kt, kmt = rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -10.0)
         arrays += [kmt._xi, kmt._q, kt._vectors, kt.inner_weights]
-        for factor in rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0):
+        for factor in (*rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0),
+                       *rmt._process_kernels("airy1", 1.0, rmt._INNER_TOL, -6.0)):
             arrays += [factor._vectors, factor.inner_weights]
         for a in arrays:
             assert not a.flags.writeable
@@ -1072,13 +1119,13 @@ class TestCaches:
         levels = [rmt._level("airy2", m, n, rmt.DEFAULT_BOX, 10.0)
                   for m, n in rmt._COV_LEVELS["airy2"][:alone[2]]]
         key = next(iter(levels[0]._interpolations))
-        built = [level.interpolation(*key) for level in levels]
+        built = [level._interpolations[key] for level in levels]
         assert all(list(level._interpolations) == [key] for level in levels)
         after = cov_airy2(2.5, full_output=True)
         assert [float(x).hex() for x in after] == [float(x).hex() for x in alone]
         for level, before in zip(levels, built):
             assert list(level._interpolations) == [key]
-            assert level.interpolation(*key) is before
+            assert level._interpolations[key] is before
 
     def test_cov_grid_builds_each_level_once(self, monkeypatch, fresh_caches):
         # t = 0 and t = 1 share the levels both use: each level's I - A_0
@@ -1101,9 +1148,9 @@ class TestCaches:
         built = []
         build = rmt._chebyshev_factor
 
-        def counting(kernel):
-            built.append(kernel.t)
-            return build(kernel)
+        def counting(sample, *args, **kwargs):
+            built.append(sample.args[0].t)
+            return build(sample, *args, **kwargs)
 
         monkeypatch.setattr(rmt, "_chebyshev_factor", counting)
         for _ in range(2):
@@ -1114,6 +1161,43 @@ class TestCaches:
         with pytest.warns(RuntimeWarning, match="achieved_tol"):
             rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -18.0)
         assert len(built) == 3
+
+    def test_airy1_factors_built_once_per_t_and_x_min(self, monkeypatch, fresh_caches):
+        # a covariance at x_min = AIRY1_BOX[0], a joint at min(s1, s2), and
+        # the same calls again: two factors per (t, effective x_min), the
+        # x_min of a joint above 0 lowered to 0
+        built = []
+        build = rmt._chebyshev_factor
+
+        def counting(sample, x_min, x_max, **kwargs):
+            built.append(x_min)
+            return build(sample, x_min, x_max, **kwargs)
+
+        monkeypatch.setattr(rmt, "_chebyshev_factor", counting)
+        for _ in range(2):
+            cov_airy1(1.0, 1e-7)
+            airy1_joint(1.0, -1.0, 0.5, 16)
+            airy1_joint(1.0, 0.5, 2.0, 16)
+            airy1_joint(1.0, 1.0, 3.0, 16)
+        assert built == [-6.0, -6.0, -1.0, -1.0, 0.0, 0.0]
+        assert rmt._process_kernels("airy1", 1.0, 1e-12, 2.0) is \
+            rmt._process_kernels("airy1", 1.0, 1e-3, 0.0)
+
+    def test_level_holds_one_tables_interpolations_across_a_t_sweep(self, fresh_caches):
+        # the Airy(1) domain moves with t, so each t brings its own
+        # interpolation matrices; a rung keeps the latest table's, so after
+        # a sweep it holds what one call at the sweep's last t holds, and
+        # a repeated t gives the same bits
+        alone = cov_airy1(0.25, 1e-7, full_output=True)
+        levels = [rmt._level("airy1", m, n, rmt.AIRY1_BOX, 10.0)
+                  for m, n in rmt._COV_LEVELS["airy1"][:alone[2]]]
+        single = [dict(level._interpolations) for level in levels]
+        assert all(len(held) in (1, 2) for held in single)
+        for t in (0.5, 1.0, 2.5, 0.25):
+            cov_airy1(t, 1e-7)
+        assert [list(level._interpolations) for level in levels] == [list(h) for h in single]
+        again = cov_airy1(0.25, 1e-7, full_output=True)
+        assert [float(x).hex() for x in again] == [float(x).hex() for x in alone]
 
     def test_kernels_shared_by_effective_x_min(self, fresh_caches):
         # Airy2ProcessKernel lowers x_min to -10, so the key does too
