@@ -3,7 +3,8 @@
 Subcommands: quad, specfun, det, study, green-bench, e2, f2, trunc-bound,
 joint, cov.  All emit CSV with a fixed header row (or mirrored JSON with
 --format json, NaN written as null), values at 15 significant digits (17
-for quadrature rules).  Sweeps run one point after another, in input order.
+for quadrature rules); e2, f2 and joint rows end with the point's suspect
+flag, true or false.  Sweeps run one point after another, in input order.
 
 Exit codes: 0 success, 1 numerical failure (overflow, a failed
 factorization), 2 usage error (bad arguments, an --output path that cannot
@@ -49,7 +50,7 @@ def _emit(args, header, rows, digits=15):
     else:
         sys.stdout.write(",".join(header) + "\n")
         for row in rows:
-            sys.stdout.write(",".join(_fmt(v, digits) if isinstance(v, float) else str(v)
+            sys.stdout.write(",".join(_fmt(v, digits) if isinstance(v, float) else str(v).lower()
                                       for v in row) + "\n")
 
 
@@ -125,8 +126,8 @@ def _cmd_green_bench(args):
 
 def _cmd_e2(args):
     grid = _grid(args.s_min, args.s_max, args.step)
-    rows = [(s, (p := e2_gap(s, args.m)).value, p.est_error) for s in grid]
-    _emit(args, ["param", "value", "est_error"], rows)
+    rows = [(s, (p := e2_gap(s, args.m)).value, p.est_error, p.suspect) for s in grid]
+    _emit(args, ["param", "value", "est_error", "suspect"], rows)
     return 0
 
 
@@ -135,9 +136,9 @@ def _cmd_f2(args):
 
     def run(s):
         p = f2_tw(s, args.m, route=args.route, scale=args.scale, T=args.T)
-        return (s, p.value, p.est_error)
+        return (s, p.value, p.est_error, p.suspect)
 
-    _emit(args, ["param", "value", "est_error"], [run(s) for s in grid])
+    _emit(args, ["param", "value", "est_error", "suspect"], [run(s) for s in grid])
     return 0
 
 
@@ -150,7 +151,7 @@ def _cmd_trunc_bound(args):
 def _cmd_joint(args):
     fn = airy2_joint if args.process == "airy2" else airy1_joint
     p = fn(args.t, args.s1, args.s2, args.m)
-    _emit(args, ["value", "est_error"], [(p.value, p.est_error)])
+    _emit(args, ["value", "est_error", "suspect"], [(p.value, p.est_error, p.suspect)])
     return 0
 
 

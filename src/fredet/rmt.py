@@ -37,12 +37,12 @@ inner rules; the Laplace-branch K_{-t} (0 < t < 0.75), whose Gaussian
 ridge has no low rank, keeps its inner rule.  Airy(1)'s K_t and K_{-t}
 come from factors of their Airy parts (``_airy1_kernels``).
 
-What does not depend on t sits in a ``_Level``, from which every joint
-table is built: per call for a single joint's pair, once per process for
-a covariance rung, which every t and call share (``_level``, keyed on
-(process, m, n_outer, box, scale)), as they share the Airy(2) pair K_t,
-K_{-t} as factors where they have one (``_airy2_kernels``, keyed on (t,
-inner tolerance, effective x_min)), unless its build warned, and the
+What does not depend on t sits in a ``_Level``: thresholds, the pairs of
+them a table takes, and the inverses of exactly their pivots.  A single
+joint's level is built per call; a covariance rung once per process
+(``_level``, keyed on (process, m, n_outer, box, scale)), shared by every
+t and call, as are the Airy(2) pair K_t, K_{-t} (``_airy2_kernels``, keyed
+on (t, inner tolerance, effective x_min)), unless its build warned, and the
 Airy(1) pair (``_airy1_kernels``, keyed on (t, effective x_min)).  Cached
 arrays are read-only, and a warm call returns the bits of a cold one.
 """
@@ -143,8 +143,8 @@ def _det_point(parameter: float, res) -> DistributionPoint:
 
 def e2_gap(s: float, m: int) -> DistributionPoint:
     """Gap probability E2(0; s): sine-kernel determinant at z = -1 on (0, s)."""
-    if s < 0.0:
-        raise ValueError("s must be >= 0")
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"s must be finite and >= 0, got {s}")
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     if s == 0.0:
@@ -165,6 +165,8 @@ def f2_tw(s: float, m: int, route: str = "transform", scale: float | None = None
     interval (s, T) and needs T > s (the committed error is bounded by
     ``truncation_bound``).  Each route rejects the other's parameter.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if route == "transform":
         if T is not None:
             raise ValueError("T applies only to route='truncate'")
@@ -174,8 +176,8 @@ def f2_tw(s: float, m: int, route: str = "transform", scale: float | None = None
             raise ValueError("scale applies only to route='transform'")
         if T is None:
             raise ValueError("route='truncate' requires a truncation point T")
-        if T <= s:
-            raise ValueError(f"need T > s, got T={T}, s={s}")
+        if not s < T < math.inf:
+            raise ValueError(f"need T > s with T finite, got T={T}, s={s}")
         rule = gauss_legendre(s, T, m)
         res = fredholm_det(NystromProblem(AiryKernel(), (s, T), -1.0, rule))
         return _det_point(s, res)
@@ -189,8 +191,8 @@ def truncation_bound(s: float, T: float) -> float:
     nodes and scale 10 (``_tan_map``)."""
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    if not T > s:
-        raise ValueError(f"need T > s, got T={T}, s={s}")
+    if not s < T < math.inf:
+        raise ValueError(f"need T > s with T finite, got T={T}, s={s}")
     offsets, rr = _tan_map(80, 10.0)
     x = T + offsets
     return frobenius_norm(rr * AiryKernel().matrix(x, x))
@@ -543,7 +545,7 @@ def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
     # stationarity and time reversal make the joint even in t, so every t
     # takes the table at |t|: -t and t give one point, bit for bit
     kernels = _process_kernels(process, abs(t), _INNER_TOL, min(s1, s2))
-    level = _Level(process, sorted((s1, s2)), m, scale)
+    level = _Level(process, sorted((s1, s2)), m, scale, [(0, 1)])
     return replace(_JointTable(abs(t), kernels, level).joint(), parameter=float(t))
 
 
@@ -624,32 +626,29 @@ def _legendre_cumulative(rule) -> np.ndarray:
 
 
 class _JointTable:
-    """Joint determinants P(A(t) <= s_i, A(0) <= s_j) at t > 0 over the
-    ascending thresholds a ``_Level`` keeps, with K_t and K_{-t} as
-    ``_process_kernels`` gives them (``_ChebyshevFactor`` s but for an
-    Airy(2) kernel with none): the one joint-determinant path of both
-    processes, for single pairs (``airy2_joint`` / ``airy1_joint``, which
-    take a negative t to |t|) and covariance grids alike.
+    """Joint determinants P(A(t) <= s_i, A(0) <= s_j) at t > 0 of the pairs
+    of a ``_Level``, with K_t and K_{-t} as ``_process_kernels`` gives them
+    (``_ChebyshevFactor`` s but for an Airy(2) kernel with none): the one
+    joint-determinant path of both processes, for single pairs
+    (``airy2_joint`` / ``airy1_joint``, which take a negative t to |t|) and
+    covariance grids alike.
 
     The level holds per threshold s M = I - A_0 on the head of its
-    thresholds (``_head``: the same h nodes at every one), det(M) and M^-1;
-    the constructor adds the bases of K_t and K_{-t} at the head nodes,
-    weighted in place by the tan map's r = sqrt(w phi'): U = r B.  A factor
-    takes B from the level's ``interpolation`` matrix; a kernel (the
+    thresholds (``_head``: the same h nodes at every one), det(M), and M^-1
+    at each pivot; the constructor adds the bases of K_t and K_{-t} at the
+    head nodes, weighted in place by the tan map's r = sqrt(w phi'): U = r B.
+    A factor takes B from the level's ``interpolations``; a kernel (the
     Laplace-branch K_{-t}) from its inner rule, in ``basis`` calls of at
     most ``_EVAL_CHUNK`` entries.  ``_dets``, the one row routine of
-    ``grid`` and ``joint``, forms the off-diagonal blocks of the pairs
-    (s_i, s_j), j >= i, with one matrix product per kernel (``_blocks``),
-    and takes each joint
-    as det(M_j) det(M_i - A_ij M_j^-1 A_ji): the grid ascends, so every pair
-    pivots on its larger threshold s_j (the better-conditioned block).  The
-    Schur complements of all rows fill one stack, which LAPACK LU takes
-    ``_EVAL_CHUNK`` entries at a time.
-    The Schur complement is unchanged by the exact similarity
-    A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, so rows need no balancing.
-    ``grid`` mirrors the rows by time reversal, P(s_i, s_j) = P(s_j, s_i),
-    and a single joint's level orders its pair by it.
-    """
+    ``grid`` and ``joint``, forms the off-diagonal blocks of each row of
+    the level's pairs with one matrix product per kernel (``_blocks``), and
+    takes each joint as det(M_j) det(M_i - A_ij M_j^-1 A_ji), pivoting on
+    the larger threshold s_j (the better-conditioned block), in one stack
+    of Schur complements across rows, which LAPACK LU takes ``_EVAL_CHUNK``
+    entries at a time.  The Schur complement is unchanged by the exact
+    similarity A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, so rows need no
+    balancing.  Time reversal, P(s_i, s_j) = P(s_j, s_i), lets ``grid``
+    mirror the pairs and a single joint's level order its pair."""
 
     def __init__(self, t: float, kernels, level):
         if not t > 0.0:
@@ -666,17 +665,17 @@ class _JointTable:
             self._u[-1] *= r
 
     def grid(self) -> np.ndarray:
-        """All joints of the level's thresholds: the rows j >= i, mirrored
-        below the diagonal."""
-        n = self.level.s.size
-        joint = np.zeros((n, n))
-        joint[np.triu_indices(n)] = self._dets([(i, i, n) for i in range(n)])
-        return joint + np.triu(joint, 1).T
+        """The joints of the level's pairs (s_i, s_j) at [i, j] and, by time
+        reversal, [j, i]; NaN off the pairs."""
+        joint, (i, j) = np.full((self.level.s.size,) * 2, np.nan), self.level.pairs.T
+        joint[i, j] = joint[j, i] = self._dets()
+        return joint
 
-    def _blocks(self, i: int, lo: int, hi: int):
+    def _blocks(self, row):
         """The off-diagonal blocks A_ij and A_ji of the systems I - A of the
-        pairs (s_i, s_j), lo <= j < hi, each stacked (hi - lo, h, h)."""
-        lv = self.level
+        pairs (s_i, s_j), lo <= j < hi, of a level's row (i, lo, hi, p), each
+        stacked (hi - lo, h, h)."""
+        lv, (i, lo, hi, _) = self.level, row
         h, c, blocks = lv.offsets.size, hi - lo, []
         for u, src in zip(self._u, (self.kt, self.kmt)):
             # [j, q, p] = r_q K(x_jq, x_ip) r_p, one product per kernel, less its Gaussian term
@@ -688,25 +687,24 @@ class _JointTable:
         # K_t is symmetric: its stack's per-pair transpose is A_ij
         return blocks[0].transpose(0, 2, 1), blocks[1]
 
-    def _dets(self, rows, blocks=None) -> np.ndarray:
-        """det(M_j) det(M_i - A_ij M_j^-1 A_ji) of the pairs (s_i, s_j),
-        lo <= j < hi, of each row segment (i, lo, hi), i <= lo, in order,
-        each pivoting on its larger threshold s_j, from the segment's blocks
-        ``blocks(i, lo, hi)`` or else ``_blocks``, in Schur-complement stacks
-        of ``_EVAL_CHUNK`` entries (at least one pair) that span rows."""
+    def _dets(self) -> np.ndarray:
+        """det(M_j) det(M_i - A_ij M_j^-1 A_ji) of the level's pairs (s_i,
+        s_j), in their order, each pivoting on s_j, from the ``_blocks`` of
+        its rows, in Schur-complement stacks of ``_EVAL_CHUNK`` entries (at
+        least one pair) that span rows."""
         eye_minus_a0, inverses = self.level.eye_minus_a0, self.level.inverses
-        h, left = eye_minus_a0.shape[-1], sum(hi - lo for _, lo, hi in rows)
+        h, left = eye_minus_a0.shape[-1], len(self.level.pairs)
         step = min(max(1, _EVAL_CHUNK // (h * h)), left)
         schur, det, out, k = np.empty((step, h, h)), np.empty(step), [], 0
-        for i, lo, hi in rows:
-            a_ij, a_ji = (blocks or self._blocks)(i, lo, hi)
+        for row in self.level.rows:
+            (i, lo, hi, p), (a_ij, a_ji) = row, self._blocks(row)
             while lo < hi:
                 c = min(hi - lo, step - k)
                 # A_ij M_j^-1 first: the other order erred 200x more at Airy(1), t = 2.5, m = 20
-                np.subtract(eye_minus_a0[i], a_ij[:c] @ inverses[lo:lo + c] @ a_ji[:c],
+                np.subtract(eye_minus_a0[i], a_ij[:c] @ inverses[p:p + c] @ a_ji[:c],
                             out=schur[k:k + c])
                 det[k:k + c] = self._det[lo:lo + c]
-                a_ij, a_ji, lo, k, left = a_ij[c:], a_ji[c:], lo + c, k + c, left - c
+                a_ij, a_ji, lo, p, k, left = a_ij[c:], a_ji[c:], lo + c, p + c, k + c, left - c
                 if k == step or not left:
                     out.append(det[:k] * det_lu(schur[:k]))
                     k = 0
@@ -714,21 +712,21 @@ class _JointTable:
         return np.concatenate(out)
 
     def joint(self) -> DistributionPoint:
-        """The joint of a single joint's level, the pair (s1, s2), s1 <= s2:
-        time reversal, P(A(t) <= s1, A(0) <= s2) = P(A(t) <= s2, A(0) <= s1),
-        makes the order exact, so the pair pivots on its larger threshold,
-        the one block its level inverts.  Its roundoff bound is sqrt(2m) N 8u,
-        with N = (||A_11||^2 + ||A_22||^2 + 2 ||A_12|| ||A_21||)^(1/2) the least
-        Frobenius norm of its system over the block scalings
-        A_12 -> c A_12, A_21 -> A_21 / c, c > 0, which keep the determinant;
-        ||A_11|| and ||A_22|| are those of A_0, taken before I is added.
-        Flagged ``suspect`` also where it breaks a Frechet bound,
-        F1 + F2 - 1 <= P <= min(F1, F2), by more than the sum of its own
-        and both marginals' roundoff bounds and 8u |value|."""
+        """The joint of a single joint's level, its one pair (s1, s2), s1 <=
+        s2: time reversal, P(A(t) <= s1, A(0) <= s2) = P(A(t) <= s2, A(0) <=
+        s1), makes the order exact, so the pair pivots on its larger
+        threshold, the one block its level inverts.  Its roundoff bound is
+        sqrt(2m) N 8u, with N = (||A_11||^2 + ||A_22||^2 + 2 ||A_12||
+        ||A_21||)^(1/2) the least Frobenius norm of its system over the
+        block scalings A_12 -> c A_12, A_21 -> A_21 / c, c > 0, which keep
+        the determinant; ||A_11|| and ||A_22|| are those of A_0, taken
+        before I is added.  Flagged ``suspect`` also where it breaks a
+        Frechet bound, F1 + F2 - 1 <= P <= min(F1, F2), by more than the sum
+        of its own and both marginals' roundoff bounds and 8u |value|."""
         lv = self.level
-        a12, a21 = self._blocks(0, 1, 2)
+        a12, a21 = self._blocks(lv.rows[0])
         norm = math.sqrt(lv.norms @ lv.norms + 2.0 * frobenius_norm(a12) * frobenius_norm(a21))
-        value = float(self._dets([(0, 1, 2)], lambda *_: (a12, a21))[0])
+        (value,) = self._dets()
         point = _det_point(self.t, DetResult(value, 2 * lv.m, roundoff_bound(2 * lv.m, norm)))
         # each value also rounds by ~u |value|, which its roundoff bound (a
         # backward error of the matrix) leaves out: near 1 that dominates
@@ -773,53 +771,57 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class _Level:
-    """The t-independent data of an ascending set of thresholds, from which
-    a ``_JointTable`` is built: a covariance rung with its ``outer`` rule
-    (``_level``, cached) or a single joint's sorted pair (``_joint_point``).
+    """The t-independent data of thresholds ``svals`` and the pairs (i, j)
+    of them, s_i <= s_j, whose joints a ``_JointTable`` takes, each
+    pivoting on s_j: a covariance rung's triangle (``_level``, cached, with
+    its ``outer`` rule and ``marginals``) or a single joint's pair.
 
     * ``marg``, ``bounds`` and ``norms``: the marginals F(s_i), their
       roundoff bounds and ||A_0||_F, from I - A_0 stacked on the head of
       every threshold (``_marginal_points``);
-    * ``keep``: the thresholds ``_tail_drop`` leaves in at t > 0 (a pair
-      keeps both), and of those ``s``, the head ``offsets``, ``rr`` and
-      nodes ``x`` of their tan map, and ``eye_minus_a0``: I - A_0 on that
-      head (the dropped thresholds' blocks are not held);
-    * built on first use: ``inverses`` of those blocks, the pivots of every
-      joint (a pair inverts only the larger threshold's and leaves the
-      other NaN, so a ``grid`` of it raises ValueError in ``det_lu``),
-      ``interpolations(keys)``, the ``_interpolation`` matrices of the latest
-      table's factors, and ``cumulative``, ``_legendre_cumulative`` (t = 0).
+    * ``keep``: the thresholds some pair uses, and of those ``s``, the head
+      ``offsets``, ``rr`` and nodes ``x`` of their tan map, and
+      ``eye_minus_a0``: I - A_0 on that head;
+    * ``pairs`` as indices into ``s``, in runs as ``rows`` (i, lo, hi, p):
+      (s_i, s_j), lo <= j < hi, pivots ``inverses[p:p + hi - lo]``;
+    * built on first use: ``inverses``, M^-1 at each pivot in the order of
+      ``s``, ``interpolations(keys)``, the ``_interpolation`` matrices of the
+      latest table's factors, and ``cumulative`` (t = 0).
 
     Every array is read-only.  The nine default rungs of both processes,
     with inverses, cumulative matrices and one interpolation matrix per rung
     (4.4 MB for Airy(2), 4.8 MB for Airy(1) at t = 0.1), hold 15.9 MB."""
 
-    def __init__(self, process: str, svals, m: int, scale: float, outer=None):
+    def __init__(self, process: str, svals, m: int, scale: float, pairs, outer=None,
+                 marginals=None):
         svals = np.asarray(svals, dtype=float)
-        if not (svals[1:] >= svals[:-1]).all():
-            raise ValueError("level thresholds must ascend")
+        if not all(svals[i] <= svals[j] for i, j in pairs):
+            raise ValueError("each pair (s_i, s_j) of a level needs s_i <= s_j")
         self.process, self.m, self.outer = process, m, outer
-        blocks, norms, points = _marginal_points(process, svals, m, scale)
+        blocks, norms, points = marginals or _marginal_points(process, svals, m, scale)
         self.marg = _frozen(np.array([p.value for p in points]))
         self.bounds = _frozen(np.array([p.est_error for p in points]))
         self.norms = _frozen(norms)
-        self.keep = _frozen(np.ones(svals.size, dtype=bool) if outer is None else
-                            _tail_drop(self.marg, self.bounds, outer.weights)[0])
-        self.s = _frozen(svals[self.keep])
+        used = sorted({k for pair in pairs for k in pair})
+        self.keep = _frozen(np.bincount(used, minlength=svals.size) > 0)
+        self.s = _frozen(svals[used])
         offsets, rr = _tan_map(m, scale)
         h = _head(process, self.s, offsets)
         self.offsets, self.rr = offsets[:h], rr[:h, :h]
         self.x = _frozen(self.s[:, None] + self.offsets)
-        self.eye_minus_a0 = _frozen(blocks[self.keep, :h, :h])
+        self.eye_minus_a0 = _frozen(blocks[used, :h, :h])
+        index = {k: n for n, k in enumerate(used)}
+        pairs = [(index[i], index[j]) for i, j in pairs]
+        self.pairs, self._pivots = _frozen(np.array(pairs)), sorted({j for _, j in pairs})
+        # runs of one i and consecutive j, whose pivots are consecutive too
+        start = [n for n, (i, j) in enumerate(pairs) if not n or pairs[n - 1] != (i, j - 1)]
+        self.rows = tuple((*pairs[a], pairs[b - 1][1] + 1, self._pivots.index(pairs[a][1]))
+                          for a, b in zip(start, start[1:] + [len(pairs)]))
         self._interpolations = {}
 
     @cached_property
     def inverses(self) -> np.ndarray:
-        if self.outer is not None:
-            return _frozen(np.linalg.inv(self.eye_minus_a0))
-        inverses = np.full_like(self.eye_minus_a0, np.nan)
-        inverses[-1] = np.linalg.inv(self.eye_minus_a0[-1])
-        return _frozen(inverses)
+        return _frozen(np.linalg.inv(self.eye_minus_a0[self._pivots]))
 
     def interpolations(self, keys) -> dict:
         # the latest table's only: Airy(1)'s x_max moves with t
@@ -836,9 +838,14 @@ class _Level:
 def _level(process: str, m: int, n_outer: int, box: tuple[float, float],
            scale: float) -> _Level:
     """The covariance rung on the n_outer-point Gauss-Legendre rule on the
-    box, built once and shared by every t and call."""
+    box, built once and shared by every t and call: the pairs (i, j), i <=
+    j, of the outer thresholds ``_tail_drop`` keeps."""
     outer = gauss_legendre(box[0], box[1], n_outer)
-    return _Level(process, outer.nodes, m, scale, outer)
+    marginals = _marginal_points(process, outer.nodes, m, scale)
+    marg, bounds = np.array([(p.value, p.est_error) for p in marginals[2]]).T
+    kept = np.flatnonzero(_tail_drop(marg, bounds, outer.weights)[0]).tolist()
+    return _Level(process, outer.nodes, m, scale,
+                  [(i, j) for n, i in enumerate(kept) for j in kept[n:]], outer, marginals)
 
 
 def _cov_zero(level: _Level) -> float:
@@ -879,7 +886,9 @@ _COV_LEVELS = {
 def _cov_process(process: str, t: float, accuracy: float,
                  box: tuple[float, float], scale: float,
                  full_output: bool):
-    if not t >= 0.0:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if t < 0.0:
         raise ValueError("t must be >= 0 (the covariance is stationary: "
                          "cov(-t) = cov(t))")
     if not (math.isfinite(accuracy) and accuracy > 0.0):
@@ -889,8 +898,7 @@ def _cov_process(process: str, t: float, accuracy: float,
     kernels = (_process_kernels(process, t, min(_INNER_TOL, accuracy * 1e-2), box[0])
                if t > 0.0 else None)
     levels = _COV_LEVELS[process]
-    values = []
-    est = math.inf
+    values, est = [], math.inf
     for m, n_outer in levels:
         level = _level(process, m, n_outer, box, scale)
         values.append(_cov_zero(level) if t == 0.0 else _cov_positive(level, t, kernels))
@@ -904,10 +912,7 @@ def _cov_process(process: str, t: float, accuracy: float,
             f"{process} covariance at t={t:g} missed accuracy={accuracy:g}: "
             f"the finest levels agree to est={est:.3g} at (m, n_outer) = "
             f"({m}, {n_outer})", RuntimeWarning, stacklevel=3)
-    value = values[-1]
-    if full_output:
-        return value, est, len(values)
-    return value
+    return (values[-1], est, len(values)) if full_output else values[-1]
 
 
 def cov_airy2(t: float, accuracy: float = 1e-8, scale: float = 10.0,
@@ -932,11 +937,9 @@ def cov_airy2(t: float, accuracy: float = 1e-8, scale: float = 10.0,
     is returned and a RuntimeWarning names t, ``accuracy``, the agreement
     and the finest level.
 
-    Each level's outer rule, marginals, kept thresholds, I - A_0 blocks
-    and inverses are built once per process and shared by every t
-    (``_level``, keyed on (process, m, n_outer, box, scale)), as are K_t
-    and K_{-t} at a t seen before (``_airy2_kernels``); a repeated call
-    returns the same bits.
+    The levels and the kernel pairs are built once per process and shared
+    by every t (``_level``, ``_airy2_kernels``); a repeated call returns
+    the same bits.
     """
     return _cov_process("airy2", t, accuracy, DEFAULT_BOX, scale, full_output)
 
@@ -959,14 +962,9 @@ def cov_grid(process: str, t_values, accuracy: float = 1e-8) -> CovGrid:
     t_values = np.asarray(list(t_values), dtype=float)
     if t_values.size and np.any(np.diff(t_values) <= 0):
         raise ValueError("t_values must be strictly ascending")
-    cov_fn = cov_airy2 if process == "airy2" else cov_airy1
     if process not in ("airy2", "airy1"):
         raise ValueError(f"unknown process {process!r}")
-    vals = []
-    errs = []
-    for t in t_values:
-        v, e, _ = cov_fn(t, accuracy=accuracy, full_output=True)
-        vals.append(v)
-        errs.append(e)
-    return CovGrid(t_values=t_values, cov_values=np.array(vals),
-                   est_errors=np.array(errs), accuracy_target=accuracy)
+    cov_fn = cov_airy2 if process == "airy2" else cov_airy1
+    vals, errs = np.reshape([cov_fn(t, accuracy, full_output=True)[:2] for t in t_values],
+                            (-1, 2)).T
+    return CovGrid(t_values=t_values, cov_values=vals, est_errors=errs, accuracy_target=accuracy)

@@ -91,12 +91,18 @@ class TestDetCommand:
         # a NaN threshold or truncation point
         ["trunc-bound", "--s", "nan", "--T-list", "5"],
         ["trunc-bound", "--s", "-2", "--T-list", "nan"],
+        ["trunc-bound", "--s", "-2", "--T-list", "inf"],
         # an --output path that cannot be opened, found before the sweep runs
         ["e2", "--s-min", "0", "--s-max", "1", "--step", "0.5",
          "--output", "/nonexistent/dir/x.csv"],
         # a non-finite joint threshold, named before any kernel is built
         ["joint", "--process", "airy1", "--t", "1", "--s1", "nan", "--s2", "0"],
         ["joint", "--process", "airy2", "--t", "1", "--s1", "-1", "--s2", "inf"],
+        # a non-finite time separation or threshold of a sweep
+        ["cov", "--process", "airy2", "--t-min", "nan", "--t-max", "1", "--step", "1"],
+        ["cov", "--process", "airy1", "--t-min", "0", "--t-max", "inf", "--step", "1"],
+        ["f2", "--s-min=-inf", "--s-max", "0", "--step", "1"],
+        ["joint", "--process", "airy2", "--t", "nan", "--s1", "-1", "--s2", "0"],
     ])
     def test_bad_input_exit_2(self, argv):
         code, out, err = run(argv)
@@ -163,7 +169,8 @@ class TestSweeps:
                             "--m", "20"])
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "param,value,est_error"
+        assert lines[0] == "param,value,est_error,suspect"
+        assert [line.split(",")[3] for line in lines[1:]] == ["false"] * 3
         assert len(lines) == 4
 
     @pytest.mark.parametrize("s_max", ["0", "1"])
@@ -202,6 +209,28 @@ class TestSweeps:
         assert code == 0
         val = float(out.strip().splitlines()[1].split(",")[0])
         assert 0.0 < val < 1.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_joint_shows_the_suspect_flag(self, fmt):
+        # below the Airy(1) ladder both marginals read about -2e-6, and the
+        # joint, 0.529, breaks the Frechet bound P <= min(F1, F2)
+        code, out, _ = run(["joint", "--process", "airy1", "--t", "2.5", "--s1", "-5.99",
+                            "--s2", "-5.94", "--m", "20", "--format", fmt])
+        assert code == 0
+        if fmt == "json":
+            (row,) = json.loads(out)["rows"]
+        else:
+            header, line = out.strip().splitlines()
+            row = dict(zip(header.split(","), line.split(",")))
+            row["value"] = float(row["value"])
+        assert row["value"] == pytest.approx(0.529, abs=1e-3)
+        assert row["suspect"] is True if fmt == "json" else row["suspect"] == "true"
+
+    def test_f2_json_suspect_is_a_bool(self):
+        code, out, _ = run(["f2", "--s-min", "-2", "--s-max", "-1", "--step", "1", "--m", "30",
+                            "--format", "json"])
+        assert code == 0
+        assert [row["suspect"] for row in json.loads(out)["rows"]] == [False, False]
 
     @pytest.mark.parametrize("name,value", [("--s1", "nan"), ("--s2", "-inf")])
     def test_joint_names_the_bad_threshold(self, name, value):

@@ -562,9 +562,10 @@ class TestAiry1ProcessKernel:
         # of max(1, |K|) and 1.2e-15 of K_{-t}'s envelope
         t = abs(t)
         s = np.array([-5.5, -2.5, -1.0, 0.3, 4.0])
-        level = rmt._Level("airy1", s, 20, 10.0)
+        level = rmt._Level("airy1", s, 20, 10.0, [(i, j) for i in range(5) for j in range(i, 5)])
         tab = rmt._JointTable(t, rmt._process_kernels("airy1", t, rmt._INNER_TOL, s[0]), level)
-        a_ij, a_ji = tab._blocks(1, 1, s.size)
+        # the second threshold's row of the triangle: the pairs (s_1, s_j), j >= 1
+        a_ij, a_ji = tab._blocks(level.rows[1])
         x, rr = level.x, level.rr
         kt = Airy1ProcessKernel(t).matrix(x[1], x[1:])
         assert np.all(np.abs(a_ij - rr * kt) <= rmt._FACTOR_TOL * rr * np.maximum(1.0, np.abs(kt)))

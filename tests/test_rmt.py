@@ -65,27 +65,26 @@ def block_system_joint(process, t, s1, s2, m, scale=10.0, kernels=None):
     return fredholm_det_system(system, -1.0)
 
 
-def grid_level(process, s, m):
-    """A level at map scale 10 on the ascending thresholds ``s`` that keeps
-    every one, as a single joint's does, and inverts every block, as a
-    covariance rung does: the level of a table on any grid."""
-    level = rmt._Level(process, s, m, 10.0)
-    level.inverses = rmt._frozen(np.linalg.inv(level.eye_minus_a0))
-    return level
+def triangle_level(process, s, m):
+    """A level at map scale 10 on the ascending thresholds ``s`` with the
+    pairs (i, j), i <= j, of all of them, as a covariance rung has them for
+    the thresholds it keeps."""
+    return rmt._Level(process, s, m, 10.0, [(i, j) for i in range(len(s))
+                                             for j in range(i, len(s))])
 
 
 def table(process, t, m, s, x_min=rmt.DEFAULT_BOX[0]):
-    """A joint table on the ascending grid ``s`` (``grid_level``), with the
-    kernels for thresholds >= ``x_min``."""
+    """A joint table on the ascending grid ``s`` (``triangle_level``), with
+    the kernels for thresholds >= ``x_min``."""
     return _JointTable(t, rmt._process_kernels(process, t, rmt._INNER_TOL, x_min),
-                       grid_level(process, s, m))
+                       triangle_level(process, s, m))
 
 
 def pair_table(process, t, s1, s2, m):
     """The table of the single joint (s1, s2), built as ``_joint_point``
     builds it."""
     return _JointTable(t, rmt._process_kernels(process, t, rmt._INNER_TOL, min(s1, s2)),
-                       rmt._Level(process, sorted((s1, s2)), m, 10.0))
+                       rmt._Level(process, sorted((s1, s2)), m, 10.0, [(0, 1)]))
 
 
 def process_kernels(process, t, x_min=rmt.DEFAULT_BOX[0], tol=rmt._INNER_TOL):
@@ -126,7 +125,7 @@ def closed_form_bound(process, t, s1, s2, m):
     tab = pair_table(process, t, s1, s2, m)
     k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
     a0 = [tab.level.rr * k0.matrix(x, x) for x in tab.level.x]
-    norm = least_norm(*a0, *tab._blocks(0, 1, 2))
+    norm = least_norm(*a0, *tab._blocks(tab.level.rows[0]))
     return math.sqrt(2 * m) * norm * 8 * UNIT_ROUNDOFF
 
 
@@ -164,15 +163,15 @@ def test_least_norm_is_the_minimum_over_scalings(seed, n, k12, k21):
     assert least <= balanced * (1.0 + 4 * np.finfo(float).eps)
 
 
-def balanced_systems(tab, i, lo, hi):
-    """The full systems I - A of the table's pairs (s_i, s_j), lo <= j < hi,
-    stacked (hi - lo, 2h, 2h) on the table's head of h nodes: its diagonal
-    and off-diagonal blocks, each system balanced by ``_balance_blocks``.
-    The joint table takes Schur complements instead; this is the order-2h
-    reference."""
-    eye_minus_a0 = tab.level.eye_minus_a0
+def balanced_systems(tab, row):
+    """The full systems I - A of the pairs (s_i, s_j), lo <= j < hi, of a
+    row (i, lo, hi, p) of the table's level, stacked (hi - lo, 2h, 2h) on
+    the table's head of h nodes: its diagonal and off-diagonal blocks, each
+    system balanced by ``_balance_blocks``.  The joint table takes Schur
+    complements instead; this is the order-2h reference."""
+    eye_minus_a0, (i, lo, hi, _) = tab.level.eye_minus_a0, row
     h = eye_minus_a0.shape[-1]
-    a12, a21 = tab._blocks(i, lo, hi)
+    a12, a21 = tab._blocks(row)
     for b12, b21 in zip(a12, a21):
         _balance_blocks([[None, b12], [b21, None]])
     systems = np.empty((hi - lo, 2 * h, 2 * h))
@@ -194,6 +193,11 @@ class TestE2:
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):
             e2_gap(-0.5, 5)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(ValueError, match="s must be finite"):
+            e2_gap(s, 5)
 
     @pytest.mark.parametrize("s", [0.0, 0.5])
     @pytest.mark.parametrize("m", [-5, 0, 2.5])
@@ -222,6 +226,18 @@ class TestF2:
         vals = [f2_tw(s, 45).value for s in np.linspace(-6.0, 2.0, 13)]
         assert all(-1e-10 <= v <= 1.0 + 1e-10 for v in vals)
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("route", ["transform", "truncate"])
+    def test_non_finite_s_rejected(self, s, route):
+        # named before any rule or kernel sees it
+        with pytest.raises(ValueError, match="s must be finite"):
+            f2_tw(s, 20, route=route, T=None if route == "transform" else 12.0)
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_truncation_point_must_be_finite(self, T):
+        with pytest.raises(ValueError, match="need T > s with T finite"):
+            f2_tw(-2.0, 20, route="truncate", T=T)
 
     def test_cholesky_fallback_is_suspect(self):
         # at m = 30 roundoff leaves I - A without a positive pivot for
@@ -379,7 +395,7 @@ class TestTruncationBound:
         # s is not used past the check, so a NaN s once returned 5.3e-10
         with pytest.raises(ValueError, match="s must be finite"):
             truncation_bound(math.nan, 5.0)
-        for T in (math.nan, 2.0):
+        for T in (math.nan, 2.0, math.inf):
             with pytest.raises(ValueError, match="need T > s"):
                 truncation_bound(2.0, T)
         # the rule size is a constant
@@ -625,7 +641,7 @@ class TestJointTableRows:
         kernels = rmt._process_kernels(process, 1.0, 1e-12, box[0])
         value = rmt._cov_positive(rmt._level(process, m, n, box, 10.0), 1.0, kernels)
         outer = gauss_legendre(box[0], box[1], n)
-        tab = _JointTable(1.0, kernels, grid_level(process, outer.nodes, m))
+        tab = _JointTable(1.0, kernels, triangle_level(process, outer.nodes, m))
         joint = two_sided_grid(tab, process_kernels(process, 1.0, box[0], 1e-12))
         marg = np.array([_marginal(process, s, m) for s in outer.nodes])
         ref = outer.weights @ (joint - np.outer(marg, marg)) @ outer.weights
@@ -648,9 +664,9 @@ class TestJointTableRows:
         rows = tab.grid()
         calls = []
 
-        def full(tab, i, lo, hi):
+        def full(tab, row):
             # [j, p, q] = K_t(x_ip, x_jq), and [j, q, p] = K_{-t}(x_jq, x_ip)
-            lv = tab.level
+            lv, (i, lo, hi, _) = tab.level, row
             calls.append(i)
             return (lv.rr * Airy1ProcessKernel(t).matrix(lv.x[i], lv.x[lo:hi]),
                     lv.rr * Airy1ProcessKernel(-t).matrix(lv.x[lo:hi], lv.x[i]))
@@ -693,7 +709,7 @@ class TestJointTableRows:
             m, n = rmt._COV_LEVELS[process][level]
             box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
             s, kernels = gauss_legendre(*box, n).nodes, cov_kernels(process, t)
-        tab = _JointTable(abs(t), kernels, grid_level(process, s, m))
+        tab = _JointTable(abs(t), kernels, triangle_level(process, s, m))
         # two pairs an LU call: a row spans several calls, and a call two rows
         monkeypatch.setattr(rmt, "_EVAL_CHUNK", 3 * tab.level.offsets.size ** 2 - 1)
         grid = tab.grid()
@@ -702,7 +718,7 @@ class TestJointTableRows:
             if level is None:
                 ref = [block_system_joint(process, t, s[i], s2, m).value for s2 in s[i:]]
             else:
-                ref = rmt.det_lu(balanced_systems(tab, i, i, s.size))
+                ref = rmt.det_lu(balanced_systems(tab, tab.level.rows[i]))
             assert np.max(np.abs(row - ref)) <= 1e-13
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
@@ -715,8 +731,8 @@ class TestJointTableRows:
         rows = tab.grid()
         blocks = tab._blocks
 
-        def scaled(i, lo, hi):
-            a12, a21 = blocks(i, lo, hi)
+        def scaled(row):
+            a12, a21 = blocks(row)
             return a12 * 2.0 ** k, a21 * 2.0 ** -k
 
         monkeypatch.setattr(tab, "_blocks", scaled)
@@ -737,7 +753,7 @@ class TestJointTableRows:
         # order 2m, its determinant in 50-digit arithmetic
         tab = pair_table(process, t, s1, s2, m)
         p = tab.joint()
-        system = balanced_systems(tab, 0, 1, 2)[0]
+        system = balanced_systems(tab, tab.level.rows[0])[0]
         with mpmath.workdps(50):
             exact = float(mpmath.det(mpmath.matrix(system.tolist())))
         assert abs(p.value - exact) <= p.est_error + 8 * np.finfo(float).eps * abs(p.value)
@@ -756,7 +772,7 @@ class TestJointTableRows:
         # call of K_{-t} (75 inner nodes), 5 an interpolation call of the
         # factor of K_t (128 points), the last call of each ragged
         monkeypatch.setattr(rmt, "_EVAL_CHUNK", 700)
-        level = grid_level(process, s, m)
+        level = triangle_level(process, s, m)
         tab = _JointTable(0.7, kernels, level)
         k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
         offsets, rr = rmt._tan_map(m, 10.0)
@@ -808,7 +824,7 @@ class TestJointTableRows:
         m, n = rmt._COV_LEVELS[process][level]
         box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
         tab = _JointTable(1.0, cov_kernels(process, 1.0),
-                          grid_level(process, gauss_legendre(*box, n).nodes, m))
+                          triangle_level(process, gauss_legendre(*box, n).nodes, m))
         if chunk is not None:
             monkeypatch.setattr(rmt, "_EVAL_CHUNK", chunk)
         stacks = []
@@ -832,13 +848,15 @@ class TestJointTableRows:
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_grid_and_joint_share_the_row_routine(self, process, monkeypatch):
-        # a covariance level and a single joint, each one call of _dets
+        # a covariance level and a single joint, each one call of _dets on
+        # the rows of its level's pairs: the triangle of the kept
+        # thresholds, and the one pair (0, 1)
         calls = []
         dets = _JointTable._dets
 
-        def counting(tab, rows, *args):
-            calls.append(list(rows))
-            return dets(tab, rows, *args)
+        def counting(tab):
+            calls.append((tab.level.pairs.tolist(), tab.level.rows))
+            return dets(tab)
 
         monkeypatch.setattr(_JointTable, "_dets", counting)
         m, n = 16, 9
@@ -847,15 +865,18 @@ class TestJointTableRows:
         level = rmt._level(process, m, n, box, 10.0)
         rmt._cov_positive(level, 0.7, kernels)
         k = int(np.sum(level.keep))
-        assert calls == [[(i, i, k) for i in range(k)]]
+        assert k > 1
+        assert calls == [([[i, j] for i in range(k) for j in range(i, k)],
+                          tuple((i, i, k, i) for i in range(k)))]
         calls.clear()
         point = rmt._joint_point(process, -0.7, 0.5, -1.0, m, 10.0)
-        assert calls == [[(0, 1, 2)]] and point.parameter == -0.7
+        assert calls == [([[0, 1]], ((0, 1, 2, 0),))] and point.parameter == -0.7
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_joint_inverts_only_the_pivot_block(self, process, monkeypatch):
         # the pair level is ordered, and the Schur complement pivots on the
-        # larger threshold; the other block is never inverted
+        # larger threshold: one inversion, of that block, and one inverse
+        # held; the other block is never inverted
         levels, inverted = [], []
         inv = np.linalg.inv
 
@@ -875,18 +896,41 @@ class TestJointTableRows:
             rmt._joint_point(process, 0.7, s1, s2, 16, 10.0)
             level = levels[-1]
             assert level.s.tolist() == [-1.0, 0.5] and level.keep.all()
+            assert level.rows == ((0, 1, 2, 0),)
             assert len(inverted) == 1
-            assert np.array_equal(inverted[0], level.eye_minus_a0[1])
-            assert np.isnan(level.inverses[0]).all() and np.isfinite(level.inverses[1]).all()
+            assert np.array_equal(inverted[0], level.eye_minus_a0[1:])
+            assert level.inverses.shape == (1, *level.eye_minus_a0.shape[1:])
+            assert np.array_equal(level.inverses[0], np.linalg.inv(level.eye_minus_a0[1]))
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
-    def test_grid_after_a_joint_raises(self, process):
-        # a single joint's level leaves its smaller threshold's inverse NaN,
-        # so no grid of its table reads an inverse that was never formed
+    def test_grid_of_a_pair_level_holds_only_its_pair(self, process):
+        # a single joint's level inverts its pivot only, and its grid takes
+        # its one pair only, so no pair reads a block that was never
+        # inverted: the joint, mirrored, and NaN on the diagonal
         tab = pair_table(process, 0.7, -1.0, 0.5, 16)
-        tab.joint()
-        with pytest.raises(ValueError, match="finite"):
-            tab.grid()
+        value = tab.joint().value
+        grid = tab.grid()
+        assert len(tab.level.inverses) == 1
+        assert all(p + hi - lo <= 1 for _, lo, hi, p in tab.level.rows)
+        assert grid[0, 1] == grid[1, 0] == value and np.isnan(np.diag(grid)).all()
+
+    @pytest.mark.parametrize("process,t", [("airy2", 1.0), ("airy2", 0.5), ("airy1", 1.5)])
+    def test_band_level_equals_triangle_level_bitwise(self, process, t):
+        # two rows (s, s + u), u in {0.4, 1.3}, whose thresholds interleave
+        # and do not ascend as a whole, against the same pairs of a triangle
+        # level on the sorted set; both start at -2, so they share a head.
+        # The band inverts only its four pivots.
+        s = np.array([-2.0, -1.6, -0.7, -1.0, -0.6, 0.3])
+        band = rmt._Level(process, s, 20, 10.0, [(0, 1), (0, 2), (3, 4), (3, 5)])
+        assert band.rows == ((0, 1, 3, 0), (3, 4, 6, 2)) and len(band.inverses) == 4
+        kernels = rmt._process_kernels(process, t, rmt._INNER_TOL, -2.0)
+        grid = _JointTable(t, kernels, band).grid()
+        order = np.argsort(s)
+        ref = table(process, t, 20, s[order], -2.0).grid()[np.ix_(np.argsort(order),
+                                                                    np.argsort(order))]
+        for i, j in band.pairs.tolist():
+            assert grid[i, j] == grid[j, i] == ref[i, j]
+        assert np.isnan(grid[0, 3]) and np.isnan(grid[1, 1])
 
     @pytest.mark.parametrize("process,t,s1,s2", [
         ("airy2", 1.0, -1.0, 0.5),  # both kernels factored
@@ -905,16 +949,21 @@ class TestJointTableRows:
         # the joints take a negative t to |t|, and t = 0 to the marginal
         kernels = Airy1ProcessKernel(0.7), Airy1ProcessKernel(-0.7)
         with pytest.raises(ValueError, match="t > 0"):
-            _JointTable(t, kernels, rmt._Level("airy1", [-1.0, 0.5], 16, 10.0))
+            _JointTable(t, kernels, rmt._Level("airy1", [-1.0, 0.5], 16, 10.0, [(0, 1)]))
 
-    @pytest.mark.parametrize("s", [[0.5, -1.0], [-2.0, 1.0, 0.0], [0.0, math.nan]])
-    def test_prepare_rejects_unsorted_grid(self, s):
-        # every pair pivots on its larger threshold s_j, j >= i, so a level
-        # takes its thresholds ascending
-        with pytest.raises(ValueError, match="ascend"):
-            rmt._Level("airy1", s, 16, 10.0)
+    @pytest.mark.parametrize("s,pairs", [
+        ([0.5, -1.0], [(0, 1)]),
+        ([-2.0, 1.0, 0.0], [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]),
+        ([0.0, math.nan], [(0, 1)]),
+        # a band whose first row is in order and whose second is reversed
+        ([-2.0, -1.0, -0.5, -1.5], [(0, 1), (2, 3)]),
+    ])
+    def test_level_rejects_a_pair_above_its_pivot(self, s, pairs):
+        # every pair (s_i, s_j) pivots on s_j, so a level takes s_i <= s_j
+        with pytest.raises(ValueError, match="s_i <= s_j"):
+            rmt._Level("airy1", s, 16, 10.0, pairs)
 
-    def test_prepare_calls_basis_in_chunks(self, monkeypatch):
+    def test_table_calls_basis_in_chunks(self, monkeypatch):
         # O(n h (K + N) / chunk) calls of at most one chunk of 8k entries,
         # of an inner rule of K nodes (the Laplace K_{-0.5}) or of the
         # interpolation onto N Chebyshev points (at the nodes left of the
@@ -937,7 +986,7 @@ class TestJointTableRows:
         for t in (1.0, 0.5):
             kernels = rmt._process_kernels("airy2", t, rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
             sizes.clear()
-            tab = _JointTable(t, kernels, grid_level("airy2", gauss_legendre(
+            tab = _JointTable(t, kernels, triangle_level("airy2", gauss_legendre(
                 *rmt.DEFAULT_BOX, n).nodes, m))
             x = tab.level.x.ravel()
             sources = tab.kt, tab.kmt
@@ -952,7 +1001,7 @@ class TestJointTableRows:
             assert rmt._EVAL_CHUNK <= 1 << 13 and max(sizes) <= rmt._EVAL_CHUNK
             assert len(sizes) <= entries / rmt._EVAL_CHUNK + 4 < n
 
-    def test_prepare_takes_ai_points_for_a0_and_kept_basis_entries(self, monkeypatch):
+    def test_table_takes_ai_points_for_a0_and_kept_basis_entries(self, monkeypatch):
         # every Ai point of a level's blocks and its table goes through
         # kernels.airy_ai, where the benchmark's tracer counts it: n h for
         # I - A_0 on the head of h nodes (its near-diagonal pairs are exact
@@ -972,28 +1021,31 @@ class TestJointTableRows:
         n, m = 38, 24
         for t, kernels, inner in zip((1.0, 0.5), pairs, (0, pairs[1][1].inner_size)):
             points.clear()
-            tab = _JointTable(t, kernels, grid_level("airy2", gauss_legendre(
+            tab = _JointTable(t, kernels, triangle_level("airy2", gauss_legendre(
                 *rmt.DEFAULT_BOX, n).nodes, m))
             x = tab.level.x.ravel()
             h = tab.level.offsets.size
             assert x.size == n * h and h < m
             assert sum(points) == n * h * (1 + inner)
 
-    def test_prepare_takes_given_blocks_bitwise(self, monkeypatch):
+    def test_rung_slices_the_marginals_blocks_bitwise(self, monkeypatch):
         # a covariance rung slices the I - A_0 blocks of its kept thresholds
         # from the marginals' blocks to the kept head: the bits of blocks
         # built for the kept thresholds alone.  The kept thresholds start
         # higher, so their head is a leading slice of the blocks' head.
+        # Its pairs are the triangle of the kept thresholds, one row each.
         m = 16
-        outer = gauss_legendre(*rmt.DEFAULT_BOX, 23)
-        s = outer.nodes
+        s = gauss_legendre(*rmt.DEFAULT_BOX, 23).nodes
         keep = (np.arange(s.size) % 3 != 0) & (s > -2.0)
         monkeypatch.setattr(rmt, "_tail_drop", lambda *args: (keep, 0.0))
         tan_map = rmt._tan_map(m, 10.0)
-        level = rmt._Level("airy2", s, m, 10.0, outer)
+        level = rmt._level.__wrapped__("airy2", m, s.size, rmt.DEFAULT_BOX, 10.0)
         h = rmt._head("airy2", s[keep], tan_map[0])
         assert h < rmt._head("airy2", s, tan_map[0])
         assert level.offsets.size == h and np.array_equal(level.s, s[keep])
+        assert np.array_equal(level.keep, keep) and level.marg.size == s.size
+        k = int(np.sum(keep))
+        assert level.rows == tuple((i, i, k, i) for i in range(k))
         assert np.array_equal(level.eye_minus_a0,
                               rmt._eye_minus_a0("airy2", s[keep], *tan_map)[0])
 
@@ -1045,7 +1097,7 @@ class TestChebyshevFactor:
         kt, kmt = rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -10.0)
         assert isinstance(kt, rmt._ChebyshevFactor)
         assert isinstance(kmt, Airy2ProcessKernel) and kmt._mode == "laplace"
-        tab = _JointTable(0.5, (kt, kmt), rmt._Level("airy2", [-1.0, 0.5], 16, 10.0))
+        tab = _JointTable(0.5, (kt, kmt), rmt._Level("airy2", [-1.0, 0.5], 16, 10.0, [(0, 1)]))
         assert tab.kt is kt and tab.kmt is kmt and kt.gaussian_part is None
 
     def test_missed_cap_keeps_the_inner_rule(self, monkeypatch, fresh_caches):
@@ -1057,7 +1109,7 @@ class TestChebyshevFactor:
             assert all(isinstance(k, Airy2ProcessKernel) and rmt._chebyshev_factor(
                 partial(rmt._sampled, k), k.x_min, rmt._HEAD_CUT) is None for k in kernels)
             s1, s2 = -1.0, 0.5
-            tab = _JointTable(1.0, kernels, rmt._Level("airy2", [s1, s2], 16, 10.0))
+            tab = _JointTable(1.0, kernels, rmt._Level("airy2", [s1, s2], 16, 10.0, [(0, 1)]))
             assert (tab.kt, tab.kmt) == kernels
             assert abs(tab.joint().value
                        - block_system_joint("airy2", 1.0, s1, s2, 16).value) <= 1e-14
@@ -1239,11 +1291,11 @@ def full_level(process, t, m, n_outer, box, kernels):
     system of order 2h, on the head of h nodes of the whole grid, its
     roundoff bound sqrt(2m) ||A||_F 8u, and the marginals with theirs."""
     outer = gauss_legendre(*box, n_outer)
-    tab = _JointTable(t, kernels, grid_level(process, outer.nodes, m))
+    tab = _JointTable(t, kernels, triangle_level(process, outer.nodes, m))
     n, h = n_outer, tab.level.offsets.size
     joint, est = np.zeros((n, n)), np.zeros((n, n))
     for i in range(n):
-        systems = balanced_systems(tab, i, i, n)
+        systems = balanced_systems(tab, tab.level.rows[i])
         joint[i, i:] = rmt.det_lu(systems)
         est[i, i:] = (np.sqrt(2 * m) * 8 * UNIT_ROUNDOFF
                       * np.linalg.norm(np.eye(2 * h) - systems, axis=(1, 2)))
@@ -1478,6 +1530,16 @@ class TestCovarianceTypes:
         with pytest.warns(RuntimeWarning, match="missed accuracy"):
             value, est, levels = cov(t, full_output=True)
         assert type(value) is float and type(est) is float and levels == 2
+
+    @pytest.mark.parametrize("cov", [cov_airy2, cov_airy1])
+    def test_non_finite_t_rejected(self, cov, fresh_caches):
+        # before any level or kernel is built; a negative t is told apart
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                cov(t)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            cov(-1.0)
+        assert rmt._level.cache_info().currsize == 0
 
     @pytest.mark.parametrize("cov", [cov_airy2, cov_airy1])
     def test_box_is_not_a_setting(self, cov):
