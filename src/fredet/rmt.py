@@ -30,12 +30,11 @@ smallest threshold s of the call (``_head``).  Past X the Airy kernel
 and K_t, t > 0, have underflowed, so the other nodes would add unit rows
 and columns that cost O(m^3) and change no determinant beyond entries
 below 3e-22 (``_HEAD_CUT``).  Airy(1) keeps every node.  On the head,
-K_t (t > 0) and the oscillatory K_{-t} (t >= 0.75) are analytic and of
-numerical rank 20-90, so the joint table takes them from low-rank
-Chebyshev factors (``_ChebyshevFactor``) instead of their 60-480-node
-inner rules; the Laplace-branch K_{-t} (0 < t < 0.75), whose Gaussian
-ridge has no low rank, keeps its inner rule.  Airy(1)'s K_t and K_{-t}
-come from factors of their Airy parts (``_airy1_kernels``).
+K_t (t > 0), the oscillatory K_{-t} (t >= 0.75) and the Laplace-branch
+K_{-t} (0 < t < 0.75) less its closed Gaussian are of numerical rank
+17-90, so the joint table takes every kernel from a Chebyshev factor
+(``_ChebyshevFactor``) instead of its 60-480-node inner rule, as it
+takes Airy(1)'s from factors of their Airy parts (``_airy1_kernels``).
 
 What does not depend on t sits in a ``_Level``: thresholds, the pairs of
 them a table takes, and the inverses of exactly their pivots.  A single
@@ -218,8 +217,8 @@ def _process_kernels(process: str, t: float, inner_tol: float, x_min: float):
 
 
 class _Uncached(Exception):
-    """Carries a kernel pair whose build warned out of ``_airy2_kernels``,
-    which caches no exception: each call that builds such a pair warns."""
+    """Carries the factors of a pair whose build warned out of
+    ``_airy2_kernels``, which caches no exception: each build warns."""
 
     def __init__(self, kernels):
         super().__init__()
@@ -229,22 +228,24 @@ class _Uncached(Exception):
 @lru_cache(maxsize=64)
 def _airy2_kernels(t: float, inner_tol: float, x_min: float):
     """K_t and K_{-t} of Airy(2) as ``_JointTable`` reads them, cached on
-    (t, inner_tol, x_min): the inner-rule doubling of ``Airy2ProcessKernel``
-    with ``x_min`` (at most -10, as the kernel lowers it) is the costly part
-    of a joint at a new t, and a covariance sweep or repeated call needs it
-    once.  A kernel without a Gaussian term gives way to its
-    ``_chebyshev_factor`` (3-10 ms at x_min = -10), and its inner rule goes
-    with it; the Laplace-branch K_{-t} and a kernel with no factor within
-    ``_FACTOR_MAX_NODES`` keep their read-only inner rules ``_xi`` and
-    ``_q``.  A pair with ``achieved_tol > inner_tol`` has warned and is
-    raised as ``_Uncached``, so it is neither cached nor factored."""
-    kernels = (Airy2ProcessKernel(t, tol=inner_tol, x_min=x_min),
-               Airy2ProcessKernel(-t, tol=inner_tol, x_min=x_min))
+    (t, inner_tol, x_min): the ``_chebyshev_factor`` s (3-10 ms at x_min =
+    -10) of ``Airy2ProcessKernel`` s with ``x_min`` (at most -10, as the
+    kernel lowers it), sampled through their inner rules.  The Laplace
+    branch's is that of P_t, less the kernel's Gaussian.  Without a factor
+    in reach it raises ArithmeticError; a pair with ``achieved_tol >
+    inner_tol`` has warned, and its factors are raised as ``_Uncached``."""
+    kt, kmt = kernels = (Airy2ProcessKernel(t, tol=inner_tol, x_min=x_min),
+                         Airy2ProcessKernel(-t, tol=inner_tol, x_min=x_min))
+    laplace = kmt._mode == "laplace"
+    tol = max(_FACTOR_TOL, kmt.achieved_tol) if laplace else _FACTOR_TOL
+    factors = (_chebyshev_factor(partial(_sampled, kt), kt.x_min, _HEAD_CUT),
+               _chebyshev_factor(partial(_sampled, kmt), kmt.x_min, _HEAD_CUT, tol=tol,
+                                 gaussian_part=kmt.gaussian_part if laplace else None))
+    if None in factors:
+        raise ArithmeticError(f"no Chebyshev factor of Airy(2) at t={t:g}, x_min={x_min:g}")
     if not all(k.achieved_tol <= inner_tol for k in kernels):
-        raise _Uncached(kernels)
-    # the Laplace branch's Gaussian ridge has no low rank on the head
-    return tuple(k if k._mode == "laplace" else
-                 _chebyshev_factor(partial(_sampled, k), k.x_min, _HEAD_CUT) or k for k in kernels)
+        raise _Uncached(factors)
+    return factors
 
 
 def _airy1_cut(t: float) -> float:
@@ -282,14 +283,14 @@ def _airy1_kernels(t: float, x_min: float):
 
 
 #: Kernel entries, basis entries (rows times inner size) or interpolation
-#: entries (rows times Chebyshev points) per evaluation call when a level
-#: or table builds its per-threshold data (``_eye_minus_a0``, whose call
-#: holds all its blocks, ``_interpolation``, the ``_JointTable``
-#: constructor), and Schur-complement entries per LU call of the joint
-#: rows (``_dets``).  One call per threshold pays per-call overhead, one
-#: per grid peak memory: on cov-airy2, 16k points put peak RSS ~0.3 MB
-#: above per-threshold calls, 8k ~0.1 MB below; whole-grid I - A_0 for
-#: Airy(1) took cov-airy1 1.7 MB above.
+#: entries (rows times Chebyshev points) per evaluation call when a level,
+#: table or factor builds its per-point data (``_eye_minus_a0``, whose call
+#: holds all its blocks, ``_interpolation``, ``_sampled``), and
+#: Schur-complement entries per LU call of the joint rows (``_dets``).  One
+#: call per threshold pays per-call overhead, one per grid peak memory: on
+#: cov-airy2, 16k points put peak RSS ~0.3 MB above per-threshold calls,
+#: 8k ~0.1 MB below; whole-grid I - A_0 for Airy(1) took cov-airy1 1.7 MB
+#: above.
 _EVAL_CHUNK = 1 << 13
 
 
@@ -347,10 +348,11 @@ class _ChebyshevFactor:
     v_k at the nodes, ``inner_weights`` the lambda_k and ``inner_size`` the
     rank, so a block is ``(basis(x) * inner_weights) @ basis(y).T`` with
     tens of terms where an inner rule has 60-480, less ``gaussian_part``
-    (None, or Airy(1)'s heat term).  Rows past x_max are 0: the kernel has
-    vanished there, and such a node gives a unit row or column of a joint
-    system (``_head``, ``_airy1_cut``).  ``basis`` raises ValueError below
-    x_min, as the kernel's does.  The arrays are read-only."""
+    (None, Airy(1)'s heat term or the Laplace-branch K_{-t}'s Gaussian).
+    Rows past x_max are 0: the factored part has vanished there, and such
+    a node gives a unit row or column of a joint system (``_head``,
+    ``_airy1_cut``).  ``basis`` raises ValueError below x_min, as the
+    kernel's does.  The arrays are read-only."""
 
     def __init__(self, x_min: float, x_max: float, vectors, values, rate: float = 0.0,
                  gaussian_part=None):
@@ -416,36 +418,34 @@ def _interpolation(x, x_min: float, x_max: float, n: int) -> np.ndarray:
     return _frozen(out)
 
 
-def _basis_rows(source, x) -> np.ndarray:
-    """``source.basis`` (a kernel's or a factor's) at the points x, stacked
-    (x.size, inner size), in calls of at most ``_EVAL_CHUNK`` entries."""
-    rows = max(1, _EVAL_CHUNK // max(1, source.inner_size))
-    out = np.empty((x.size, source.inner_size))
-    for lo in range(0, x.size, rows):
-        out[lo:lo + rows] = source.basis(x[lo:lo + rows])
-    return out
-
-
 def _sampled(source, x) -> np.ndarray:
-    """K(x_i, x_j) from ``source.basis`` and ``source.inner_weights``,
-    without a Gaussian term."""
-    b = _basis_rows(source, x)
+    """K(x_i, x_j) from ``source.basis`` (a kernel's or a factor's) and
+    ``source.inner_weights``, without a Gaussian term, the basis in calls
+    of at most ``_EVAL_CHUNK`` entries."""
+    rows = max(1, _EVAL_CHUNK // max(1, source.inner_size))
+    b = np.empty((x.size, source.inner_size))
+    for lo in range(0, x.size, rows):
+        b[lo:lo + rows] = source.basis(x[lo:lo + rows])
     return (b * source.inner_weights) @ b.T
 
 
 def _chebyshev_factor(sample, x_min: float, x_max: float, rate: float = 0.0,
-                      gaussian_part=None):
+                      gaussian_part=None, tol: float = _FACTOR_TOL):
     """The ``_ChebyshevFactor`` on [x_min, x_max], with ``rate`` and
     ``gaussian_part``, of the values ``sample(x)`` at every pair of the 1-d
     points x, or None if none within reach matches them.
 
     N doubles from ``_FACTOR_FIRST_NODES`` until the factor of the kept
     eigenpairs (|lambda| > ``_FACTOR_CUT`` max |lambda|) of the samples on
-    N Chebyshev points matches the samples to ``_FACTOR_TOL`` max(1, |K|)
-    at every pair of a 61-point probe grid; past ``_FACTOR_MAX_NODES``
-    there is none.  Samples that vanish give rank 0.  The Airy(2) kernels
-    of t in {0.1, 0.5, +-0.76, +-1, +-2.5} at x_min in {-10, -14, -20} take
-    128 points, but K_{-0.76} at -20, which takes 256."""
+    N Chebyshev points matches the samples to ``tol`` max(1, |K|) at every
+    pair of a 61-point probe grid; past ``_FACTOR_MAX_NODES`` there is
+    none.  ``tol`` is ``_FACTOR_TOL`` but for samples that round above it:
+    the Laplace branch's P_t rounds at eps |P| (|P| is 555 at t = 0.74,
+    x_min = -10), as its kernel's ``achieved_tol`` states, and takes the
+    larger of the two.  Samples that vanish give rank 0.  The Airy(2)
+    kernels of t in {0.1, 0.5, +-0.76, +-1, +-2.5} at x_min in {-10, -14,
+    -20} take 128 points, but K_{-0.76} at -20, which takes 256; P_t of t in
+    [0.02, 0.74] at x_min = -10 takes 128 points at rank 17-22."""
     probes = np.linspace(x_min, x_max, 61)
     want = sample(probes)
     n = _FACTOR_FIRST_NODES
@@ -455,7 +455,7 @@ def _chebyshev_factor(sample, x_min: float, x_max: float, rate: float = 0.0,
         kept = np.abs(values) > _FACTOR_CUT * np.max(np.abs(values))
         factor = _ChebyshevFactor(x_min, x_max, vectors[:, kept], values[kept])
         got = _sampled(factor, probes)
-        if np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= _FACTOR_TOL:
+        if np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= tol:
             return _ChebyshevFactor(x_min, x_max, factor._vectors, factor.inner_weights, rate,
                                     gaussian_part)
         n *= 2
@@ -627,25 +627,22 @@ def _legendre_cumulative(rule) -> np.ndarray:
 
 class _JointTable:
     """Joint determinants P(A(t) <= s_i, A(0) <= s_j) at t > 0 of the pairs
-    of a ``_Level``, with K_t and K_{-t} as ``_process_kernels`` gives them
-    (``_ChebyshevFactor`` s but for an Airy(2) kernel with none): the one
-    joint-determinant path of both processes, for single pairs
-    (``airy2_joint`` / ``airy1_joint``, which take a negative t to |t|) and
-    covariance grids alike.
+    of a ``_Level``, with the ``_ChebyshevFactor`` s of K_t and K_{-t} that
+    ``_process_kernels`` gives: the one joint-determinant path of both
+    processes, for single pairs (``airy2_joint`` / ``airy1_joint``, which
+    take a negative t to |t|) and covariance grids alike.
 
     The level holds per threshold s M = I - A_0 on the head of its
     thresholds (``_head``: the same h nodes at every one), det(M), and M^-1
     at each pivot; the constructor adds the bases of K_t and K_{-t} at the
-    head nodes, weighted in place by the tan map's r = sqrt(w phi'): U = r B.
-    A factor takes B from the level's ``interpolations``; a kernel (the
-    Laplace-branch K_{-t}) from its inner rule, in ``basis`` calls of at
-    most ``_EVAL_CHUNK`` entries.  ``_dets``, the one row routine of
-    ``grid`` and ``joint``, forms the off-diagonal blocks of each row of
-    the level's pairs with one matrix product per kernel (``_blocks``), and
-    takes each joint as det(M_j) det(M_i - A_ij M_j^-1 A_ji), pivoting on
-    the larger threshold s_j (the better-conditioned block), in one stack
-    of Schur complements across rows, which LAPACK LU takes ``_EVAL_CHUNK``
-    entries at a time.  The Schur complement is unchanged by the exact
+    head nodes, weighted in place by the tan map's r = sqrt(w phi'): U = r B,
+    B from the level's ``interpolations``.  ``_blocks`` forms the
+    off-diagonal blocks of a row of the level's pairs with one matrix
+    product per kernel; ``_dets``, the one row routine of ``grid`` and
+    ``joint``, takes them and each joint as det(M_j) det(M_i - A_ij M_j^-1
+    A_ji), pivoting on the larger threshold s_j (the better-conditioned
+    block), in one stack of Schur complements across rows, which LAPACK LU
+    takes ``_EVAL_CHUNK`` entries at a time.  The Schur complement is unchanged by the exact
     similarity A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, so rows need no
     balancing.  Time reversal, P(s_i, s_j) = P(s_j, s_i), lets ``grid``
     mirror the pairs and a single joint's level order its pair."""
@@ -657,18 +654,17 @@ class _JointTable:
         self.kt, self.kmt = kernels
         # U[i, p] = r_p B(x_ip), stacked (n, h, inner size); sqrt(fl(r^2)) is r
         x, r, self._u = level.x.ravel(), np.sqrt(np.diagonal(level.rr))[:, None], []
-        key = {f: (f.x_min, f.x_max, f.points) for f in kernels if isinstance(f, _ChebyshevFactor)}
-        interpolations = level.interpolations(key.values())
-        for src in kernels:
-            u = src.basis(x, interpolations[key[src]]) if src in key else _basis_rows(src, x)
-            self._u.append(u.reshape(*level.x.shape, src.inner_size))
+        keys = [(f.x_min, f.x_max, f.points) for f in kernels]
+        interpolations = level.interpolations(keys)
+        for f, key in zip(kernels, keys):
+            self._u.append(f.basis(x, interpolations[key]).reshape(*level.x.shape, f.inner_size))
             self._u[-1] *= r
 
     def grid(self) -> np.ndarray:
         """The joints of the level's pairs (s_i, s_j) at [i, j] and, by time
         reversal, [j, i]; NaN off the pairs."""
         joint, (i, j) = np.full((self.level.s.size,) * 2, np.nan), self.level.pairs.T
-        joint[i, j] = joint[j, i] = self._dets()
+        joint[i, j] = joint[j, i] = self._dets(map(self._blocks, self.level.rows))
         return joint
 
     def _blocks(self, row):
@@ -687,17 +683,18 @@ class _JointTable:
         # K_t is symmetric: its stack's per-pair transpose is A_ij
         return blocks[0].transpose(0, 2, 1), blocks[1]
 
-    def _dets(self) -> np.ndarray:
+    def _dets(self, blocks) -> np.ndarray:
         """det(M_j) det(M_i - A_ij M_j^-1 A_ji) of the level's pairs (s_i,
-        s_j), in their order, each pivoting on s_j, from the ``_blocks`` of
-        its rows, in Schur-complement stacks of ``_EVAL_CHUNK`` entries (at
-        least one pair) that span rows."""
+        s_j), in their order, each pivoting on s_j, from ``blocks``, the
+        ``_blocks`` of the level's rows in order, in Schur-complement stacks
+        of ``_EVAL_CHUNK`` entries (at least one pair) that span rows."""
         eye_minus_a0, inverses = self.level.eye_minus_a0, self.level.inverses
         h, left = eye_minus_a0.shape[-1], len(self.level.pairs)
         step = min(max(1, _EVAL_CHUNK // (h * h)), left)
         schur, det, out, k = np.empty((step, h, h)), np.empty(step), [], 0
-        for row in self.level.rows:
-            (i, lo, hi, p), (a_ij, a_ji) = row, self._blocks(row)
+        blocks = iter(blocks)  # next() holds one row's blocks at a time, a zip two
+        for i, lo, hi, p in self.level.rows:
+            a_ij, a_ji = next(blocks)
             while lo < hi:
                 c = min(hi - lo, step - k)
                 # A_ij M_j^-1 first: the other order erred 200x more at Airy(1), t = 2.5, m = 20
@@ -724,9 +721,9 @@ class _JointTable:
         Frechet bound, F1 + F2 - 1 <= P <= min(F1, F2), by more than the sum
         of its own and both marginals' roundoff bounds and 8u |value|."""
         lv = self.level
-        a12, a21 = self._blocks(lv.rows[0])
+        a12, a21 = blocks = self._blocks(lv.rows[0])
         norm = math.sqrt(lv.norms @ lv.norms + 2.0 * frobenius_norm(a12) * frobenius_norm(a21))
-        (value,) = self._dets()
+        (value,) = self._dets([blocks])
         point = _det_point(self.t, DetResult(value, 2 * lv.m, roundoff_bound(2 * lv.m, norm)))
         # each value also rounds by ~u |value|, which its roundoff bound (a
         # backward error of the matrix) leaves out: near 1 that dominates

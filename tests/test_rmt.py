@@ -413,6 +413,23 @@ class TestTruncationBound:
             assert truncation_bound(-10.0, T) == pytest.approx(ref, rel=4e-16, abs=0)
 
 
+@pytest.fixture(scope="module")
+def oscillatory_kernels():
+    """Airy(2)'s K_t and K_{-t} at x_min = -10, tol 1e-13, with K_{-t}
+    in its oscillatory form at every t (``_LAPLACE_SWITCH`` 0), built once
+    per t: 7,680 inner nodes at t = 0.1, 480 at t = 0.7."""
+    cache = {}
+
+    def get(t):
+        if t not in cache:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(Airy2ProcessKernel, "_LAPLACE_SWITCH", 0.0)
+                cache[t] = Airy2ProcessKernel(t, tol=1e-13), Airy2ProcessKernel(-t, tol=1e-13)
+            assert cache[t][1]._mode == "oscillatory"
+        return cache[t]
+    return get
+
+
 class TestAiry2Joint:
     def test_marginalization(self):
         j = airy2_joint(1.0, -0.5, 10.0, 30)
@@ -457,6 +474,20 @@ class TestAiry2Joint:
         assert p.est_error <= ref.roundoff_bound
         with pytest.raises(ValueError, match="x_min"):
             table("airy2", 0.3, 30, [-16.0])
+
+    @pytest.mark.parametrize("m", [20, 48])
+    @pytest.mark.parametrize("t", [0.1, 0.25, 0.5, 0.7, 0.74])
+    def test_laplace_branch_matches_oscillatory_form(self, t, m, oscillatory_kernels):
+        # the Laplace-branch K_{-t} (a factor of P_t less its Gaussian)
+        # against the BlockSystem with K_{-t} in its defining oscillatory
+        # form, exact in exact arithmetic, within both error bounds and
+        # 8u |value|: at most 0.83 of that (t = 0.7, m = 20, (-1, -1))
+        kernels = oscillatory_kernels(t)
+        for s1, s2 in ((-1.0, -1.0), (-3.0, 0.5), (-5.0, -2.0), (0.0, 2.0), (-7.0, 1.0)):
+            p = airy2_joint(t, s1, s2, m)
+            ref = block_system_joint("airy2", t, s1, s2, m, kernels=kernels)
+            assert abs(p.value - ref.value) <= (p.est_error + ref.roundoff_bound
+                                                + 8 * UNIT_ROUNDOFF * abs(ref.value))
 
     @pytest.mark.xfail(strict=True, reason=(
         "t = 1e-4 is not resolved at m = 30 and 60: the joint reads 0.78391 and "
@@ -760,17 +791,17 @@ class TestJointTableRows:
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_batched_blocks_equal_per_threshold(self, process, monkeypatch):
-        # stacked kernel-matrix calls for I - A_0, chunked bases and the
-        # grid's interpolation matrices give the bits of the per-threshold
-        # evaluations.  At t = 0.7 the Airy(2) K_t is factored and K_{-t}
-        # keeps its inner rule (Laplace branch); both Airy(1) kernels are
-        # factored.
+        # stacked kernel-matrix calls for I - A_0 and the grid's
+        # interpolation matrices give the bits of the per-threshold
+        # evaluations.  At t = 0.7 both kernels of either process are
+        # factored: for Airy(2), K_t and the Laplace branch's P_t, on one
+        # interpolation matrix
         m = 16
         s = gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes
         kernels = rmt._process_kernels(process, 0.7, rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
-        # 2 of the 11 thresholds a matrix call; 9 of the 121 nodes a basis
-        # call of K_{-t} (75 inner nodes), 5 an interpolation call of the
-        # factor of K_t (128 points), the last call of each ragged
+        # 2 of the 11 thresholds a matrix call, 5 of the 121 nodes an
+        # interpolation call of a factor (128 points), the last call of each
+        # ragged
         monkeypatch.setattr(rmt, "_EVAL_CHUNK", 700)
         level = triangle_level(process, s, m)
         tab = _JointTable(0.7, kernels, level)
@@ -781,12 +812,10 @@ class TestJointTableRows:
         assert (h < m) == (process == "airy2")
         offsets, rr = offsets[:h], rr[:h, :h]
         r = np.sqrt(np.diag(rr))[:, None]
-        # Airy(2): K_t factored, K_{-t} with its inner rule (Laplace
-        # branch); Airy(1): both factored, on a domain past the head cut
-        factors = [tab.kt] if process == "airy2" else [tab.kt, tab.kmt]
+        # Airy(2) on the head cut, Airy(1) on a domain past it
+        factors = [tab.kt, tab.kmt]
         assert all(isinstance(f, rmt._ChebyshevFactor) for f in factors)
-        if process == "airy2":
-            assert isinstance(tab.kmt, Airy2ProcessKernel) and tab.kmt._mode == "laplace"
+        assert (tab.kmt.gaussian_part is not None) == (process == "airy2")
         # the grid's interpolation rows, put back per threshold
         rows = []
         for factor in factors:
@@ -799,9 +828,6 @@ class TestJointTableRows:
         for k, sk in enumerate(s):
             x = sk + offsets
             assert np.array_equal(level.eye_minus_a0[k], np.eye(h) - rr * k0.matrix(x, x))
-            if process == "airy2":
-                # weighted in place: U = r B
-                assert np.array_equal(tab._u[1][k], r * tab.kmt.basis(x))
             for factor, u, f_rows in zip(factors, tab._u, rows):
                 # the interpolation weights are per-point bits; the product
                 # with the eigenvectors rounds with the BLAS blocking, and the
@@ -850,13 +876,14 @@ class TestJointTableRows:
     def test_grid_and_joint_share_the_row_routine(self, process, monkeypatch):
         # a covariance level and a single joint, each one call of _dets on
         # the rows of its level's pairs: the triangle of the kept
-        # thresholds, and the one pair (0, 1)
+        # thresholds, and the one pair (0, 1), whose blocks the joint
+        # passes in
         calls = []
         dets = _JointTable._dets
 
-        def counting(tab):
+        def counting(tab, blocks):
             calls.append((tab.level.pairs.tolist(), tab.level.rows))
-            return dets(tab)
+            return dets(tab, blocks)
 
         monkeypatch.setattr(_JointTable, "_dets", counting)
         m, n = 16, 9
@@ -944,6 +971,22 @@ class TestJointTableRows:
         grid = table(process, t, 20, sorted((s1, s2)), min(s1, s2)).grid()
         assert point.value == grid[0, 1] == grid[1, 0]
 
+    @pytest.mark.parametrize("process,t", [("airy2", 1.0), ("airy2", 0.5), ("airy1", 0.5)])
+    def test_single_joint_forms_its_blocks_once(self, process, t, monkeypatch):
+        # the roundoff norm and the Schur complement read the same blocks:
+        # one _blocks call per joint, and the bits of the grid's pair
+        calls = []
+        blocks = _JointTable._blocks
+
+        def counting(tab, row):
+            calls.append(row)
+            return blocks(tab, row)
+
+        monkeypatch.setattr(_JointTable, "_blocks", counting)
+        point = rmt._joint_point(process, t, 0.5, -1.0, 16, 10.0)
+        assert calls == [(0, 1, 2, 0)]
+        assert point.value == table(process, t, 16, [-1.0, 0.5], -1.0).grid()[0, 1]
+
     @pytest.mark.parametrize("t", [0.0, -0.7, math.nan])
     def test_table_needs_positive_t(self, t):
         # the joints take a negative t to |t|, and t = 0 to the marginal
@@ -964,16 +1007,16 @@ class TestJointTableRows:
             rmt._Level("airy1", s, 16, 10.0, pairs)
 
     def test_table_calls_basis_in_chunks(self, monkeypatch):
-        # O(n h (K + N) / chunk) calls of at most one chunk of 8k entries,
-        # of an inner rule of K nodes (the Laplace K_{-0.5}) or of the
+        # O(n h N / chunk) calls of at most one chunk of 8k entries, of the
         # interpolation onto N Chebyshev points (at the nodes left of the
         # cut), which the factors of one (x_min, N) share: not one call per
-        # threshold (slow) nor one per grid (peak memory)
-        sizes = []
+        # threshold (slow) nor one per grid (peak memory).  No kernel's
+        # inner rule is read, at t = 0.5 (the Laplace K_{-t}) too
+        sizes, inner = [], []
         basis, barycentric = Airy2ProcessKernel.basis, rmt._barycentric
 
         def counting_basis(kernel, xs):
-            sizes.append(np.size(xs) * kernel.inner_size)
+            inner.append(np.size(xs) * kernel.inner_size)
             return basis(kernel, xs)
 
         def counting_barycentric(x, nodes, weights):
@@ -989,14 +1032,12 @@ class TestJointTableRows:
             tab = _JointTable(t, kernels, triangle_level("airy2", gauss_legendre(
                 *rmt.DEFAULT_BOX, n).nodes, m))
             x = tab.level.x.ravel()
-            sources = tab.kt, tab.kmt
-            factors = [src for src in sources if isinstance(src, rmt._ChebyshevFactor)]
+            factors = tab.kt, tab.kmt
             keys = {(f.x_min, f.points) for f in factors}
-            # K_1 and K_{-1} share one matrix (N = 128 both)
-            assert len(factors) == (2 if t == 1.0 else 1) and len(keys) == 1
-            entries = (np.sum(x <= rmt._HEAD_CUT) * sum(points for _, points in keys)
-                       + x.size * sum(src.inner_size for src in sources
-                                      if src not in factors))
+            # K_t and K_{-t} share one matrix (N = 128 both)
+            assert all(isinstance(f, rmt._ChebyshevFactor) for f in factors)
+            assert len(keys) == 1 and not inner
+            entries = np.sum(x <= rmt._HEAD_CUT) * sum(points for _, points in keys)
             assert sum(sizes) == entries
             assert rmt._EVAL_CHUNK <= 1 << 13 and max(sizes) <= rmt._EVAL_CHUNK
             assert len(sizes) <= entries / rmt._EVAL_CHUNK + 4 < n
@@ -1005,9 +1046,9 @@ class TestJointTableRows:
         # every Ai point of a level's blocks and its table goes through
         # kernels.airy_ai, where the benchmark's tracer counts it: n h for
         # I - A_0 on the head of h nodes (its near-diagonal pairs are exact
-        # diagonals here), none for a factored kernel (K_1, K_{-1} and
-        # K_0.5), and n h K basis points for a kernel that keeps its inner
-        # rule of K nodes (the Laplace K_{-0.5})
+        # diagonals here), and none for the off-diagonal blocks, whose
+        # kernels are all factored (K_1, K_{-1}, K_0.5 and the Laplace
+        # K_{-0.5}): they take interpolation entries only
         pairs = [rmt._process_kernels("airy2", t, rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
                  for t in (1.0, 0.5)]
         points = []
@@ -1019,14 +1060,14 @@ class TestJointTableRows:
 
         monkeypatch.setattr(kernels_module, "airy_ai", counting)
         n, m = 38, 24
-        for t, kernels, inner in zip((1.0, 0.5), pairs, (0, pairs[1][1].inner_size)):
+        for t, kernels in zip((1.0, 0.5), pairs):
             points.clear()
             tab = _JointTable(t, kernels, triangle_level("airy2", gauss_legendre(
                 *rmt.DEFAULT_BOX, n).nodes, m))
             x = tab.level.x.ravel()
             h = tab.level.offsets.size
             assert x.size == n * h and h < m
-            assert sum(points) == n * h * (1 + inner)
+            assert sum(points) == n * h
 
     def test_rung_slices_the_marginals_blocks_bitwise(self, monkeypatch):
         # a covariance rung slices the I - A_0 blocks of its kept thresholds
@@ -1092,30 +1133,40 @@ class TestChebyshevFactor:
             with pytest.raises(ValueError, match="x_min"):
                 factor.basis([-10.5])
 
-    def test_laplace_branch_keeps_its_inner_rule(self):
-        # K_{-0.5} carries a Gaussian term; K_0.5 is factored
-        kt, kmt = rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -10.0)
-        assert isinstance(kt, rmt._ChebyshevFactor)
-        assert isinstance(kmt, Airy2ProcessKernel) and kmt._mode == "laplace"
-        tab = _JointTable(0.5, (kt, kmt), rmt._Level("airy2", [-1.0, 0.5], 16, 10.0, [(0, 1)]))
-        assert tab.kt is kt and tab.kmt is kmt and kt.gaussian_part is None
+    @pytest.mark.parametrize("t", [0.1, 0.5, 0.74])
+    def test_laplace_branch_is_a_factor_less_its_gaussian(self, t):
+        # K_{-t}, 0 < t < 0.75, is the factor of its positive-axis integral
+        # P_t, less the kernel's own Gaussian; P_t rounds at eps |P| (59.7
+        # at t = 0.5, 555 at 0.74), so the factor matches P_t to the
+        # kernel's achieved_tol, relative to max(1, |P|), on random pairs,
+        # not the probe grid the build checks
+        kt, kmt = rmt._process_kernels("airy2", t, rmt._INNER_TOL, -10.0)
+        kernel = Airy2ProcessKernel(-t, x_min=-10.0)
+        assert kernel._mode == "laplace"
+        assert isinstance(kt, rmt._ChebyshevFactor) and kt.gaussian_part is None
+        assert isinstance(kmt, rmt._ChebyshevFactor) and kmt.inner_size < 30
+        assert kmt.gaussian_part.__func__ is Airy2ProcessKernel.gaussian_part
+        assert kmt.gaussian_part.__self__.t == -t
+        x, y = np.random.default_rng(7).uniform(-10.0, rmt._HEAD_CUT, (2, 2000))
+        assert np.array_equal(kmt.gaussian_part(x, y), kernel.gaussian_part(x, y))
+        got = np.sum(kmt.basis(x) * kmt.inner_weights * kmt.basis(y), axis=1)
+        want = np.sum(kernel.basis(x) * kernel.inner_weights * kernel.basis(y), axis=1)
+        tol = max(rmt._FACTOR_TOL, kernel.achieved_tol)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= tol
+        tab = _JointTable(t, (kt, kmt), rmt._Level("airy2", [-1.0, 0.5], 16, 10.0, [(0, 1)]))
+        assert tab.kt is kt and tab.kmt is kmt
 
-    def test_missed_cap_keeps_the_inner_rule(self, monkeypatch, fresh_caches):
+    @pytest.mark.parametrize("t", [1.0, 0.5])
+    def test_missed_cap_raises(self, t, monkeypatch, fresh_caches):
         # 64 Chebyshev points miss at x_min = -10, so with the cap there no
-        # kernel gets a factor and the table takes the kernels' bases
+        # kernel gets a factor, and no inner rule is left to fall back on:
+        # the pair raises, names t and x_min, and is not cached
         monkeypatch.setattr(rmt, "_FACTOR_MAX_NODES", rmt._FACTOR_FIRST_NODES)
-        try:
-            kernels = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)
-            assert all(isinstance(k, Airy2ProcessKernel) and rmt._chebyshev_factor(
-                partial(rmt._sampled, k), k.x_min, rmt._HEAD_CUT) is None for k in kernels)
-            s1, s2 = -1.0, 0.5
-            tab = _JointTable(1.0, kernels, rmt._Level("airy2", [s1, s2], 16, 10.0, [(0, 1)]))
-            assert (tab.kt, tab.kmt) == kernels
-            assert abs(tab.joint().value
-                       - block_system_joint("airy2", 1.0, s1, s2, 16).value) <= 1e-14
-        finally:
-            # no later test may take this unfactored pair from the cache
-            rmt._airy2_kernels.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ArithmeticError,
+                               match=f"no Chebyshev factor of Airy\\(2\\) at t={t:g}, x_min=-10"):
+                rmt._process_kernels("airy2", t, rmt._INNER_TOL, -10.0)
+        assert rmt._airy2_kernels.cache_info().currsize == 0
 
 
 class TestCaches:
@@ -1149,11 +1200,10 @@ class TestCaches:
         arrays = [level.outer.nodes, level.outer.weights, level.marg, level.bounds,
                   level.norms, level.keep, level.s, level.offsets, level.rr, level.x,
                   level.eye_minus_a0, level.inverses, level.cumulative, interpolation]
-        # the cached pairs: K_1 and K_{-1} factored, K_0.5 factored and
-        # the Laplace K_{-0.5} with its inner rule
-        kt, kmt = rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -10.0)
-        arrays += [kmt._xi, kmt._q, kt._vectors, kt.inner_weights]
-        for factor in (*rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0),
+        # the cached pairs, all factored: K_1, K_{-1}, K_0.5, the Laplace
+        # K_{-0.5} and the Airy(1) pair
+        for factor in (*rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -10.0),
+                       *rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0),
                        *rmt._process_kernels("airy1", 1.0, rmt._INNER_TOL, -6.0)):
             arrays += [factor._vectors, factor.inner_weights]
         for a in arrays:
@@ -1195,8 +1245,9 @@ class TestCaches:
         assert calls == [n for _, n in rmt._COV_LEVELS["airy2"][:used]]
 
     def test_factors_built_once_per_cached_pair(self, monkeypatch, fresh_caches):
-        # both kernels at t = 1, only K_t at t = 0.5 (K_{-0.5} has a
-        # Gaussian term), and none for a pair whose build warned
+        # both kernels at t = 1 and at t = 0.5 (K_{-0.5} the factor of its
+        # P_t), and a pair whose build warned on every call: it is factored
+        # but not cached
         built = []
         build = rmt._chebyshev_factor
 
@@ -1209,10 +1260,11 @@ class TestCaches:
             cov_airy2(1.0)
             airy2_joint(1.0, -1.0, 0.5, 16)
             airy2_joint(0.5, -1.0, 0.5, 16)
-        assert built == [1.0, -1.0, 0.5]
-        with pytest.warns(RuntimeWarning, match="achieved_tol"):
-            rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -18.0)
-        assert len(built) == 3
+        assert built == [1.0, -1.0, 0.5, -0.5]
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="achieved_tol"):
+                rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -18.0)
+        assert built == [1.0, -1.0, 0.5, -0.5] + [0.5, -0.5] * 2
 
     def test_airy1_factors_built_once_per_t_and_x_min(self, monkeypatch, fresh_caches):
         # a covariance at x_min = AIRY1_BOX[0], a joint at min(s1, s2), and
@@ -1267,6 +1319,24 @@ class TestCaches:
                 pairs.append(rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -18.0))
         assert pairs[0] is not pairs[1]
         assert rmt._airy2_kernels.cache_info().currsize == 0
+
+    def test_warned_pair_comes_back_factored(self, fresh_caches):
+        # K_{-0.5} at x_min = -20: its Gaussian-term cancellation, 1.6e-11,
+        # exceeds the tolerance; the pair is factored all the same, warns
+        # on every build and is not cached, and the joint takes it
+        pairs = []
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="achieved_tol"):
+                pairs.append(rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -20.0))
+        assert rmt._airy2_kernels.cache_info().currsize == 0
+        assert pairs[0] is not pairs[1]
+        for a, b in zip(*pairs):
+            assert isinstance(a, rmt._ChebyshevFactor) and a.x_min == -20.0
+            assert np.array_equal(a._vectors, b._vectors)
+        assert pairs[0][1].gaussian_part is not None
+        with pytest.warns(RuntimeWarning, match="achieved_tol"):
+            p = airy2_joint(0.5, -20.0, 0.0, 30)
+        assert 0.0 <= p.value <= 1e-38 and not p.suspect
 
     def test_cache_clear_empties_both_caches(self):
         level = rmt._level("airy2", 20, 32, rmt.DEFAULT_BOX, 10.0)
