@@ -83,12 +83,10 @@ def _cmd_quad(args):
     rule = rule_for_family(args.rule, args.a, args.b, args.m)
     _emit(args, ["node", "weight"],
           [(float(x), float(w)) for x, w in zip(rule.nodes, rule.weights)], digits=17)
-    return 0
 
 
 def _cmd_specfun(args):
     _emit(args, ["ai", "ai_prime"], [(airy_ai(args.x), airy_ai_prime(args.x))], digits=17)
-    return 0
 
 
 def _cmd_det(args):
@@ -96,7 +94,6 @@ def _cmd_det(args):
     rule = rule_for_family(args.rule, args.a, args.b, args.m)
     res = fredholm_det(NystromProblem(kernel, (args.a, args.b), args.z, rule))
     _emit(args, ["value", "roundoff_bound"], [(res.value, res.roundoff_bound)])
-    return 0
 
 
 def _cmd_study(args):
@@ -105,7 +102,6 @@ def _cmd_study(args):
                              _list(args.m_list, int))
     _emit(args, ["m", "value", "abs_error", "roundoff_bound"],
           [(r.m, r.value, r.error, r.roundoff_bound) for r in rows])
-    return 0
 
 
 def _cmd_green_bench(args):
@@ -121,14 +117,12 @@ def _cmd_green_bench(args):
         return (m, v, abs(v - SIN1))
 
     _emit(args, ["m", "value", "abs_error"], [run(m) for m in _list(args.m_list, int)])
-    return 0
 
 
 def _cmd_e2(args):
     grid = _grid(args.s_min, args.s_max, args.step)
     rows = [(s, (p := e2_gap(s, args.m)).value, p.est_error, p.suspect) for s in grid]
     _emit(args, ["param", "value", "est_error", "suspect"], rows)
-    return 0
 
 
 def _cmd_f2(args):
@@ -139,20 +133,17 @@ def _cmd_f2(args):
         return (s, p.value, p.est_error, p.suspect)
 
     _emit(args, ["param", "value", "est_error", "suspect"], [run(s) for s in grid])
-    return 0
 
 
 def _cmd_trunc_bound(args):
     _emit(args, ["T", "bound"],
           [(T, truncation_bound(args.s, T)) for T in _list(args.T_list, float)])
-    return 0
 
 
 def _cmd_joint(args):
     fn = airy2_joint if args.process == "airy2" else airy1_joint
     p = fn(args.t, args.s1, args.s2, args.m)
     _emit(args, ["value", "est_error", "suspect"], [(p.value, p.est_error, p.suspect)])
-    return 0
 
 
 def _cmd_cov(args):
@@ -161,7 +152,6 @@ def _cmd_cov(args):
     _emit(args, ["param", "value", "est_error"],
           list(zip(res.t_values.tolist(), res.cov_values.tolist(),
                    res.est_errors.tolist())))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +271,8 @@ def main(argv=None) -> int:
         return 2
     try:
         with contextlib.redirect_stdout(handle):
-            return args.fn(args)
+            args.fn(args)
+        return 0
     except KeyError as exc:
         # unknown kernel: usage error, list the registry
         sys.stderr.write(f"error: {exc.args[0]}\n")

@@ -196,20 +196,20 @@ class Airy2ProcessKernel(Kernel):
     Ai(16)^2 e^{0.75 (16 - x_min)}, 5e-31 at x_min = -10.
 
     The rule size n is doubled from ``_FIRST_RULE_SIZE`` until n/2 and n
-    agree to ``tol`` on a fixed probe set, which includes the pair
+    agree to ``_RULE_TOL`` on a fixed probe set, which includes the pair
     (x_min, x_min), relative to each probe value above 1.  The quadrature
     error falls exponentially in the size, so the rule kept is the
     smallest of n/2, 5n/8, 3n/4 and 7n/8 points whose probes match the
-    n-point rule's to roundoff (``_ROUNDOFF``, or ``tol`` if smaller); n
-    itself if none does.
+    n-point rule's to roundoff (``_ROUNDOFF``); n itself if none does.  A
+    tighter ``_RULE_TOL`` would only add nodes, so it is not an option.
 
     ``achieved_tol`` is that agreement.  In the Laplace branch the
     subtraction of the Gaussian term G loses ~eps G(x, y) absolute, most
     at (x_min, x_min), so ``achieved_tol`` also holds
     8 eps G(x_min, x_min) / max(1, |K_t(x_min, x_min)|): 1.1e-13 at
     x_min = -10 for t = -0.5, 5.8e-12 at x_min = -18.  If ``achieved_tol``
-    exceeds ``tol`` (doubling reached ``_MAX_RULE_SIZE`` first, or the
-    cancellation is larger), a RuntimeWarning says so.
+    exceeds ``_RULE_TOL`` (doubling reached ``_MAX_RULE_SIZE`` first, or
+    the cancellation is larger), a RuntimeWarning says so.
 
     ``basis``, the inner rule and its probes take Ai from ``airy_ai`` at
     every argument: below -195 (x_min - 40/|t| for t <= -0.75) from its
@@ -226,6 +226,8 @@ class Airy2ProcessKernel(Kernel):
     _LAPLACE_END = 16.0
     #: |t xi| at the far end of the decay and oscillatory intervals.
     _DAMPING = 40.0
+    #: Probe agreement that stops the doubling; a larger ``achieved_tol`` warns.
+    _RULE_TOL = 1e-12
     #: Probe agreement, as in the doubling test, at which a smaller rule
     #: matches the verified one to roundoff (7.2e-16).  At x_min = -10 the
     #: n/2 rule of K_t for 0 < |t| < 1.5, ~1e-15 off in the kernel's
@@ -239,7 +241,7 @@ class Airy2ProcessKernel(Kernel):
     #: to it, so a larger x_min is lowered to it.
     _X_MIN_CEILING = -10.0
 
-    def __init__(self, t: float, tol: float = 1e-12, x_min: float = _X_MIN_CEILING):
+    def __init__(self, t: float, x_min: float = _X_MIN_CEILING):
         self.t = float(t)
         if not math.isfinite(self.t):
             raise ValueError("t must be finite")
@@ -269,9 +271,8 @@ class Airy2ProcessKernel(Kernel):
             rule = self._inner_rule(n)
             probe = self._probe(*rule)
             diff = _probe_diff(probe, half_probe)
-            if diff <= tol:
-                rule = self._smallest_verified(n, rule, probe, half, half_probe,
-                                               min(tol, self._ROUNDOFF))
+            if diff <= self._RULE_TOL:
+                rule = self._smallest_verified(n, rule, probe, half, half_probe)
                 break
         self._xi, self._q = rule
         # read-only: rmt caches a kernel pair and shares it among calls at its t
@@ -284,22 +285,22 @@ class Airy2ProcessKernel(Kernel):
             value = self.eval(self.x_min, self.x_min)
             cancel = 8.0 * np.finfo(float).eps * corner / max(1.0, abs(value))
         self.achieved_tol = max(diff, cancel)
-        if not self.achieved_tol <= tol:
+        if not self.achieved_tol <= self._RULE_TOL:
             warnings.warn(
                 f"Airy2ProcessKernel(t={self.t:g}, x_min={self.x_min:g}): achieved_tol="
-                f"{self.achieved_tol:.3g} > tol={tol:g} (rule agreement {diff:.3g} at "
+                f"{self.achieved_tol:.3g} > tol={self._RULE_TOL:g} (rule agreement {diff:.3g} at "
                 f"{self.inner_size} nodes, Gaussian-term cancellation {cancel:.3g})",
                 RuntimeWarning, stacklevel=2)
 
-    def _smallest_verified(self, n, rule, probe, half, half_probe, level):
+    def _smallest_verified(self, n, rule, probe, half, half_probe):
         """The smallest rule of n/2, 5n/8, 3n/4 or 7n/8 points whose probes
-        agree with the verified n-point ``rule``'s ``probe`` to ``level``;
-        ``rule`` itself if none does.  The n/2 rule and its probes come
-        from the doubling."""
+        agree with the verified n-point ``rule``'s ``probe`` to
+        ``_ROUNDOFF``; ``rule`` itself if none does.  The n/2 rule and its
+        probes come from the doubling."""
         for k in range(4, 8):
             cand = half if k == 4 else self._inner_rule(k * n // 8)
             cand_probe = half_probe if k == 4 else self._probe(*cand)
-            if _probe_diff(cand_probe, probe) <= level:
+            if _probe_diff(cand_probe, probe) <= self._ROUNDOFF:
                 return cand
         return rule
 
@@ -388,13 +389,15 @@ class Airy1ProcessKernel(Kernel):
 
     def airy_part(self, x, y):
         """Ai(v) e^{t(x+y) + 2t^3/3}, v = x + y + t^2, as scaled Ai times
-        e^{-(w - t)^2 (2w + t) / 3}, w = sqrt(v), for v > 0: it underflows cleanly, and
-        summed term by term that exponent cancels (8e-13 relative error at t = 20)."""
+        e^{-d^2 (2w + t) / 3}, w = sqrt(v), d = w - t, for v > 0: it underflows cleanly, and
+        summed term by term that exponent cancels (8e-13 relative error at t = 20).  d is
+        (x + y) / (w + t) for t > 0, where w - t cancels (195 eps at t = 1e4)."""
         t, xy = self.t, np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
         v = xy + t * t
         w = np.sqrt(np.maximum(v, 0.0))
         with np.errstate(under="ignore", over="ignore"):
-            expo = np.where(v > 0.0, -(w - t) ** 2 * (2.0 * w + t) / 3.0,
+            d = xy / (w + t) if t > 0.0 else w - t
+            expo = np.where(v > 0.0, -d ** 2 * (2.0 * w + t) / 3.0,
                             t * xy + 2.0 * t ** 3 / 3.0)
             return airy_ai_scaled(v) * np.exp(expo)
 

@@ -95,10 +95,11 @@ def det_cholesky(a) -> float:
     """Determinant of a Hermitian positive definite matrix via Cholesky
     (LAPACK ``potrf``).
 
-    Only the lower triangle is referenced.  Raises
-    ``NotPositiveDefiniteError`` when the factorization breaks down, so
-    the factorization itself certifies positive definiteness; callers fall
-    back to ``det_lu`` in that case.
+    Only the lower triangle is referenced, unless the determinant
+    overflows: ``det_lu`` of the whole matrix then raises its
+    OverflowError.  Raises ``NotPositiveDefiniteError`` when the
+    factorization breaks down, so the factorization itself certifies
+    positive definiteness; callers fall back to ``det_lu`` in that case.
     """
     a = _as_square(a)
     try:
@@ -111,7 +112,10 @@ def det_cholesky(a) -> float:
     prod = math.prod((diag * diag).tolist())
     if 0.0 < prod < math.inf:
         return prod
-    return math.exp(2.0 * float(np.sum(np.log(diag))))
+    try:
+        return math.exp(2.0 * float(np.sum(np.log(diag))))
+    except OverflowError:
+        return det_lu(a)  # raises, unless its product of pivots rounds below inf
 
 
 def frobenius_norm(a) -> float:

@@ -23,6 +23,7 @@ principal-minor expansion of d_Q), which the test suite exploits.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -104,6 +105,9 @@ class BlockSystem:
 
 
 def _normalize_z(z):
+    """z, real if its imaginary part is 0; ValueError if it is not finite."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     if isinstance(z, complex) and z.imag == 0.0:
         return z.real
     return z

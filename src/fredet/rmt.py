@@ -40,10 +40,11 @@ What does not depend on t sits in a ``_Level``: thresholds, the pairs of
 them a table takes, and the inverses of exactly their pivots.  A single
 joint's level is built per call; a covariance rung once per process
 (``_level``, keyed on (process, m, n_outer, box, scale)), shared by every
-t and call, as are the Airy(2) pair K_t, K_{-t} (``_airy2_kernels``, keyed
-on (t, inner tolerance, effective x_min)), unless its build warned, and the
-Airy(1) pair (``_airy1_kernels``, keyed on (t, effective x_min)).  Cached
-arrays are read-only, and a warm call returns the bits of a cold one.
+t and call, as are the Airy(2) pair K_t, K_{-t} (``_airy2_kernels``),
+unless its build warned, and the Airy(1) pair (``_airy1_kernels``), each
+keyed on (t, effective x_min): the Airy(2) inner rules have one tolerance
+at every accuracy (``Airy2ProcessKernel._RULE_TOL``).  Cached arrays are
+read-only, and a warm call returns the bits of a cold one.
 """
 
 from __future__ import annotations
@@ -91,10 +92,6 @@ DEFAULT_BOX = (-10.0, 6.0)
 AIRY1_BOX = (-6.0, 5.5)
 
 _PROB_SLACK = 1e-10
-
-#: Inner-rule tolerance of the Airy(2) process kernels in joint
-#: distributions; covariances tighten it for accuracies below 1e-10.
-_INNER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -201,14 +198,14 @@ def truncation_bound(s: float, T: float) -> float:
 # Airy process joint distributions
 # ---------------------------------------------------------------------------
 
-def _process_kernels(process: str, t: float, inner_tol: float, x_min: float):
+def _process_kernels(process: str, t: float, x_min: float):
     """The off-diagonal kernels K_t and K_{-t} of a joint system whose
     thresholds are all >= ``x_min``, as ``_JointTable`` reads them, from
     ``_airy2_kernels`` at the effective x_min min(x_min, -10) or
     ``_airy1_kernels`` at min(x_min, 0)."""
     if process == "airy2":
         try:
-            return _airy2_kernels(t, inner_tol, min(x_min, Airy2ProcessKernel._X_MIN_CEILING))
+            return _airy2_kernels(t, min(x_min, Airy2ProcessKernel._X_MIN_CEILING))
         except _Uncached as warned:
             return warned.kernels
     if process == "airy1":
@@ -226,16 +223,15 @@ class _Uncached(Exception):
 
 
 @lru_cache(maxsize=64)
-def _airy2_kernels(t: float, inner_tol: float, x_min: float):
+def _airy2_kernels(t: float, x_min: float):
     """K_t and K_{-t} of Airy(2) as ``_JointTable`` reads them, cached on
-    (t, inner_tol, x_min): the ``_chebyshev_factor`` s (3-10 ms at x_min =
+    (t, x_min): the ``_chebyshev_factor`` s (3-10 ms at x_min =
     -10) of ``Airy2ProcessKernel`` s with ``x_min`` (at most -10, as the
     kernel lowers it), sampled through their inner rules.  The Laplace
     branch's is that of P_t, less the kernel's Gaussian.  Without a factor
-    in reach it raises ArithmeticError; a pair with ``achieved_tol >
-    inner_tol`` has warned, and its factors are raised as ``_Uncached``."""
-    kt, kmt = kernels = (Airy2ProcessKernel(t, tol=inner_tol, x_min=x_min),
-                         Airy2ProcessKernel(-t, tol=inner_tol, x_min=x_min))
+    in reach it raises ArithmeticError; a pair with ``achieved_tol`` above
+    ``_RULE_TOL`` has warned, and its factors are raised as ``_Uncached``."""
+    kt, kmt = kernels = Airy2ProcessKernel(t, x_min), Airy2ProcessKernel(-t, x_min)
     laplace = kmt._mode == "laplace"
     tol = max(_FACTOR_TOL, kmt.achieved_tol) if laplace else _FACTOR_TOL
     factors = (_chebyshev_factor(partial(_sampled, kt), kt.x_min, _HEAD_CUT),
@@ -243,7 +239,7 @@ def _airy2_kernels(t: float, inner_tol: float, x_min: float):
                                  gaussian_part=kmt.gaussian_part if laplace else None))
     if None in factors:
         raise ArithmeticError(f"no Chebyshev factor of Airy(2) at t={t:g}, x_min={x_min:g}")
-    if not all(k.achieved_tol <= inner_tol for k in kernels):
+    if not all(k.achieved_tol <= k._RULE_TOL for k in kernels):
         raise _Uncached(factors)
     return factors
 
@@ -544,7 +540,7 @@ def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
         return replace(point, parameter=0.0, m=2 * m)
     # stationarity and time reversal make the joint even in t, so every t
     # takes the table at |t|: -t and t give one point, bit for bit
-    kernels = _process_kernels(process, abs(t), _INNER_TOL, min(s1, s2))
+    kernels = _process_kernels(process, abs(t), min(s1, s2))
     level = _Level(process, sorted((s1, s2)), m, scale, [(0, 1)])
     return replace(_JointTable(abs(t), kernels, level).joint(), parameter=float(t))
 
@@ -892,8 +888,7 @@ def _cov_process(process: str, t: float, accuracy: float,
         raise ValueError(f"accuracy must be finite and > 0, got {accuracy}")
     # the process kernels depend on neither m nor the outer rule, so one
     # build (one inner-rule refinement for Airy(2), factors for both) serves every level
-    kernels = (_process_kernels(process, t, min(_INNER_TOL, accuracy * 1e-2), box[0])
-               if t > 0.0 else None)
+    kernels = _process_kernels(process, t, box[0]) if t > 0.0 else None
     levels = _COV_LEVELS[process]
     values, est = [], math.inf
     for m, n_outer in levels:

@@ -60,6 +60,22 @@ class TestDetCommand:
         assert code == 1
         assert err.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("kernel", ["green", "sine"])
+    def test_cholesky_overflow_says_not_finite(self, kernel):
+        # the product of the Cholesky pivots overflows, then exp(logdet)
+        code, out, err = run(["det", "--kernel", kernel, "--a", "0", "--b", "1",
+                              "--z", "1e308", "--m", "5"])
+        assert code == 1 and not out
+        assert err == "numerical failure: determinant is not finite: the LU factors overflowed\n"
+
+    @pytest.mark.parametrize("command", [["det", "--m", "5"], ["study", "--m-list", "5,10"]])
+    @pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
+    def test_nonfinite_z_is_named(self, command, z):
+        code, out, err = run(command[:1] + ["--kernel", "sine", "--a", "0", "--b", "1",
+                                            f"--z={z}"] + command[1:])
+        assert code == 2 and not out
+        assert err == f"error: z must be finite, got {float(z)}\n"
+
     def test_lu_overflow_exit_1(self):
         # z = -1e308: Cholesky fails, and LU overflows as Cholesky does above
         # instead of printing inf
@@ -103,6 +119,11 @@ class TestDetCommand:
         ["cov", "--process", "airy1", "--t-min", "0", "--t-max", "inf", "--step", "1"],
         ["f2", "--s-min=-inf", "--s-max", "0", "--step", "1"],
         ["joint", "--process", "airy2", "--t", "nan", "--s1", "-1", "--s2", "0"],
+        # a NaN or infinite z, named as z
+        ["det", "--kernel", "green", "--a", "0", "--b", "1", "--m", "5", "--z", "nan"],
+        ["det", "--kernel", "green", "--a", "0", "--b", "1", "--m", "5", "--z", "inf"],
+        ["study", "--kernel", "sine", "--a", "0", "--b", "1", "--m-list", "5,10",
+         "--z=-inf"],
     ])
     def test_bad_input_exit_2(self, argv):
         code, out, err = run(argv)

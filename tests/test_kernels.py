@@ -2,6 +2,7 @@
 process kernels, transformation."""
 
 import math
+import warnings
 from contextlib import nullcontext
 
 import mpmath
@@ -251,10 +252,28 @@ class TestAiry2ProcessKernel:
     def test_inner_rule_cap_warns(self, monkeypatch):
         monkeypatch.setattr(Airy2ProcessKernel, "_FIRST_RULE_SIZE", 16)
         monkeypatch.setattr(Airy2ProcessKernel, "_MAX_RULE_SIZE", 32)
+        monkeypatch.setattr(Airy2ProcessKernel, "_RULE_TOL", 1e-16)
         with pytest.warns(RuntimeWarning, match="at 32 nodes") as record:
-            k = Airy2ProcessKernel(1.0, tol=1e-16)
+            k = Airy2ProcessKernel(1.0)
         assert k.inner_size == 32 and k.achieved_tol > 1e-16
         assert f"achieved_tol={k.achieved_tol:.3g}" in str(record[0].message)
+
+    @pytest.mark.parametrize("t", [0.1, -0.1, 0.5, -0.5, 0.76, -0.76, 1.0, -1.0, 2.5, -2.5])
+    def test_rule_tolerance_is_at_roundoff(self, t, monkeypatch):
+        # a rule verified to a tighter tolerance buys no digits: on the
+        # head of the tan map the kept rule matches one verified to 1e-14
+        # (measured worst: 9.4 eps, at t = -1, where that one has 480
+        # nodes against 150; every other t keeps the same rule)
+        k = Airy2ProcessKernel(t)
+        monkeypatch.setattr(Airy2ProcessKernel, "_RULE_TOL", 1e-14)
+        with warnings.catch_warnings():
+            # the Laplace branch's cancellation, 1.1e-13 at t = -0.5, is above 1e-14
+            warnings.simplefilter("ignore", RuntimeWarning)
+            tight = Airy2ProcessKernel(t)
+        x = np.linspace(-10.0, 20.0, 61)
+        want = tight.matrix(x, x)
+        err = np.abs(k.matrix(x, x) - want) / np.maximum(1.0, np.abs(want))
+        assert np.max(err) <= 16 * np.finfo(float).eps
 
     def test_inner_sizes_of_a_joint_pair(self):
         # K_1 (decay branch) and K_{-1} (oscillatory branch), as one
@@ -563,7 +582,7 @@ class TestAiry1ProcessKernel:
         t = abs(t)
         s = np.array([-5.5, -2.5, -1.0, 0.3, 4.0])
         level = rmt._Level("airy1", s, 20, 10.0, [(i, j) for i in range(5) for j in range(i, 5)])
-        tab = rmt._JointTable(t, rmt._process_kernels("airy1", t, rmt._INNER_TOL, s[0]), level)
+        tab = rmt._JointTable(t, rmt._process_kernels("airy1", t, s[0]), level)
         # the second threshold's row of the triangle: the pairs (s_1, s_j), j >= 1
         a_ij, a_ji = tab._blocks(level.rows[1])
         x, rr = level.x, level.rr
@@ -590,6 +609,22 @@ class TestAiry1ProcessKernel:
                 airy = mpmath.airyai(xm + ym + tm ** 2) * mpmath.exp(tm * (xm + ym) + 2 * tm ** 3 / 3)
                 ref = airy - mpmath.exp(-(xm - ym) ** 2 / (4 * tm)) / mpmath.sqrt(4 * mpmath.pi * tm)
                 assert abs(gi - ref) <= 6e-14 * abs(ref)
+
+    @pytest.mark.parametrize("t", [1e2, 1e3, 1e4, 1e6])
+    def test_airy_part_at_very_large_t_vs_mpmath(self, t):
+        # the exponent's factor d = sqrt(x + y + t^2) - t cancels when
+        # subtracted: relative errors of 1.1e3, 7.7e3, 9.9e4 and 6.5e6 eps
+        # here, formed so; as (x + y) / (w + t), measured at most 2 eps
+        k = Airy1ProcessKernel(t)
+        xs = np.linspace(-6.0, 20.0, 14)
+        got = k.airy_part(xs[:, None], xs)
+        with mpmath.workdps(40):
+            tm = mpmath.mpf(t)
+            for i, x in enumerate(xs):
+                for j, y in enumerate(xs):
+                    xy = mpmath.mpf(x) + mpmath.mpf(y)
+                    ref = mpmath.airyai(xy + tm ** 2) * mpmath.exp(tm * xy + 2 * tm ** 3 / 3)
+                    assert abs(got[i, j] - ref) <= 4.0 * np.finfo(float).eps * ref, (x, y)
 
     def test_eval_is_airy_part_less_gaussian_part(self):
         x, y = np.meshgrid(np.linspace(-6.0, 8.0, 15), np.linspace(-5.0, 9.0, 15))
@@ -646,6 +681,15 @@ class TestAiry1Factors:
         p = rmt.airy1_joint(20.0, -1.0, 0.0, 30)
         f1, f2 = (rmt._marginal_points("airy1", [s], 30, 10.0)[2][0] for s in (-1.0, 0.0))
         assert abs(p.value - f1.value * f2.value) <= p.est_error + f1.est_error + f2.est_error
+
+    @pytest.mark.parametrize("t", [300.0, 1e3, 1e4, 1e10, 1e19])
+    def test_very_large_t_joint_is_product_of_marginals(self, t):
+        # K_t's Airy part missed its factor's fit from t ~ 300 on, and the
+        # joint raised ArithmeticError, while the subtraction w - t cancelled
+        p = rmt.airy1_joint(t, -1.0, 0.0, 30)
+        f1, f2 = (rmt._marginal_points("airy1", [s], 30, 10.0)[2][0] for s in (-1.0, 0.0))
+        assert abs(p.value - f1.value * f2.value) <= p.est_error + f1.est_error + f2.est_error
+        assert not p.suspect
 
 
 class TestTransformedKernel:

@@ -101,6 +101,17 @@ class TestDetLU:
 
 
 class TestDetCholesky:
+    def test_overflow_raises_as_lu_does(self):
+        # the product of the pivots overflows, and so does exp(logdet):
+        # det_lu's OverflowError, not math's "math range error"
+        a = np.eye(4) * 1e100
+        with pytest.raises(OverflowError) as lu:
+            det_lu(a)
+        with pytest.raises(OverflowError) as cholesky:
+            det_cholesky(a)
+        assert str(cholesky.value) == str(lu.value)
+        assert str(lu.value).startswith("determinant is not finite")
+
     def test_identity(self):
         assert det_cholesky(np.eye(4)) == pytest.approx(1.0, abs=0)
 

@@ -96,6 +96,29 @@ class TestFredholmDet:
             NystromProblem(sine_kernel(), (0.0, 1.0), -1.0, gauss_legendre(0.0, 2.0, 5))
 
 
+#: NaN and infinite z, real and complex.
+NONFINITE_Z = [math.nan, math.inf, -math.inf, complex(1.0, math.inf),
+               complex(math.nan, 0.0), complex(-math.inf, 0.0)]
+
+
+@pytest.mark.parametrize("z", NONFINITE_Z)
+def test_nonfinite_z_is_rejected_by_name(z):
+    # before any matrix is built: neither "matrix entries must be finite"
+    # nor the oracle's nan, nor a "complex exponentiation" error
+    single = problem(sine_kernel(), 0.0, 1.0, z, 4)
+    rule = gauss_legendre(0.0, 1.0, 3)
+    system = BlockSystem(((0.0, 1.0), (0.0, 1.0)),
+                         ((SineKernel(), SineKernel()), (SineKernel(), SineKernel())),
+                         (rule, rule))
+    for call in (lambda: fredholm_det(single),
+                 lambda: fredholm_det_system(system, z),
+                 lambda: fredholm_series_oracle(single, 4),
+                 lambda: fredholm_series_oracle_system(system, z, 6),
+                 lambda: convergence_study(sine_kernel(), (0.0, 1.0), z, "gauss", [4, 8])):
+        with pytest.raises(ValueError, match="z must be finite, got"):
+            call()
+
+
 class TestSeriesOracle:
     def test_n_max_zero(self):
         assert fredholm_series_oracle(problem(sine_kernel(), 0.0, 1.0, -1.0, 4), 0) == 1.0

@@ -76,25 +76,38 @@ def triangle_level(process, s, m):
 def table(process, t, m, s, x_min=rmt.DEFAULT_BOX[0]):
     """A joint table on the ascending grid ``s`` (``triangle_level``), with
     the kernels for thresholds >= ``x_min``."""
-    return _JointTable(t, rmt._process_kernels(process, t, rmt._INNER_TOL, x_min),
+    return _JointTable(t, rmt._process_kernels(process, t, x_min),
                        triangle_level(process, s, m))
 
 
 def pair_table(process, t, s1, s2, m):
     """The table of the single joint (s1, s2), built as ``_joint_point``
     builds it."""
-    return _JointTable(t, rmt._process_kernels(process, t, rmt._INNER_TOL, min(s1, s2)),
+    return _JointTable(t, rmt._process_kernels(process, t, min(s1, s2)),
                        rmt._Level(process, sorted((s1, s2)), m, 10.0, [(0, 1)]))
 
 
-def process_kernels(process, t, x_min=rmt.DEFAULT_BOX[0], tol=rmt._INNER_TOL):
+def process_kernels(process, t, x_min=rmt.DEFAULT_BOX[0]):
     """The kernels K_t and K_{-t} themselves, built as ``rmt._airy2_kernels``
     builds the Airy(2) pair before it factors them, or the closed-form
     Airy(1) pair: for references that assemble each kernel's ``matrix``."""
     if process == "airy2":
-        return (Airy2ProcessKernel(t, tol=tol, x_min=x_min),
-                Airy2ProcessKernel(-t, tol=tol, x_min=x_min))
+        return Airy2ProcessKernel(t, x_min=x_min), Airy2ProcessKernel(-t, x_min=x_min)
     return Airy1ProcessKernel(t), Airy1ProcessKernel(-t)
+
+
+def recording_airy2(monkeypatch):
+    """The list of Airy(2) process kernels ``rmt`` builds from now on, in
+    the order built."""
+    built = []
+
+    class Recording(Airy2ProcessKernel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(rmt, "Airy2ProcessKernel", Recording)
+    return built
 
 
 def two_sided_grid(tab, kernels):
@@ -415,7 +428,7 @@ class TestTruncationBound:
 
 @pytest.fixture(scope="module")
 def oscillatory_kernels():
-    """Airy(2)'s K_t and K_{-t} at x_min = -10, tol 1e-13, with K_{-t}
+    """Airy(2)'s K_t and K_{-t} at x_min = -10, ``_RULE_TOL`` 1e-13, with K_{-t}
     in its oscillatory form at every t (``_LAPLACE_SWITCH`` 0), built once
     per t: 7,680 inner nodes at t = 0.1, 480 at t = 0.7."""
     cache = {}
@@ -424,7 +437,8 @@ def oscillatory_kernels():
         if t not in cache:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(Airy2ProcessKernel, "_LAPLACE_SWITCH", 0.0)
-                cache[t] = Airy2ProcessKernel(t, tol=1e-13), Airy2ProcessKernel(-t, tol=1e-13)
+                patch.setattr(Airy2ProcessKernel, "_RULE_TOL", 1e-13)
+                cache[t] = Airy2ProcessKernel(t), Airy2ProcessKernel(-t)
             assert cache[t][1]._mode == "oscillatory"
         return cache[t]
     return get
@@ -669,11 +683,11 @@ class TestJointTableRows:
         # against a grid whose lower triangle is computed on its own; the
         # Airy(1) value at m = 12 is 3.3e5, so the bound is relative
         m, n = 12, 10
-        kernels = rmt._process_kernels(process, 1.0, 1e-12, box[0])
+        kernels = rmt._process_kernels(process, 1.0, box[0])
         value = rmt._cov_positive(rmt._level(process, m, n, box, 10.0), 1.0, kernels)
         outer = gauss_legendre(box[0], box[1], n)
         tab = _JointTable(1.0, kernels, triangle_level(process, outer.nodes, m))
-        joint = two_sided_grid(tab, process_kernels(process, 1.0, box[0], 1e-12))
+        joint = two_sided_grid(tab, process_kernels(process, 1.0, box[0]))
         marg = np.array([_marginal(process, s, m) for s in outer.nodes])
         ref = outer.weights @ (joint - np.outer(marg, marg)) @ outer.weights
         assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
@@ -735,7 +749,7 @@ class TestJointTableRows:
         # against the balanced systems of order 2h, each by LU
         if level is None:
             s, m = np.array([-3.0, -1.2, 0.0, 0.7, 2.5]), 20
-            kernels = rmt._process_kernels(process, abs(t), rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
+            kernels = rmt._process_kernels(process, abs(t), rmt.DEFAULT_BOX[0])
         else:
             m, n = rmt._COV_LEVELS[process][level]
             box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
@@ -798,7 +812,7 @@ class TestJointTableRows:
         # interpolation matrix
         m = 16
         s = gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes
-        kernels = rmt._process_kernels(process, 0.7, rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
+        kernels = rmt._process_kernels(process, 0.7, rmt.DEFAULT_BOX[0])
         # 2 of the 11 thresholds a matrix call, 5 of the 121 nodes an
         # interpolation call of a factor (128 points), the last call of each
         # ragged
@@ -888,7 +902,7 @@ class TestJointTableRows:
         monkeypatch.setattr(_JointTable, "_dets", counting)
         m, n = 16, 9
         box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
-        kernels = rmt._process_kernels(process, 0.7, rmt._INNER_TOL, box[0])
+        kernels = rmt._process_kernels(process, 0.7, box[0])
         level = rmt._level(process, m, n, box, 10.0)
         rmt._cov_positive(level, 0.7, kernels)
         k = int(np.sum(level.keep))
@@ -950,7 +964,7 @@ class TestJointTableRows:
         s = np.array([-2.0, -1.6, -0.7, -1.0, -0.6, 0.3])
         band = rmt._Level(process, s, 20, 10.0, [(0, 1), (0, 2), (3, 4), (3, 5)])
         assert band.rows == ((0, 1, 3, 0), (3, 4, 6, 2)) and len(band.inverses) == 4
-        kernels = rmt._process_kernels(process, t, rmt._INNER_TOL, -2.0)
+        kernels = rmt._process_kernels(process, t, -2.0)
         grid = _JointTable(t, kernels, band).grid()
         order = np.argsort(s)
         ref = table(process, t, 20, s[order], -2.0).grid()[np.ix_(np.argsort(order),
@@ -1027,7 +1041,7 @@ class TestJointTableRows:
         monkeypatch.setattr(rmt, "_barycentric", counting_barycentric)
         n, m = 38, 24
         for t in (1.0, 0.5):
-            kernels = rmt._process_kernels("airy2", t, rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
+            kernels = rmt._process_kernels("airy2", t, rmt.DEFAULT_BOX[0])
             sizes.clear()
             tab = _JointTable(t, kernels, triangle_level("airy2", gauss_legendre(
                 *rmt.DEFAULT_BOX, n).nodes, m))
@@ -1049,7 +1063,7 @@ class TestJointTableRows:
         # diagonals here), and none for the off-diagonal blocks, whose
         # kernels are all factored (K_1, K_{-1}, K_0.5 and the Laplace
         # K_{-0.5}): they take interpolation entries only
-        pairs = [rmt._process_kernels("airy2", t, rmt._INNER_TOL, rmt.DEFAULT_BOX[0])
+        pairs = [rmt._process_kernels("airy2", t, rmt.DEFAULT_BOX[0])
                  for t in (1.0, 0.5)]
         points = []
         airy_ai = kernels_module.airy_ai
@@ -1100,7 +1114,7 @@ class TestJointTableRows:
             return build(process, svals, *args)
 
         monkeypatch.setattr(rmt, "_eye_minus_a0", counting)
-        kernels = rmt._process_kernels("airy2", 1.0, 1e-12, rmt.DEFAULT_BOX[0])
+        kernels = rmt._process_kernels("airy2", 1.0, rmt.DEFAULT_BOX[0])
         rmt._cov_positive(rmt._level("airy2", 20, 32, rmt.DEFAULT_BOX, 10.0), 1.0, kernels)
         assert calls == [32]
 
@@ -1123,7 +1137,7 @@ class TestChebyshevFactor:
 
     def test_rows_beyond_the_head_cut_are_zero(self):
         # both kernels at t = 1 are factored in the cached pair
-        factors = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)
+        factors = rmt._process_kernels("airy2", 1.0, -10.0)
         x = np.array([-10.0, rmt._HEAD_CUT, np.nextafter(rmt._HEAD_CUT, 30.0), 25.0, 1e3])
         for factor in factors:
             assert isinstance(factor, rmt._ChebyshevFactor)
@@ -1140,7 +1154,7 @@ class TestChebyshevFactor:
         # at t = 0.5, 555 at 0.74), so the factor matches P_t to the
         # kernel's achieved_tol, relative to max(1, |P|), on random pairs,
         # not the probe grid the build checks
-        kt, kmt = rmt._process_kernels("airy2", t, rmt._INNER_TOL, -10.0)
+        kt, kmt = rmt._process_kernels("airy2", t, -10.0)
         kernel = Airy2ProcessKernel(-t, x_min=-10.0)
         assert kernel._mode == "laplace"
         assert isinstance(kt, rmt._ChebyshevFactor) and kt.gaussian_part is None
@@ -1165,7 +1179,7 @@ class TestChebyshevFactor:
         for _ in range(2):
             with pytest.raises(ArithmeticError,
                                match=f"no Chebyshev factor of Airy\\(2\\) at t={t:g}, x_min=-10"):
-                rmt._process_kernels("airy2", t, rmt._INNER_TOL, -10.0)
+                rmt._process_kernels("airy2", t, -10.0)
         assert rmt._airy2_kernels.cache_info().currsize == 0
 
 
@@ -1190,7 +1204,7 @@ class TestCaches:
     def test_cached_arrays_are_read_only(self, monkeypatch):
         cov_airy2(1.0)  # builds the level's interpolation matrix
         level = rmt._level("airy2", 20, 32, rmt.DEFAULT_BOX, 10.0)
-        factor = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)[0]
+        factor = rmt._process_kernels("airy2", 1.0, -10.0)[0]
         key = factor.x_min, factor.x_max, factor.points
         # built once per key: a later request builds nothing
         with monkeypatch.context() as patch:
@@ -1202,9 +1216,9 @@ class TestCaches:
                   level.eye_minus_a0, level.inverses, level.cumulative, interpolation]
         # the cached pairs, all factored: K_1, K_{-1}, K_0.5, the Laplace
         # K_{-0.5} and the Airy(1) pair
-        for factor in (*rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -10.0),
-                       *rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0),
-                       *rmt._process_kernels("airy1", 1.0, rmt._INNER_TOL, -6.0)):
+        for factor in (*rmt._process_kernels("airy2", 0.5, -10.0),
+                       *rmt._process_kernels("airy2", 1.0, -10.0),
+                       *rmt._process_kernels("airy1", 1.0, -6.0)):
             arrays += [factor._vectors, factor.inner_weights]
         for a in arrays:
             assert not a.flags.writeable
@@ -1263,7 +1277,7 @@ class TestCaches:
         assert built == [1.0, -1.0, 0.5, -0.5]
         for _ in range(2):
             with pytest.warns(RuntimeWarning, match="achieved_tol"):
-                rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -18.0)
+                rmt._process_kernels("airy2", 0.5, -18.0)
         assert built == [1.0, -1.0, 0.5, -0.5] + [0.5, -0.5] * 2
 
     def test_airy1_factors_built_once_per_t_and_x_min(self, monkeypatch, fresh_caches):
@@ -1284,8 +1298,7 @@ class TestCaches:
             airy1_joint(1.0, 0.5, 2.0, 16)
             airy1_joint(1.0, 1.0, 3.0, 16)
         assert built == [-6.0, -6.0, -1.0, -1.0, 0.0, 0.0]
-        assert rmt._process_kernels("airy1", 1.0, 1e-12, 2.0) is \
-            rmt._process_kernels("airy1", 1.0, 1e-3, 0.0)
+        assert rmt._process_kernels("airy1", 1.0, 2.0) is rmt._process_kernels("airy1", 1.0, 0.0)
 
     def test_level_holds_one_tables_interpolations_across_a_t_sweep(self, fresh_caches):
         # the Airy(1) domain moves with t, so each t brings its own
@@ -1305,10 +1318,30 @@ class TestCaches:
 
     def test_kernels_shared_by_effective_x_min(self, fresh_caches):
         # Airy2ProcessKernel lowers x_min to -10, so the key does too
-        pair = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -1.0)
-        assert rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0) is pair
-        assert rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -12.0) is not pair
-        assert rmt._process_kernels("airy2", 1.0, 1e-13, -10.0) is not pair
+        pair = rmt._process_kernels("airy2", 1.0, -1.0)
+        assert rmt._process_kernels("airy2", 1.0, -10.0) is pair
+        assert rmt._process_kernels("airy2", 1.0, -12.0) is not pair
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t,accuracy", [(0.5, 1e-11), (0.25, 1e-12)])
+    def test_tight_accuracy_caches_a_quiet_pair(self, t, accuracy, monkeypatch, fresh_caches):
+        # the inner rules have one tolerance at every accuracy: tied to the
+        # accuracy (1e-13 here), K_{-t} warned at achieved_tol 1.06e-13,
+        # and its pair was rebuilt on every call
+        built = recording_airy2(monkeypatch)
+        value = cov_airy2(t, accuracy)
+        assert len(built) == 2
+        assert cov_airy2(t, accuracy) == value and len(built) == 2
+
+    def test_accuracy_past_roundoff_builds_the_usual_rules(self, monkeypatch, fresh_caches):
+        # no accuracy doubles the inner rules past roundoff (30,720 nodes
+        # each, 6 s, when the tolerance followed the accuracy); the ladder
+        # alone says it missed
+        built = recording_airy2(monkeypatch)
+        with pytest.warns(RuntimeWarning) as record:
+            cov_airy2(1.0, 1e-18)
+        assert [(k.t, k.inner_size) for k in built] == [(1.0, 75), (-1.0, 150)]
+        assert len(record) == 1 and "missed accuracy=1e-18" in str(record[0].message)
 
     def test_warned_kernels_warn_on_every_call(self, fresh_caches):
         # K_{-0.5} at x_min = -18: the Gaussian-term cancellation, 5.8e-12,
@@ -1316,7 +1349,7 @@ class TestCaches:
         pairs = []
         for _ in range(2):
             with pytest.warns(RuntimeWarning, match="achieved_tol"):
-                pairs.append(rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -18.0))
+                pairs.append(rmt._process_kernels("airy2", 0.5, -18.0))
         assert pairs[0] is not pairs[1]
         assert rmt._airy2_kernels.cache_info().currsize == 0
 
@@ -1327,7 +1360,7 @@ class TestCaches:
         pairs = []
         for _ in range(2):
             with pytest.warns(RuntimeWarning, match="achieved_tol"):
-                pairs.append(rmt._process_kernels("airy2", 0.5, rmt._INNER_TOL, -20.0))
+                pairs.append(rmt._process_kernels("airy2", 0.5, -20.0))
         assert rmt._airy2_kernels.cache_info().currsize == 0
         assert pairs[0] is not pairs[1]
         for a, b in zip(*pairs):
@@ -1340,7 +1373,7 @@ class TestCaches:
 
     def test_cache_clear_empties_both_caches(self):
         level = rmt._level("airy2", 20, 32, rmt.DEFAULT_BOX, 10.0)
-        pair = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)
+        pair = rmt._process_kernels("airy2", 1.0, -10.0)
         rmt._level.cache_clear()
         rmt._airy2_kernels.cache_clear()
         assert rmt._level.cache_info().currsize == rmt._airy2_kernels.cache_info().currsize == 0
@@ -1348,7 +1381,7 @@ class TestCaches:
         again = rmt._level("airy2", 20, 32, rmt.DEFAULT_BOX, 10.0)
         assert again is not level
         assert np.array_equal(again.inverses, level.inverses)
-        new_pair = rmt._process_kernels("airy2", 1.0, rmt._INNER_TOL, -10.0)
+        new_pair = rmt._process_kernels("airy2", 1.0, -10.0)
         assert new_pair is not pair
         assert all(isinstance(a, rmt._ChebyshevFactor) and a is not b
                    and np.array_equal(a._vectors, b._vectors)
@@ -1380,7 +1413,7 @@ def cov_kernels():
     def get(process, t):
         if (process, t) not in cache:
             box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
-            cache[process, t] = rmt._process_kernels(process, t, 1e-12, box[0])
+            cache[process, t] = rmt._process_kernels(process, t, box[0])
         return cache[process, t]
     return get
 
@@ -1548,7 +1581,7 @@ class TestHead:
         m, n = rmt._COV_LEVELS["airy2"][level]
         kernels = cov_kernels("airy2", t)
         # the reference assembles the kernels' matrices, not their factors
-        ref, bound, keep = all_node_level(t, m, n, process_kernels("airy2", t, tol=1e-12))
+        ref, bound, keep = all_node_level(t, m, n, process_kernels("airy2", t))
         outer = gauss_legendre(*rmt.DEFAULT_BOX, n)
         points = rmt._marginal_points("airy2", outer.nodes, m, 10.0)[2]
         head_keep, _ = rmt._tail_drop(np.array([p.value for p in points]),
