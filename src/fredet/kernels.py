@@ -391,14 +391,15 @@ class Airy1ProcessKernel(Kernel):
         """Ai(v) e^{t(x+y) + 2t^3/3}, v = x + y + t^2, as scaled Ai times
         e^{-d^2 (2w + t) / 3}, w = sqrt(v), d = w - t, for v > 0: it underflows cleanly, and
         summed term by term that exponent cancels (8e-13 relative error at t = 20).  d is
-        (x + y) / (w + t) for t > 0, where w - t cancels (195 eps at t = 1e4)."""
+        (x + y) / (w + t) for t > 0, where w - t cancels (195 eps at t = 1e4).  Past t =
+        1.3e154 v is the largest float, the part below 2.4e-78, the other branch NaN."""
         t, xy = self.t, np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
-        v = xy + t * t
+        v = np.minimum(xy + t * t, np.finfo(float).max)
         w = np.sqrt(np.maximum(v, 0.0))
-        with np.errstate(under="ignore", over="ignore"):
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
             d = xy / (w + t) if t > 0.0 else w - t
             expo = np.where(v > 0.0, -d ** 2 * (2.0 * w + t) / 3.0,
-                            t * xy + 2.0 * t ** 3 / 3.0)
+                            t * xy + 2.0 * np.float64(t) ** 3 / 3.0)
             return airy_ai_scaled(v) * np.exp(expo)
 
     def gaussian_part(self, x, y):

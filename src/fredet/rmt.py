@@ -253,9 +253,15 @@ def _airy1_cut(t: float) -> float:
     d^2 (2d + 3t) >= 3 ln 1e30, at x + y = d (d + 2t).  |K_{-t}| <= Ai(x + y)
     <= Ai(24) = 1.2e-35 there.  A node past C - x_min meets every node
     >= x_min in a sum past C: its zero rows and columns stand in for the
-    kernel's to 1e-30 before the tan map's weights."""
-    d = float(np.max(np.roots([2.0, 3.0 * t, 0.0, -3.0 * math.log(1e30)]).real))
-    return max(24.0, d * (d + 2.0 * t))
+    kernel's to 1e-30 before the tan map's weights.  np.roots loses d from t ~
+    1e17 on: past t = 1e4 d^2 = (L/t) / (1 + e y), L = ln 1e30, e = (2/3)
+    sqrt(L) t^-1.5, y = d sqrt(t/L), by two steps from y = 1."""
+    if t <= 1e4:
+        d = float(np.max(np.roots([2.0, 3.0 * t, 0.0, -3.0 * math.log(1e30)]).real))
+        return max(24.0, d * (d + 2.0 * t))
+    e = 2.0 / 3.0 * math.sqrt(math.log(1e30)) * t ** -1.5
+    d = math.sqrt(math.log(1e30) / t / (1.0 + e / math.sqrt(1.0 + e)))
+    return d * d + 2.0 * d * t
 
 
 @lru_cache(maxsize=64)
@@ -281,13 +287,14 @@ def _airy1_kernels(t: float, x_min: float):
 #: Kernel entries, basis entries (rows times inner size) or interpolation
 #: entries (rows times Chebyshev points) per evaluation call when a level,
 #: table or factor builds its per-point data (``_eye_minus_a0``, whose call
-#: holds all its blocks, ``_interpolation``, ``_sampled``), and
-#: Schur-complement entries per LU call of the joint rows (``_dets``).  One
-#: call per threshold pays per-call overhead, one per grid peak memory: on
-#: cov-airy2, 16k points put peak RSS ~0.3 MB above per-threshold calls,
-#: 8k ~0.1 MB below; whole-grid I - A_0 for Airy(1) took cov-airy1 1.7 MB
-#: above.
+#: holds all its blocks, ``_interpolation``, ``_sampled``).  One call per
+#: threshold pays per-call overhead, one per grid peak memory: on cov-airy2,
+#: 16k points put peak RSS ~0.3 MB above per-threshold calls, 8k ~0.1 MB
+#: below; whole-grid I - A_0 for Airy(1) took cov-airy1 1.7 MB above.
 _EVAL_CHUNK = 1 << 13
+#: Schur-complement entries per LU call of the joint rows (``_dets``), 512 KB: a warm
+#: cov_airy2(1) takes 3 calls, 8% faster than 19 at 8k; a fresh cov_airy2(0.1) peaks +0.4 MB.
+_SCHUR_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=64)
@@ -368,8 +375,8 @@ class _ChebyshevFactor:
         inside = x <= self.x_max
         rows = interpolation @ self._vectors
         if self.rate:
-            with np.errstate(under="ignore"):
-                rows *= np.exp(self.rate * x[inside] + self.rate ** 3 / 3.0)[:, None]
+            with np.errstate(under="ignore", over="ignore"):  # rate^3 is -inf past t ~ 5e102
+                rows *= np.exp(self.rate * x[inside] + np.float64(self.rate) ** 3 / 3.0)[:, None]
         out = np.zeros((x.size, self.inner_size))
         out[inside] = rows
         return out.reshape(*np.shape(xs), self.inner_size)
@@ -632,16 +639,16 @@ class _JointTable:
     thresholds (``_head``: the same h nodes at every one), det(M), and M^-1
     at each pivot; the constructor adds the bases of K_t and K_{-t} at the
     head nodes, weighted in place by the tan map's r = sqrt(w phi'): U = r B,
-    B from the level's ``interpolations``.  ``_blocks`` forms the
-    off-diagonal blocks of a row of the level's pairs with one matrix
-    product per kernel; ``_dets``, the one row routine of ``grid`` and
-    ``joint``, takes them and each joint as det(M_j) det(M_i - A_ij M_j^-1
-    A_ji), pivoting on the larger threshold s_j (the better-conditioned
-    block), in one stack of Schur complements across rows, which LAPACK LU
-    takes ``_EVAL_CHUNK`` entries at a time.  The Schur complement is unchanged by the exact
-    similarity A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, so rows need no
-    balancing.  Time reversal, P(s_i, s_j) = P(s_j, s_i), lets ``grid``
-    mirror the pairs and a single joint's level order its pair."""
+    B from the level's ``interpolations``.  Each joint is det(M_j) det(M_i -
+    A_ij M_j^-1 A_ji), pivoting on the larger threshold s_j (the
+    better-conditioned block).  ``_blocks`` forms a row's off-diagonal
+    blocks; ``grid`` folds each pivot's M_j^-1 into K_t's factor instead,
+    so a row's A_ij M_j^-1 is one product (``_folded``).  ``_dets``, the one
+    row routine of ``grid`` and ``joint``, stacks the Schur complements
+    across rows for LAPACK LU, ``_SCHUR_CHUNK`` entries a call.  They are
+    unchanged by the exact similarity A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji,
+    so rows need no balancing.  Time reversal, P(s_i, s_j) = P(s_j, s_i),
+    lets ``grid`` mirror the pairs and a single joint's level order its pair."""
 
     def __init__(self, t: float, kernels, level):
         if not t > 0.0:
@@ -658,57 +665,70 @@ class _JointTable:
 
     def grid(self) -> np.ndarray:
         """The joints of the level's pairs (s_i, s_j) at [i, j] and, by time
-        reversal, [j, i]; NaN off the pairs."""
+        reversal, [j, i]; NaN off the pairs; from the ``_folded`` rows."""
         joint, (i, j) = np.full((self.level.s.size,) * 2, np.nan), self.level.pairs.T
-        joint[i, j] = joint[j, i] = self._dets(map(self._blocks, self.level.rows))
+        joint[i, j] = joint[j, i] = self._dets(map(self._folded, self.level.rows))
         return joint
 
-    def _blocks(self, row):
-        """The off-diagonal blocks A_ij and A_ji of the systems I - A of the
-        pairs (s_i, s_j), lo <= j < hi, of a level's row (i, lo, hi, p), each
-        stacked (hi - lo, h, h)."""
-        lv, (i, lo, hi, _) = self.level, row
-        h, c, blocks = lv.offsets.size, hi - lo, []
-        for u, src in zip(self._u, (self.kt, self.kmt)):
-            # [j, q, p] = r_q K(x_jq, x_ip) r_p, one product per kernel, less its Gaussian term
-            block = (u[lo:hi].reshape(c * h, src.inner_size)
-                     @ (u[i] * src.inner_weights).T).reshape(c, h, h)
-            if src.gaussian_part is not None:
-                block -= lv.rr * src.gaussian_part(lv.x[lo:hi, :, None], lv.x[i])
-            blocks.append(block)
-        # K_t is symmetric: its stack's per-pair transpose is A_ij
-        return blocks[0].transpose(0, 2, 1), blocks[1]
+    @cached_property
+    def _folds(self) -> np.ndarray:
+        """W_j = Lambda U_t[j]^T M_j^-1 of each pivot j, (rank, pivots h): (M^-T U_t Lambda)^T."""
+        w = np.swapaxes(self.level.inverses, 1, 2) @ self._u[0][self.level._pivots]
+        w *= self.kt.inner_weights
+        return w.reshape(-1, w.shape[2]).T
 
-    def _dets(self, blocks) -> np.ndarray:
-        """det(M_j) det(M_i - A_ij M_j^-1 A_ji) of the level's pairs (s_i,
-        s_j), in their order, each pivoting on s_j, from ``blocks``, the
-        ``_blocks`` of the level's rows in order, in Schur-complement stacks
-        of ``_EVAL_CHUNK`` entries (at least one pair) that span rows."""
-        eye_minus_a0, inverses = self.level.eye_minus_a0, self.level.inverses
-        h, left = eye_minus_a0.shape[-1], len(self.level.pairs)
-        step = min(max(1, _EVAL_CHUNK // (h * h)), left)
+    def _block(self, k, row):
+        # [j, q, p] = r_q K(x_jq, x_ip) r_p, K = K_t (k = 0) or K_{-t} (k = 1) less its Gaussian
+        lv, (i, lo, hi, _), u, src = self.level, row, self._u[k], (self.kt, self.kmt)[k]
+        h, c = lv.offsets.size, hi - lo
+        block = (u[lo:hi].reshape(c * h, src.inner_size)
+                 @ (u[i] * src.inner_weights).T).reshape(c, h, h)
+        if src.gaussian_part is not None:
+            block -= lv.rr * src.gaussian_part(lv.x[lo:hi, :, None], lv.x[i])
+        return block
+
+    def _blocks(self, row):
+        """The off-diagonal blocks A_ij and A_ji of the systems I - A of a row's
+        pairs, each stacked (hi - lo, h, h); K_t is symmetric: A_ij is a transpose."""
+        return self._block(0, row).transpose(0, 2, 1), self._block(1, row)
+
+    def _folded(self, row):
+        """A_ij M_j^-1 = U_t[i] W_j (``_folds``), less the heat term's, and A_ji."""
+        lv, (i, lo, hi, p), h = self.level, row, self.level.offsets.size
+        fold = self._u[0][i] @ self._folds[:, p * h:(p + hi - lo) * h]
+        fold = fold.reshape(h, hi - lo, h).transpose(1, 0, 2)
+        if self.kt.gaussian_part is not None:
+            heat = lv.rr * self.kt.gaussian_part(lv.x[i][:, None], lv.x[lo:hi, None])
+            fold -= heat @ lv.inverses[p:p + hi - lo]
+        return fold, self._block(1, row)
+
+    def _dets(self, rows) -> np.ndarray:
+        """det(M_j) det(M_i - (A_ij M_j^-1) A_ji) of the level's pairs, in order,
+        from ``rows``, each row's (A_ij M_j^-1, A_ji), in Schur-complement stacks
+        of ``_SCHUR_CHUNK`` entries (at least one pair) that span rows."""
+        h, left = self.level.offsets.size, len(self.level.pairs)
+        step = min(max(1, _SCHUR_CHUNK // (h * h)), left)
         schur, det, out, k = np.empty((step, h, h)), np.empty(step), [], 0
-        blocks = iter(blocks)  # next() holds one row's blocks at a time, a zip two
-        for i, lo, hi, p in self.level.rows:
-            a_ij, a_ji = next(blocks)
+        rows = iter(rows)  # next() holds one row's blocks at a time, a zip two
+        for i, lo, hi, _ in self.level.rows:
+            # A_ij M_j^-1 first: the other order erred 200x more at Airy(1), t = 2.5, m = 20
+            fold, a_ji = next(rows)
             while lo < hi:
                 c = min(hi - lo, step - k)
-                # A_ij M_j^-1 first: the other order erred 200x more at Airy(1), t = 2.5, m = 20
-                np.subtract(eye_minus_a0[i], a_ij[:c] @ inverses[p:p + c] @ a_ji[:c],
-                            out=schur[k:k + c])
+                np.subtract(self.level.eye_minus_a0[i], fold[:c] @ a_ji[:c], out=schur[k:k + c])
                 det[k:k + c] = self._det[lo:lo + c]
-                a_ij, a_ji, lo, p, k, left = a_ij[c:], a_ji[c:], lo + c, p + c, k + c, left - c
+                fold, a_ji, lo, k, left = fold[c:], a_ji[c:], lo + c, k + c, left - c
                 if k == step or not left:
                     out.append(det[:k] * det_lu(schur[:k]))
                     k = 0
-            del a_ij, a_ji  # before the next row's blocks
+            del fold, a_ji  # before the next row's blocks
         return np.concatenate(out)
 
     def joint(self) -> DistributionPoint:
         """The joint of a single joint's level, its one pair (s1, s2), s1 <=
-        s2: time reversal, P(A(t) <= s1, A(0) <= s2) = P(A(t) <= s2, A(0) <=
-        s1), makes the order exact, so the pair pivots on its larger
-        threshold, the one block its level inverts.  Its roundoff bound is
+        s2 (time reversal makes the order exact), pivoting on s2, the one
+        block its level inverts: ``_dets`` of (A_12 M_2^-1, A_21) from its
+        ``_blocks``, as ``grid`` gives its rows.  Its roundoff bound is
         sqrt(2m) N 8u, with N = (||A_11||^2 + ||A_22||^2 + 2 ||A_12||
         ||A_21||)^(1/2) the least Frobenius norm of its system over the
         block scalings A_12 -> c A_12, A_21 -> A_21 / c, c > 0, which keep
@@ -717,9 +737,9 @@ class _JointTable:
         Frechet bound, F1 + F2 - 1 <= P <= min(F1, F2), by more than the sum
         of its own and both marginals' roundoff bounds and 8u |value|."""
         lv = self.level
-        a12, a21 = blocks = self._blocks(lv.rows[0])
+        a12, a21 = self._blocks(lv.rows[0])
         norm = math.sqrt(lv.norms @ lv.norms + 2.0 * frobenius_norm(a12) * frobenius_norm(a21))
-        (value,) = self._dets([blocks])
+        (value,) = self._dets([(a12 @ lv.inverses, a21)])
         point = _det_point(self.t, DetResult(value, 2 * lv.m, roundoff_bound(2 * lv.m, norm)))
         # each value also rounds by ~u |value|, which its roundoff bound (a
         # backward error of the matrix) leaves out: near 1 that dominates
@@ -886,8 +906,7 @@ def _cov_process(process: str, t: float, accuracy: float,
                          "cov(-t) = cov(t))")
     if not (math.isfinite(accuracy) and accuracy > 0.0):
         raise ValueError(f"accuracy must be finite and > 0, got {accuracy}")
-    # the process kernels depend on neither m nor the outer rule, so one
-    # build (one inner-rule refinement for Airy(2), factors for both) serves every level
+    # the kernel factors depend on neither m nor the outer rule: one build serves every level
     kernels = _process_kernels(process, t, box[0]) if t > 0.0 else None
     levels = _COV_LEVELS[process]
     values, est = [], math.inf

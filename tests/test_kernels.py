@@ -691,6 +691,44 @@ class TestAiry1Factors:
         assert abs(p.value - f1.value * f2.value) <= p.est_error + f1.est_error + f2.est_error
         assert not p.suspect
 
+    @pytest.mark.parametrize("t", [1e18, 1e102, 1e103, 1e200, 1e300])
+    def test_huge_t_joint_is_product_of_marginals(self, t):
+        # t^3 raised OverflowError from t ~ 5e102 on, in the Airy part and in
+        # K_{-t}'s row scaling; past t ~ 1.3e154 t^2 is inf; and the cut was
+        # 24 from t ~ 1e17 on, where it is ~2 sqrt(69 t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = rmt.airy1_joint(t, -1.0, 0.0, 30)
+            kt, _ = rmt._airy1_kernels(t, -1.0)
+        f1, f2 = (rmt._marginal_points("airy1", [s], 30, 10.0)[2][0] for s in (-1.0, 0.0))
+        bound = p.est_error + f1.est_error + f2.est_error
+        assert abs(p.value - f1.value * f2.value) <= bound
+        assert abs(p.value - 0.22820918536306642) <= bound
+        assert not p.suspect
+        assert kt.x_max == rmt._airy1_cut(t) + 1.0 > 2.0 * math.sqrt(69.0 * t)
+
+    def test_huge_t_covariance_returns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, est, levels = rmt.cov_airy1(1e200, full_output=True)
+        assert abs(value) <= 1e-13 and est <= 1e-8 and levels == 2
+
+    def test_cut_matches_the_positive_root(self):
+        # C = d (d + 2t) at the positive root d of d^2 (2d + 3t) = 3 ln 1e30,
+        # in 60 digits: as y = d sqrt(3t / L) in [0, 1], L = 3 ln 1e30, whose
+        # equation y^2 (1 + k y) = 1 is of order 1 at every t
+        worst = 0.0
+        with mpmath.workdps(60):
+            big = 3 * mpmath.log(mpmath.mpf(10) ** 30)
+            for t in np.logspace(0.0, 300.0, 151):
+                scale = mpmath.sqrt(big / (3 * mpmath.mpf(t)))
+                k = 2 * scale ** 3 / big
+                y = mpmath.findroot(lambda y: y * y * (1 + k * y) - 1, (0, 1), solver="anderson")
+                d = scale * y
+                ref = max(d * (d + 2 * mpmath.mpf(t)), 24)
+                worst = max(worst, float(abs(rmt._airy1_cut(t) - ref) / ref))
+        assert worst <= 1e-12
+
 
 class TestTransformedKernel:
     def test_map_values(self):

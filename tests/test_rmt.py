@@ -710,13 +710,15 @@ class TestJointTableRows:
         calls = []
 
         def full(tab, row):
-            # [j, p, q] = K_t(x_ip, x_jq), and [j, q, p] = K_{-t}(x_jq, x_ip)
-            lv, (i, lo, hi, _) = tab.level, row
+            # [j, p, q] = K_t(x_ip, x_jq), times M_j^-1, and [j, q, p] =
+            # K_{-t}(x_jq, x_ip): what the grid reads of a row (``_folded``)
+            lv, (i, lo, hi, p) = tab.level, row
             calls.append(i)
-            return (lv.rr * Airy1ProcessKernel(t).matrix(lv.x[i], lv.x[lo:hi]),
+            a_ij = lv.rr * Airy1ProcessKernel(t).matrix(lv.x[i], lv.x[lo:hi])
+            return (a_ij @ lv.inverses[p:p + hi - lo],
                     lv.rr * Airy1ProcessKernel(-t).matrix(lv.x[lo:hi], lv.x[i]))
 
-        monkeypatch.setattr(_JointTable, "_blocks", full)
+        monkeypatch.setattr(_JointTable, "_folded", full)
         ref = tab.grid()
         assert calls == list(range(s.size))
         assert np.max(np.abs(rows - ref)) <= rel * np.max(np.abs(ref))
@@ -756,7 +758,7 @@ class TestJointTableRows:
             s, kernels = gauss_legendre(*box, n).nodes, cov_kernels(process, t)
         tab = _JointTable(abs(t), kernels, triangle_level(process, s, m))
         # two pairs an LU call: a row spans several calls, and a call two rows
-        monkeypatch.setattr(rmt, "_EVAL_CHUNK", 3 * tab.level.offsets.size ** 2 - 1)
+        monkeypatch.setattr(rmt, "_SCHUR_CHUNK", 3 * tab.level.offsets.size ** 2 - 1)
         grid = tab.grid()
         for i in ((0, 2) if level is None else range(s.size)):
             row = grid[i, i:]
@@ -766,22 +768,60 @@ class TestJointTableRows:
                 ref = rmt.det_lu(balanced_systems(tab, tab.level.rows[i]))
             assert np.max(np.abs(row - ref)) <= 1e-13
 
+    @pytest.mark.parametrize("process,rung", [
+        *((("airy2", k) for k in range(len(rmt._COV_LEVELS["airy2"])))),
+        *((("airy1", k) for k in range(len(rmt._COV_LEVELS["airy1"])))),
+        # bands whose rows share pivots, one of them from a pivot past the
+        # row's own first column (p != lo)
+        ("airy2", "band"), ("airy1", "band"), ("airy2", "offset-band"),
+    ])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.5])
+    def test_folded_rows_equal_explicit_blocks(self, process, rung, t, cov_kernels):
+        # the grid's A_ij M_j^-1, one product with the pivots' folded K_t
+        # factor less the heat term's (Airy(1)), against det(M_j) det(M_i -
+        # (A_ij M_j^-1) A_ji) from the explicit blocks: at t = 0.5 Airy(2)'s
+        # K_{-t} is the Laplace branch, at 1 and 2.5 oscillatory
+        box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
+        if rung == "band":
+            level = rmt._Level(process, [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5], 20, 10.0,
+                               [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (3, 5)])
+        elif rung == "offset-band":
+            level = rmt._Level(process, [-3.0, -2.0, -1.0, 0.0, 1.0], 20, 10.0,
+                               [(0, 2), (0, 3), (1, 3), (1, 4)])
+        else:
+            level = rmt._level(process, *rmt._COV_LEVELS[process][rung], box, 10.0)
+        tab = _JointTable(t, cov_kernels(process, t), level)
+        assert (tab.kt.gaussian_part is not None) == (process == "airy1")
+        assert (tab.kmt.gaussian_part is not None) == (process == "airy2" and t < 0.75)
+        if rung == "offset-band":
+            assert level.rows == ((0, 2, 4, 0), (1, 3, 5, 1))
+        grid, (i, j) = tab.grid(), level.pairs.T
+        ref = []
+        for i_, lo, hi, p in level.rows:
+            a_ij, a_ji = tab._blocks((i_, lo, hi, p))
+            schur = level.eye_minus_a0[i_] - (a_ij @ level.inverses[p:p + hi - lo]) @ a_ji
+            ref.extend(tab._det[lo:hi] * rmt.det_lu(schur))
+        assert np.max(np.abs(grid[i, j] - ref)) <= 1e-13
+
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     @pytest.mark.parametrize("k", [-40, 7, 40])
     def test_rows_need_no_balancing(self, process, k, monkeypatch):
         # the Schur complement is invariant under the exact similarity
-        # A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, which balancing applies
+        # A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji, which balancing applies: on
+        # the grid's rows (A_ij M_j^-1, A_ji), every row scaled
         s = gauss_legendre(*rmt.DEFAULT_BOX, 11).nodes
         tab = table(process, 0.7, 16, s)
         rows = tab.grid()
-        blocks = tab._blocks
+        folded, calls = tab._folded, []
 
         def scaled(row):
-            a12, a21 = blocks(row)
-            return a12 * 2.0 ** k, a21 * 2.0 ** -k
+            calls.append(row)
+            fold, a21 = folded(row)
+            return fold * 2.0 ** k, a21 * 2.0 ** -k
 
-        monkeypatch.setattr(tab, "_blocks", scaled)
+        monkeypatch.setattr(tab, "_folded", scaled)
         assert np.array_equal(tab.grid(), rows)
+        assert calls == list(tab.level.rows)
 
     @pytest.mark.parametrize("process,t,s1,s2,m", [
         ("airy2", 1.0, -1.0, 0.5, 16),
@@ -858,15 +898,15 @@ class TestJointTableRows:
     def test_grid_lu_calls_are_bounded(self, process, level, chunk, cov_kernels,
                                        monkeypatch):
         # the Schur complements of all rows share one stack, and each LU
-        # call takes at most _EVAL_CHUNK entries of it (default), or one
+        # call takes at most _SCHUR_CHUNK entries of it (default), or one
         # pair where a pair alone has more (chunk = 100 < h^2); every call
-        # but the last is full, so the count is O(entries / _EVAL_CHUNK)
+        # but the last is full, so the count is O(entries / _SCHUR_CHUNK)
         m, n = rmt._COV_LEVELS[process][level]
         box = rmt.DEFAULT_BOX if process == "airy2" else rmt.AIRY1_BOX
         tab = _JointTable(1.0, cov_kernels(process, 1.0),
                           triangle_level(process, gauss_legendre(*box, n).nodes, m))
         if chunk is not None:
-            monkeypatch.setattr(rmt, "_EVAL_CHUNK", chunk)
+            monkeypatch.setattr(rmt, "_SCHUR_CHUNK", chunk)
         stacks = []
         det_lu = rmt.det_lu
 
@@ -877,14 +917,14 @@ class TestJointTableRows:
         monkeypatch.setattr(rmt, "det_lu", counting)
         tab.grid()
         h = tab.level.offsets.size
-        pairs, per_call = n * (n + 1) // 2, max(1, rmt._EVAL_CHUNK // (h * h))
+        pairs, per_call = n * (n + 1) // 2, max(1, rmt._SCHUR_CHUNK // (h * h))
         assert (per_call == 1) == (chunk is not None)
         assert all(shape[1:] == (h, h) for shape in stacks)
         assert sum(shape[0] for shape in stacks) == pairs
         assert all(shape[0] == per_call for shape in stacks[:-1])
         assert len(stacks) == -(-pairs // per_call)
         if chunk is None:
-            assert 1 < len(stacks) <= 2 * pairs * h * h / rmt._EVAL_CHUNK + 1
+            assert 1 < len(stacks) <= 2 * pairs * h * h / rmt._SCHUR_CHUNK + 1
 
     @pytest.mark.parametrize("process", ["airy2", "airy1"])
     def test_grid_and_joint_share_the_row_routine(self, process, monkeypatch):
