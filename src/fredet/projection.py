@@ -41,7 +41,7 @@ class GreenSpectrum:
 
 
 def green_spectrum(m: int) -> GreenSpectrum:
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     n = np.arange(1, m + 1, dtype=float)
     lam = 1.0 / (np.pi * np.pi * n * n)
@@ -61,7 +61,7 @@ def legendre_galerkin_matrix(m: int) -> np.ndarray:
     Legendre basis.  Diagonal: 1/12, 1/60, then a_n = 1/(2(2n+1)(2n+5))
     for n = 1, 2, ...; second off-diagonals b_n = -1/(4(2n+3) sqrt((2n+1)(2n+5)));
     zero elsewhere."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     mat = np.zeros((m, m))
     diag = np.empty(m)

@@ -55,8 +55,7 @@ class QuadRule:
         a, b = float(self.a), float(self.b)
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if not (math.isfinite(a) and math.isfinite(b) and b > a):
-            raise ValueError(f"invalid interval [{a}, {b}]")
+        _check_interval(a, b)
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size < 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length >= 1")
         if self.order < 1:
@@ -135,7 +134,7 @@ def _gauss_legendre_unit(m: int):
 def gauss_legendre(a: float, b: float, m: int) -> QuadRule:
     """m-point Gauss-Legendre rule on [a, b]; order ``nu = 2m``."""
     _check_interval(a, b)
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     x, w = _gauss_legendre_unit(int(m))
     return _map_from_unit(a, b, x, w, order=2 * m)
@@ -182,17 +181,20 @@ def clenshaw_curtis(a: float, b: float, m: int) -> QuadRule:
     """m-point Clenshaw-Curtis rule on [a, b] (closed, endpoints included);
     order ``nu = m``.  Requires ``m >= 2``."""
     _check_interval(a, b)
-    if not isinstance(m, (int, np.integer)) or m < 2:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 2:
         raise ValueError(f"clenshaw-curtis requires an integer m >= 2, got {m!r}")
     x, w = _clenshaw_curtis_unit(int(m))
     return _map_from_unit(a, b, x, w, order=m)
 
 
 def _check_interval(a, b):
+    """Finite a < b with a finite width b - a: an overflowing width maps nodes to NaN."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("interval endpoints must be finite")
     if b <= a:
         raise ValueError(f"invalid interval: need b > a, got [{a}, {b}]")
+    if not math.isfinite(b - a):
+        raise ValueError(f"interval width b - a overflows to inf on [{a}, {b}]")
 
 
 def _map_from_unit(a, b, x, w, order):

@@ -141,7 +141,7 @@ def e2_gap(s: float, m: int) -> DistributionPoint:
     """Gap probability E2(0; s): sine-kernel determinant at z = -1 on (0, s)."""
     if not 0.0 <= s < math.inf:
         raise ValueError(f"s must be finite and >= 0, got {s}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     if s == 0.0:
         return DistributionPoint(parameter=0.0, value=1.0, m=0, est_error=0.0)
@@ -367,8 +367,8 @@ class _ChebyshevFactor:
         self.rate, self.gaussian_part = rate, gaussian_part
 
     def basis(self, xs, interpolation=None) -> np.ndarray:
-        """v_k(xs[..., i]) for every kept term k, 0 past x_max, from the
-        given ``_interpolation`` matrix of xs or else a new one."""
+        """v_k(xs[..., i]) for every kept term k, 0 past x_max (a scatter only
+        where some point is), from the ``_interpolation`` matrix given or new."""
         x = np.asarray(xs, dtype=float).ravel()
         if interpolation is None:
             interpolation = _interpolation(x, self.x_min, self.x_max, self.points)
@@ -377,9 +377,10 @@ class _ChebyshevFactor:
         if self.rate:
             with np.errstate(under="ignore", over="ignore"):  # rate^3 is -inf past t ~ 5e102
                 rows *= np.exp(self.rate * x[inside] + np.float64(self.rate) ** 3 / 3.0)[:, None]
-        out = np.zeros((x.size, self.inner_size))
-        out[inside] = rows
-        return out.reshape(*np.shape(xs), self.inner_size)
+        if not inside.all():
+            rows, kept = np.zeros((x.size, self.inner_size)), rows
+            rows[inside] = kept
+        return rows.reshape(*np.shape(xs), self.inner_size)
 
 
 def _chebyshev_points(a: float, b: float, n: int):
@@ -643,12 +644,14 @@ class _JointTable:
     A_ij M_j^-1 A_ji), pivoting on the larger threshold s_j (the
     better-conditioned block).  ``_blocks`` forms a row's off-diagonal
     blocks; ``grid`` folds each pivot's M_j^-1 into K_t's factor instead,
-    so a row's A_ij M_j^-1 is one product (``_folded``).  ``_dets``, the one
-    row routine of ``grid`` and ``joint``, stacks the Schur complements
-    across rows for LAPACK LU, ``_SCHUR_CHUNK`` entries a call.  They are
-    unchanged by the exact similarity A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji,
-    so rows need no balancing.  Time reversal, P(s_i, s_j) = P(s_j, s_i),
-    lets ``grid`` mirror the pairs and a single joint's level order its pair."""
+    so a row's A_ij M_j^-1 is one product, and its A_ji^T one wide product
+    with K_{-t}'s weighted basis held transposed (``_folded``).  ``_dets``,
+    the one row routine of ``grid`` and ``joint``, stacks the Schur
+    complements across rows for LAPACK LU, ``_SCHUR_CHUNK`` entries a call.
+    They are unchanged by the exact similarity A_ij -> 2^k A_ij, A_ji ->
+    2^-k A_ji, so rows need no balancing.  Time reversal, P(s_i, s_j) =
+    P(s_j, s_i), lets ``grid`` mirror the pairs and a single joint's level
+    order its pair."""
 
     def __init__(self, t: float, kernels, level):
         if not t > 0.0:
@@ -662,6 +665,7 @@ class _JointTable:
         for f, key in zip(kernels, keys):
             self._u.append(f.basis(x, interpolations[key]).reshape(*level.x.shape, f.inner_size))
             self._u[-1] *= r
+        self._umt_t = (self._u[1].reshape(x.size, -1) * self.kmt.inner_weights).T.copy()
 
     def grid(self) -> np.ndarray:
         """The joints of the level's pairs (s_i, s_j) at [i, j] and, by time
@@ -693,14 +697,20 @@ class _JointTable:
         return self._block(0, row).transpose(0, 2, 1), self._block(1, row)
 
     def _folded(self, row):
-        """A_ij M_j^-1 = U_t[i] W_j (``_folds``), less the heat term's, and A_ji."""
+        """A_ij M_j^-1 = U_t[i] W_j (``_folds``), less the heat term's, and A_ji:
+        its transposes U_-t[i] (Lambda U_-t^T)[:, j] from one wide product for the
+        row, less its Gaussian, copied row-major."""
         lv, (i, lo, hi, p), h = self.level, row, self.level.offsets.size
         fold = self._u[0][i] @ self._folds[:, p * h:(p + hi - lo) * h]
         fold = fold.reshape(h, hi - lo, h).transpose(1, 0, 2)
         if self.kt.gaussian_part is not None:
             heat = lv.rr * self.kt.gaussian_part(lv.x[i][:, None], lv.x[lo:hi, None])
             fold -= heat @ lv.inverses[p:p + hi - lo]
-        return fold, self._block(1, row)
+        # [p, j, q] = r_p K_{-t}(x_jq, x_ip) r_q: A_ji^T, laid out (h, hi - lo, h)
+        a_ji = (self._u[1][i] @ self._umt_t[:, lo * h:hi * h]).reshape(h, -1, h)
+        if self.kmt.gaussian_part is not None:
+            a_ji -= lv.rr[:, None] * self.kmt.gaussian_part(lv.x[lo:hi], lv.x[i][:, None, None])
+        return fold, a_ji.transpose(1, 2, 0).copy()
 
     def _dets(self, rows) -> np.ndarray:
         """det(M_j) det(M_i - (A_ij M_j^-1) A_ji) of the level's pairs, in order,
@@ -708,21 +718,21 @@ class _JointTable:
         of ``_SCHUR_CHUNK`` entries (at least one pair) that span rows."""
         h, left = self.level.offsets.size, len(self.level.pairs)
         step = min(max(1, _SCHUR_CHUNK // (h * h)), left)
-        schur, det, out, k = np.empty((step, h, h)), np.empty(step), [], 0
+        schur, out, k = np.empty((step, h, h)), [], 0
         rows = iter(rows)  # next() holds one row's blocks at a time, a zip two
         for i, lo, hi, _ in self.level.rows:
             # A_ij M_j^-1 first: the other order erred 200x more at Airy(1), t = 2.5, m = 20
             fold, a_ji = next(rows)
             while lo < hi:
                 c = min(hi - lo, step - k)
-                np.subtract(self.level.eye_minus_a0[i], fold[:c] @ a_ji[:c], out=schur[k:k + c])
-                det[k:k + c] = self._det[lo:lo + c]
+                part = np.matmul(fold[:c], a_ji[:c], out=schur[k:k + c])
+                np.subtract(self.level.eye_minus_a0[i], part, out=part)
                 fold, a_ji, lo, k, left = fold[c:], a_ji[c:], lo + c, k + c, left - c
                 if k == step or not left:
-                    out.append(det[:k] * det_lu(schur[:k]))
+                    out.append(det_lu(schur[:k]))
                     k = 0
             del fold, a_ji  # before the next row's blocks
-        return np.concatenate(out)
+        return self._det[self.level.pairs[:, 1]] * np.concatenate(out)
 
     def joint(self) -> DistributionPoint:
         """The joint of a single joint's level, its one pair (s1, s2), s1 <=

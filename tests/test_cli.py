@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -38,6 +39,16 @@ class TestDetCommand:
                             "--z", "-1", "--m", "5", "--rule", "gauss"])
         assert code == 0
         assert "0.900027271798259" in out
+
+    def test_overflowing_interval_width_exit_2(self):
+        # b - a overflows: a usage error that names the width, with no
+        # RuntimeWarning from mapping nodes onto it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["det", "--kernel", "sine", "--a=-1e308", "--b", "1e308",
+                                  "--m", "5"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "width b - a overflows" in err
 
     def test_process_kernel_below_minus_ten(self):
         # the Airy(2) kernel is built for the interval's left end

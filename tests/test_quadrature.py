@@ -1,6 +1,7 @@
 """Quadrature rules: exactness, positivity, convergence, product rules."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -287,6 +288,24 @@ class TestQuadRuleValidation:
         with pytest.raises(ValueError):
             r.nodes[0] = 0.0
 
+    def test_rejects_overflowing_width(self):
+        with pytest.raises(ValueError, match="width b - a"):
+            QuadRule(-1e308, 1e308, np.array([0.0]), np.array([1.0]), 1)
+
+
+@pytest.mark.parametrize("rule", [gauss_legendre, clenshaw_curtis])
+def test_overflowing_width_rejected(rule):
+    # finite endpoints whose width b - a overflows used to map every node to
+    # inf or NaN, warn twice and fail on the node order: the width is named
+    # before any node is mapped, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="width b - a overflows"):
+            rule(-1e308, 1e308, 5)
+        # the widest finite intervals still give their rule
+        r = rule(-8e307, 8e307, 5)
+    assert np.all(np.isfinite(r.nodes)) and r.weights.sum() == pytest.approx(1.6e308)
+
 
 #: Public calls that take a rule or basis size m, directly or through the
 #: rule they build.
@@ -303,10 +322,11 @@ SIZED_CALLS = {
 }
 
 
-@pytest.mark.parametrize("m", [2.5, 3.7, 4.0])
+@pytest.mark.parametrize("m", [2.5, 3.7, 4.0, True, False])
 @pytest.mark.parametrize("name", sorted(SIZED_CALLS))
 def test_non_integral_sizes_rejected(name, m):
-    # a float size used to run at a rounded size and report another
+    # a float size used to run at a rounded size and report another, and
+    # True as a size of 1: a 1-point rule, e2_gap(5.0, True) = -4
     with pytest.raises(ValueError, match="integer"):
         SIZED_CALLS[name](m)
     # numpy integers are sizes

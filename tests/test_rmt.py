@@ -1187,6 +1187,21 @@ class TestChebyshevFactor:
             with pytest.raises(ValueError, match="x_min"):
                 factor.basis([-10.5])
 
+    @pytest.mark.parametrize("process", ["airy2", "airy1"])
+    def test_rows_all_inside_equal_the_scattered_rows_bitwise(self, process):
+        # points all at or below x_max skip the zero rows' scatter: the bits
+        # of the same points with one past x_max appended, whose row is 0,
+        # on one interpolation matrix (Airy(1)'s K_{-t} scales its rows by
+        # its rate)
+        for factor in rmt._process_kernels(process, 1.0, -6.0):
+            x = np.linspace(factor.x_min, factor.x_max, 12)
+            interpolation = rmt._interpolation(x, factor.x_min, factor.x_max, factor.points)
+            inside = factor.basis(x.reshape(3, 4), interpolation)
+            scattered = factor.basis(np.append(x, factor.x_max + 1.0), interpolation)
+            assert inside.shape == (3, 4, factor.inner_size) and np.any(inside != 0.0)
+            assert np.array_equal(inside.reshape(12, -1), scattered[:-1])
+            assert np.all(scattered[-1] == 0.0)
+
     @pytest.mark.parametrize("t", [0.1, 0.5, 0.74])
     def test_laplace_branch_is_a_factor_less_its_gaussian(self, t):
         # K_{-t}, 0 < t < 0.75, is the factor of its positive-axis integral
