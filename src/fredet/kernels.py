@@ -45,6 +45,11 @@ __all__ = [
     "KERNEL_FAMILIES",
 ]
 
+
+class KernelEvaluationError(ArithmeticError):
+    """A kernel returned a non-finite value."""
+
+
 #: Below this separation |x - y| the Airy kernel's analytic diagonal
 #: expansion replaces the directly evaluated quotient.
 _DIAG_SPLIT = 1e-4
@@ -213,8 +218,8 @@ class Airy2ProcessKernel(Kernel):
 
     ``basis``, the inner rule and its probes take Ai from ``airy_ai`` at
     every argument: below -195 (x_min - 40/|t| for t <= -0.75) from its
-    expansion, above 108 as its underflowed 0.  ``rmt`` builds its
-    matrices on the head of the tan map (x <= 20) only.
+    expansion, above 108 as its underflowed 0; a non-finite probe (Ai is NaN
+    below -1e205) raises ``KernelEvaluationError``.  ``rmt`` takes x <= 20 only.
     """
 
     hermitian = True
@@ -307,7 +312,7 @@ class Airy2ProcessKernel(Kernel):
     def _inner_rule(self, n: int):
         rule = gauss_legendre(*self._interval, n)
         sign = -1.0 if self._mode == "oscillatory" else 1.0
-        with np.errstate(under="ignore"):
+        with np.errstate(under="ignore", over="ignore"):  # an inf weight raises in _probe
             return rule.nodes, sign * rule.weights * np.exp(-self.t * rule.nodes)
 
     #: Probe pairs besides (x_min, x_min).
@@ -320,7 +325,12 @@ class Airy2ProcessKernel(Kernel):
         y = self._probe_pairs[:, 1]
         ax = airy_ai(x[:, None] + xi[None, :])
         ay = airy_ai(y[:, None] + xi[None, :])
-        return np.sum(ax * ay * q[None, :], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.sum(ax * ay * q[None, :], axis=1)
+        if not np.all(np.isfinite(out)):  # no doubling mends it: nan <= _RULE_TOL is false
+            raise KernelEvaluationError(f"non-finite probes of Airy2ProcessKernel(t={self.t:g}, "
+                                        f"x_min={self.x_min:g}) at {xi.size} inner nodes")
+        return out
 
     def basis(self, xs) -> np.ndarray:
         """Ai(xs[..., i] + xi_k) on the inner nodes; callers may cache this

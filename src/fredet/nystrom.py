@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import Kernel
+from .kernels import Kernel, KernelEvaluationError
 from .linalg import (DetResult, NotPositiveDefiniteError, det_cholesky, det_lu,
                      frobenius_norm, roundoff_bound)
 from .quadrature import QuadRule, clenshaw_curtis, gauss_legendre
@@ -55,10 +55,6 @@ __all__ = [
 
 #: Default cap on the product-rule points the series oracle stands for.
 PRODUCT_RULE_CAP = 10_000_000
-
-
-class KernelEvaluationError(ArithmeticError):
-    """Kernel returned a non-finite value at some node pair."""
 
 
 class ResourceLimitError(RuntimeError):

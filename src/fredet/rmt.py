@@ -24,9 +24,9 @@
   formulas (no numerical differentiation of F2).
 
 Every Airy(2) matrix -- the marginals behind F2, ``tw_moments`` and the
-covariances, and the joint systems -- is built on the *head* of the tan
-map only: the nodes x = s + scale tan(pi xi / 2) <= X = 20 for the
-smallest threshold s of the call (``_head``).  Past X the Airy kernel
+covariances, and the joint systems -- is built on the *head* of the tan map
+only: the nodes x = s + 10 tan(pi xi / 2) (``_MAP_SCALE``) <= X = 20 for
+the smallest threshold s of the call (``_head``).  Past X the Airy kernel
 and K_t, t > 0, have underflowed, so the other nodes would add unit rows
 and columns that cost O(m^3) and change no determinant beyond entries
 below 3e-22 (``_HEAD_CUT``).  Airy(1) keeps every node.  On the head,
@@ -57,7 +57,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .kernels import (AiryKernel, Airy1ProcessKernel, Airy2ProcessKernel,
-                      SineKernel, TransformedKernel)
+                      KernelEvaluationError, SineKernel, TransformedKernel)
 from .linalg import (DEFAULT_EPS_MULTIPLE, UNIT_ROUNDOFF, DetResult, det_lu,
                      frobenius_norm, roundoff_bound)
 # fredholm_det_system and _balance_blocks are not called here: they stay
@@ -92,6 +92,8 @@ DEFAULT_BOX = (-10.0, 6.0)
 AIRY1_BOX = (-6.0, 5.5)
 
 _PROB_SLACK = 1e-10
+#: The tan-map scale of every call but ``f2_tw(scale=)``'s: ``_HEAD_CUT``'s bound is stated at 10.
+_MAP_SCALE = 10.0
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def f2_tw(s: float, m: int, route: str = "transform", scale: float | None = None
     on (s, inf).
 
     route="transform" maps (s, inf) to (0, 1) by the tan map of
-    ``TransformedKernel`` with ``scale`` (None means 10), as the Airy(2)
+    ``TransformedKernel`` with ``scale`` (None means ``_MAP_SCALE``), as the Airy(2)
     marginal (``_marginal_points``); route="truncate" works on the finite
     interval (s, T) and needs T > s (the committed error is bounded by
     ``truncation_bound``).  Each route rejects the other's parameter.
@@ -166,7 +168,7 @@ def f2_tw(s: float, m: int, route: str = "transform", scale: float | None = None
     if route == "transform":
         if T is not None:
             raise ValueError("T applies only to route='truncate'")
-        return _marginal_points("airy2", [s], m, 10.0 if scale is None else scale)[2][0]
+        return _marginal_points("airy2", [s], m, _MAP_SCALE if scale is None else scale)[2][0]
     if route == "truncate":
         if scale is not None:
             raise ValueError("scale applies only to route='transform'")
@@ -184,12 +186,12 @@ def truncation_bound(s: float, T: float) -> float:
     """Hilbert-Schmidt tail bound (int_T^inf int_T^inf K(x,y)^2 dx dy)^(1/2)
     on the F2 error of truncating the Airy-kernel operator at T > s, for a
     finite s: ||A||_F of the tan-mapped Airy matrix on (T, inf) at 80
-    nodes and scale 10 (``_tan_map``)."""
+    nodes and scale ``_MAP_SCALE`` (``_tan_map``)."""
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     if not s < T < math.inf:
         raise ValueError(f"need T > s with T finite, got T={T}, s={s}")
-    offsets, rr = _tan_map(80, 10.0)
+    offsets, rr = _tan_map(80, _MAP_SCALE)
     x = T + offsets
     return frobenius_norm(rr * AiryKernel().matrix(x, x))
 
@@ -207,19 +209,15 @@ def _process_kernels(process: str, t: float, x_min: float):
         try:
             return _airy2_kernels(t, min(x_min, Airy2ProcessKernel._X_MIN_CEILING))
         except _Uncached as warned:
-            return warned.kernels
+            return warned.args[0]
     if process == "airy1":
         return _airy1_kernels(t, min(x_min, 0.0))
     raise ValueError(f"unknown process {process!r} (expected 'airy2' or 'airy1')")
 
 
 class _Uncached(Exception):
-    """Carries the factors of a pair whose build warned out of
-    ``_airy2_kernels``, which caches no exception: each build warns."""
-
-    def __init__(self, kernels):
-        super().__init__()
-        self.kernels = kernels
+    """Carries, as its one argument, the factors of a pair whose build warned
+    out of ``_airy2_kernels``, which caches no exception: each build warns."""
 
 
 @lru_cache(maxsize=64)
@@ -310,10 +308,7 @@ def _tan_map(m: int, scale: float):
     tan_map = TransformedKernel(AiryKernel(), 0.0, scale=scale)
     offsets = tan_map.phi(rule.nodes)
     r = np.sqrt(rule.weights * tan_map.dphi(rule.nodes))
-    rr = np.outer(r, r)
-    offsets.setflags(write=False)
-    rr.setflags(write=False)
-    return offsets, rr
+    return _frozen(offsets), _frozen(np.outer(r, r))
 
 
 #: The cut X of the Airy(2) head (``_head``).  A dropped node has
@@ -497,7 +492,7 @@ def _eye_minus_a0(process: str, svals, offsets, rr):
 
     Returns the blocks and ||A_0||_F at each threshold, taken before I is
     added: on the diagonal of I - A_0 the entries of A_0 have rounded to
-    ulps of 1."""
+    ulps of 1; a non-finite one raises ``KernelEvaluationError``."""
     k0 = AiryKernel() if process == "airy2" else Airy1ProcessKernel(0.0)
     h = _head(process, svals, offsets)
     x = np.asarray(svals, dtype=float)[:, None] + offsets[:h]
@@ -510,6 +505,9 @@ def _eye_minus_a0(process: str, svals, offsets, rr):
         a0 = rr * k0.matrix(xc, xc)
         norms[lo:lo + step] = np.sqrt(np.sum(a0 * a0, axis=(1, 2)))
         out[lo:lo + step] = np.eye(h) - a0
+    if not np.all(np.isfinite(norms)):
+        raise KernelEvaluationError(f"kernel returned non-finite values at thresholds "
+                                    f"{np.asarray(svals)[~np.isfinite(norms)][:8].tolist()}")
     return out, norms
 
 
@@ -525,14 +523,14 @@ def _marginal_points(process: str, svals, m: int, scale: float):
                            for s, block, norm in zip(svals, blocks, norms)]
 
 
-def _marginal(process: str, s: float, m: int, scale: float = 10.0) -> float:
+def _marginal(process: str, s: float, m: int, scale: float = _MAP_SCALE) -> float:
     """P(A(t) <= s) for the stationary process: the one-operator determinant
     with the K_0 kernel on (s, inf)."""
     return _marginal_points(process, [s], m, scale)[2][0].value
 
 
-def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
-                 scale: float) -> DistributionPoint:
+def _joint_point(process: str, t: float, s1: float, s2: float, m: int) -> DistributionPoint:
+    """``airy2_joint`` / ``airy1_joint``, on the tan map at ``_MAP_SCALE``."""
     # before any kernel, factor or cache sees min(s1, s2)
     for name, s in (("s1", s1), ("s2", s2)):
         if not math.isfinite(s):
@@ -544,25 +542,25 @@ def _joint_point(process: str, t: float, s1: float, s2: float, m: int,
         # system is bypassed here.  The marginal's roundoff bound and
         # Cholesky-to-LU flag carry over.
         s = min(s1, s2)
-        point = _marginal_points(process, [s], m, scale)[2][0]
+        point = _marginal_points(process, [s], m, _MAP_SCALE)[2][0]
         return replace(point, parameter=0.0, m=2 * m)
     # stationarity and time reversal make the joint even in t, so every t
     # takes the table at |t|: -t and t give one point, bit for bit
     kernels = _process_kernels(process, abs(t), min(s1, s2))
-    level = _Level(process, sorted((s1, s2)), m, scale, [(0, 1)])
+    level = _Level(process, sorted((s1, s2)), m, _MAP_SCALE, [(0, 1)])
     return replace(_JointTable(abs(t), kernels, level).joint(), parameter=float(t))
 
 
-def airy2_joint(t: float, s1: float, s2: float, m: int, scale: float = 10.0) -> DistributionPoint:
+def airy2_joint(t: float, s1: float, s2: float, m: int) -> DistributionPoint:
     """P(A_2(t) <= s1, A_2(0) <= s2) as the 2x2 block determinant with
-    blocks [[A_0, A_t], [A_{-t}, A_0]] on L2(s1, inf) + L2(s2, inf)."""
-    return _joint_point("airy2", t, s1, s2, m, scale)
+    blocks [[A_0, A_t], [A_{-t}, A_0]] on L2(s1, inf) + L2(s2, inf), at map scale ``_MAP_SCALE``."""
+    return _joint_point("airy2", t, s1, s2, m)
 
 
-def airy1_joint(t: float, s1: float, s2: float, m: int, scale: float = 10.0) -> DistributionPoint:
-    """P(A_1(t) <= s1, A_1(0) <= s2); same block structure with the
-    closed-form Airy(1) kernels."""
-    return _joint_point("airy1", t, s1, s2, m, scale)
+def airy1_joint(t: float, s1: float, s2: float, m: int) -> DistributionPoint:
+    """P(A_1(t) <= s1, A_1(0) <= s2); same block structure and tan map
+    with the closed-form Airy(1) kernels."""
+    return _joint_point("airy1", t, s1, s2, m)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +585,7 @@ def tw_moments() -> tuple[float, float]:
     """
     low, up = DEFAULT_BOX
     rule = gauss_legendre(low, up, 96)
-    points = _marginal_points("airy2", [low, up, *rule.nodes], 48, 10.0)[2]
+    points = _marginal_points("airy2", [low, up, *rule.nodes], 48, _MAP_SCALE)[2]
     f_low, f_up = points[0].value, points[1].value
     if f_low > 1e-11 or 1.0 - f_up > 1e-11:
         raise ValueError(
@@ -642,16 +640,12 @@ class _JointTable:
     head nodes, weighted in place by the tan map's r = sqrt(w phi'): U = r B,
     B from the level's ``interpolations``.  Each joint is det(M_j) det(M_i -
     A_ij M_j^-1 A_ji), pivoting on the larger threshold s_j (the
-    better-conditioned block).  ``_blocks`` forms a row's off-diagonal
-    blocks; ``grid`` folds each pivot's M_j^-1 into K_t's factor instead,
-    so a row's A_ij M_j^-1 is one product, and its A_ji^T one wide product
-    with K_{-t}'s weighted basis held transposed (``_folded``).  ``_dets``,
-    the one row routine of ``grid`` and ``joint``, stacks the Schur
-    complements across rows for LAPACK LU, ``_SCHUR_CHUNK`` entries a call.
-    They are unchanged by the exact similarity A_ij -> 2^k A_ij, A_ji ->
-    2^-k A_ji, so rows need no balancing.  Time reversal, P(s_i, s_j) =
-    P(s_j, s_i), lets ``grid`` mirror the pairs and a single joint's level
-    order its pair."""
+    better-conditioned block), from a row's ``_blocks`` (``joint``) or, with
+    each pivot's M_j^-1 folded into K_t's factor, its ``_folded`` products
+    (``grid``), in the Schur-complement stacks of ``_dets``.  These are
+    unchanged by the exact similarity A_ij -> 2^k A_ij, A_ji -> 2^-k A_ji,
+    so rows need no balancing.  Time reversal, P(s_i, s_j) = P(s_j, s_i),
+    lets ``grid`` mirror the pairs and a single joint's level order its pair."""
 
     def __init__(self, t: float, kernels, level):
         if not t > 0.0:
@@ -665,7 +659,6 @@ class _JointTable:
         for f, key in zip(kernels, keys):
             self._u.append(f.basis(x, interpolations[key]).reshape(*level.x.shape, f.inner_size))
             self._u[-1] *= r
-        self._umt_t = (self._u[1].reshape(x.size, -1) * self.kmt.inner_weights).T.copy()
 
     def grid(self) -> np.ndarray:
         """The joints of the level's pairs (s_i, s_j) at [i, j] and, by time
@@ -680,6 +673,11 @@ class _JointTable:
         w = np.swapaxes(self.level.inverses, 1, 2) @ self._u[0][self.level._pivots]
         w *= self.kt.inner_weights
         return w.reshape(-1, w.shape[2]).T
+
+    @cached_property
+    def _umt_t(self) -> np.ndarray:
+        """Lambda U_-t^T, (rank, n h): K_{-t}'s weighted basis transposed, for ``_folded``."""
+        return (self._u[1].reshape(self.level.x.size, -1) * self.kmt.inner_weights).T.copy()
 
     def _block(self, k, row):
         # [j, q, p] = r_q K(x_jq, x_ip) r_p, K = K_t (k = 0) or K_{-t} (k = 1) less its Gaussian
@@ -698,8 +696,8 @@ class _JointTable:
 
     def _folded(self, row):
         """A_ij M_j^-1 = U_t[i] W_j (``_folds``), less the heat term's, and A_ji:
-        its transposes U_-t[i] (Lambda U_-t^T)[:, j] from one wide product for the
-        row, less its Gaussian, copied row-major."""
+        its transposes U_-t[i] (Lambda U_-t^T)[:, j] (``_umt_t``) from one wide product
+        for the row, less its Gaussian, copied row-major."""
         lv, (i, lo, hi, p), h = self.level, row, self.level.offsets.size
         fold = self._u[0][i] @ self._folds[:, p * h:(p + hi - lo) * h]
         fold = fold.reshape(h, hi - lo, h).transpose(1, 0, 2)
@@ -907,8 +905,7 @@ _COV_LEVELS = {
 
 
 def _cov_process(process: str, t: float, accuracy: float,
-                 box: tuple[float, float], scale: float,
-                 full_output: bool):
+                 box: tuple[float, float], full_output: bool):
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if t < 0.0:
@@ -921,7 +918,7 @@ def _cov_process(process: str, t: float, accuracy: float,
     levels = _COV_LEVELS[process]
     values, est = [], math.inf
     for m, n_outer in levels:
-        level = _level(process, m, n_outer, box, scale)
+        level = _level(process, m, n_outer, box, _MAP_SCALE)
         values.append(_cov_zero(level) if t == 0.0 else _cov_positive(level, t, kernels))
         if len(values) >= 2:
             est = abs(values[-1] - values[-2])
@@ -936,19 +933,16 @@ def _cov_process(process: str, t: float, accuracy: float,
     return (values[-1], est, len(values)) if full_output else values[-1]
 
 
-def cov_airy2(t: float, accuracy: float = 1e-8, scale: float = 10.0,
-              full_output: bool = False):
+def cov_airy2(t: float, accuracy: float = 1e-8, full_output: bool = False):
     """Two-point correlation cov(A_2(t), A_2(0)) of the Airy(2) process,
-    integrated over the box ``DEFAULT_BOX``, read at call time.
+    integrated over the box ``DEFAULT_BOX``, read at call time, on the tan
+    map at ``_MAP_SCALE``.
 
     Refines (block dimension m, outer rule size n_outer) along
     ``_COV_LEVELS["airy2"]``, from (20, 32) to (48, 88), until two
     successive levels agree to ``accuracy``, and returns the finer of the
-    two.  At t > 0 a level leaves out the outer thresholds with the
-    smallest g_i = min(F_i, 1 - F_i) + e_i (marginal F_i, roundoff bound
-    e_i) while B = 2 (sum w) sum_dropped w_i g_i stays at most the level's
-    roundoff floor (sum w)^2 max e_i (``_tail_drop``).  B bounds the exact
-    joints left out, so a level that resolves them moves by at most B; a
+    two.  At t > 0 a level leaves out the outer thresholds whose exact
+    joints move it by at most its roundoff floor (``_tail_drop``); a
     coarser level (small t, first rungs) moves by their discretization
     error, which in the cases measured stayed below its own distance to
     the converged value.  With ``full_output=True`` returns (value,
@@ -962,17 +956,16 @@ def cov_airy2(t: float, accuracy: float = 1e-8, scale: float = 10.0,
     by every t (``_level``, ``_airy2_kernels``); a repeated call returns
     the same bits.
     """
-    return _cov_process("airy2", t, accuracy, DEFAULT_BOX, scale, full_output)
+    return _cov_process("airy2", t, accuracy, DEFAULT_BOX, full_output)
 
 
-def cov_airy1(t: float, accuracy: float = 1e-8, scale: float = 10.0,
-              full_output: bool = False):
+def cov_airy1(t: float, accuracy: float = 1e-8, full_output: bool = False):
     """Two-point correlation cov(A_1(t), A_1(0)) of the Airy(1) process,
     integrated over the box ``AIRY1_BOX``, read at call time; refined as
     ``cov_airy2`` is, along ``_COV_LEVELS["airy1"]``, from (24, 38) to
-    (48, 88), with the same tail-threshold drop and bound B, level cache
+    (48, 88), with the same tail-threshold drop (``_tail_drop``), level cache
     (``_level``) and a kernel-pair cache (``_airy1_kernels``)."""
-    return _cov_process("airy1", t, accuracy, AIRY1_BOX, scale, full_output)
+    return _cov_process("airy1", t, accuracy, AIRY1_BOX, full_output)
 
 
 def cov_grid(process: str, t_values, accuracy: float = 1e-8) -> CovGrid:

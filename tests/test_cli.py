@@ -280,6 +280,19 @@ class TestSweeps:
         assert code == 1 and not out
         assert err.startswith("numerical failure:") and "no Chebyshev factor" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["f2", "--s-min=-1e206", "--s-max=-1e206", "--step", "1"],
+        ["joint", "--process", "airy2", "--t", "0", "--s1=-1e206", "--s2", "0"],
+        ["joint", "--process", "airy1", "--t", "0", "--s1=-1e206", "--s2", "0"],
+        ["joint", "--process", "airy2", "--t", "1", "--s1=-1e206", "--s2", "0"],
+    ], ids=["f2", "airy2-t0", "airy1-t0", "airy2-t1"])
+    def test_nan_airy_values_exit_1(self, argv):
+        # Ai is NaN below -1e205: a numerical failure, as on the generic path
+        # (det --kernel airy), not a usage error or a doubling to the cap
+        code, out, err = run(argv)
+        assert code == 1 and not out
+        assert err.startswith("numerical failure:") and "non-finite" in err
+
     def test_specfun(self):
         code, out, _ = run(["specfun", "ai", "--x", "0"])
         assert code == 0

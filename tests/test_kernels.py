@@ -11,9 +11,11 @@ import pytest
 from scipy.integrate import quad
 
 from fredet.kernels import (Airy1ProcessKernel, Airy2ProcessKernel, AiryKernel,
-                            GreenKernel, Kernel, SineKernel, TransformedKernel,
-                            make_kernel)
+                            GreenKernel, Kernel, KernelEvaluationError, SineKernel,
+                            TransformedKernel, make_kernel)
+import fredet
 from fredet import kernels as kernels_module
+from fredet import nystrom
 from fredet import rmt
 from fredet.quadrature import gauss_legendre
 from fredet.rmt import _COV_LEVELS, DEFAULT_BOX, _tan_map
@@ -257,6 +259,20 @@ class TestAiry2ProcessKernel:
             k = Airy2ProcessKernel(1.0)
         assert k.inner_size == 32 and k.achieved_tol > 1e-16
         assert f"achieved_tol={k.achieved_tol:.3g}" in str(record[0].message)
+
+    @pytest.mark.parametrize("t", [1.0, -0.5, -1.0])
+    def test_nan_probes_raise_after_one_rule(self, t, monkeypatch):
+        # Ai is NaN below -1e205 and nan <= _RULE_TOL is false, so a doubling
+        # could only run to the cap (30,720 nodes, 18 s at t = 1): the first
+        # rule's probes raise, in each branch
+        sizes, inner_rule = [], Airy2ProcessKernel._inner_rule
+        monkeypatch.setattr(Airy2ProcessKernel, "_inner_rule",
+                            lambda k, n: sizes.append(n) or inner_rule(k, n))
+        with pytest.raises(KernelEvaluationError, match=r"non-finite probes .* at 30 inner"):
+            Airy2ProcessKernel(t, x_min=-1e206)
+        assert sizes == [Airy2ProcessKernel._FIRST_RULE_SIZE]
+        # one class, re-exported where it was defined before
+        assert fredet.KernelEvaluationError is nystrom.KernelEvaluationError is KernelEvaluationError
 
     @pytest.mark.parametrize("t", [0.1, -0.1, 0.5, -0.5, 0.76, -0.76, 1.0, -1.0, 2.5, -2.5])
     def test_rule_tolerance_is_at_roundoff(self, t, monkeypatch):
