@@ -143,22 +143,32 @@ class AiryKernel(Kernel):
         """Cross matrix, stacked as ``Kernel.matrix`` is.  Entries with
         x == y are the diagonal value D(x), from the Ai and Ai' values
         already held (the expansion gives the same bits there); only the
-        other pairs closer than the split are expanded about their centre."""
+        other pairs closer than the split are expanded about their centre.
+        If ``xs`` equals ``ys`` and each row ascends by gaps of at least the
+        split, as every tan-map grid does, only the exact diagonal is that
+        close, and D is set there by index, with no masks: the same bits."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         ax, apx = airy_ai(xs), airy_ai_prime(xs)
         # diagonal blocks pass equal (not necessarily identical) node arrays
-        if np.array_equal(xs, ys):
-            ay, apy = ax, apx
-        else:
-            ay, apy = airy_ai(ys), airy_ai_prime(ys)
+        same = np.array_equal(xs, ys)
+        ay, apy = (ax, apx) if same else (airy_ai(ys), airy_ai_prime(ys))
+        # rounding is monotone: off the diagonal |x - y| is at least a gap
+        grid = same and bool(np.all(np.diff(xs) >= _DIAG_SPLIT))
         x, y = xs[..., :, None], ys[..., None, :]
         d = x - y
-        small = np.abs(d) < _DIAG_SPLIT
-        d_safe = np.where(small, 1.0, d)
+        if grid:
+            i = np.arange(xs.shape[-1])
+            d[..., i, i] = 1.0
+            d_safe = d
+        else:
+            small = np.abs(d) < _DIAG_SPLIT
+            d_safe = np.where(small, 1.0, d)
         out = (ax[..., :, None] * apy[..., None, :]
                - ay[..., None, :] * apx[..., :, None]) / d_safe
-        if np.any(small):
+        if grid:
+            out[..., i, i] = apx * apx - xs * ax * ax
+        elif np.any(small):
             exact = d == 0.0
             diag = (apx * apx - xs * ax * ax)[..., :, None]
             out[exact] = np.broadcast_to(diag, d.shape)[exact]

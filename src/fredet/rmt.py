@@ -66,6 +66,7 @@ from .linalg import (DEFAULT_EPS_MULTIPLE, UNIT_ROUNDOFF, DetResult, det_lu,
 from .nystrom import (NystromProblem, _balance_blocks, _det_result, fredholm_det,
                       fredholm_det_system)
 from .quadrature import gauss_legendre
+from .specfun import airy_ai
 
 __all__ = [
     "DistributionPoint",
@@ -228,7 +229,15 @@ def _airy2_kernels(t: float, x_min: float):
     kernel lowers it), sampled through their inner rules.  The Laplace
     branch's is that of P_t, less the kernel's Gaussian.  Without a factor
     in reach it raises ArithmeticError; a pair with ``achieved_tol`` above
-    ``_RULE_TOL`` has warned, and its factors are raised as ``_Uncached``."""
+    ``_RULE_TOL`` has warned, and its factors are raised as ``_Uncached``.
+    Resolving Ai on [x_min, ``_HEAD_CUT``] takes ~sqrt|x_min| (``_HEAD_CUT``
+    - x_min) / 2 points; past twice ``_FACTOR_MAX_NODES`` (x_min < -148) it
+    raises before any kernel is built, unless Ai is NaN there (below
+    -1e205), which the kernel's probes name."""
+    missed = f"no Chebyshev factor of Airy(2) at t={t:g}, x_min={x_min:g}"
+    if (math.sqrt(-x_min) * (_HEAD_CUT - x_min) > 4 * _FACTOR_MAX_NODES
+            and math.isfinite(airy_ai(x_min))):
+        raise ArithmeticError(missed)
     kt, kmt = kernels = Airy2ProcessKernel(t, x_min), Airy2ProcessKernel(-t, x_min)
     laplace = kmt._mode == "laplace"
     tol = max(_FACTOR_TOL, kmt.achieved_tol) if laplace else _FACTOR_TOL
@@ -236,7 +245,7 @@ def _airy2_kernels(t: float, x_min: float):
                _chebyshev_factor(partial(_sampled, kmt), kmt.x_min, _HEAD_CUT, tol=tol,
                                  gaussian_part=kmt.gaussian_part if laplace else None))
     if None in factors:
-        raise ArithmeticError(f"no Chebyshev factor of Airy(2) at t={t:g}, x_min={x_min:g}")
+        raise ArithmeticError(missed)
     if not all(k.achieved_tol <= k._RULE_TOL for k in kernels):
         raise _Uncached(factors)
     return factors

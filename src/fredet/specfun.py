@@ -185,14 +185,18 @@ _SCALED_CUT = 10.0
 
 
 def _airy(x, deriv: int, scaled: bool = False):
-    """Ai (deriv=0) or Ai' (deriv=1) at x; times e^zeta where x > 0 if scaled."""
-    arr = _checked(x)
+    """Ai (deriv=0) or Ai' (deriv=1) at x; times e^zeta where x > 0 if scaled.
+    An array inside the table takes it after one range test, which NaN
+    fails; only other arrays are checked finite and split by masks."""
+    arr = np.asarray(x, dtype=float)
     top = _SCALED_CUT if scaled else _TABLE.hi
-    table = (arr >= _TABLE.lo) & (arr <= top)
-    if table.all():
+    if arr.size and _TABLE.lo <= arr.min() and arr.max() <= top:
+        table = True
         # asarray: a 0-d argument gives a numpy scalar
         out = np.asarray(_TABLE(arr, deriv))
     else:
+        _checked(arr)
+        table = (arr >= _TABLE.lo) & (arr <= top)
         # zeros: Ai and Ai' above the table
         out = np.zeros(arr.shape)
         out[table] = _TABLE(arr[table], deriv)

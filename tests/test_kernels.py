@@ -183,6 +183,57 @@ class TestAiryKernel:
         dval, e = AiryKernel._diag_pair(xs)
         assert np.array_equal(np.diag(self.k.matrix(xs, xs)), dval - 0.0 * e)
 
+    def _masked(self, xs):
+        # a node appended to ys makes xs and ys differ, which forces the
+        # masked path; its first columns are the entries of matrix(xs, xs)
+        ys = np.concatenate([xs, np.full(xs.shape[:-1] + (1,), 7.0)], axis=-1)
+        return self.k.matrix(xs, ys)[..., :xs.shape[-1]]
+
+    @pytest.mark.parametrize("m", [20, 48, 80, 200])
+    def test_index_path_equals_masked_path_on_tan_map_heads(self, m):
+        # stacked heads of three thresholds, as _eye_minus_a0 builds them:
+        # ascending rows whose gaps are all at least the split
+        offsets = _tan_map(m, 10.0)[0]
+        svals = np.array([-6.0, -1.0, 2.5])
+        h = rmt._head("airy2", svals, offsets)
+        xs = svals[:, None] + offsets[:h]
+        assert np.min(np.diff(xs)) >= kernels_module._DIAG_SPLIT
+        got = self.k.matrix(xs, xs.copy())
+        assert got.shape == (3, h, h)
+        assert np.array_equal(got, self._masked(xs))
+
+    @pytest.mark.parametrize("case", ["near", "unsorted", "repeated"])
+    def test_grids_off_the_index_path_keep_the_masked_values(self, case):
+        xs = -3.0 + _tan_map(20, 10.0)[0]
+        if case == "near":
+            # one gap below the split: its pair takes the expansion
+            xs = np.sort(np.append(xs, xs[5] + 0.5e-4))
+        elif case == "unsorted":
+            xs = np.random.default_rng(3).permutation(xs)
+        else:
+            # TransformedKernel clips xi >= 1 to 0, which repeats phi(0)
+            xs = np.append(xs, xs[0])
+        got = self.k.matrix(xs, xs.copy())
+        assert np.array_equal(got, self._masked(xs))
+        ai, aip = airy_ai(xs), airy_ai_prime(xs)
+        assert np.array_equal(np.diag(got), aip * aip - xs * ai * ai)
+        if case == "near":
+            i = 5
+            dval, e = AiryKernel._diag_pair(0.5 * (xs[i] + xs[i + 1]))
+            h = 0.5 * (xs[i] - xs[i + 1])
+            assert got[i, i + 1] == dval - h * h * e
+        if case == "repeated":
+            assert got[0, -1] == got[-1, 0] == got[0, 0]
+
+    def test_cross_matrix_keeps_the_masked_values(self):
+        # xs != ys, with an exact and a near pair: entry by entry as eval
+        # gives them, each a 1 x 1 cross matrix
+        xs = -3.0 + _tan_map(20, 10.0)[0]
+        ys = np.concatenate([xs[::2], [xs[3], xs[7] + 0.5e-4]])
+        got = self.k.matrix(xs, ys)
+        assert np.array_equal(got, self.k.eval(xs[:, None], ys[None, :]))
+        assert got[3, -2] == self.k.eval(xs[3], xs[3])
+
 
 class TestHermitianSymmetry:
     @pytest.mark.parametrize("name", ["sine", "airy", "green", "airy2:0.8",

@@ -7,6 +7,7 @@ here the individual ingredients are pinned at moderate sizes.
 import inspect
 import io
 import math
+import time
 from functools import partial
 from contextlib import redirect_stderr
 
@@ -1273,6 +1274,33 @@ class TestChebyshevFactor:
                                match=f"no Chebyshev factor of Airy\\(2\\) at t={t:g}, x_min=-10"):
                 rmt._process_kernels("airy2", t, -10.0)
         assert rmt._airy2_kernels.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("x_min", [-149.0, -1e5])
+    def test_out_of_reach_raises_before_any_kernel(self, x_min, monkeypatch, fresh_caches):
+        # no factor of _FACTOR_MAX_NODES points resolves Ai on [x_min, 20]
+        # below ~-148: the pair raises at once, without the inner rule's
+        # doubling to 25,600 nodes that took 12.5 s at -1e5
+        def no_kernel(*args):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(Airy2ProcessKernel, "__init__", no_kernel)
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError,
+                           match=f"no Chebyshev factor of Airy\\(2\\) at t=1, x_min={x_min:g}"):
+            airy2_joint(1.0, x_min, 0.0, 20)
+        assert time.perf_counter() - start < 1.0
+        assert rmt._airy2_kernels.cache_info().currsize == 0
+
+    def test_reach_keeps_every_x_min_with_a_factor(self, monkeypatch, fresh_caches):
+        # x_min = -60 takes 512-point factors: the reach test lets it
+        # through, and the joint is that of a cap so large that the test
+        # never refuses (the factors stop doubling at the same size)
+        p = airy2_joint(1.0, -60.0, 0.0, 20)
+        rmt._airy2_kernels.cache_clear()
+        monkeypatch.setattr(rmt, "_FACTOR_MAX_NODES", 1 << 30)
+        q = airy2_joint(1.0, -60.0, 0.0, 20)
+        assert (p.value.hex(), p.est_error.hex(), p.suspect) == \
+               (q.value.hex(), q.est_error.hex(), q.suspect)
 
 
 class TestCaches:

@@ -336,3 +336,40 @@ class TestAiryEdgeCases:
         with pytest.raises(ValueError):
             f(np.array([1.0, bad]))
 
+
+
+class TestTableRangeTest:
+    """``_airy`` takes the table after one range test of the whole array;
+    other arrays go through the finiteness check and the per-point masks."""
+
+    EDGES = [specfun._TABLE.lo, specfun._TABLE.hi, specfun._SCALED_CUT]
+
+    @pytest.mark.parametrize("f", [airy_ai, airy_ai_prime, airy_ai_scaled])
+    @pytest.mark.parametrize("edge", EDGES)
+    @pytest.mark.parametrize("side", [-math.inf, 0.0, math.inf])
+    def test_edges_equal_pointwise_values_bitwise(self, f, edge, side):
+        # an array whose extreme point is the edge, or one ulp inside or
+        # outside it, against each point on its own
+        x = edge if side == 0.0 else np.nextafter(edge, side)
+        arr = np.array([x, -3.0, 0.5, 7.0] if edge > 0.0 else [-3.0, 0.5, 7.0, x])
+        got = f(arr)
+        assert type(got) is np.ndarray and got.shape == arr.shape
+        assert np.array_equal(got, np.array([f(float(v)) for v in arr]))
+        assert np.array_equal(f(arr.reshape(2, 2)), got.reshape(2, 2))
+
+    @pytest.mark.parametrize("f", [airy_ai, airy_ai_prime, airy_ai_scaled])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 3, -1])
+    def test_nonfinite_anywhere_raises(self, f, bad, where):
+        arr = np.linspace(-5.0, 5.0, 7)
+        arr[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            f(arr)
+        with pytest.raises(ValueError, match="finite"):
+            f(arr.reshape(7, 1))
+
+    @pytest.mark.parametrize("f", [airy_ai, airy_ai_prime, airy_ai_scaled])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_empty_arrays_stay_arrays(self, f, shape):
+        got = f(np.empty(shape))
+        assert type(got) is np.ndarray and got.shape == shape and got.dtype == float
