@@ -2,9 +2,9 @@
 
 Matrices are plain numpy arrays (real or complex), and every
 factorization is LAPACK through numpy: LU with partial pivoting for
-general matrices (``getrf``, one matrix or a stack), Cholesky for the
-Hermitian positive definite case (``potrf``), and the SVD for the trace
-norm (``gesdd``; used in bounds and tests, never in the hot path).
+general matrices (``getrf``) and Cholesky for the Hermitian positive
+definite case (``potrf``), both of one matrix or a stack, and the SVD
+for the trace norm (``gesdd``; used in bounds and tests, not hot paths).
 numpy rather than ``scipy.linalg``, whose import alone costs tens of
 milliseconds.
 """
@@ -59,11 +59,11 @@ class DetResult:
     method: str = "lu"
 
 
-def _as_square(a) -> np.ndarray:
+def _as_square(a, ndims=(2,)) -> np.ndarray:
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -77,51 +77,52 @@ def det_lu(a):
     values and complex input complex values.  Raises OverflowError when a
     determinant is not finite, as ``det_cholesky`` does.
     """
-    arr = np.asarray(a)
-    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
+    arr = _as_square(a, (2, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         det = np.linalg.det(arr)
-    if not np.all(np.isfinite(det)):
+    if not np.isfinite(det).all():
         raise OverflowError("determinant is not finite: the LU factors overflowed")
     if arr.ndim == 3:
         return det
     return complex(det) if np.iscomplexobj(det) else float(det)
 
 
-def det_cholesky(a) -> float:
+def det_cholesky(a):
     """Determinant of a Hermitian positive definite matrix via Cholesky
-    (LAPACK ``potrf``).
+    (LAPACK ``potrf``); of a ``(k, n, n)`` stack, the k determinants from
+    one call as an array, each with the bits of its matrix's own call.
 
-    Only the lower triangle is referenced, unless the determinant
-    overflows: ``det_lu`` of the whole matrix then raises its
-    OverflowError.  Raises ``NotPositiveDefiniteError`` when the
-    factorization breaks down, so the factorization itself certifies
-    positive definiteness; callers fall back to ``det_lu`` in that case.
+    Only the lower triangle is referenced, unless a determinant overflows:
+    ``det_lu`` of that whole matrix then raises its OverflowError.  Raises
+    ``NotPositiveDefiniteError`` when any factorization breaks down, so it
+    certifies positive definiteness; callers fall back to ``det_lu`` then.
     """
-    a = _as_square(a)
+    a = _as_square(a, (2, 3))
+    stack = a if a.ndim == 3 else a[None]
     try:
-        low = np.linalg.cholesky(a)
+        low = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    diag = np.diagonal(low).real
+    diag = low.diagonal(0, 1, 2).real
     # product form keeps full accuracy for determinants of moderate size;
     # fall back to the exp(logdet) only on under/overflow
-    prod = math.prod((diag * diag).tolist())
-    if 0.0 < prod < math.inf:
-        return prod
-    try:
-        return math.exp(2.0 * float(np.sum(np.log(diag))))
-    except OverflowError:
-        return det_lu(a)  # raises, unless its product of pivots rounds below inf
+    dets = [math.prod(row) for row in (diag * diag).tolist()]
+    for k, det in enumerate(dets):
+        if not 0.0 < det < math.inf:
+            try:
+                dets[k] = math.exp(2.0 * float(np.sum(np.log(diag[k]))))
+            except OverflowError:
+                dets[k] = det_lu(stack[k])  # raises, unless its product of pivots rounds below inf
+    return np.array(dets) if a.ndim == 3 else dets[0]
 
 
 def frobenius_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm ``(sum |a_jk|^2)^(1/2)``."""
-    a = np.asarray(a)
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    """Hilbert-Schmidt (Frobenius) norm ``(sum |a_jk|^2)^(1/2)``; OverflowError if not finite."""
+    with np.errstate(over="ignore"):  # an overflow raises below, not as a RuntimeWarning
+        norm = float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    if not math.isfinite(norm):
+        raise OverflowError("Frobenius norm is not finite")
+    return norm
 
 
 def trace_norm(a) -> float:

@@ -110,7 +110,7 @@ def _normalize_z(z):
 
 
 def _check_finite_kernel(k_matrix):
-    if not np.all(np.isfinite(k_matrix)):
+    if not np.isfinite(k_matrix).all():
         bad = np.argwhere(~np.isfinite(np.asarray(k_matrix)))
         raise KernelEvaluationError(
             f"kernel returned non-finite values at node index pairs {bad[:8].tolist()}"
@@ -152,23 +152,27 @@ def nystrom_matrix(kernel: Kernel, rule: QuadRule) -> np.ndarray:
     return _system_matrix(((kernel,),), (rule,))
 
 
-def _det_result(b_matrix, za_norm: float, hermitian: bool, m: int | None = None) -> DetResult:
-    """det(B) of B = I + zA, ||zA||_F = ``za_norm``, with the roundoff bound
-    sqrt(m) ||zA||_F 8u: the step of every determinant the library returns.
-    m is B's order unless given: an operator whose vanishing rows and
-    columns were left out of B keeps its rule size.  Cholesky for a real
-    ``hermitian`` B, LU when that fails (method "cholesky->lu") or
-    otherwise."""
-    if hermitian and not np.iscomplexobj(b_matrix):
+def _det_result(b_stack, za_norms, hermitian: bool, m: int | None = None) -> list[DetResult]:
+    """A ``DetResult`` per B = I + zA of the (k, n, n) ``b_stack``, with the
+    roundoff bound sqrt(m) ||zA||_F 8u, ||zA||_F from ``za_norms``: the one
+    Hermitian determinant step.  m is n unless given: an operator whose
+    vanishing rows and columns were left out of B keeps its rule size.  A
+    real ``hermitian`` stack takes one stacked Cholesky; if that fails,
+    each B of a longer stack takes its own, and a lone B LU (method
+    "cholesky->lu").  Any other stack takes LU."""
+    if hermitian and not np.iscomplexobj(b_stack):
         try:
-            value, method = det_cholesky(b_matrix), "cholesky"
+            values, methods = det_cholesky(b_stack).tolist(), ("cholesky",) * len(b_stack)
         except NotPositiveDefiniteError:
-            value, method = det_lu(b_matrix), "cholesky->lu"
+            if len(b_stack) > 1:  # each B alone: only those that fail fall back
+                return [res for b, norm in zip(b_stack, za_norms)
+                        for res in _det_result(b[None], [norm], hermitian, m)]
+            values, methods = det_lu(b_stack).tolist(), ("cholesky->lu",)
     else:
-        value, method = det_lu(b_matrix), "lu"
-    m = b_matrix.shape[0] if m is None else m
-    return DetResult(value=value, m=m, roundoff_bound=roundoff_bound(m, za_norm),
-                     method=method)
+        values, methods = det_lu(b_stack).tolist(), ("lu",) * len(b_stack)
+    m = b_stack.shape[-1] if m is None else m
+    return [DetResult(value, m, roundoff_bound(m, norm), method)
+            for value, method, norm in zip(values, methods, za_norms)]
 
 
 def _system_det(kernels, rules, z) -> DetResult:
@@ -183,7 +187,7 @@ def _system_det(kernels, rules, z) -> DetResult:
     else:
         hermitian = not isinstance(z, complex) and bool(
             np.all(np.abs(a_q - a_q.T) <= 1e-13 * (1.0 + np.abs(a_q))))
-    return _det_result(b, abs(z) * frobenius_norm(a_q), hermitian)
+    return _det_result(b[None], [abs(z) * frobenius_norm(a_q)], hermitian)[0]
 
 
 def fredholm_det(problem: NystromProblem) -> DetResult:

@@ -63,9 +63,9 @@ from .linalg import (DEFAULT_EPS_MULTIPLE, UNIT_ROUNDOFF, DetResult, det_lu,
 # fredholm_det_system and _balance_blocks are not called here: they stay
 # bound only because the benchmark's tracer (perfbench/tracing.py) patches
 # them in this module by name
-from .nystrom import (NystromProblem, _balance_blocks, _det_result, fredholm_det,
-                      fredholm_det_system)
-from .quadrature import gauss_legendre
+from .nystrom import (NystromProblem, _balance_blocks, _check_finite_kernel, _det_result,
+                      fredholm_det, fredholm_det_system)
+from .quadrature import _gauss_legendre_unit, gauss_legendre
 from .specfun import airy_ai
 
 __all__ = [
@@ -129,7 +129,7 @@ class CovGrid:
 
 def _det_point(parameter: float, res) -> DistributionPoint:
     """The point of a z = -1 determinant ``res`` (a DetResult)."""
-    v = float(np.real(res.value))
+    v = float(res.value.real)
     suspect = (res.method == "cholesky->lu"
                or not (-_PROB_SLACK <= v <= 1.0 + _PROB_SLACK))
     return DistributionPoint(parameter=float(parameter), value=v, m=res.m,
@@ -141,16 +141,26 @@ def _det_point(parameter: float, res) -> DistributionPoint:
 # ---------------------------------------------------------------------------
 
 def e2_gap(s: float, m: int) -> DistributionPoint:
-    """Gap probability E2(0; s): sine-kernel determinant at z = -1 on (0, s)."""
+    """Gap probability E2(0; s): sine-kernel determinant at z = -1 on (0, s),
+    assembled and factored as ``fredholm_det`` does (``_det_result``) on the
+    cached unit rule under ``_map_from_unit``'s map: the bits of
+    ``gauss_legendre(0, s, m)``, but no rule per call.  1 at a subnormal s,
+    whose weights round to 0; OverflowError from s ~ 1e150 on."""
     if not 0.0 <= s < math.inf:
         raise ValueError(f"s must be finite and >= 0, got {s}")
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     if s == 0.0:
         return DistributionPoint(parameter=0.0, value=1.0, m=0, est_error=0.0)
-    rule = gauss_legendre(0.0, s, m)
-    res = fredholm_det(NystromProblem(SineKernel(), (0.0, s), -1.0, rule))
-    return _det_point(s, res)
+    x, w = _gauss_legendre_unit(int(m))
+    half = 0.5 * s  # the mid and the halfwidth of (0, s)
+    nodes, sw = half + half * x, np.sqrt(half * w)
+    k = SineKernel().matrix(nodes, nodes)
+    _check_finite_kernel(k)
+    b = -sw[:, None] * k * sw[None, :]  # -A_Q, whose norm is ||A_Q||_F
+    norm = frobenius_norm(b)
+    b.flat[::m + 1] += 1.0  # b = I - A_Q
+    return _det_point(s, _det_result(b[None], [norm], hermitian=True)[0])
 
 
 def f2_tw(s: float, m: int, route: str = "transform", scale: float | None = None,
@@ -513,8 +523,8 @@ def _eye_minus_a0(process: str, svals, offsets, rr):
         xc = x[lo:lo + step]
         a0 = rr * k0.matrix(xc, xc)
         norms[lo:lo + step] = np.sqrt(np.sum(a0 * a0, axis=(1, 2)))
-        out[lo:lo + step] = np.eye(h) - a0
-    if not np.all(np.isfinite(norms)):
+        np.subtract(np.eye(h), a0, out=out[lo:lo + step])
+    if not np.isfinite(norms).all():
         raise KernelEvaluationError(f"kernel returned non-finite values at thresholds "
                                     f"{np.asarray(svals)[~np.isfinite(norms)][:8].tolist()}")
     return out, norms
@@ -523,13 +533,13 @@ def _eye_minus_a0(process: str, svals, offsets, rr):
 def _marginal_points(process: str, svals, m: int, scale: float):
     """P(A(0) <= s) = det(I - A_0) at each threshold s of ``svals``, from
     one ``_eye_minus_a0`` call on the head of them all, by the determinant
-    step of ``fredholm_det`` (``_det_result``): Cholesky, or LU flagged
-    suspect where Cholesky fails, with the roundoff bound sqrt(m)
-    ||A_0||_F 8u at the rule size m.  Returns the I - A_0 blocks, ||A_0||_F
-    and the points."""
+    step of ``fredholm_det`` (``_det_result``) on the whole stack: Cholesky,
+    or LU flagged suspect for a block whose own Cholesky fails, with the
+    roundoff bound sqrt(m) ||A_0||_F 8u at the rule size m.  Returns the
+    I - A_0 blocks, ||A_0||_F and the points."""
     blocks, norms = _eye_minus_a0(process, svals, *_tan_map(m, scale))
-    return blocks, norms, [_det_point(s, _det_result(block, norm, hermitian=True, m=m))
-                           for s, block, norm in zip(svals, blocks, norms)]
+    return blocks, norms, [_det_point(s, res) for s, res
+                           in zip(svals, _det_result(blocks, norms, hermitian=True, m=m))]
 
 
 def _marginal(process: str, s: float, m: int, scale: float = _MAP_SCALE) -> float:

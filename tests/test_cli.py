@@ -212,6 +212,21 @@ class TestSweeps:
                               "--m", "-5"])
         assert code == 2 and out == "" and "m must be an integer >= 1" in err
 
+    def test_e2_at_subnormal_s_is_one(self):
+        # not a usage error: the unit rule's weights round to 0 there
+        code, out, err = run(["e2", "--s-min", "1e-310", "--s-max", "1e-310", "--step", "1"])
+        assert code == 0 and not err
+        (row,) = out.strip().splitlines()[1:]
+        assert row.split(",")[1:] == ["1", "0", "false"]
+
+    def test_e2_overflowing_norm_exit_1(self):
+        # ||A_Q||_F overflows at s = 1e200: a numerical failure, raised
+        # without a RuntimeWarning (the test configuration makes it an error)
+        code, out, err = run(["e2", "--s-min", "1e200", "--s-max", "1e200", "--step", "1",
+                              "--m", "5"])
+        assert code == 1 and not out
+        assert err.startswith("numerical failure:") and "Frobenius norm is not finite" in err
+
     def test_green_bench(self):
         code, out, _ = run(["green-bench", "--m-list", "4,8,16,32",
                             "--method", "nystrom-gauss"])

@@ -1,6 +1,7 @@
 """Determinants, norms, SVD, roundoff bound, and the perturbation lemma."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,12 +170,63 @@ class TestDetCholesky:
         assert 1e200 * 1e200 == np.inf
         assert det_cholesky(a) == pytest.approx(1.0, rel=0, abs=1e-14)
 
+    @staticmethod
+    def _single(a):
+        # the one-matrix product form: the bits of a matrix's own factorization
+        diag = np.diagonal(np.linalg.cholesky(a)).real
+        return math.prod((diag * diag).tolist())
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_stack_is_each_matrix_bitwise(self, k, complex_):
+        rng = np.random.default_rng(21)
+        g = rng.normal(size=(k, 12, 12))
+        if complex_:
+            g = g + 1j * rng.normal(size=(k, 12, 12))
+        a = g @ np.conj(np.swapaxes(g, 1, 2)) + 12.0 * np.eye(12)
+        dets = det_cholesky(a)
+        assert isinstance(dets, np.ndarray) and dets.shape == (k,) and dets.dtype == float
+        assert dets.tolist() == [self._single(b) for b in a] == [det_cholesky(b) for b in a]
+
+    def test_stack_with_one_indefinite_matrix_rejected(self):
+        a = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0]), 2.0 * np.eye(3)])
+        with pytest.raises(NotPositiveDefiniteError):
+            det_cholesky(a)
+
+    def test_stack_log_fallback_per_matrix(self):
+        # only the middle matrix's product of squared pivots overflows
+        wide = np.diag([1e200, 1e200, 1e-200, 1e-200])
+        dets = det_cholesky(np.stack([np.eye(4), wide, 4.0 * np.eye(4)]))
+        assert dets.tolist() == [1.0, det_cholesky(wide), 256.0]
+        assert dets[1] == pytest.approx(1.0, rel=0, abs=1e-14)
+
+    def test_stack_overflow_raises_as_lu_does(self):
+        with pytest.raises(OverflowError, match="determinant is not finite"):
+            det_cholesky(np.stack([np.eye(4), np.eye(4) * 1e100]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4), (2, 2, 3, 3)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            det_cholesky(np.ones(shape))
+
 
 class TestNorms:
     def test_frobenius(self):
         assert frobenius_norm(np.zeros((3, 3))) == 0.0
         assert frobenius_norm(np.eye(4)) == pytest.approx(2.0, abs=0)
         assert frobenius_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0)
+
+    def test_frobenius_overflow_raises_without_warning(self):
+        # finite entries whose norm overflows: an OverflowError, not inf
+        # after numpy's RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="Frobenius norm is not finite"):
+                frobenius_norm(np.full((2, 2), 1e200))
+
+    def test_frobenius_keeps_the_plain_sum_bits(self):
+        a = np.random.default_rng(5).normal(size=(40, 40)) * 1e150
+        assert frobenius_norm(a) == float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
     def test_trace_norm_identity(self):
         assert trace_norm(np.eye(3)) == pytest.approx(3.0, rel=1e-14, abs=0)

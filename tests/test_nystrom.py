@@ -8,10 +8,11 @@ import pytest
 from fredet.kernels import (AiryKernel, GreenKernel, SineKernel, make_kernel,
                             sine_kernel)
 from fredet.nystrom import (BlockSystem, KernelEvaluationError, NystromProblem,
-                            ResourceLimitError, _balance_blocks, convergence_study,
+                            ResourceLimitError, _balance_blocks, _det_result, convergence_study,
                             fredholm_det, fredholm_det_system, fredholm_series_oracle,
                             fredholm_series_oracle_system, nystrom_matrix)
-from fredet.linalg import det_lu
+from fredet import nystrom
+from fredet.linalg import det_cholesky, det_lu
 from fredet.quadrature import clenshaw_curtis, gauss_legendre
 
 SIN1 = 0.8414709848078965
@@ -94,6 +95,57 @@ class TestFredholmDet:
     def test_rule_interval_mismatch(self):
         with pytest.raises(ValueError):
             NystromProblem(sine_kernel(), (0.0, 1.0), -1.0, gauss_legendre(0.0, 2.0, 5))
+
+
+class TestDetStep:
+    """``_det_result``: one stacked Cholesky, each matrix alone where it fails."""
+
+    @staticmethod
+    def _stack():
+        # I - A_Q of the sine kernel on (0, s): positive definite at s = 1
+        # and 2, and made indefinite at s = 1.5 by a doubled A_Q
+        out, norms = [], []
+        for s, c in ((1.0, 1.0), (1.5, 2.0), (2.0, 1.0)):
+            a = c * nystrom_matrix(SineKernel(), gauss_legendre(0.0, s, 12))
+            out.append(np.eye(12) - a)
+            norms.append(float(np.linalg.norm(a)))
+        return np.stack(out), norms
+
+    @staticmethod
+    def _count_cholesky(monkeypatch):
+        shapes = []
+        monkeypatch.setattr(nystrom, "det_cholesky",
+                            lambda a: shapes.append(a.shape) or det_cholesky(a))
+        return shapes
+
+    def test_all_definite_is_one_stacked_cholesky(self, monkeypatch):
+        b, norms = self._stack()
+        b, norms = b[[0, 2]], [norms[0], norms[2]]
+        shapes = self._count_cholesky(monkeypatch)
+        results = _det_result(b, norms, hermitian=True)
+        assert shapes == [(2, 12, 12)]
+        assert [r.method for r in results] == ["cholesky", "cholesky"]
+        assert results == [_det_result(one[None], [n], hermitian=True)[0]
+                           for one, n in zip(b, norms)]
+
+    def test_only_the_failing_matrix_falls_back(self, monkeypatch):
+        b, norms = self._stack()
+        shapes = self._count_cholesky(monkeypatch)
+        results = _det_result(b, norms, hermitian=True, m=20)
+        assert shapes == [(3, 12, 12)] + [(1, 12, 12)] * 3
+        monkeypatch.undo()
+        assert [r.method for r in results] == ["cholesky", "cholesky->lu", "cholesky"]
+        assert [r.value for r in results] == [
+            _det_result(one[None], [n], hermitian=True)[0].value for one, n in zip(b, norms)]
+        assert results[1].value == det_lu(b[1]) < 0.0
+        assert {r.m for r in results} == {20}
+
+    def test_non_hermitian_stack_takes_lu(self):
+        b, norms = self._stack()
+        results = _det_result(b, norms, hermitian=False)
+        assert [r.method for r in results] == ["lu"] * 3
+        assert [r.value for r in results] == det_lu(b).tolist()
+        assert all(type(r.value) is float for r in results)
 
 
 #: NaN and infinite z, real and complex.

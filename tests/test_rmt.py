@@ -8,6 +8,7 @@ import inspect
 import io
 import math
 import time
+import warnings
 from functools import partial
 from contextlib import redirect_stderr
 
@@ -23,9 +24,9 @@ from fredet.kernels import (AiryKernel, Airy1ProcessKernel, Airy2ProcessKernel,
                             Kernel, KernelEvaluationError, SineKernel, TransformedKernel)
 from fredet.linalg import UNIT_ROUNDOFF
 from fredet.cli import main
-from fredet.nystrom import (BlockSystem, NystromProblem, _balance_blocks, fredholm_det,
-                            fredholm_det_system, nystrom_matrix)
-from fredet.quadrature import gauss_legendre
+from fredet.nystrom import (BlockSystem, NystromProblem, _balance_blocks, _det_result,
+                            fredholm_det, fredholm_det_system, nystrom_matrix)
+from fredet.quadrature import QuadRule, gauss_legendre
 from fredet.rmt import (airy1_joint, airy2_joint, cov_airy1, cov_airy2, cov_grid,
                         e2_gap, f2_tw, truncation_bound, tw_moments, _JointTable,
                         _cov_zero, _legendre_cumulative, _marginal)
@@ -227,6 +228,41 @@ class TestE2:
         assert all(0.0 <= v <= 1.0 + 1e-10 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("s", [0.05, 1.0, 2.5, 5.0, 12.0])
+    @pytest.mark.parametrize("m", [5, 20, 50])
+    def test_bits_of_the_rule_route(self, s, m):
+        # the oracle: a validated gauss_legendre rule through fredholm_det;
+        # at s = 12 and m <= 20 Cholesky falls back, and both flag it
+        res = fredholm_det(NystromProblem(SineKernel(), (0.0, s), -1.0, gauss_legendre(0.0, s, m)))
+        assert e2_gap(s, m) == rmt._det_point(s, res)
+
+    def test_no_rule_per_call(self, monkeypatch):
+        # the unit rule is cached per m: a new s builds and validates no rule
+        e2_gap(1.0, 37)
+        built = []
+        monkeypatch.setattr(rmt, "gauss_legendre",
+                            lambda *args: built.append(args) or gauss_legendre(*args))
+        monkeypatch.setattr(QuadRule, "__post_init__", lambda rule: built.append(rule))
+        monkeypatch.setattr(rmt, "fredholm_det", lambda *args: built.append(args))
+        for s in (0.3, 2.0, 7.5):
+            assert 0.0 < e2_gap(s, 37).value < 1.0
+        assert not built
+
+    @pytest.mark.parametrize("s", [5e-324, 1e-310, 1e-300])
+    def test_subnormal_s_is_one(self, s):
+        # the weights round to 0 or their squares underflow: E2 is 1, not a
+        # usage error from a rule's self-check
+        p = e2_gap(s, 50)
+        assert (p.value, p.est_error, p.suspect, p.m) == (1.0, 0.0, False, 50)
+
+    def test_overflowing_norm_raises_without_warning(self):
+        # ||A_Q||_F overflows at s = 1e200: a numerical failure, before the
+        # roundoff bound could name the inf norm a usage error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="Frobenius norm is not finite"):
+                e2_gap(1e200, 5)
+
 
 class TestF2:
     def test_limit_one(self):
@@ -384,6 +420,18 @@ def test_bad_accuracy_rejected(accuracy, monkeypatch):
         code = main(["cov", "--process", "airy2", "--t-min", "0", "--t-max", "0",
                      "--step", "1", f"--accuracy={accuracy}"])
     assert code == 2 and "accuracy" in err.getvalue()
+
+
+class TestMarginalStack:
+    def test_stack_equals_single_thresholds_bitwise(self):
+        # one stacked Cholesky fails on the -9.5 block; each block is then
+        # factored alone, and only that one falls back to LU
+        svals = [-9.5, -2.0, 1.0]
+        blocks, norms, points = rmt._marginal_points("airy2", svals, 30, 10.0)
+        assert points == [rmt._marginal_points("airy2", [s], 30, 10.0)[2][0] for s in svals]
+        assert [r.method for r in _det_result(blocks, norms, hermitian=True, m=30)] == [
+            "cholesky->lu", "cholesky", "cholesky"]
+        assert [p.suspect for p in points] == [True, False, False]
 
 
 class TestUnitRuleCache:
